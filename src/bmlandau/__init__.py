@@ -34,7 +34,14 @@ from .flux import (
     theta_from_w,
     uw_flow,
 )
-from .oracle import IVPProblem, ResidualReport, fd_residual, integrate_ivp, quad_singular
+from .oracle import (
+    IVPProblem,
+    ResidualReport,
+    fd_residual,
+    integrate_ivp,
+    quad_singular,
+    quad_singular_array,
+)
 from .regular import (
     LocalBranchParams,
     RegularisedLabels,

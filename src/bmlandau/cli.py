@@ -9,7 +9,9 @@ flow       closed-form azimuthal momentum and action profiles
 
 Global flags: --config (JSON file; flags override file, file overrides
 defaults), --format {csv,json}, --out PATH (default stdout), --tol FLOAT.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+unreadable config, an unwritable output path, or an input outside the
+working range of a series or integrator).
 
 Output is deterministic: CSV uses a header row, comma delimiter, LF line
 ends and 17 significant digits, so repeated runs are byte-identical.
@@ -357,10 +359,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return _HANDLERS[args.command](args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError, OSError, RuntimeError) as exc:
+        # OSError: unreadable --config or unwritable --out; RuntimeError:
+        # a series or integration left its working range or budget
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,9 +85,14 @@ class SampledProfile:
 
     def step(self) -> float:
         """Uniform grid spacing; raises if the grid is not uniform."""
-        h = np.diff(self.grid)
-        if h.size == 0:
-            raise ValueError("grid too short to have a step")
-        if not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
-            raise ValueError("grid is not uniformly spaced")
-        return float(h[0])
+        return uniform_step(self.grid)
+
+
+def uniform_step(grid) -> float:
+    """Spacing of a uniform grid; ValueError if it is too short or not uniform."""
+    h = np.diff(grid)
+    if h.size == 0:
+        raise ValueError("grid too short to have a step")
+    if not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
+        raise ValueError("grid is not uniformly spaced")
+    return float(h[0])

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysParams, SampledProfile
-from .oracle import quad_singular
+from .core import PhysParams, SampledProfile, uniform_step
+from .oracle import quad_singular_array
 
 
 @dataclass(frozen=True)
@@ -245,16 +245,13 @@ def theta_first_integral_quadrature(
     noise = max(abs(g(tp)), 1e-14 * abs(g(Theta_target)), 1e-250)
     t_noise = math.sqrt(100.0 * noise / gp)
 
-    def integrand(t):
-        if t <= t_noise:
-            # g ~ gp * t^2 here, so the integrand is flat: 2/sqrt(gp)
-            return 2.0 / math.sqrt(gp)
-        rad = g(tp + s * t * t)
-        if rad <= 0.0:
-            return 2.0 / math.sqrt(gp)
-        return 2.0 * t / math.sqrt(rad)
+    def integrand(t, _d):
+        rad = first_integral_radicand(tp + s * t * t, E_theta, l, kappa_theta, phi, hbar)
+        # for t <= t_noise g ~ gp * t^2, so the integrand is flat: 2/sqrt(gp)
+        flat = (t <= t_noise) | (rad <= 0.0)
+        return np.where(flat, 2.0 / math.sqrt(gp), 2.0 * t / np.sqrt(np.where(flat, 1.0, rad)))
 
-    return s * quad_singular(integrand, 0.0, t_max, endpoint_order=0.0, tol=tol)
+    return s * quad_singular_array(integrand, 0.0, t_max, endpoint_order=0.0, tol=tol)
 
 
 def _nearest_turning_point(g, target: float, expand: float = 1.6, max_iter: int = 200):
@@ -332,7 +329,7 @@ def divergence_residual(
     z = np.asarray(z_axis, dtype=float)
     if r[0] <= 0.0:
         raise ValueError("axis excluded from stencil: the grid must satisfy r > 0")
-    hr, hth, hz = _uniform_step(r), _uniform_step(th), _uniform_step(z)
+    hr, hth, hz = uniform_step(r), uniform_step(th), uniform_step(z)
 
     rho = np.asarray(rho, dtype=float)
     R3 = r[:, None, None]
@@ -348,13 +345,6 @@ def divergence_residual(
     r_in = r[1:-1][:, None, None]
     total = d_r / r_in + d_th / r_in + d_z
     return float(np.max(np.abs(total)))
-
-
-def _uniform_step(axis: np.ndarray) -> float:
-    h = np.diff(axis)
-    if h.size == 0 or not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
-        raise ValueError("grid axes must be uniformly spaced")
-    return float(h[0])
 
 
 def bohm_energy_residual(

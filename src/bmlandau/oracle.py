@@ -5,6 +5,13 @@ with cubic-Hermite dense output), one central-difference residual
 evaluator, and one singularity-tolerant quadrature (tanh-sinh double
 exponential).  Deliberately a single rule each: verification simplicity
 beats configurability.
+
+The quadrature nodes and weights of each level depend only on the
+interval-free variable t, so they are computed once per level, cached,
+and scaled to the interval at each call (precomputed tables in the
+manner of Bailey, Jeyabalan & Li 2005).  One array core,
+quad_singular_array, evaluates the integrand on a whole level's node
+array at a time; quad_singular adapts scalar integrands to it.
 """
 
 from __future__ import annotations
@@ -187,6 +194,104 @@ def fd_residual(candidate: SampledProfile, ode_form: Callable) -> ResidualReport
 
 _TS_TMAX = 6.8  # beyond this the double-exponential weight underflows
 
+# level -> (unit offsets, unit weights) of the nodes t > 0 new at that
+# level; the -t node shares both values.  Nothing here depends on the
+# interval: a call scales the unit values by its half-width.
+_TS_LEVELS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-interval offsets 2 e2/(1+e2) and weights of one tanh-sinh level.
+
+    Level 0 holds t = 1, 2, ... (t = 0 is added by the caller), level
+    k >= 1 the odd multiples of 2^-k, all up to _TS_TMAX.  The abscissa
+    is x = mid + half*tanh(u), u = (pi/2) sinh(t), written through the
+    offset from the nearer endpoint: 1 - |tanh(u)| = 2 e2/(1+e2) with
+    e2 = exp(-2|u|), and sech^2(u) = 4 e2/(1+e2)^2, so nothing overflows.
+    Nodes whose weight underflows to zero are left out.  Built once per
+    level with the scalar math functions, so the unit values are those of
+    the scalar formula.
+    """
+    table = _TS_LEVELS.get(level)
+    if table is None:
+        h = 2.0**-level
+
+        def unit_node(t):
+            e2 = math.exp(-2.0 * (0.5 * math.pi * math.sinh(t)))
+            return 2.0 * e2 / (1.0 + e2), 0.5 * math.pi * math.cosh(t) * 4.0 * e2 / (1.0 + e2) ** 2
+
+        ks = range(1, int(_TS_TMAX / h) + 1, 1 if level == 0 else 2)
+        nodes = np.fromiter((unit_node(k * h) for k in ks), np.dtype((float, 2)), len(ks))
+        nodes = nodes[nodes[:, 1] != 0.0]
+        table = _TS_LEVELS[level] = (nodes[:, 0].copy(), nodes[:, 1].copy())
+    return table
+
+
+def _level_nodes(level: int, a: float, b: float):
+    """Abscissae x, signed endpoint offsets d and weights w of one level on (a, b).
+
+    d > 0 means x = a + d, d < 0 means x = b + d; the centre node of
+    level 0 carries d = mid - a.
+    """
+    unit_offset, unit_weight = _level_table(level)
+    half = 0.5 * (b - a)
+    offset = half * unit_offset
+    w = half * unit_weight
+    x = np.concatenate((b - offset, a + offset))
+    d = np.concatenate((-offset, offset))
+    w = np.concatenate((w, w))
+    if level == 0:
+        mid = 0.5 * (a + b)
+        x = np.concatenate(([mid], x))
+        d = np.concatenate(([mid - a], d))
+        w = np.concatenate(([half * 0.5 * math.pi], w))
+    return x, d, w
+
+
+def quad_singular_array(
+    f: Callable,
+    a: float,
+    b: float,
+    endpoint_order: float = 0.0,
+    tol: float = 1e-10,
+    max_level: int = 12,
+    offset_aware: bool = False,
+) -> float:
+    """Tanh-sinh quadrature of an array integrand on (a, b).
+
+    ``f(x, d)`` receives the whole node array of one level, abscissae x
+    and signed endpoint offsets d (see quad_singular), and returns the
+    integrand values as an array shaped like x; it is called once per
+    level.  Arguments, node set, convergence test and errors are those of
+    quad_singular.
+    """
+    if endpoint_order <= -1.0:
+        raise ValueError("endpoint_order must exceed -1 for an integrable singularity")
+    if a == b:
+        return 0.0
+    if b < a:
+        return -quad_singular_array(f, b, a, endpoint_order, tol, max_level, offset_aware)
+
+    def level_sum(level):
+        x, d, w = _level_nodes(level, a, b)
+        keep = w != 0.0
+        if not offset_aware:
+            # skip nodes that rounded exactly onto an endpoint
+            keep &= (x != a) & (x != b)
+        w = w[keep]
+        fx = np.asarray(f(x[keep], d[keep]), dtype=float)
+        finite = np.isfinite(fx)
+        return float(np.dot(w[finite], fx[finite]))
+
+    h = 1.0
+    history = [h * level_sum(0)]
+    for level in range(1, max_level + 1):
+        h *= 0.5
+        history.append(0.5 * history[-1] + h * level_sum(level))
+        if level >= 2 and abs(history[-1] - history[-2]) <= tol:
+            return history[-1]
+    raise RuntimeError("quadrature budget exceeded: tanh-sinh did not converge")
+
 
 def quad_singular(
     f: Callable,
@@ -207,60 +312,17 @@ def quad_singular(
     nearer endpoint (positive: x = a + d, negative: x = b + d), which
     lets integrands like 1/sqrt(1 - x*x) stay accurate at offsets far
     below float spacing around a nonzero endpoint.
+
+    f is a scalar function called once per node with Python floats.  The
+    node tables of each level are computed once, in the interval-free
+    variable t, and cached; this adapter maps f over a level's node
+    array and leaves the summation to quad_singular_array, which takes
+    array integrands directly.
     """
-    if endpoint_order <= -1.0:
-        raise ValueError("endpoint_order must exceed -1 for an integrable singularity")
-    if a == b:
-        return 0.0
-    if b < a:
-        return -quad_singular(f, b, a, endpoint_order, tol, max_level, offset_aware)
-
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-
-    def node(tk):
-        # x = mid + half*tanh(u) through the offset from the nearer
-        # endpoint: 1 - |tanh(u)| = 2 e2/(1+e2) with e2 = exp(-2|u|),
-        # and sech^2(u) = 4 e2/(1+e2)^2 so nothing overflows
-        u = 0.5 * math.pi * math.sinh(tk)
-        e2 = math.exp(-2.0 * abs(u))
-        w = half * 0.5 * math.pi * math.cosh(tk) * 4.0 * e2 / (1.0 + e2) ** 2
-        if w == 0.0:
-            return None, 0.0, 0.0
-        offset = half * 2.0 * e2 / (1.0 + e2)
-        if tk > 0:
-            return b - offset, -offset, w
-        if tk < 0:
-            return a + offset, offset, w
-        return mid, mid - a, w
-
-    def level_sum(h, only_odd):
-        total = 0.0
-        kk = 1 if only_odd else 0
-        step = 2 if only_odd else 1
-        while kk * h <= _TS_TMAX:
-            tk = kk * h
-            for sgn in (1.0,) if kk == 0 else (1.0, -1.0):
-                x, d, w = node(sgn * tk)
-                if x is None:
-                    continue
-                if offset_aware:
-                    fx = f(x, d)
-                else:
-                    # skip nodes that rounded exactly onto an endpoint
-                    if x == a or x == b:
-                        continue
-                    fx = f(x)
-                if math.isfinite(fx):
-                    total += w * fx
-            kk += step
-        return total
-
-    h = 1.0
-    history = [h * level_sum(h, only_odd=False)]
-    for level in range(1, max_level + 1):
-        h *= 0.5
-        history.append(0.5 * history[-1] + h * level_sum(h, only_odd=True))
-        if level >= 2 and abs(history[-1] - history[-2]) <= tol:
-            return history[-1]
-    raise RuntimeError("quadrature budget exceeded: tanh-sinh did not converge")
+    if offset_aware:
+        def g(x, d):
+            return [f(xi, di) for xi, di in zip(x.tolist(), d.tolist())]
+    else:
+        def g(x, d):
+            return [f(xi) for xi in x.tolist()]
+    return quad_singular_array(g, a, b, endpoint_order, tol, max_level, offset_aware)

@@ -233,3 +233,34 @@ class TestDeterminismAndConfig:
         payload = json.loads(out)
         assert payload["columns"] == ["r", "value"]
         assert payload["rows"][1][1] == pytest.approx(math.exp(-1.0))
+
+
+class TestErrorExitCodes:
+    def test_missing_config_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(
+            ["--config", str(missing), "spectrum", "--nr", "0", "--l", "0", "--kz", "0"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_series_out_of_range(self, capsys):
+        # kz = 10 on r <= 5 puts the Bessel series beyond |x| <= 30
+        code, out, err = run_cli(
+            ["amplitude", "--sector", "z", "--branch", "regularised", "--kz", "10", "--grid", "0.1:5:10"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        path = tmp_path / "no_such_dir" / "out.csv"
+        code, _, err = run_cli(
+            ["spectrum", "--nr", "0", "--l", "0", "--kz", "0", "--out", str(path)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:")

@@ -31,6 +31,10 @@ class TestSampledProfile:
         with pytest.raises(ValueError, match="uniformly spaced"):
             prof.step()
 
+    def test_step_requires_two_points(self):
+        with pytest.raises(ValueError, match="too short"):
+            SampledProfile("r", [0.5], [1.0]).step()
+
 
 class TestPhysParamsDerived:
     def test_natural_units(self):

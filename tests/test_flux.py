@@ -221,6 +221,31 @@ class TestFirstIntegralQuadrature:
         with pytest.raises(ValueError, match="positive"):
             fx.theta_first_integral_quadrature(-0.3, 2.0, 1, 0.0, 0.0)
 
+    def test_integrand_called_once_per_level(self, monkeypatch):
+        # the integrand takes whole node arrays: at most max_level + 1 calls
+        # per quadrature, not one call per node
+        core = fx.quad_singular_array
+        runs = []
+
+        def counting(f, *args, **kwargs):
+            sizes = []
+            runs.append(sizes)
+
+            def counted(x, d):
+                sizes.append(len(x))
+                return f(x, d)
+
+            return core(counted, *args, **kwargs)
+
+        monkeypatch.setattr(fx, "quad_singular_array", counting)
+        E_th, l, kap, phi = 2.0, 1, 0.5, 0.7
+        for T in (0.5, 0.7, 0.9):
+            fx.theta_first_integral_quadrature(T, E_th, l, kap, phi, tol=1e-12)
+        assert len(runs) == 3
+        for sizes in runs:
+            assert 1 <= len(sizes) <= 13  # default max_level = 12
+            assert max(sizes) > 100
+
     def test_sign_follows_side_of_turning_point(self):
         E_th, l, kap, phi = 2.0, 1, 0.5, 0.7
         # lower turning point ~0.287, upper ~2.08; targets on either side
@@ -305,6 +330,15 @@ class TestDivergenceResidual:
                 ax, ax, ax, np.ones((8, 8, 8)), np.zeros((8, 8, 8)), np.zeros((8, 8, 8)),
                 np.zeros((8, 8, 8)), NATURAL,
             )
+
+
+    def test_axes_must_be_uniform(self):
+        ax = np.linspace(0.5, 1.5, 8)
+        bent = ax.copy()
+        bent[3] += 0.01
+        fields = [np.zeros((8, 8, 8))] * 4
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            fx.divergence_residual(ax, bent, ax, *fields, NATURAL)
 
 
 class TestBohmEnergyResidual:

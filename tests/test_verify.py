@@ -5,14 +5,18 @@ import pytest
 from bmlandau import verify as vf
 
 
-def test_all_covers_every_module_namespace():
-    report = vf.run_suite("all")
+@pytest.fixture(scope="module")
+def report():
+    """One run of the full suite, shared by the tests that only read it."""
+    return vf.run_suite("all")
+
+
+def test_all_covers_every_module_namespace(report):
     prefixes = {c["name"].split(".")[0] for c in report["checks"]}
     assert prefixes == {"ep", "sectors", "flux", "regular", "specfun", "spectrum"}
 
 
-def test_check_names_are_stable_identifiers():
-    report = vf.run_suite("all")
+def test_check_names_are_stable_identifiers(report):
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names))
     assert "flux.uw_vs_closed" in names
