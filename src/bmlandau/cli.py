@@ -7,23 +7,32 @@ amplitude  sampled sector amplitudes (ep, regularised, local, whittaker, damped)
 verify     run the named check suites, emit a JSON report, exit 1 on failure
 flow       closed-form azimuthal momentum and action profiles
 
+Each verb evaluates the library functions once on the whole grid array;
+the CLI only parses, masks momentum-pole rows and formats.
+
 Global flags: --config (JSON file; flags override file, file overrides
 defaults), --format {csv,json}, --out PATH (default stdout), --tol FLOAT.
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 unreadable config, an unwritable output path, or an input outside the
 working range of a series or integrator).
 
+Every float and complex input (flags, the --kz list, grid bounds, the
+config constants) must be finite; nan and inf are usage errors.
+
 Output is deterministic: CSV uses a header row, comma delimiter, LF line
-ends and 17 significant digits, so repeated runs are byte-identical.
+ends and 17 significant digits (each cell as format(x, ".17g"); an
+all-numeric row is formatted by one "%.17g" template, which gives the
+same bytes), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,8 +41,8 @@ from . import sectors as sec
 from . import spectrum as sp
 from . import verify as vf
 from .core import PhysParams, QuantumNumbers
-from .ermakov import ep_coefficients
-from .flux import flux_context_from_lambda, pi_theta_closed, s_theta_closed
+from .ermakov import ep_coefficients, pinney_amplitude
+from .flux import _momentum_denominator, flux_context_from_lambda, pi_theta_closed, s_theta_closed
 
 _MODELS = ("qm", "el", "cbr")
 _VALID_PAIRS = {
@@ -59,6 +68,21 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _finite(text, kind=float):
+    """kind(text) that rejects nan and +-inf: the parser of every float and
+    complex input (flag text, list and grid items, config values)."""
+    try:
+        value = kind(text)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+_finite_complex = partial(_finite, kind=complex)
+
+
 def _parse_int_range(text: str) -> list[int]:
     """'0:4' -> [0, 1, 2, 3, 4]; '3' -> [3]."""
     try:
@@ -74,9 +98,9 @@ def _parse_int_range(text: str) -> list[int]:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        values = [float(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise UsageError(f"bad list syntax {text!r}; expected comma-separated floats")
+        values = [_finite(p) for p in text.split(",") if p != ""]
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"bad list syntax {text!r}; expected comma-separated finite floats")
     if not values:
         raise UsageError("empty value list")
     return values
@@ -88,11 +112,11 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise UsageError(f"bad grid syntax {text!r}; expected START:STOP:COUNT")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise UsageError(f"bad grid syntax {text!r}; expected START:STOP:COUNT")
-    if count < 2 or not stop > start:
-        raise UsageError("grid needs COUNT >= 2 and STOP > START")
+        start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"bad grid syntax {text!r}; expected START:STOP:COUNT with finite bounds")
+    if count < 2 or not stop > start or not cmath.isfinite(stop - start):
+        raise UsageError("grid needs COUNT >= 2 and STOP > START with a finite span")
     return np.linspace(start, stop, count)
 
 
@@ -102,32 +126,39 @@ def _load_config(args) -> RunConfig:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise UsageError("config file must hold a JSON object")
+
+    def number(key, default):
+        # JSON configs accept NaN and Infinity; reject them like the flags
+        try:
+            return _finite(file_cfg.get(key, default))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"config {key}: {exc}")
+
     params = PhysParams(
-        hbar=float(file_cfg.get("hbar", 1.0)),
-        mass=float(file_cfg.get("mass", 1.0)),
-        charge=float(file_cfg.get("charge", 1.0)),
-        B=float(file_cfg.get("B", 1.0)),
+        hbar=number("hbar", 1.0), mass=number("mass", 1.0), charge=number("charge", 1.0), B=number("B", 1.0)
     )
     fmt = getattr(args, "format", None) or file_cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
     tol = getattr(args, "tol", None)
-    if tol is None:
-        tol = file_cfg.get("tol")
+    if tol is None and file_cfg.get("tol") is not None:
+        tol = number("tol", None)
     return RunConfig(params=params, fmt=fmt, out=getattr(args, "out", None), tol=tol)
 
 
 def _emit_table(columns, rows, metadata, config: RunConfig) -> str:
     if config.fmt == "csv":
+        numeric = ",".join(["%.17g"] * len(columns))
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row))
+            try:
+                lines.append(numeric % tuple(row))
+            except TypeError:  # a None (gap) or str cell: format cell by cell
+                lines.append(",".join("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row))
         return "\n".join(lines) + "\n"
-    payload = {
-        "columns": list(columns),
-        "rows": [[None if v is None else v for v in row] for row in rows],
-        "metadata": metadata,
-    }
+    payload = {"columns": list(columns), "rows": rows, "metadata": metadata}
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
@@ -190,8 +221,6 @@ def cmd_amplitude(args, config: RunConfig) -> int:
         if sector == "r":
             pair = sec.radial_basis(args.a, params)
             coef = ep_coefficients(args.A, args.B, args.D, pair.wronskian)
-            from .ermakov import pinney_amplitude
-
             values = pinney_amplitude(pair, coef)(grid)
         else:
             omega = args.omega if sector == "theta" else args.kz
@@ -220,13 +249,12 @@ def cmd_amplitude(args, config: RunConfig) -> int:
             values = rg.damped_axial_profile(grid, args.cz, params)
 
     values = np.asarray(values)
-    coord_name = {"r": "r", "theta": "theta", "z": "z"}[sector]
     if np.iscomplexobj(values):
-        columns = [coord_name, "value", "value_im"]
-        rows = [[q, v.real, v.imag] for q, v in zip(grid, values)]
+        columns = [sector, "value", "value_im"]
+        rows = list(zip(grid.tolist(), values.real.tolist(), values.imag.tolist()))
     else:
-        columns = [coord_name, "value"]
-        rows = [[q, float(v)] for q, v in zip(grid, values)]
+        columns = [sector, "value"]
+        rows = list(zip(grid.tolist(), values.astype(float).tolist()))
     meta = {"command": "amplitude", "sector": sector, "branch": branch}
     _write(_emit_table(columns, rows, meta, config), config)
     return 0
@@ -248,23 +276,18 @@ def cmd_verify(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_flow(args, config: RunConfig) -> int:
-    try:
-        ctx = flux_context_from_lambda(args.lam, args.l_index, args.e_pi, args.theta0, config.params)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if ctx.discriminant <= 0:
-        raise UsageError("discriminant branch not covered by closed form (Delta_pi <= 0)")
+    # ValueError (Lambda < l^2, Delta_pi <= 0) maps to exit 2 in main
+    ctx = flux_context_from_lambda(args.lam, args.l_index, args.e_pi, args.theta0, config.params)
     grid = _parse_grid(args.grid)
 
-    delta = ctx.discriminant
-    rows = []
-    pole_scale = 1e-12 * max(abs(ctx.E_pi), 1.0)
-    for th in grid:
-        denom = ctx.E_pi + math.sqrt(delta) * math.sin(2.0 * math.sqrt(ctx.Lambda) * (th - ctx.theta0))
-        if abs(denom) < pole_scale:
-            rows.append([th, None, None])  # momentum pole: gap row
-            continue
-        rows.append([th, float(pi_theta_closed(th, ctx)), float(s_theta_closed(th, ctx))])
+    _, pole = _momentum_denominator(grid, ctx)
+    ok = ~pole
+    pi_vals = np.empty_like(grid)
+    pi_vals[ok] = pi_theta_closed(grid[ok], ctx)
+    theta = grid.tolist()
+    rows = list(zip(theta, pi_vals.tolist(), s_theta_closed(grid, ctx).tolist()))
+    for i in np.flatnonzero(pole).tolist():
+        rows[i] = (theta[i], None, None)  # momentum pole: gap row
     columns = ["theta", "pi_theta", "s_theta"]
     meta = {
         "command": "flow",
@@ -294,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=argparse.SUPPRESS, help="output path (default: stdout)")
     common.add_argument(
-        "--tol", type=float, default=argparse.SUPPRESS, help="tolerance override for verify"
+        "--tol", type=_finite, default=argparse.SUPPRESS, help="tolerance override for verify"
     )
 
     parser = argparse.ArgumentParser(
@@ -316,29 +339,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--branch", choices=("ep", "regularised", "local", "whittaker", "damped"), required=True
     )
     p_amp.add_argument("--grid", required=True, help="START:STOP:COUNT")
-    p_amp.add_argument("--A", type=float, default=1.0, help="ep quadratic-form weight")
-    p_amp.add_argument("--B", type=float, default=1.0, help="ep quadratic-form weight")
-    p_amp.add_argument("--D", type=float, default=0.0, help="ep cross weight")
-    p_amp.add_argument("--a", type=float, default=0.0, help="radial Kummer label (ep)")
-    p_amp.add_argument("--omega", type=float, default=None, help="angular frequency (theta ep)")
-    p_amp.add_argument("--kz", type=float, default=None, help="axial wavenumber")
+    p_amp.add_argument("--A", type=_finite, default=1.0, help="ep quadratic-form weight")
+    p_amp.add_argument("--B", type=_finite, default=1.0, help="ep quadratic-form weight")
+    p_amp.add_argument("--D", type=_finite, default=0.0, help="ep cross weight")
+    p_amp.add_argument("--a", type=_finite, default=0.0, help="radial Kummer label (ep)")
+    p_amp.add_argument("--omega", type=_finite, default=None, help="angular frequency (theta ep)")
+    p_amp.add_argument("--kz", type=_finite, default=None, help="axial wavenumber")
     p_amp.add_argument("--nr", type=int, default=0, help="radial quantum number (regularised)")
     p_amp.add_argument("--l", dest="l_index", type=int, default=0, help="angular index")
-    p_amp.add_argument("--r", dest="radius", type=float, default=1.0, help="radius parameter")
-    p_amp.add_argument("--ctheta", type=float, default=0.0, help="azimuthal current constant")
-    p_amp.add_argument("--cr", type=float, default=-1.0, help="radial current constant (damped)")
-    p_amp.add_argument("--cz", type=float, default=-1.0, help="axial current constant (damped)")
-    p_amp.add_argument("--atheta", type=float, default=1.0, help="local branch normalisation")
-    p_amp.add_argument("--c1", type=complex, default=1 + 0j, help="Whittaker M coefficient")
-    p_amp.add_argument("--c2", type=complex, default=0j, help="Whittaker W coefficient")
+    p_amp.add_argument("--r", dest="radius", type=_finite, default=1.0, help="radius parameter")
+    p_amp.add_argument("--ctheta", type=_finite, default=0.0, help="azimuthal current constant")
+    p_amp.add_argument("--cr", type=_finite, default=-1.0, help="radial current constant (damped)")
+    p_amp.add_argument("--cz", type=_finite, default=-1.0, help="axial current constant (damped)")
+    p_amp.add_argument("--atheta", type=_finite, default=1.0, help="local branch normalisation")
+    p_amp.add_argument("--c1", type=_finite_complex, default=1 + 0j, help="Whittaker M coefficient")
+    p_amp.add_argument("--c2", type=_finite_complex, default=0j, help="Whittaker W coefficient")
 
     p_ver = sub.add_parser("verify", help="run verification suites", parents=[common])
     p_ver.add_argument("--suite", choices=tuple(vf.SUITES) + ("all",), default="all")
 
     p_flow = sub.add_parser("flow", help="closed-form azimuthal momentum and action", parents=[common])
-    p_flow.add_argument("--lambda", dest="lam", type=float, required=True, help="Lambda = l^2 + phi^2")
-    p_flow.add_argument("--e-pi", dest="e_pi", type=float, required=True, help="integration constant")
-    p_flow.add_argument("--theta0", type=float, default=0.0)
+    p_flow.add_argument("--lambda", dest="lam", type=_finite, required=True, help="Lambda = l^2 + phi^2")
+    p_flow.add_argument("--e-pi", dest="e_pi", type=_finite, required=True, help="integration constant")
+    p_flow.add_argument("--theta0", type=_finite, default=0.0)
     p_flow.add_argument("--l", dest="l_index", type=int, default=0)
     p_flow.add_argument("--grid", required=True, help="START:STOP:COUNT")
 
@@ -359,7 +382,8 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return _HANDLERS[args.command](args, config)
-    except (UsageError, ValueError, ZeroDivisionError, OSError, RuntimeError) as exc:
+    except (UsageError, ValueError, ArithmeticError, OSError, RuntimeError) as exc:
+        # ArithmeticError: a pole or a float overflow in the inputs' arithmetic;
         # OSError: unreadable --config or unwritable --out; RuntimeError:
         # a series or integration left its working range or budget
         print(f"error: {exc}", file=sys.stderr)

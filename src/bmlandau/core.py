@@ -8,6 +8,7 @@ primary constants on access and never stored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ class PhysParams:
     B: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.hbar, self.mass, self.charge, self.B)):
+            raise ValueError("hbar, mass, charge and B must be finite")
         if not (self.hbar > 0 and self.mass > 0 and self.B > 0):
             raise ValueError("hbar, mass and B must be positive")
 

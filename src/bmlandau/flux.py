@@ -126,20 +126,29 @@ def nonlinpie_residual(pi, dpi, d2pi, ctx: FluxContext, C_theta: float):
 
 def _require_positive_discriminant(ctx: FluxContext) -> float:
     delta = ctx.discriminant
-    if delta <= 0:
+    if not delta > 0:  # also rejects a nan discriminant
         raise ValueError("discriminant branch not covered by closed form (Delta_pi <= 0)")
     return delta
 
 
+def _momentum_denominator(theta, ctx: FluxContext):
+    """Denominator E_pi + sqrt(Delta) sin(2 sqrt(Lambda)(theta - theta0)) of pi_theta and its pole mask.
+
+    The mask is True where |denominator| < 1e-12 max(|E_pi|, 1): the one
+    pole test, shared by pi_theta_closed and the CLI's gap rows.
+    """
+    delta = _require_positive_discriminant(ctx)
+    u = 2.0 * math.sqrt(ctx.Lambda) * (np.asarray(theta, dtype=float) - ctx.theta0)
+    denom = ctx.E_pi + math.sqrt(delta) * np.sin(u)
+    return denom, np.abs(denom) < 1e-12 * max(abs(ctx.E_pi), 1.0)
+
+
 def pi_theta_closed(theta, ctx: FluxContext):
     """Closed-form shifted momentum on the zero-azimuthal-current branch."""
-    delta = _require_positive_discriminant(ctx)
-    lam = ctx.Lambda
-    u = 2.0 * math.sqrt(lam) * (np.asarray(theta, dtype=float) - ctx.theta0)
-    denom = ctx.E_pi + math.sqrt(delta) * np.sin(u)
-    if np.any(np.abs(denom) < 1e-12 * max(abs(ctx.E_pi), 1.0)):
+    denom, pole = _momentum_denominator(theta, ctx)
+    if np.any(pole):
         raise ZeroDivisionError("momentum pole: closed-form denominator vanished")
-    out = 8.0 * lam / denom
+    out = 8.0 * ctx.Lambda / denom
     return out if np.asarray(theta).ndim else float(out)
 
 

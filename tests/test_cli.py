@@ -15,6 +15,16 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_cli_any_exit(argv, capsys):
+    """Like run_cli, but an argparse usage error (SystemExit) gives its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestSpectrumCommand:
     def test_cbr_table(self, capsys):
         code, out, _ = run_cli(
@@ -264,3 +274,202 @@ class TestErrorExitCodes:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+def _csv_expected(columns, rows):
+    # the per-cell rule: every numeric cell is format(float(v), ".17g")
+    lines = [",".join(columns)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json_expected(columns, rows, metadata):
+    payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows], "metadata": metadata}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _amplitude_case(sector, branch, values, grid):
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        columns = [sector, "value", "value_im"]
+        rows = [[q, v.real, v.imag] for q, v in zip(grid, values)]
+    else:
+        columns = [sector, "value"]
+        rows = [[q, v] for q, v in zip(grid, values)]
+    return columns, rows, {"command": "amplitude", "sector": sector, "branch": branch}
+
+
+def _byte_identity_cases():
+    from bmlandau import regular as rg
+    from bmlandau import sectors as sec
+    from bmlandau.core import PhysParams, QuantumNumbers
+    from bmlandau.ermakov import ep_coefficients, pinney_amplitude
+    from bmlandau.flux import flux_context_from_lambda, pi_theta_closed, s_theta_closed
+
+    params = PhysParams()
+    cases = {}
+
+    grid = np.linspace(0.0, 6.3, 200)
+    ctx = flux_context_from_lambda(1.3, 0, 12.0, 0.4, params)
+    rows = [[th, pi_theta_closed(th, ctx), s_theta_closed(th, ctx)] for th in grid]
+    meta = {"command": "flow", "Lambda": ctx.Lambda, "E_pi": ctx.E_pi, "theta0": ctx.theta0, "phi": ctx.phi}
+    cases["flow"] = (
+        ["flow", "--lambda", "1.3", "--e-pi", "12", "--theta0", "0.4", "--grid", "0:6.3:200"],
+        (["theta", "pi_theta", "s_theta"], rows, meta),
+    )
+
+    grid = np.linspace(0.0, 3.0, 200)
+    values = rg.radial_regularised(QuantumNumbers(3, 2, 0.0), params)(grid)
+    cases["r_regularised"] = (
+        ["amplitude", "--sector", "r", "--branch", "regularised", "--nr", "3", "--l", "2", "--grid", "0:3:200"],
+        _amplitude_case("r", "regularised", values, grid),
+    )
+
+    pair = sec.radial_basis(-0.4, params)
+    values = pinney_amplitude(pair, ep_coefficients(1.5, 0.7, 0.2, pair.wronskian))(grid)
+    cases["r_ep"] = (
+        ["amplitude", "--sector", "r", "--branch", "ep", "--a", "-0.4", "--A", "1.5", "--B", "0.7",
+         "--D", "0.2", "--grid", "0:3:200"],
+        _amplitude_case("r", "ep", values, grid),
+    )
+
+    grid = np.linspace(0.1, 1.0, 200)
+    values = rg.azimuthal_whittaker(grid, 2, params.beta * 1.2**2, 0.8 + 0j, 0.5j)
+    cases["theta_whittaker"] = (
+        ["amplitude", "--sector", "theta", "--branch", "whittaker", "--l", "2", "--r", "1.2",
+         "--c1", "0.8+0j", "--c2", "0.5j", "--grid", "0.1:1:200"],
+        _amplitude_case("theta", "whittaker", values, grid),
+    )
+
+    grid = np.linspace(0.1, 3.3, 200)
+    values = rg.axial_regularised(1.5)(grid)
+    cases["z_regularised"] = (
+        ["amplitude", "--sector", "z", "--branch", "regularised", "--kz", "1.5", "--grid", "0.1:3.3:200"],
+        _amplitude_case("z", "regularised", values, grid),
+    )
+    return cases
+
+
+class TestByteIdentity:
+    """CLI stdout equals the text built point by point from the library."""
+
+    @pytest.mark.parametrize("kind", ["flow", "r_regularised", "r_ep", "theta_whittaker", "z_regularised"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_profile_matches_per_cell_rule(self, capsys, kind, fmt):
+        argv, (columns, rows, meta) = _byte_identity_cases()[kind]
+        if kind == "theta_whittaker":
+            assert any(row[2] != 0.0 for row in rows)
+        code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+        assert code == 0
+        expected = _csv_expected(columns, rows) if fmt == "csv" else _json_expected(columns, rows, meta)
+        assert out == expected
+
+    def test_emitter_special_values(self):
+        from bmlandau.cli import RunConfig, _emit_table
+        from bmlandau.core import PhysParams
+
+        values = [-0.0, 0.0, 1e-320, 1e300, 0.1, -1.5e-7, float("inf"), float("nan"), 7]
+        rows = [tuple(values), (np.float64(0.1), 2, np.float64(-0.0), 1e300, 0.1, 0.0, 1.0, -1.0, 3)]
+        config = RunConfig(params=PhysParams(), fmt="csv", out=None, tol=None)
+        columns = [f"c{i}" for i in range(len(values))]
+        assert _emit_table(columns, rows, {}, config) == _csv_expected(columns, rows)
+        assert _emit_table(columns, rows, {}, config).split("\n")[1] == (
+            "-0,0,9.9998886718268301e-321,1.0000000000000001e+300,0.10000000000000001,"
+            "-1.4999999999999999e-07,inf,nan,7"
+        )
+
+    def test_emitter_mixed_rows_take_per_cell_path(self):
+        from bmlandau.cli import RunConfig, _emit_table
+        from bmlandau.core import PhysParams
+
+        config = RunConfig(params=PhysParams(), fmt="csv", out=None, tol=None)
+        rows = [(0.1, None, None), ["0", "1", 0.1, "qm", 0.5]]
+        text = _emit_table(["a", "b", "c"], rows, {}, config)
+        assert text == "a,b,c\n0.10000000000000001,,\n0,1,0.10000000000000001,qm,0.5\n"
+
+
+class TestPoleGapRows:
+    ARGV = ["flow", "--lambda", "1", "--e-pi", "1", "--grid", "2.3561:2.3563:201"]
+
+    def _pole_mask(self):
+        from bmlandau.core import PhysParams
+        from bmlandau.flux import _momentum_denominator, flux_context_from_lambda
+
+        # hbar = 1e9 rounds Delta to E_pi^2, so the denominator touches zero at 3 pi / 4
+        ctx = flux_context_from_lambda(1.0, 0, 1.0, 0.0, PhysParams(hbar=1e9))
+        grid = np.linspace(2.3561, 2.3563, 201)
+        denom, pole = _momentum_denominator(grid, ctx)
+        assert np.array_equal(pole, np.abs(denom) < 1e-12 * max(abs(ctx.E_pi), 1.0))
+        return ctx, grid, pole
+
+    def test_gap_rows_are_the_shared_pole_mask(self, capsys, tmp_path):
+        from bmlandau.flux import pi_theta_closed
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hbar": 1e9}))
+        ctx, grid, pole = self._pole_mask()
+        assert np.flatnonzero(pole).tolist() == [94, 95]
+
+        code, out, _ = run_cli(["--config", str(cfg)] + self.ARGV, capsys)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 1 + 201
+        gaps = [i for i, line in enumerate(lines[1:]) if line.endswith(",,")]
+        assert gaps == np.flatnonzero(pole).tolist()
+        assert lines[96] == format(grid[95], ".17g") + ",,"
+        with pytest.raises(ZeroDivisionError):
+            pi_theta_closed(grid[94], ctx)
+
+        code, out, _ = run_cli(["--config", str(cfg), "--format", "json"] + self.ARGV, capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [i for i, row in enumerate(rows) if row[1] is None] == gaps
+        assert all(rows[i][2] is None for i in gaps)
+        assert all(row[1] is not None for i, row in enumerate(rows) if i not in gaps)
+
+
+class TestNonFiniteInputRejected:
+    GRID = ["--grid", "0.1:1:5"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--lambda", "1", "--e-pi", "nan", "--grid", "0:1:5"],
+            ["flow", "--lambda", "inf", "--e-pi", "10", "--grid", "0:1:5"],
+            ["flow", "--lambda", "1", "--e-pi", "10", "--theta0", "-inf", "--grid", "0:1:5"],
+            ["flow", "--lambda", "1", "--e-pi", "10", "--grid", "0:inf:3"],
+            ["flow", "--lambda", "1", "--e-pi", "10", "--grid", "nan:1:3"],
+            ["flow", "--lambda", "1", "--e-pi", "10", "--grid", "-1e308:1e308:3"],
+            ["flow", "--lambda", "1", "--e-pi", "1e200", "--grid", "0:1:3"],
+            ["spectrum", "--nr", "0", "--l", "0", "--kz", "nan"],
+            ["spectrum", "--nr", "0", "--l", "0", "--kz", "0,inf"],
+            ["amplitude", "--sector", "z", "--branch", "regularised", "--kz", "nan"] + GRID,
+            ["amplitude", "--sector", "theta", "--branch", "whittaker", "--r", "inf"] + GRID,
+            ["amplitude", "--sector", "theta", "--branch", "whittaker", "--c2", "nanj"] + GRID,
+            ["amplitude", "--sector", "theta", "--branch", "whittaker", "--c1", "inf+0j"] + GRID,
+            ["amplitude", "--sector", "r", "--branch", "ep", "--A", "nan"] + GRID,
+            ["amplitude", "--sector", "r", "--branch", "damped", "--cr", "-inf"] + GRID,
+            ["verify", "--suite", "spectrum", "--tol", "nan"],
+        ],
+    )
+    def test_flag_values(self, capsys, argv):
+        code, out, err = run_cli_any_exit(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("error:") or ": error: argument" in last
+
+    @pytest.mark.parametrize(
+        "config",
+        ['{"charge": NaN}', '{"hbar": Infinity}', '{"mass": Infinity}', '{"B": -Infinity}',
+         '{"tol": NaN}', '{"B": [1]}', "[1, 2]"],
+    )
+    def test_config_values(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg), "flow", "--lambda", "1", "--e-pi", "10", "--grid", "0:1:5"]
+        code, out, err = run_cli_any_exit(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1

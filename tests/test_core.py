@@ -48,3 +48,18 @@ class TestPhysParamsDerived:
         assert p.beta == pytest.approx(1.0)
         with pytest.raises(Exception):
             p.B = 3.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"charge": float("nan")},
+            {"charge": float("inf")},
+            {"hbar": float("inf")},
+            {"mass": float("inf")},
+            {"B": float("inf")},
+            {"B": float("nan")},
+        ],
+    )
+    def test_non_finite_constants_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            PhysParams(**kwargs)

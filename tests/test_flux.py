@@ -101,6 +101,11 @@ class TestPiThetaClosed:
         with pytest.raises(ValueError, match="discriminant branch not covered"):
             fx.pi_theta_closed(0.3, ctx)
 
+    def test_nan_discriminant_rejected(self):
+        ctx = fx.flux_context_from_lambda(1.0, 0, float("nan"), 0.0, NATURAL)
+        with pytest.raises(ValueError, match="discriminant branch not covered"):
+            fx.pi_theta_closed(0.3, ctx)
+
     def test_denominator_bounded_away_from_zero(self):
         # on the Delta > 0 branch the sine never reaches -E/sqrt(Delta)
         ctx = reference_context()
