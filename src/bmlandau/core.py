@@ -57,6 +57,8 @@ class QuantumNumbers:
     def __post_init__(self):
         if self.n_r < 0:
             raise ValueError("radial quantum number n_r must be >= 0")
+        if not math.isfinite(self.k_z):
+            raise ValueError("axial wavenumber k_z must be finite")
 
 
 @dataclass

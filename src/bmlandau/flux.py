@@ -22,6 +22,7 @@ branch equation for F = (pi'/pi)^2 * pi.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,7 +125,13 @@ def nonlinpie_residual(pi, dpi, d2pi, ctx: FluxContext, C_theta: float):
     )
 
 
+# largest |E_pi| whose square E_pi**2 is a finite float
+_E_PI_MAX = math.sqrt(sys.float_info.max)
+
+
 def _require_positive_discriminant(ctx: FluxContext) -> float:
+    if abs(ctx.E_pi) > _E_PI_MAX:
+        raise ValueError(f"E_pi = {ctx.E_pi:g} out of range: |E_pi| must be <= {_E_PI_MAX:.6g}")
     delta = ctx.discriminant
     if not delta > 0:  # also rejects a nan discriminant
         raise ValueError("discriminant branch not covered by closed form (Delta_pi <= 0)")

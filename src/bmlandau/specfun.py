@@ -11,12 +11,21 @@ several digits to cancellation in plain float64.  Results are returned as
 float64/complex128.
 
 No asymptotic or large-argument expansions: the raw series is validated
-for |x| <= 30 only and larger arguments are rejected.
+for |x| <= 30 only and larger arguments are rejected, as are non-finite
+arguments.
+
+``hyp1f1`` and ``bessel_j`` share one term loop, ``_sum_series``.  Every
+term of one sweep is c_k w^k with c_k independent of the grid point, so
+the largest term over the grid and a bound on every partial sum follow
+from two scalars; the array convergence test runs only on terms where
+these scalars leave it a chance to pass.  The truncation rule and every
+result bit are those of a loop that tests every term.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -67,6 +76,101 @@ def _check_finite(value, what: str):
     return value
 
 
+# Relative slack per term of the scalar bounds in _sum_series: covers the
+# float64 rounding of the bounds and the rounding of the array terms and
+# sums, a few ulp per term even where long double is float64.
+_BOUND_SLACK = 1e-14
+# The bounds are trusted only between these magnitudes, where float64 has
+# no underflow or overflow and the array sums stay finite.
+_BOUND_TINY = 1e-280
+_BOUND_HUGE = 1e280
+
+
+def _moderate(*values) -> bool:
+    """Each real and imaginary part is 0 or has magnitude in [1e-100, 1e100]."""
+    parts = (p for v in values for p in (complex(v).real, complex(v).imag))
+    return all(p == 0 or 1e-100 <= abs(p) <= 1e100 for p in parts)
+
+
+def _array_test(term, total, rel_tol: float, floor):
+    """The array convergence test max|term| <= rel_tol * max|partial sum|.
+
+    With a ``floor`` the partial-sum maximum is taken in float64 and kept
+    at or above ``floor``.  Returns the verdict and that maximum.
+    """
+    total_max = np.max(np.abs(total))
+    if floor is not None:
+        total_max = max(float(total_max), floor)
+    return np.max(np.abs(term)) <= rel_tol * total_max, float(total_max)
+
+
+def _sum_series(like, factor, growth, ctl: SeriesControl, what: str, n_terms=None, floor=None):
+    """Sum term_0 = 1, term_{k+1} = term_k * factor(k) over an array shaped ``like``.
+
+    With ``n_terms`` exactly that many terms after term_0 are added (a
+    terminating polynomial).  Otherwise the sum stops after two consecutive
+    terms pass ``_array_test``; ``ctl.max_terms`` terms without that
+    raise RuntimeError.
+
+    Every term is c_k w^k with c_k the same at every grid point (w = x for
+    1F1, w = -(x/2)^2 for Bessel), and ``growth(k)`` is |c_{k+1} / c_k|
+    max|w|.  So the product s of the growths is max|term_k| over the grid,
+    and m, the s summed since the last array test plus that test's
+    max|partial sum|, bounds the current max|partial sum|.  While
+    s (1 - eps) > rel_tol m (1 + eps) the array test cannot pass: it is
+    skipped and the term counts as not small.  eps = (k + 1) _BOUND_SLACK
+    covers rounding.  A nan growth or an s outside [_BOUND_TINY,
+    _BOUND_HUGE] turns s into nan, and every later term is tested.
+    """
+    term = np.ones_like(like)
+    total = term.copy()
+    s = m = 1.0
+    small_streak = 0
+    k = 0
+    while True:
+        if n_terms is not None and k >= n_terms:
+            break
+        if k >= ctl.max_terms:
+            raise RuntimeError(
+                f"series budget exceeded: {what} did not converge in {ctl.max_terms} terms"
+            )
+        term = term * factor(k)
+        total = total + term
+        if n_terms is not None:
+            k += 1
+            continue
+        s *= growth(k)
+        if not _BOUND_TINY <= s <= _BOUND_HUGE:
+            s = math.nan
+        m += s
+        k += 1
+        eps = (k + 1) * _BOUND_SLACK
+        if s * (1.0 - eps) > ctl.rel_tol * m * (1.0 + eps):
+            small_streak = 0
+            continue
+        small, total_max = _array_test(term, total, ctl.rel_tol, floor)
+        m = min(m, total_max)
+        if small:
+            small_streak += 1
+            if small_streak >= 2:
+                break
+        else:
+            small_streak = 0
+    return total
+
+
+# The per-term factors are module functions bound with functools.partial,
+# not closures over the arrays: with the arrays in closure cells, peak RSS
+# of a 1e5-point Whittaker request rose by 3.5 MB (allocator layout; the
+# live memory was the same).
+def _kummer_factor(aw, bw, xw, k):
+    """Term ratio (a + k) x / ((b + k)(k + 1)) of the Kummer series."""
+    denom = (bw + k) * (k + 1)
+    if denom == 0:
+        raise ValueError("pole of Kummer function: b is a non-positive integer")
+    return (aw + k) * xw / denom
+
+
 def hyp1f1(a, b, x, ctl: SeriesControl = DEFAULT_CONTROL):
     """Kummer confluent hypergeometric function 1F1(a, b; x).
 
@@ -74,10 +178,14 @@ def hyp1f1(a, b, x, ctl: SeriesControl = DEFAULT_CONTROL):
     non-positive *integer-typed* value (polynomial of degree -a); the test
     is on the Python/numpy integer type, never on float rounding.
     Otherwise truncates once the running term falls below
-    rel_tol * |partial sum| for two consecutive terms.
+    rel_tol * |partial sum| (maxima over the grid) for two consecutive
+    terms; the array test is skipped on terms where the scalar bound
+    |c_k| max|x|^k shows it must fail, which leaves the stopping term and
+    every result bit unchanged.
 
     ``x`` may be a scalar or ndarray (one series sweep over all entries).
     Real inputs give a float result, complex inputs a complex one.
+    Non-finite ``x`` raises ValueError.
     """
     polynomial = _is_nonpositive_integer(a)
     if _hits_gamma_pole(b):
@@ -87,10 +195,13 @@ def hyp1f1(a, b, x, ctl: SeriesControl = DEFAULT_CONTROL):
             raise ValueError("pole of Kummer function: b is a non-positive integer")
 
     x_arr = np.asarray(x)
+    if not np.all(np.isfinite(x_arr)):
+        raise ValueError("hyp1f1: non-finite argument")
     is_complex = _is_nonreal(a) or _is_nonreal(b) or np.iscomplexobj(x_arr)
     work = _CLD if is_complex else _LD
 
-    if not polynomial and x_arr.size and np.max(np.abs(x_arr)) > SERIES_RANGE:
+    x_max = float(np.max(np.abs(x_arr))) if x_arr.size and not polynomial else 0.0
+    if x_max > SERIES_RANGE:
         raise ValueError(
             f"use of ascending series out of validated range |x| <= {SERIES_RANGE:g}"
         )
@@ -99,31 +210,15 @@ def hyp1f1(a, b, x, ctl: SeriesControl = DEFAULT_CONTROL):
     bw = work(complex(b)) if is_complex else work(float(b))
     xw = x_arr.astype(work)
 
-    term = np.ones_like(xw)
-    total = term.copy()
-    n_exact = -int(a) if polynomial else None
-    small_streak = 0
-    k = 0
-    while True:
-        if polynomial and k >= n_exact:
-            break
-        if k >= ctl.max_terms:
-            raise RuntimeError(
-                f"series budget exceeded: 1F1 did not converge in {ctl.max_terms} terms"
-            )
-        denom = (bw + k) * (k + 1)
-        if denom == 0:
-            raise ValueError("pole of Kummer function: b is a non-positive integer")
-        term = term * ((aw + k) * xw / denom)
-        total = total + term
-        k += 1
-        if not polynomial:
-            if np.max(np.abs(term)) <= ctl.rel_tol * np.max(np.abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
+    ac, bc = complex(a), complex(b)
+    if not _moderate(ac, bc, x_max):
+        x_max = math.nan  # no trusted bound: test every term
+
+    def growth(k):
+        return abs(ac + k) / abs(bc + k) * (x_max / (k + 1))
+
+    factor = functools.partial(_kummer_factor, aw, bw, xw)
+    total = _sum_series(xw, factor, growth, ctl, "1F1", n_terms=-int(a) if polynomial else None)
 
     out = total.astype(complex if is_complex else float)
     _check_finite(out, "hyp1f1")
@@ -233,42 +328,44 @@ def whittaker_w(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
     return value
 
 
+def _bessel_factor(nu, q, k):
+    """Term ratio -(x/2)^2 / ((k + 1)(k + 1 + nu)) of the Bessel series."""
+    return -q / ((k + 1) * (k + 1 + _LD(nu)))
+
+
 def bessel_j(nu: float, x, ctl: SeriesControl = DEFAULT_CONTROL):
     """Bessel J_nu via the ascending series, nu >= 0 real, x >= 0.
 
     J_nu(x) = sum_k (-1)^k (x/2)^{2k+nu} / (k! Gamma(k+nu+1)); the common
     factor (x/2)^nu / Gamma(nu+1) is pulled out and the remaining
-    alternating sum accumulated in extended precision.
+    alternating sum accumulated in extended precision.  It truncates once
+    the running term falls below rel_tol * max(|partial sum|, 1e-300)
+    (maxima over the grid) for two consecutive terms; the array test is
+    skipped on terms where the scalar bound |c_k| max(x/2)^{2k} shows it
+    must fail, which leaves the stopping term and every result bit
+    unchanged.  Non-finite ``x`` raises ValueError.
     """
     if nu < 0:
         raise ValueError("bessel_j requires nu >= 0")
     x_arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x_arr)):
+        raise ValueError("bessel_j: non-finite argument")
     if np.any(x_arr < 0):
         raise ValueError("bessel_j requires x >= 0")
-    if x_arr.size and np.max(x_arr) > SERIES_RANGE:
+    x_max = float(np.max(x_arr)) if x_arr.size else 0.0
+    if x_max > SERIES_RANGE:
         raise RuntimeError(
             f"use of ascending series out of validated range |x| <= {SERIES_RANGE:g}"
         )
 
     q = (x_arr.astype(_LD) / 2.0) ** 2
-    term = np.ones_like(q)
-    total = term.copy()
-    small_streak = 0
-    k = 0
-    while True:
-        if k >= ctl.max_terms:
-            raise RuntimeError(
-                f"series budget exceeded: Bessel series did not converge in {ctl.max_terms} terms"
-            )
-        term = term * (-q / ((k + 1) * (k + 1 + _LD(nu))))
-        total = total + term
-        k += 1
-        if np.max(np.abs(term)) <= ctl.rel_tol * max(float(np.max(np.abs(total))), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
+    q_max = (x_max / 2.0) ** 2 if _moderate(x_max) else math.nan
+
+    def growth(k):
+        return q_max / ((k + 1) * (k + 1 + nu))
+
+    factor = functools.partial(_bessel_factor, nu, q)
+    total = _sum_series(q, factor, growth, ctl, "Bessel series", floor=1e-300)
 
     # prefactor applied in float64; x = 0 entries handled exactly
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -186,6 +186,12 @@ class TestFlowCommand:
         assert code == 2
         assert "discriminant branch not covered" in err
 
+    def test_overflowing_e_pi_is_clean_error(self, capsys):
+        code, out, err = run_cli(["flow", "--lambda", "1", "--e-pi", "1e200", "--grid", "0:1:3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: E_pi = 1e+200 out of range: |E_pi| must be <= 1.34078e+154\n"
+
 
 class TestDeterminismAndConfig:
     def test_byte_identical_reruns(self, capsys, tmp_path):

@@ -106,6 +106,15 @@ class TestPiThetaClosed:
         with pytest.raises(ValueError, match="discriminant branch not covered"):
             fx.pi_theta_closed(0.3, ctx)
 
+    def test_e_pi_whose_square_overflows_rejected(self):
+        ctx = fx.flux_context_from_lambda(1.0, 0, -1e200, 0.0, NATURAL)
+        for closed_form in (fx.pi_theta_closed, fx.s_theta_closed):
+            with pytest.raises(ValueError, match=r"E_pi = -1e\+200 out of range"):
+                closed_form(0.3, ctx)
+        # the largest |E_pi| whose square is finite is still accepted
+        edge = fx.flux_context_from_lambda(1.0, 0, fx._E_PI_MAX, 0.0, NATURAL)
+        assert fx.pi_theta_closed(0.3, edge) > 0
+
     def test_denominator_bounded_away_from_zero(self):
         # on the Delta > 0 branch the sine never reaches -E/sqrt(Delta)
         ctx = reference_context()

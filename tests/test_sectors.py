@@ -31,6 +31,11 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             QuantumNumbers(-1, 0, 0.0)
 
+    @pytest.mark.parametrize("k_z", [float("nan"), float("inf"), float("-inf")])
+    def test_quantum_numbers_reject_non_finite_k_z(self, k_z):
+        with pytest.raises(ValueError, match="k_z must be finite"):
+            QuantumNumbers(0, 0, k_z)
+
 
 class TestRadialBasis:
     def test_ground_even_solution_is_gaussian(self):

@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bmlandau import specfun as sf
 
@@ -207,3 +209,219 @@ class TestBesselJ:
             sf.bessel_j(0.5, -1.0)
         with pytest.raises(RuntimeError, match="validated range"):
             sf.bessel_j(0.5, 31.0)
+
+
+# --- the shared series kernel ------------------------------------------------
+#
+# Reference: the term loops of hyp1f1 and bessel_j as they were before
+# _sum_series, copied verbatim (module names prefixed with ``sf.``).  They
+# run the array convergence test on every term, so any difference in a
+# stopping term, a result bit or an error shows against them.
+
+
+def _seed_hyp1f1(a, b, x, ctl=sf.DEFAULT_CONTROL):
+    polynomial = sf._is_nonpositive_integer(a)
+    if sf._hits_gamma_pole(b):
+        if not (polynomial and -int(a) < -round(complex(b).real)):
+            raise ValueError("pole of Kummer function: b is a non-positive integer")
+
+    x_arr = np.asarray(x)
+    is_complex = sf._is_nonreal(a) or sf._is_nonreal(b) or np.iscomplexobj(x_arr)
+    work = sf._CLD if is_complex else sf._LD
+
+    if not polynomial and x_arr.size and np.max(np.abs(x_arr)) > sf.SERIES_RANGE:
+        raise ValueError(
+            f"use of ascending series out of validated range |x| <= {sf.SERIES_RANGE:g}"
+        )
+
+    aw = work(complex(a)) if is_complex else work(float(a))
+    bw = work(complex(b)) if is_complex else work(float(b))
+    xw = x_arr.astype(work)
+
+    term = np.ones_like(xw)
+    total = term.copy()
+    n_exact = -int(a) if polynomial else None
+    small_streak = 0
+    k = 0
+    while True:
+        if polynomial and k >= n_exact:
+            break
+        if k >= ctl.max_terms:
+            raise RuntimeError(
+                f"series budget exceeded: 1F1 did not converge in {ctl.max_terms} terms"
+            )
+        denom = (bw + k) * (k + 1)
+        if denom == 0:
+            raise ValueError("pole of Kummer function: b is a non-positive integer")
+        term = term * ((aw + k) * xw / denom)
+        total = total + term
+        k += 1
+        if not polynomial:
+            if np.max(np.abs(term)) <= ctl.rel_tol * np.max(np.abs(total)):
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+
+    out = total.astype(complex if is_complex else float)
+    sf._check_finite(out, "hyp1f1")
+    return out if out.ndim else out.item()
+
+
+def _seed_bessel_j(nu, x, ctl=sf.DEFAULT_CONTROL):
+    if nu < 0:
+        raise ValueError("bessel_j requires nu >= 0")
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(x_arr < 0):
+        raise ValueError("bessel_j requires x >= 0")
+    if x_arr.size and np.max(x_arr) > sf.SERIES_RANGE:
+        raise RuntimeError(
+            f"use of ascending series out of validated range |x| <= {sf.SERIES_RANGE:g}"
+        )
+
+    q = (x_arr.astype(sf._LD) / 2.0) ** 2
+    term = np.ones_like(q)
+    total = term.copy()
+    small_streak = 0
+    k = 0
+    while True:
+        if k >= ctl.max_terms:
+            raise RuntimeError(
+                f"series budget exceeded: Bessel series did not converge in {ctl.max_terms} terms"
+            )
+        term = term * (-q / ((k + 1) * (k + 1 + sf._LD(nu))))
+        total = total + term
+        k += 1
+        if np.max(np.abs(term)) <= ctl.rel_tol * max(float(np.max(np.abs(total))), 1e-300):
+            small_streak += 1
+            if small_streak >= 2:
+                break
+        else:
+            small_streak = 0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pref = np.where(x_arr > 0, nu * np.log(np.where(x_arr > 0, x_arr, 1.0) / 2.0), 0.0)
+    pref = np.exp(log_pref - sf.ln_gamma(nu + 1.0).real)
+    result = np.where(x_arr > 0, pref * total.astype(float), 1.0 if nu == 0 else 0.0)
+    sf._check_finite(result, "bessel_j")
+    return result if result.ndim else result.item()
+
+
+def _outcome(fn, *args):
+    """Result type, dtype and bytes, or the exception type and message."""
+    try:
+        value = fn(*args)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    arr = np.asarray(value)
+    return ("value", type(value).__name__, arr.dtype.str, arr.shape, arr.tobytes())
+
+
+_controls = st.one_of(
+    st.just(sf.DEFAULT_CONTROL),
+    st.builds(
+        sf.SeriesControl,
+        rel_tol=st.sampled_from([1e-8, 1e-15, 1e-20, 1e-25]),
+        max_terms=st.integers(1, 60),
+    ),
+)
+_real = st.floats(-30.0, 30.0, allow_subnormal=False)
+_component = st.floats(-21.0, 21.0, allow_subnormal=False)
+_complex = st.builds(complex, _component, _component)
+
+
+def _with_zeros(values):
+    return st.lists(st.one_of(values, st.just(0.0)), min_size=1, max_size=12)
+
+
+_kummer_x = st.one_of(
+    _real,
+    _complex,
+    st.builds(1j.__mul__, _real),
+    _with_zeros(_real).map(np.array),
+    _with_zeros(_complex).map(lambda v: np.array(v, dtype=complex)),
+    _with_zeros(_real).map(lambda v: 1j * np.array(v)),
+)
+_param = st.floats(-6.0, 6.0, allow_subnormal=False)
+_kummer_a = st.one_of(_param, st.builds(complex, _param, _param), st.integers(-8, 0))
+_kummer_b = st.one_of(
+    st.floats(0.05, 6.0), st.builds(complex, _param, _param.filter(lambda v: v != 0))
+)
+
+
+class TestSeriesKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_kummer_a, b=_kummer_b, x=_kummer_x, ctl=_controls)
+    @example(a=0.5, b=1.5, x=30j, ctl=sf.DEFAULT_CONTROL)
+    @example(a=0.5, b=1.5, x=-30.0, ctl=sf.DEFAULT_CONTROL)
+    @example(a=2.5, b=1.5, x=np.array([0.0, 30.0, -30.0]), ctl=sf.DEFAULT_CONTROL)
+    @example(a=0.25 + 0.5j, b=1 + SQ2, x=30j, ctl=sf.SeriesControl(rel_tol=1e-20, max_terms=40))
+    @example(a=-3, b=2.0, x=np.array([0.0, 25.0]), ctl=sf.SeriesControl(max_terms=2))
+    def test_hyp1f1_bitwise_equal_to_reference(self, a, b, x, ctl):
+        assert _outcome(sf.hyp1f1, a, b, x, ctl) == _outcome(_seed_hyp1f1, a, b, x, ctl)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nu=st.one_of(st.floats(0.0, 6.0), st.just(SQ2)),
+        x=st.one_of(st.floats(0.0, 30.0), _with_zeros(st.floats(0.0, 30.0)).map(np.array)),
+        ctl=_controls,
+    )
+    @example(nu=SQ2, x=30.0, ctl=sf.DEFAULT_CONTROL)
+    @example(nu=0.5, x=np.array([0.0, 2.4048, 30.0]), ctl=sf.SeriesControl(rel_tol=1e-25, max_terms=60))
+    def test_bessel_j_bitwise_equal_to_reference(self, nu, x, ctl):
+        assert _outcome(sf.bessel_j, nu, x, ctl) == _outcome(_seed_bessel_j, nu, x, ctl)
+
+    def test_budget_fires_at_the_same_term(self):
+        # the reference converges after some K terms: K - 1 must fail in
+        # both, K must succeed in both
+        a, b, x = 0.3 + 0.2j, 1.7, 2j * np.linspace(0.1, 12.0, 50)
+        for k_max in range(1, 200):
+            ctl = sf.SeriesControl(rel_tol=1e-20, max_terms=k_max)
+            ref = _outcome(_seed_hyp1f1, a, b, x, ctl)
+            assert _outcome(sf.hyp1f1, a, b, x, ctl) == ref
+            if ref[0] == "value":
+                break
+        else:
+            pytest.fail("reference never converged")
+        assert k_max > 20  # the budget fired on every shorter series
+
+    @pytest.mark.parametrize("l, theta_max", [(1, 2.0), (15, 1.0)])
+    def test_array_tests_skipped_on_imaginary_grid(self, monkeypatch, l, theta_max):
+        # hyp1f1 of M_{kappa, 1/sqrt2}(2 i l theta), as in the azimuthal sector
+        calls = []
+        exact = sf._array_test
+
+        def counting(*args):
+            calls.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(sf, "_array_test", counting)
+        kappa = -0.5j / (2.0 * l)
+        x = 2j * l * np.linspace(0.2 / l, theta_max, 100_000)
+        got = sf.hyp1f1(SQ2 - kappa + 0.5, 1.0 + 2.0 * SQ2, x)
+        monkeypatch.undo()
+        assert np.array_equal(got, _seed_hyp1f1(SQ2 - kappa + 0.5, 1.0 + 2.0 * SQ2, x))
+        # the series runs about 25 (|x| = 4) and 80 (|x| = 30) terms
+        assert len(calls) <= 4
+
+
+class TestNonFiniteArgument:
+    @pytest.mark.parametrize(
+        "x", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0), complex(0.0, math.inf),
+              np.array([1.0, math.nan]), np.array([1j, complex(math.inf, 0.0)])]
+    )
+    def test_hyp1f1_rejects(self, x):
+        with pytest.raises(ValueError, match="non-finite argument"):
+            sf.hyp1f1(0.5, 1.5, x)
+        with pytest.raises(ValueError, match="non-finite argument"):
+            sf.hyp1f1(-2, 1.5, x)  # polynomial
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([0.0, math.inf])])
+    def test_bessel_j_rejects(self, x):
+        with pytest.raises(ValueError, match="non-finite argument"):
+            sf.bessel_j(0.5, x)
+
+    def test_whittaker_m_rejects(self):
+        with pytest.raises(ValueError, match="non-finite argument"):
+            sf.whittaker_m(0.0, SQ2, complex(0.0, math.nan))
