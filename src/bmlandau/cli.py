@@ -22,7 +22,14 @@ config constants) must be finite; nan and inf are usage errors.
 Output is deterministic: CSV uses a header row, comma delimiter, LF line
 ends and 17 significant digits (each cell as format(x, ".17g"); an
 all-numeric row is formatted by one "%.17g" template, which gives the
-same bytes), so repeated runs are byte-identical.
+same bytes), so repeated runs are byte-identical. A JSON table is
+byte-identical to json.dumps({"columns", "rows", "metadata"}, indent=2):
+a row of finite floats is formatted by one "%r" template (float.__repr__
+is the text json writes for a finite float), any other row by json.dumps.
+The verify report is small and nested and goes through json.dumps whole.
+
+The argument parser is built on the first call of main and reused by
+every later call in the process.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -158,8 +166,29 @@ def _emit_table(columns, rows, metadata, config: RunConfig) -> str:
             except TypeError:  # a None (gap) or str cell: format cell by cell
                 lines.append(",".join("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row))
         return "\n".join(lines) + "\n"
-    payload = {"columns": list(columns), "rows": rows, "metadata": metadata}
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    text = json.dumps({"columns": list(columns), "rows": [], "metadata": metadata}, indent=2)
+    if rows:
+        # the first '"rows": []' is the key itself: only the columns come
+        # before it, and a JSON string holds no unescaped quote
+        text = text.replace('"rows": []', '"rows": [\n' + _json_rows(rows, len(columns)) + "\n  ]", 1)
+    return text + "\n"
+
+
+def _json_row(row) -> str:
+    """One row as json.dumps(payload, indent=2) writes it at depth 2."""
+    return "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+
+
+def _json_rows(rows, width: int) -> str:
+    # the layout json.dumps gives a row of floats, each cell a "%r" slot
+    template = _json_row([0.0] * width).replace("0.0", "%r")
+    floats = (float,) * width
+    # sum(row) is finite only if every cell is; an overflowing sum merely
+    # sends its row to json.dumps
+    return ",\n".join([
+        template % row if tuple(map(type, row)) == floats and math.isfinite(sum(row)) else _json_row(row)
+        for row in map(tuple, rows)
+    ])
 
 
 def _write(text: str, config: RunConfig):
@@ -191,8 +220,8 @@ def cmd_spectrum(args, config: RunConfig) -> int:
                 qn = QuantumNumbers(n, l, kz)
                 energies = {m: sp.energy(sp.SpectrumModel(m), qn, config.params) for m in models}
                 if with_order:
-                    ordered = energies["qm"] <= energies["el"] <= energies["cbr"]
-                    flag = "n/a" if l < 1 else ("ok" if ordered else "violated")
+                    ordered = sp.ordering_holds(qn, energies["qm"], energies["el"], energies["cbr"])
+                    flag = "n/a" if ordered is None else ("ok" if ordered else "violated")
                 for m in models:
                     row = [str(n), str(l), _fmt(kz), m, energies[m]]
                     if with_order:
@@ -304,7 +333,10 @@ def cmd_flow(args, config: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bmlandau parser, built on first use and shared by later calls
+    (parse_args keeps no state in the parser between calls)."""
     # global flags live on a parent so they are accepted before or after
     # the subcommand; SUPPRESS keeps the later parse from clobbering the
     # earlier one with a default

@@ -125,13 +125,17 @@ def nonlinpie_residual(pi, dpi, d2pi, ctx: FluxContext, C_theta: float):
     )
 
 
-# largest |E_pi| whose square E_pi**2 is a finite float
+# largest |x| whose square x**2 is a finite float (bounds E_pi and hbar);
+# hbar >= sqrt(5e-324) keeps hbar**2 at least the least positive float
 _E_PI_MAX = math.sqrt(sys.float_info.max)
+_HBAR_MIN = math.sqrt(5e-324)
 
 
 def _require_positive_discriminant(ctx: FluxContext) -> float:
     if abs(ctx.E_pi) > _E_PI_MAX:
         raise ValueError(f"E_pi = {ctx.E_pi:g} out of range: |E_pi| must be <= {_E_PI_MAX:.6g}")
+    if not _HBAR_MIN <= ctx.hbar <= _E_PI_MAX:
+        raise ValueError(f"hbar = {ctx.hbar:g} out of range: hbar must be in [{_HBAR_MIN:.6g}, {_E_PI_MAX:.6g}]")
     delta = ctx.discriminant
     if not delta > 0:  # also rejects a nan discriminant
         raise ValueError("discriminant branch not covered by closed form (Delta_pi <= 0)")

@@ -68,6 +68,15 @@ class OrderingReport:
         return not self.violations
 
 
+def ordering_holds(qn: QuantumNumbers, e_qm: float, e_el: float, e_cbr: float) -> bool | None:
+    """Whether E_QM <= E_EL <= E_CBR holds for the state qn; None where the
+    ordering is not stated (l < 1).  The one ordering test, shared by the
+    sweep and the CLI's ordering column."""
+    if qn.l < 1:
+        return None
+    return e_qm <= e_el <= e_cbr
+
+
 def spectral_ordering_check(qn_grid, params: PhysParams) -> OrderingReport:
     """Verify the ordering on a grid of states with l >= 1.
 
@@ -75,13 +84,14 @@ def spectral_ordering_check(qn_grid, params: PhysParams) -> OrderingReport:
     """
     report = OrderingReport()
     for qn in qn_grid:
-        if qn.l < 1:
-            raise ValueError("ordering sweep is stated for l >= 1")
         e_qm = energy_qm(qn, params)
         e_el = energy_el(qn, params)
         e_cbr = energy_cbr(qn, params)
+        ordered = ordering_holds(qn, e_qm, e_el, e_cbr)
+        if ordered is None:
+            raise ValueError("ordering sweep is stated for l >= 1")
         report.checked += 1
-        if not (e_qm <= e_el <= e_cbr):
+        if not ordered:
             report.violations.append((qn, e_qm, e_el, e_cbr))
     return report
 

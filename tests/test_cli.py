@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmlandau.cli import main
 
@@ -192,6 +194,18 @@ class TestFlowCommand:
         assert out == ""
         assert err == "error: E_pi = 1e+200 out of range: |E_pi| must be <= 1.34078e+154\n"
 
+    @pytest.mark.parametrize("hbar", ["1e200", "1e-200"])
+    def test_hbar_whose_square_leaves_float_range_is_clean_error(self, capsys, tmp_path, hbar):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"hbar": %s}' % hbar)
+        argv = ["--config", str(cfg), "flow", "--lambda", "1", "--e-pi", "10", "--grid", "0:1:3"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: hbar = {float(hbar):g} out of range: hbar must be in [2.22276e-162, 1.34078e+154]\n"
+        )
+
 
 class TestDeterminismAndConfig:
     def test_byte_identical_reruns(self, capsys, tmp_path):
@@ -249,6 +263,27 @@ class TestDeterminismAndConfig:
         payload = json.loads(out)
         assert payload["columns"] == ["r", "value"]
         assert payload["rows"][1][1] == pytest.approx(math.exp(-1.0))
+
+
+class TestParserReuse:
+    A = ["flow", "--lambda", "1", "--e-pi", "10", "--grid", "0:3:50"]
+    B = ["--format", "json", "amplitude", "--sector", "theta", "--branch", "whittaker", "--l", "1",
+         "--c2", "0.5j", "--grid", "0.2:2:40"]
+
+    def test_usage_error_between_requests_leaves_parser_intact(self, capsys):
+        from bmlandau.cli import build_parser
+
+        build_parser.cache_clear()
+        fresh = run_cli(self.B, capsys)
+        build_parser.cache_clear()
+        assert run_cli(self.A, capsys)[0] == 0
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["amplitude", "--sector", "q", "--grid", "0:1:3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(self.B, capsys) == fresh
+        assert build_parser() is parser
 
 
 class TestErrorExitCodes:
@@ -479,3 +514,48 @@ class TestNonFiniteInputRejected:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+_FLOAT_CELLS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_CELLS = st.one_of(
+    _FLOAT_CELLS,
+    _FLOAT_CELLS.map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False]),
+    st.integers(-(10**20), 10**20),
+    st.text(max_size=4),
+)
+_STRINGS = st.one_of(
+    st.sampled_from(['"rows": []', "rows", "λ = l²", 'a"b\\c\n\t', "\x00\u2028", "\U0001f600"]),
+    st.text(max_size=8),
+)
+_METADATA = st.dictionaries(
+    _STRINGS, st.one_of(_STRINGS, _FLOAT_CELLS, st.integers(), st.none()), max_size=4
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 4))
+    columns = draw(st.lists(_STRINGS, min_size=width, max_size=width))
+    row = st.one_of(
+        st.tuples(*[_FLOAT_CELLS] * width),  # the template path, made common
+        st.lists(_CELLS, min_size=width, max_size=width),
+        st.tuples(_FLOAT_CELLS, *[st.none()] * (width - 1)),  # flow gap rows
+    )
+    return columns, draw(st.lists(row, max_size=50)), draw(_METADATA)
+
+
+class TestJsonEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    def test_equals_json_dumps(self, table):
+        from bmlandau.cli import RunConfig, _emit_table
+        from bmlandau.core import PhysParams
+
+        columns, rows, metadata = table
+        config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
+        want = json.dumps({"columns": columns, "rows": rows, "metadata": metadata}, indent=2) + "\n"
+        assert _emit_table(columns, rows, metadata, config) == want

@@ -1,6 +1,7 @@
 """Nonzero-current structure: flow system, closed forms, field identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ class TestPiThetaClosed:
         # the largest |E_pi| whose square is finite is still accepted
         edge = fx.flux_context_from_lambda(1.0, 0, fx._E_PI_MAX, 0.0, NATURAL)
         assert fx.pi_theta_closed(0.3, edge) > 0
+
+    def test_hbar_whose_square_leaves_float_range_rejected(self):
+        for hbar in (1e200, 1e-200):
+            ctx = fx.FluxContext(r=0.0, l=1, beta=1.0, E_pi=10.0, hbar=hbar)
+            for closed_form in (fx.pi_theta_closed, fx.s_theta_closed):
+                with pytest.raises(ValueError, match=re.escape(f"hbar = {hbar:g} out of range")):
+                    closed_form(0.3, ctx)
+        # the limits themselves are accepted: hbar**2 is finite and not 0
+        for hbar in (fx._HBAR_MIN, fx._E_PI_MAX):
+            assert 0.0 < hbar * hbar < math.inf
+        edge = fx.FluxContext(r=0.0, l=1, beta=1.0, E_pi=10.0, hbar=fx._E_PI_MAX)
+        assert fx.pi_theta_closed(0.3, edge) > 0
+        # at the lower limit 64 Lambda / hbar**2 overflows: Delta_pi = -inf
+        edge = fx.FluxContext(r=0.0, l=1, beta=1.0, E_pi=10.0, hbar=fx._HBAR_MIN)
+        with pytest.raises(ValueError, match="discriminant branch not covered"):
+            fx.pi_theta_closed(0.3, edge)
 
     def test_denominator_bounded_away_from_zero(self):
         # on the Delta > 0 branch the sine never reaches -E/sqrt(Delta)

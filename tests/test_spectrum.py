@@ -81,6 +81,12 @@ class TestOrdering:
         assert report.passed
         assert report.violations == []
 
+    def test_ordering_predicate(self):
+        qn = QuantumNumbers(0, 1, 0.0)
+        assert sp.ordering_holds(qn, 0.5, 0.5, 1.06) is True
+        assert sp.ordering_holds(qn, 0.5, 1.5, 1.06) is False
+        assert sp.ordering_holds(QuantumNumbers(0, 0, 0.0), 0.5, 0.5, 0.75) is None
+
     def test_sweep_rejects_l_below_one(self):
         with pytest.raises(ValueError, match="l >= 1"):
             sp.spectral_ordering_check([QuantumNumbers(0, 0, 0.0)], NATURAL)
