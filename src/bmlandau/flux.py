@@ -17,6 +17,13 @@ Delta = E_pi^2 - 64 Lambda / hbar^2 > 0,
 and the azimuthal action integrates to an unwrapped arctan plus the linear
 flux term.  The C_theta != 0 structure is exposed through the first-order
 branch equation for F = (pi'/pi)^2 * pi.
+
+On a nonzero-current branch the amplitude is known only implicitly, as
+theta(Theta) from the first integral (Theta')^2 = radicand(Theta).
+theta_first_integral_quadrature evaluates it by tanh-sinh quadrature from
+the nearest turning point, for one target amplitude or a whole array of
+them: the turning-point scans and bisections run in lock-step over the
+targets, and the quadratures run as one batch of intervals.
 """
 
 from __future__ import annotations
@@ -224,14 +231,14 @@ def first_integral_radicand(Theta, E_theta: float, l: int, kappa_theta: float, p
 
 
 def theta_first_integral_quadrature(
-    Theta_target: float,
+    Theta_target,
     E_theta: float,
     l: int,
     kappa_theta: float,
     phi: float,
     hbar: float = 1.0,
     tol: float = 1e-10,
-) -> float:
+):
     """theta - theta0 from the implicit first-integral quadrature.
 
     Integrates d Theta / sqrt(radicand) from the turning point nearest the
@@ -239,88 +246,112 @@ def theta_first_integral_quadrature(
     Theta = tp + s*t^2 so the transformed integrand is smooth.  The sign
     of the result equals the sign of (Theta_target - turning point); the
     caller chooses the physical branch.
+
+    Theta_target may be a float or an array of targets; an array gives an
+    array of the same shape, each entry equal bit for bit to the float
+    call on it.  All targets are solved in one pass: the turning-point
+    scans and bisections run in lock-step as array operations, each
+    element with its own stop rule, and the quadratures are one batch of
+    quad_singular_array.  A non-positive, classically forbidden or
+    unbracketed target raises the float call's ValueError (the first
+    failing test over the whole array: positivity, then the radicand at
+    the targets, then the turning-point search).
     """
 
     def g(T):
-        return float(first_integral_radicand(T, E_theta, l, kappa_theta, phi, hbar))
+        return first_integral_radicand(T, E_theta, l, kappa_theta, phi, hbar)
 
-    if Theta_target <= 0:
+    target = np.asarray(Theta_target, dtype=float)
+    T = target.ravel()
+    if np.any(T <= 0):
         raise ValueError("amplitude must be positive")
-    if g(Theta_target) < 0:
+    g_target = g(T)
+    if np.any(g_target < 0):
         raise ValueError("classically forbidden amplitude (radicand negative at target)")
 
-    tp = _nearest_turning_point(g, Theta_target)
-    if tp is None:
+    tp = _nearest_turning_points(g, T)
+    if np.any(np.isnan(tp)):
         raise ValueError("classically forbidden amplitude: no real turning point brackets the target")
-    if tp == Theta_target:
-        return 0.0
 
-    s = 1.0 if Theta_target > tp else -1.0
-    t_max = math.sqrt(abs(Theta_target - tp))
+    s = np.where(T > tp, 1.0, -1.0)
+    t_max = np.sqrt(np.abs(T - tp))
     # slope of the radicand at the turning point, for the linearized
     # integrand inside the zone where g is rounding-noise dominated
-    h_tp = 1e-7 * max(abs(tp), 1.0)
-    gp = abs(g(tp + s * h_tp) - g(tp - s * h_tp)) / (2.0 * h_tp)
-    gp = max(gp, 1e-300)
-    noise = max(abs(g(tp)), 1e-14 * abs(g(Theta_target)), 1e-250)
-    t_noise = math.sqrt(100.0 * noise / gp)
+    h_tp = 1e-7 * np.maximum(np.abs(tp), 1.0)
+    gp = np.abs(g(tp + s * h_tp) - g(tp - s * h_tp)) / (2.0 * h_tp)
+    gp = np.maximum(gp, 1e-300)
+    noise = np.maximum(np.maximum(np.abs(g(tp)), 1e-14 * np.abs(g_target)), 1e-250)
+    t_noise = np.sqrt(100.0 * noise / gp)
+    flat_value = 2.0 / np.sqrt(gp)
 
-    def integrand(t, _d):
-        rad = first_integral_radicand(tp + s * t * t, E_theta, l, kappa_theta, phi, hbar)
+    def integrand(t, _d, rows=None):
+        # rows is None for a single target: f then sees 1-D node arrays
+        params = (tp, s, t_noise, flat_value)
+        row_tp, row_s, row_noise, row_flat = params if rows is None else (v[rows, None] for v in params)
+        rad = first_integral_radicand(row_tp + row_s * t * t, E_theta, l, kappa_theta, phi, hbar)
         # for t <= t_noise g ~ gp * t^2, so the integrand is flat: 2/sqrt(gp)
-        flat = (t <= t_noise) | (rad <= 0.0)
-        return np.where(flat, 2.0 / math.sqrt(gp), 2.0 * t / np.sqrt(np.where(flat, 1.0, rad)))
+        flat = (t <= row_noise) | (rad <= 0.0)
+        return np.where(flat, row_flat, 2.0 * t / np.sqrt(np.where(flat, 1.0, rad)))
 
-    return s * quad_singular_array(integrand, 0.0, t_max, endpoint_order=0.0, tol=tol)
+    quad = quad_singular_array(integrand, 0.0, t_max.reshape(target.shape), endpoint_order=0.0, tol=tol)
+    # a target on its turning point gives +0.0, not s * 0.0
+    out = np.where(T == tp, 0.0, s * np.ravel(quad))
+    return out.reshape(target.shape) if target.ndim else float(out[0])
 
 
-def _nearest_turning_point(g, target: float, expand: float = 1.6, max_iter: int = 200):
-    """Zero of g nearest to target among the brackets found on each side."""
-    candidates = []
-    # downward: amplitudes shrink toward 0 where either the centrifugal
-    # term blows up (kappa != 0) or g stays positive to the axis
-    lo = target
-    found = None
+def _nearest_turning_points(g, target, expand: float = 1.6, max_iter: int = 200):
+    """Zero of g nearest each target among the brackets found on each side; nan where none.
+
+    The downward scan (targets / expand^k, stopping below 1e-12) and the
+    upward scan (targets * expand^k, stopping above 1e12) step all
+    targets in lock-step, each stopping at the first step where g <= 0
+    (a bracket) or at its limit.  The brackets are then bisected
+    together; between a downward and an upward root the nearer wins, the
+    downward one on a tie.
+    """
+    n = target.size
+    # entries [0, n) scan downward from the targets, [n, 2n) upward
+    down = np.arange(2 * n) < n
+    pos = np.concatenate((target, target))
+    outside = np.full(2 * n, np.nan)
+    active = np.arange(2 * n)
     for _ in range(max_iter):
-        nxt = lo / expand
-        gn = g(nxt)
-        if gn <= 0.0:
-            found = _bisect(g, lo, nxt)
+        if not active.size:
             break
-        lo = nxt
-        if lo < 1e-12:
-            break
-    if found is not None:
-        candidates.append(found)
-    # upward
-    hi = target
-    found = None
-    for _ in range(max_iter):
-        nxt = hi * expand
-        gn = g(nxt)
-        if gn <= 0.0:
-            found = _bisect(g, hi, nxt)
-            break
-        hi = nxt
-        if hi > 1e12:
-            break
-    if found is not None:
-        candidates.append(found)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda tp: abs(tp - target))
+        here, falls = pos[active], down[active]
+        nxt = np.where(falls, here / expand, here * expand)
+        hit = g(nxt) <= 0.0
+        outside[active[hit]] = nxt[hit]
+        pos[active[~hit]] = nxt[~hit]
+        # amplitudes shrink toward 0 where either the centrifugal term
+        # blows up (kappa != 0) or g stays positive to the axis
+        limit = np.where(falls, nxt < 1e-12, nxt > 1e12)
+        active = active[~(hit | limit)]
+    bracketed = ~np.isnan(outside)  # outside is set on a bracket only
+    roots = np.full(2 * n, np.nan)
+    roots[bracketed] = _bisect(g, pos[bracketed], outside[bracketed])
+    lower, upper = roots[:n], roots[n:]
+    # min() over [lower, upper] keyed on the distance keeps lower on a tie
+    take_upper = np.isnan(lower) | (np.abs(upper - target) < np.abs(lower - target))
+    return np.where(take_upper, upper, lower)
 
 
-def _bisect(g, inside: float, outside: float, iters: int = 200) -> float:
-    """Root of g between a positive-radicand point and a negative one."""
+def _bisect(g, inside, outside, iters: int = 200):
+    """Roots of g between positive-radicand points and negative ones, all in lock-step.
+
+    Each element stops when the midpoint rounds onto one of its ends.
+    """
+    inside, outside = inside.copy(), outside.copy()
+    active = np.arange(inside.size)
     for _ in range(iters):
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
+        mid = 0.5 * (inside[active] + outside[active])
+        going = (mid != inside[active]) & (mid != outside[active])
+        active, mid = active[going], mid[going]
+        if not active.size:
             break
-        if g(mid) > 0.0:
-            inside = mid
-        else:
-            outside = mid
+        up = g(mid) > 0.0
+        inside[active[up]] = mid[up]
+        outside[active[~up]] = mid[~up]
     return 0.5 * (inside + outside)
 
 

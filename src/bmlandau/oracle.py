@@ -11,7 +11,11 @@ interval-free variable t, so they are computed once per level, cached,
 and scaled to the interval at each call (precomputed tables in the
 manner of Bailey, Jeyabalan & Li 2005).  One array core,
 quad_singular_array, evaluates the integrand on a whole level's node
-array at a time; quad_singular adapts scalar integrands to it.
+array at a time; quad_singular adapts scalar integrands to it.  Given
+arrays of limits, the same core integrates many intervals in lock-step:
+the node arrays gain a leading row axis, and each row is summed,
+tested and retired on its own, so it equals the single-interval call bit
+for bit.
 """
 
 from __future__ import annotations
@@ -227,70 +231,100 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _level_nodes(level: int, a: float, b: float):
+def _level_nodes(level: int, a, b):
     """Abscissae x, signed endpoint offsets d and weights w of one level on (a, b).
 
     d > 0 means x = a + d, d < 0 means x = b + d; the centre node of
-    level 0 carries d = mid - a.
+    level 0 carries d = mid - a.  a and b are floats or arrays of one
+    shape S; the node arrays have shape S + (n,), one row per interval.
     """
     unit_offset, unit_weight = _level_table(level)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
     offset = half * unit_offset
     w = half * unit_weight
-    x = np.concatenate((b - offset, a + offset))
-    d = np.concatenate((-offset, offset))
-    w = np.concatenate((w, w))
+    x = np.concatenate((b - offset, a + offset), axis=-1)
+    d = np.concatenate((-offset, offset), axis=-1)
+    w = np.concatenate((w, w), axis=-1)
     if level == 0:
         mid = 0.5 * (a + b)
-        x = np.concatenate(([mid], x))
-        d = np.concatenate(([mid - a], d))
-        w = np.concatenate(([half * 0.5 * math.pi], w))
+        x = np.concatenate((mid, x), axis=-1)
+        d = np.concatenate((mid - a, d), axis=-1)
+        w = np.concatenate((half * 0.5 * math.pi, w), axis=-1)
     return x, d, w
 
 
 def quad_singular_array(
     f: Callable,
-    a: float,
-    b: float,
+    a,
+    b,
     endpoint_order: float = 0.0,
     tol: float = 1e-10,
     max_level: int = 12,
     offset_aware: bool = False,
-) -> float:
-    """Tanh-sinh quadrature of an array integrand on (a, b).
+):
+    """Tanh-sinh quadrature of an array integrand on (a, b), or on many intervals at once.
 
-    ``f(x, d)`` receives the whole node array of one level, abscissae x
-    and signed endpoint offsets d (see quad_singular), and returns the
-    integrand values as an array shaped like x; it is called once per
-    level.  Arguments, node set, convergence test and errors are those of
-    quad_singular.
+    With float limits, ``f(x, d)`` receives the whole node array of one
+    level, abscissae x and signed endpoint offsets d (see quad_singular),
+    and returns the integrand values as an array shaped like x; it is
+    called once per level, and the result is a float.  Arguments, node
+    set, convergence test and errors are those of quad_singular.
+
+    With array limits (a and b broadcast to one shape S) every interval
+    is integrated as the float call on it would be, and the result is an
+    array of shape S.  The intervals run in lock-step, one level at a
+    time: ``f(x, d, rows)`` receives node arrays of shape (len(rows), n),
+    one row per interval still unconverged, and ``rows`` indexes those
+    intervals in ``np.ravel`` order, so f can look up per-interval
+    parameters.  Each row keeps its own node mask, its own sum (one
+    ``np.dot`` over exactly the nodes the float call sums, in the same
+    order), its own history and its own convergence level, and leaves the
+    batch when it converges; so each entry equals the float call bit for
+    bit.  If any interval reaches max_level unconverged, the float call's
+    RuntimeError is raised.
     """
     if endpoint_order <= -1.0:
         raise ValueError("endpoint_order must exceed -1 for an integrable singularity")
-    if a == b:
-        return 0.0
-    if b < a:
-        return -quad_singular_array(f, b, a, endpoint_order, tol, max_level, offset_aware)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    a, b = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
+    # b < a integrates (b, a) and negates, as the float call does
+    flip = b < a
+    lo, hi = np.where(flip, b, a), np.where(flip, a, b)
 
-    def level_sum(level):
-        x, d, w = _level_nodes(level, a, b)
+    def level_sums(level, rows):
+        x, d, w = _level_nodes(level, lo[rows], hi[rows])
         keep = w != 0.0
         if not offset_aware:
             # skip nodes that rounded exactly onto an endpoint
-            keep &= (x != a) & (x != b)
-        w = w[keep]
-        fx = np.asarray(f(x[keep], d[keep]), dtype=float)
-        finite = np.isfinite(fx)
-        return float(np.dot(w[finite], fx[finite]))
+            keep &= (x != lo[rows, None]) & (x != hi[rows, None])
+        if shape:
+            fx = np.asarray(f(x, d, rows), dtype=float)
+        else:
+            # one interval: f sees the kept nodes only, as a 1-D array
+            fx = np.zeros(x.shape)
+            fx[keep] = np.asarray(f(x[keep], d[keep]), dtype=float)
+        ok = keep & np.isfinite(fx)
+        return np.array([np.dot(wr[okr], fr[okr]) for wr, fr, okr in zip(w, fx, ok)])
 
+    out = np.zeros(lo.shape)
+    rows = np.flatnonzero(lo != hi)
     h = 1.0
-    history = [h * level_sum(0)]
+    total = level_sums(0, rows) if rows.size else None
     for level in range(1, max_level + 1):
+        if not rows.size:
+            break
         h *= 0.5
-        history.append(0.5 * history[-1] + h * level_sum(level))
-        if level >= 2 and abs(history[-1] - history[-2]) <= tol:
-            return history[-1]
-    raise RuntimeError("quadrature budget exceeded: tanh-sinh did not converge")
+        prev, total = total, 0.5 * total + h * level_sums(level, rows)
+        if level >= 2:
+            done = np.abs(total - prev) <= tol
+            out[rows[done]] = total[done]
+            rows, total = rows[~done], total[~done]
+    if rows.size:
+        raise RuntimeError("quadrature budget exceeded: tanh-sinh did not converge")
+    out = np.where(flip, -out, out)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def quad_singular(

@@ -61,21 +61,16 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
     def u2(r):
         r = np.asarray(r, dtype=float)
         x = beta * r * r
-        return r * np.exp(-x / 2.0) * hyp1f1(_half_up(a), 1.5, x)
+        return r * np.exp(-x / 2.0) * hyp1f1(a + 0.5, 1.5, x)
 
     def du2(r):
         r = np.asarray(r, dtype=float)
         x = beta * r * r
-        f = hyp1f1(_half_up(a), 1.5, x)
-        df = hyp1f1_deriv(_half_up(a), 1.5, x)
+        f = hyp1f1(a + 0.5, 1.5, x)
+        df = hyp1f1_deriv(a + 0.5, 1.5, x)
         return np.exp(-x / 2.0) * (f * (1.0 - x) + 2.0 * x * df)
 
     return LinearPair(u1=u1, u2=u2, du1=du1, du2=du2, wronskian=1.0)
-
-
-def _half_up(a):
-    """a + 1/2 for the odd family (leaves the polynomial flag to 1F1)."""
-    return a + 0.5
 
 
 def theta_amplitude_trig(coef: EPCoefficients, omega_theta: float) -> Callable:

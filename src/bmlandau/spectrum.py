@@ -44,11 +44,20 @@ def energy_cbr(qn: QuantumNumbers, params: PhysParams) -> float:
 
 
 def energy(model: SpectrumModel, qn: QuantumNumbers, params: PhysParams) -> float:
+    """Energy of the state qn on one ladder; a non-finite energy is a ValueError.
+
+    The axial term hbar^2 k_z^2 / 2m leaves the float range (inf, or nan
+    at k_z = 0) when hbar or k_z is too large.
+    """
     if model is SpectrumModel.QM:
-        return energy_qm(qn, params)
-    if model is SpectrumModel.EL:
-        return energy_el(qn, params)
-    return energy_cbr(qn, params)
+        e = energy_qm(qn, params)
+    elif model is SpectrumModel.EL:
+        e = energy_el(qn, params)
+    else:
+        e = energy_cbr(qn, params)
+    if not math.isfinite(e):
+        raise ValueError(f"{model.value} energy out of range for hbar = {params.hbar:g}, k_z = {qn.k_z:g} (got {e})")
+    return e
 
 
 def degeneracy_splitting(l: int, params: PhysParams) -> float:

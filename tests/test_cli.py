@@ -207,6 +207,27 @@ class TestFlowCommand:
         )
 
 
+class TestSpectrumOutOfRange:
+    def test_huge_hbar_is_clean_error(self, capsys, tmp_path):
+        # hbar^2 overflows: the k_z = 0 row used to print nan and the k_z = 1 row inf, exit 0
+        cfg = tmp_path / "hb.json"
+        cfg.write_text('{"hbar": 1e200}')
+        argv = ["--config", str(cfg), "spectrum", "--nr", "0", "--l", "0:1", "--kz", "0,1", "--model", "all"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: qm energy out of range for hbar = 1e+200, k_z = 0 (got nan)\n"
+
+    @pytest.mark.parametrize("model", ["qm", "el", "cbr", "all"])
+    def test_huge_kz_is_clean_error(self, capsys, model):
+        argv = ["spectrum", "--nr", "0", "--l", "0:1", "--kz", "1e200", "--model", model]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        first = "qm" if model == "all" else model
+        assert err == f"error: {first} energy out of range for hbar = 1, k_z = 1e+200 (got inf)\n"
+
+
 class TestDeterminismAndConfig:
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argvs = [

@@ -5,13 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from bmlandau import flux as fx
 from bmlandau import sectors as sec
 from bmlandau import ermakov as ek
 from bmlandau import specfun as sf
 from bmlandau.core import PhysParams, QuantumNumbers, SampledProfile
-from bmlandau.oracle import IVPProblem, integrate_ivp
+from bmlandau.oracle import IVPProblem, integrate_ivp, quad_singular_array
 
 NATURAL = PhysParams()
 
@@ -284,6 +286,207 @@ class TestFirstIntegralQuadrature:
         above = fx.theta_first_integral_quadrature(1.9, E_th, l, kap, phi)
         assert below > 0  # measured upward from the lower turning point
         assert above < 0  # measured downward from the upper turning point
+
+
+# ---------------------------------------------------------------------------
+# array targets: the scalar search and quadrature kept verbatim as the reference
+# ---------------------------------------------------------------------------
+
+def _seed_theta_quadrature(Theta_target, E_theta, l, kappa_theta, phi, hbar=1.0, tol=1e-10):
+    def g(T):
+        return float(fx.first_integral_radicand(T, E_theta, l, kappa_theta, phi, hbar))
+
+    if Theta_target <= 0:
+        raise ValueError("amplitude must be positive")
+    if g(Theta_target) < 0:
+        raise ValueError("classically forbidden amplitude (radicand negative at target)")
+    tp = _seed_nearest_turning_point(g, Theta_target)
+    if tp is None:
+        raise ValueError("classically forbidden amplitude: no real turning point brackets the target")
+    if tp == Theta_target:
+        return 0.0
+    s = 1.0 if Theta_target > tp else -1.0
+    t_max = math.sqrt(abs(Theta_target - tp))
+    h_tp = 1e-7 * max(abs(tp), 1.0)
+    gp = abs(g(tp + s * h_tp) - g(tp - s * h_tp)) / (2.0 * h_tp)
+    gp = max(gp, 1e-300)
+    noise = max(abs(g(tp)), 1e-14 * abs(g(Theta_target)), 1e-250)
+    t_noise = math.sqrt(100.0 * noise / gp)
+
+    def integrand(t, _d):
+        rad = fx.first_integral_radicand(tp + s * t * t, E_theta, l, kappa_theta, phi, hbar)
+        flat = (t <= t_noise) | (rad <= 0.0)
+        return np.where(flat, 2.0 / math.sqrt(gp), 2.0 * t / np.sqrt(np.where(flat, 1.0, rad)))
+
+    return s * quad_singular_array(integrand, 0.0, t_max, endpoint_order=0.0, tol=tol)
+
+
+def _seed_nearest_turning_point(g, target, expand=1.6, max_iter=200):
+    candidates = []
+    lo = target
+    found = None
+    for _ in range(max_iter):
+        nxt = lo / expand
+        if g(nxt) <= 0.0:
+            found = _seed_bisect(g, lo, nxt)
+            break
+        lo = nxt
+        if lo < 1e-12:
+            break
+    if found is not None:
+        candidates.append(found)
+    hi = target
+    found = None
+    for _ in range(max_iter):
+        nxt = hi * expand
+        if g(nxt) <= 0.0:
+            found = _seed_bisect(g, hi, nxt)
+            break
+        hi = nxt
+        if hi > 1e12:
+            break
+    if found is not None:
+        candidates.append(found)
+    if not candidates:
+        return None
+    return min(candidates, key=lambda tp: abs(tp - target))
+
+
+def _seed_bisect(g, inside, outside, iters=200):
+    for _ in range(iters):
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
+        if g(mid) > 0.0:
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
+
+
+def _quadrature_outcome(fn, T, args):
+    try:
+        return np.float64(fn(T, *args)).tobytes()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+# the batch checks its targets stage by stage; the first failing stage is raised
+_STAGES = (
+    "amplitude must be positive",
+    "classically forbidden amplitude (radicand negative at target)",
+    "classically forbidden amplitude: no real turning point brackets the target",
+    "quadrature budget exceeded: tanh-sinh did not converge",
+)
+
+
+@st.composite
+def _first_integral_cases(draw):
+    """(E_theta, l, kappa, phi, hbar, tol) and targets around the turning points.
+
+    The targets are drawn from the allowed part of a log grid and include
+    the reference's turning points, their float neighbours on both sides
+    and points just inside them.
+    """
+    E_theta = draw(st.floats(0.2, 5.0))
+    l = draw(st.one_of(st.integers(1, 3), st.just(0)))
+    # a tiny kappa puts the lower turning point near the 1e-12 scan limit
+    kappa = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.5), st.floats(1e-13, 1e-10)))
+    phi = draw(st.floats(-1.5, 1.5))
+    hbar = draw(st.sampled_from([1.0, 0.7]))
+    tol = draw(st.sampled_from([1e-10, 1e-12]))
+    grid = np.geomspace(1e-2, 1e2, 400)
+    allowed = grid[fx.first_integral_radicand(grid, E_theta, l, kappa, phi, hbar) > 0]
+    assume(allowed.size > 0)
+    picks = draw(st.lists(st.integers(0, 399), min_size=1, max_size=5))
+    targets = [float(allowed[i % allowed.size]) for i in picks]
+    g = lambda T: float(fx.first_integral_radicand(T, E_theta, l, kappa, phi, hbar))
+    tp = _seed_nearest_turning_point(g, targets[0])
+    if tp is not None:
+        inward = 1.0 if targets[0] > tp else -1.0
+        targets += [tp, math.nextafter(tp, math.inf), math.nextafter(tp, -math.inf), tp * (1.0 + inward * 1e-9)]
+    order = draw(st.permutations(range(len(targets))))
+    return (E_theta, l, kappa, phi, hbar, tol), np.array([targets[i] for i in order])
+
+
+def _solved_only(Ts, outcomes):
+    """The targets whose reference call returns a value (the float
+    neighbour of a turning point on its far side is forbidden), if any
+    were dropped and any are left."""
+    keep = [not isinstance(w, tuple) for w in outcomes]
+    if all(keep) or not any(keep):
+        return []
+    return [(Ts[np.array(keep)], [w for w, k in zip(outcomes, keep) if k])]
+
+
+class TestArrayTargets:
+    @settings(max_examples=100, deadline=None)
+    @given(_first_integral_cases())
+    @example(((2.0, 1, 0.5, 0.7, 1.0, 1e-12), np.array([0.5, 1.9, 0.7, 2.0])))
+    @example(((2.0, 2, 0.0, 0.7, 1.0, 1e-10), np.array([0.2, 1.0, 0.99])))
+    def test_array_equals_scalar_calls(self, case):
+        # every entry equals the scalar call bit for bit, and the scalar
+        # call equals the reference; a batch with a failing target raises
+        # the error of the first failing stage
+        (E_theta, l, kappa, phi, hbar, tol), Ts = case
+        args = (E_theta, l, kappa, phi, hbar, tol)
+        want = [_quadrature_outcome(_seed_theta_quadrature, T, args) for T in Ts.tolist()]
+        assert [_quadrature_outcome(fx.theta_first_integral_quadrature, T, args) for T in Ts.tolist()] == want
+        for targets, outcomes in ((Ts, want), *_solved_only(Ts, want)):
+            errors = sorted((_STAGES.index(w[1]), w) for w in outcomes if isinstance(w, tuple))
+            if errors:
+                with pytest.raises(errors[0][1][0]) as info:
+                    fx.theta_first_integral_quadrature(targets, *args)
+                assert str(info.value) == errors[0][1][1]
+                continue
+            event("equal")
+            got = fx.theta_first_integral_quadrature(targets, *args)
+            assert got.shape == targets.shape
+            assert got.tobytes() == b"".join(outcomes)
+            # any array shape, entries in ravel order
+            assert fx.theta_first_integral_quadrature(targets[:, None], *args).tobytes() == got.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _first_integral_cases(),
+        st.sampled_from([0.0, -0.3, 1e-3, 1e6, math.nan]),
+        st.integers(0, 8),
+    )
+    def test_failing_target_raises_its_scalar_error(self, case, bad, where):
+        # one non-positive, forbidden or unbracketed target among good ones
+        (E_theta, l, kappa, phi, hbar, tol), Ts = case
+        args = (E_theta, l, kappa, phi, hbar, tol)
+        good = [T for T in Ts.tolist() if not isinstance(_quadrature_outcome(_seed_theta_quadrature, T, args), tuple)]
+        expected = _quadrature_outcome(_seed_theta_quadrature, bad, args)
+        event("raises" if isinstance(expected, tuple) and expected[0] is ValueError else "allowed")
+        if not isinstance(expected, tuple) or expected[0] is not ValueError:
+            return  # the drawn value is allowed for these parameters
+        batch = np.array(good[:where] + [bad] + good[where:])
+        with pytest.raises(ValueError) as info:
+            fx.theta_first_integral_quadrature(batch, *args)
+        assert str(info.value) == expected[1]
+
+    @pytest.mark.parametrize("half_width", [0.5, 0.25, 0.125, 0.375, 0.75])
+    def test_tie_between_turning_points_keeps_the_lower(self, half_width):
+        # roots 1 -+ half_width; the first four are exactly equidistant from 1
+        g = lambda T: half_width * half_width - (T - 1.0) ** 2
+        got = fx._nearest_turning_points(g, np.array([1.0, 1.0 + half_width / 4]))
+        for tp, target in zip(got.tolist(), (1.0, 1.0 + half_width / 4)):
+            assert tp == _seed_nearest_turning_point(lambda T: float(g(T)), target)
+        if half_width <= 0.5:
+            assert got[0] == 1.0 - half_width
+
+    def test_one_pass_for_all_targets(self, monkeypatch):
+        # the verify batch: one quadrature call and a few hundred radicand
+        # calls (scans, bisection, slope, levels), not one search per target
+        calls = []
+        radicand = fx.first_integral_radicand
+        monkeypatch.setattr(fx, "first_integral_radicand", lambda T, *a: calls.append(np.size(T)) or radicand(T, *a))
+        Ts = np.arange(0.7, 0.9 + 1e-3, 2e-3)
+        got = fx.theta_first_integral_quadrature(Ts, 2.0, 1, 0.5, 0.7, tol=1e-12)
+        assert got.shape == (101,)
+        assert len(calls) < 120
+        assert max(calls) > 101 * 13  # the level-0 nodes of every target at once
 
 
 class TestThetaFromW:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from bmlandau import oracle
 from bmlandau.core import SampledProfile
@@ -224,3 +226,154 @@ class TestArrayCore:
         scal = quad_singular(f, 0.0, 1.0, -0.5, 1e-10, offset_aware=True)
         arr = quad_singular_array(fa, 0.0, 1.0, -0.5, 1e-10, offset_aware=True)
         assert arr == pytest.approx(scal, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# interval arrays: the single-interval core kept verbatim as the reference
+# ---------------------------------------------------------------------------
+
+def _seed_level_nodes(level, a, b):
+    unit_offset, unit_weight = oracle._level_table(level)
+    half = 0.5 * (b - a)
+    offset = half * unit_offset
+    w = half * unit_weight
+    x = np.concatenate((b - offset, a + offset))
+    d = np.concatenate((-offset, offset))
+    w = np.concatenate((w, w))
+    if level == 0:
+        mid = 0.5 * (a + b)
+        x = np.concatenate(([mid], x))
+        d = np.concatenate(([mid - a], d))
+        w = np.concatenate(([half * 0.5 * math.pi], w))
+    return x, d, w
+
+
+def _seed_quad(f, a, b, endpoint_order=0.0, tol=1e-10, max_level=12, offset_aware=False):
+    if endpoint_order <= -1.0:
+        raise ValueError("endpoint_order must exceed -1 for an integrable singularity")
+    if a == b:
+        return 0.0
+    if b < a:
+        return -_seed_quad(f, b, a, endpoint_order, tol, max_level, offset_aware)
+
+    def level_sum(level):
+        x, d, w = _seed_level_nodes(level, a, b)
+        keep = w != 0.0
+        if not offset_aware:
+            keep &= (x != a) & (x != b)
+        w = w[keep]
+        fx = np.asarray(f(x[keep], d[keep]), dtype=float)
+        finite = np.isfinite(fx)
+        return float(np.dot(w[finite], fx[finite]))
+
+    h = 1.0
+    history = [h * level_sum(0)]
+    for level in range(1, max_level + 1):
+        h *= 0.5
+        history.append(0.5 * history[-1] + h * level_sum(level))
+        if level >= 2 and abs(history[-1] - history[-2]) <= tol:
+            return history[-1]
+    raise RuntimeError("quadrature budget exceeded: tanh-sinh did not converge")
+
+
+def _kernel(kind, x, d, c):
+    """Integrands with a per-interval parameter c; all of them elementwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "smooth":
+            return np.sin(c * x)
+        if kind == "endpoint":  # c / sqrt at both endpoints (needs the offsets)
+            return c / np.sqrt(np.abs(d))
+        if kind == "log":
+            return c * np.log(np.abs(d))
+        # non-finite values at some nodes, different ones in each row
+        return np.where(np.abs(x - c) < 0.05, np.nan, np.cos(x))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return np.float64(fn(*args, **kwargs)).tobytes()
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _upper_limits(draw):
+    a = draw(st.floats(-3.0, 3.0))
+    ulp = math.ulp(a)
+    one = st.one_of(
+        st.floats(-3.0, 3.0),
+        st.just(a),  # empty interval
+        st.integers(-40, 40).map(lambda k: a + k * ulp),  # nodes round onto the ends
+    )
+    bs = draw(st.lists(one, min_size=1, max_size=6))
+    cs = draw(st.lists(st.floats(0.5, 2.0), min_size=len(bs), max_size=len(bs)))
+    return a, np.array(bs), np.array(cs)
+
+
+class TestIntervalArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _upper_limits(),
+        st.sampled_from(["smooth", "endpoint", "log", "holes"]),
+        st.sampled_from([1e-8, 1e-10, 1e-12, 1e-14]),
+        st.sampled_from([0, 2, 4, 7, 12]),
+        st.booleans(),
+    )
+    @example((0.0, np.array([1.0, 0.0, -2.0, 5e-324]), np.array([1.0, 1.5, 0.7, 1.0])), "endpoint", 1e-10, 12, True)
+    @example((1.0, np.array([1.0 + 2**-52, 0.5, 3.0]), np.array([1.0, 2.0, 1.2])), "holes", 1e-12, 4, False)
+    def test_vector_of_upper_limits_equals_scalar_calls(self, limits, kind, tol, max_level, offset_aware):
+        # each row is the single-interval call bit for bit, or the batch
+        # raises that call's RuntimeError
+        a, bs, cs = limits
+        args = (0.0, tol, max_level, offset_aware)
+        want = []
+        for b, c in zip(bs.tolist(), cs.tolist()):
+            row_f = lambda x, d, c=c: _kernel(kind, x, d, c)
+            want.append(_outcome(_seed_quad, row_f, a, b, *args))
+            assert _outcome(quad_singular_array, row_f, a, b, *args) == want[-1]
+        batch_f = lambda x, d, rows: _kernel(kind, x, d, cs[rows, None])
+        errors = [w for w in want if isinstance(w, tuple)]
+        event("raises" if errors else "equal")
+        if errors:
+            with pytest.raises(errors[0][0]) as info:
+                quad_singular_array(batch_f, a, bs, *args)
+            assert str(info.value) == errors[0][1]
+        else:
+            assert quad_singular_array(batch_f, a, bs, *args).tobytes() == b"".join(want)
+
+    def test_row_at_max_level_raises_the_scalar_error(self):
+        def f(x, d):  # unresolvable without the offsets
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.sqrt(1.0 - x)
+
+        with pytest.raises(RuntimeError) as scalar:
+            quad_singular_array(f, 0.0, 1.0, 0.0, 1e-13, max_level=4)
+        with pytest.raises(RuntimeError) as batch:
+            quad_singular_array(lambda x, d, rows: f(x, d), 0.0, np.array([0.5, 1.0, 0.25]), 0.0, 1e-13, max_level=4)
+        assert str(batch.value) == str(scalar.value) == "quadrature budget exceeded: tanh-sinh did not converge"
+
+    def test_rows_leave_the_batch_when_converged(self):
+        seen = []
+
+        def f(x, d, rows):
+            assert x.shape == d.shape == (len(rows), x.shape[1])
+            seen.append(rows.tolist())
+            return np.cos(x)
+
+        bs = np.array([1.0, 1e-3, 0.0, 30.0])
+        got = quad_singular_array(f, 0.0, bs, 0.0, 1e-12)
+        assert seen[0] == [0, 1, 3]  # the empty interval is never evaluated
+        for before, after in zip(seen, seen[1:]):
+            assert set(after) <= set(before)
+        assert len(seen[-1]) < 3  # the rows converge at different levels
+        for i, b in enumerate(bs.tolist()):
+            assert got[i] == quad_singular_array(lambda x, d: np.cos(x), 0.0, b, 0.0, 1e-12)
+
+    def test_limits_broadcast_to_one_shape(self):
+        a = np.array([[0.0], [1.0]])
+        b = np.array([2.0, 3.0, 4.0])
+        got = quad_singular_array(lambda x, d, rows: np.cos(x), a, b, 0.0, 1e-12)
+        assert got.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j] == quad_singular_array(lambda x, d: np.cos(x), a[i, 0], b[j], 0.0, 1e-12)

@@ -96,3 +96,17 @@ class TestOrdering:
         assert sp.energy(sp.SpectrumModel.QM, qn, NATURAL) == sp.energy_qm(qn, NATURAL)
         assert sp.energy(sp.SpectrumModel.EL, qn, NATURAL) == energy_el(qn, NATURAL)
         assert sp.energy(sp.SpectrumModel.CBR, qn, NATURAL) == sp.energy_cbr(qn, NATURAL)
+
+    @pytest.mark.parametrize("model", list(sp.SpectrumModel))
+    @pytest.mark.parametrize("hbar, k_z, got", [(1e200, 0.0, "nan"), (1e200, 1.0, "inf"), (1.0, 1e200, "inf")])
+    def test_dispatch_rejects_non_finite_energy(self, model, hbar, k_z, got):
+        # hbar^2 k_z^2 overflows to inf, and to inf * 0 = nan at k_z = 0
+        with pytest.raises(ValueError) as info:
+            sp.energy(model, QuantumNumbers(0, 1, k_z), PhysParams(hbar=hbar))
+        assert str(info.value) == f"{model.value} energy out of range for hbar = {hbar:g}, k_z = {k_z:g} (got {got})"
+
+    def test_dispatch_keeps_large_finite_energy(self):
+        qn = QuantumNumbers(0, 1, 1e150)
+        got = sp.energy(sp.SpectrumModel.QM, qn, NATURAL)
+        assert got == sp.energy_qm(qn, NATURAL)
+        assert got == pytest.approx(5e299, rel=1e-15)
