@@ -17,6 +17,8 @@ from .ermakov import (
     pinney_amplitude,
     pinney_derivative,
     pinney_residual,
+    pinney_sigma,
+    pinney_sigma_prime,
 )
 from .flux import (
     AzimuthalState,
@@ -64,7 +66,7 @@ from .sectors import (
     theta_amplitude_trig,
     trig_pair,
 )
-from .specfun import SeriesControl, bessel_j, hyp1f1, ln_gamma, whittaker_m, whittaker_w
+from .specfun import SeriesControl, bessel_j, hyp1f1, ln_gamma, whittaker_m, whittaker_mw, whittaker_w
 from .spectrum import (
     OrderingReport,
     SpectrumModel,

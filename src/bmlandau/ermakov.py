@@ -26,16 +26,28 @@ from .oracle import fd_residual
 
 @dataclass
 class LinearPair:
-    """Two independent solutions of one linear equation, with derivatives."""
+    """Two independent solutions of one linear equation, with derivatives.
+
+    ``values(q)`` returns (u1, u2, u1', u2') from one evaluation, so work
+    the four share (a Kummer sweep, a cosine) is done once; ``du1`` and
+    ``du2`` are its last two entries.  ``u1`` and ``u2`` stay separate
+    callables: the amplitude sigma needs only them.
+    """
 
     u1: Callable
     u2: Callable
-    du1: Callable
-    du2: Callable
+    values: Callable
     wronskian: float
 
+    def du1(self, q):
+        return self.values(q)[2]
+
+    def du2(self, q):
+        return self.values(q)[3]
+
     def wronskian_at(self, q):
-        return self.u1(q) * self.du2(q) - self.u2(q) * self.du1(q)
+        v1, v2, d1, d2 = self.values(q)
+        return v1 * d2 - v2 * d1
 
 
 @dataclass(frozen=True)
@@ -75,34 +87,47 @@ class FrequencyProfile:
     omega_sq: Callable
 
 
+def pinney_sigma(coef: EPCoefficients, v1, v2):
+    """sigma = sqrt(A u1^2 + B u2^2 + 2 D u1 u2) from the values u1, u2.
+
+    A negative radicand anywhere signals an inadmissible coefficient
+    choice and raises; it is never clamped.
+    """
+    radicand = coef.A * v1 * v1 + coef.B * v2 * v2 + 2.0 * coef.D * v1 * v2
+    if np.any(np.asarray(radicand) < 0):
+        raise ValueError("amplitude radicand negative: inadmissible EP coefficients")
+    return np.sqrt(radicand)
+
+
+def pinney_sigma_prime(coef: EPCoefficients, v1, v2, d1, d2, sigma):
+    """sigma' = (A u1 u1' + B u2 u2' + D (u1' u2 + u1 u2')) / sigma from values."""
+    num = coef.A * v1 * d1 + coef.B * v2 * d2 + coef.D * (d1 * v2 + v1 * d2)
+    return num / sigma
+
+
 def pinney_amplitude(pair: LinearPair, coef: EPCoefficients) -> Callable:
     """Return sigma(q) = sqrt(A u1^2 + B u2^2 + 2 D u1 u2).
 
-    A negative radicand anywhere on the requested points signals an
-    inadmissible coefficient choice and raises; it is never clamped.
+    Evaluates only u1 and u2.  A negative radicand anywhere on the
+    requested points signals an inadmissible coefficient choice and
+    raises; it is never clamped.
     """
     _check_pair_coef(pair, coef)
-
-    def sigma(q):
-        v1, v2 = pair.u1(q), pair.u2(q)
-        radicand = coef.A * v1 * v1 + coef.B * v2 * v2 + 2.0 * coef.D * v1 * v2
-        if np.any(np.asarray(radicand) < 0):
-            raise ValueError("amplitude radicand negative: inadmissible EP coefficients")
-        return np.sqrt(radicand)
-
-    return sigma
+    return lambda q: pinney_sigma(coef, pair.u1(q), pair.u2(q))
 
 
 def pinney_derivative(pair: LinearPair, coef: EPCoefficients) -> Callable:
-    """Analytic sigma'(q) of the Pinney amplitude (no finite differences)."""
+    """Analytic sigma'(q) of the Pinney amplitude (no finite differences).
+
+    One ``pair.values(q)`` call gives u1, u2 and their derivatives, and
+    sigma is built from the same u1, u2; a negative radicand raises as in
+    ``pinney_amplitude``.
+    """
     _check_pair_coef(pair, coef)
-    sigma = pinney_amplitude(pair, coef)
 
     def dsigma(q):
-        v1, v2 = pair.u1(q), pair.u2(q)
-        d1, d2 = pair.du1(q), pair.du2(q)
-        num = coef.A * v1 * d1 + coef.B * v2 * d2 + coef.D * (d1 * v2 + v1 * d2)
-        return num / sigma(q)
+        v1, v2, d1, d2 = pair.values(q)
+        return pinney_sigma_prime(coef, v1, v2, d1, d2, pinney_sigma(coef, v1, v2))
 
     return dsigma
 

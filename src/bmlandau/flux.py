@@ -252,10 +252,10 @@ def theta_first_integral_quadrature(
     call on it.  All targets are solved in one pass: the turning-point
     scans and bisections run in lock-step as array operations, each
     element with its own stop rule, and the quadratures are one batch of
-    quad_singular_array.  A non-positive, classically forbidden or
-    unbracketed target raises the float call's ValueError (the first
-    failing test over the whole array: positivity, then the radicand at
-    the targets, then the turning-point search).
+    quad_singular_array.  A non-finite, non-positive, classically
+    forbidden or unbracketed target raises the float call's ValueError
+    (the first failing test over the whole array: finiteness, positivity,
+    then the radicand at the targets, then the turning-point search).
     """
 
     def g(T):
@@ -263,6 +263,8 @@ def theta_first_integral_quadrature(
 
     target = np.asarray(Theta_target, dtype=float)
     T = target.ravel()
+    if not np.all(np.isfinite(T)):
+        raise ValueError("amplitude target must be finite (got nan or inf)")
     if np.any(T <= 0):
         raise ValueError("amplitude must be positive")
     g_target = g(T)

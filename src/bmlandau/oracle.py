@@ -64,14 +64,17 @@ class ResidualReport:
 # Dormand-Prince 5(4) tableau.  Fifth-order solution is propagated; the
 # embedded fourth-order difference provides the local error estimate.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
 )
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
@@ -158,7 +161,7 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
 
         k[0] = f
         for i in range(1, 7):
-            yi = y + hd * np.dot(np.asarray(_DP_A[i]), k[:i])
+            yi = y + hd * np.dot(_DP_A[i], k[:i])
             k[i] = p.rhs(yi, t + _DP_C[i] * hd)
         y_new = y + hd * np.dot(_DP_B5, k)
         err_vec = hd * np.dot(_DP_E, k)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import PhysParams, QuantumNumbers
 from .flux import CurrentBranch
-from .specfun import bessel_j, hyp1f1, whittaker_m, whittaker_w
+from .specfun import bessel_j, hyp1f1, whittaker_m, whittaker_mw
 
 AXIAL_ORDER = 1.0 / math.sqrt(2.0)
 WHITTAKER_MU = 1.0 / math.sqrt(2.0)
@@ -107,6 +107,9 @@ def azimuthal_whittaker(theta, l: int, phi: float, c1: complex, c2: complex):
     Theta(theta) = c1 M_{kappa,mu}(2 i l theta) + c2 W_{kappa,mu}(2 i l theta)
     with mu = 1/sqrt2 and kappa = -(i/(2l)) phi.  Solves
     Theta'' + (l^2 + phi/theta - 1/(4 theta^2)) Theta = 0.
+
+    With c2 != 0 one ``whittaker_mw`` call gives M and W (two Kummer
+    sweeps); with c2 == 0 only M is evaluated (one sweep).
     """
     if l == 0:
         raise ValueError("Whittaker map degenerate (x = 0 for l = 0)")
@@ -116,10 +119,14 @@ def azimuthal_whittaker(theta, l: int, phi: float, c1: complex, c2: complex):
         raise ValueError("azimuthal amplitude undefined at theta = 0")
     x = 2j * l * th_arr
     out = np.zeros(th_arr.shape, dtype=complex)
-    if c1 != 0:
-        out = out + c1 * np.asarray(whittaker_m(kappa, WHITTAKER_MU, x))
-    if c2 != 0:
-        out = out + c2 * np.asarray(whittaker_w(kappa, WHITTAKER_MU, x))
+    if c2 == 0:
+        if c1 != 0:
+            out = out + c1 * np.asarray(whittaker_m(kappa, WHITTAKER_MU, x))
+    else:
+        m, w = whittaker_mw(kappa, WHITTAKER_MU, x)
+        if c1 != 0:
+            out = out + c1 * m
+        out = out + c2 * w
     return out if np.asarray(theta).ndim else complex(out[0])
 
 

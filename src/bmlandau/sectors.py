@@ -42,7 +42,9 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
 
     Both solve the same equation with kappa^2 = beta (1 - 4a); the
     Wronskian is exactly 1 (value at r = 0).  Derivatives use the
-    contiguous relation for d/dx 1F1, never finite differences.
+    contiguous relation for d/dx 1F1, never finite differences, so
+    ``values`` makes four Kummer sweeps: 1F1(a, 1/2), 1F1(a+1, 3/2),
+    1F1(a+1/2, 3/2) and 1F1(a+3/2, 5/2).
     """
     beta = params.beta
 
@@ -51,26 +53,25 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
         x = beta * r * r
         return np.exp(-x / 2.0) * hyp1f1(a, 0.5, x)
 
-    def du1(r):
-        r = np.asarray(r, dtype=float)
-        x = beta * r * r
-        f = hyp1f1(a, 0.5, x)
-        df = hyp1f1_deriv(a, 0.5, x)
-        return beta * r * np.exp(-x / 2.0) * (2.0 * df - f)
-
     def u2(r):
         r = np.asarray(r, dtype=float)
         x = beta * r * r
         return r * np.exp(-x / 2.0) * hyp1f1(a + 0.5, 1.5, x)
 
-    def du2(r):
+    def values(r):
         r = np.asarray(r, dtype=float)
         x = beta * r * r
-        f = hyp1f1(a + 0.5, 1.5, x)
-        df = hyp1f1_deriv(a + 0.5, 1.5, x)
-        return np.exp(-x / 2.0) * (f * (1.0 - x) + 2.0 * x * df)
+        gauss = np.exp(-x / 2.0)
+        f1, df1 = hyp1f1(a, 0.5, x), hyp1f1_deriv(a, 0.5, x)
+        f2, df2 = hyp1f1(a + 0.5, 1.5, x), hyp1f1_deriv(a + 0.5, 1.5, x)
+        return (
+            gauss * f1,
+            r * gauss * f2,
+            beta * r * gauss * (2.0 * df1 - f1),
+            gauss * (f2 * (1.0 - x) + 2.0 * x * df2),
+        )
 
-    return LinearPair(u1=u1, u2=u2, du1=du1, du2=du2, wronskian=1.0)
+    return LinearPair(u1=u1, u2=u2, values=values, wronskian=1.0)
 
 
 def theta_amplitude_trig(coef: EPCoefficients, omega_theta: float) -> Callable:
@@ -89,11 +90,16 @@ def axial_amplitude_trig(coef: EPCoefficients, k_z: float) -> Callable:
 
 def trig_pair(omega: float) -> LinearPair:
     """cos/sin solutions of y'' + omega^2 y = 0; Wronskian = omega."""
+
+    def values(q):
+        t = omega * np.asarray(q, dtype=float)
+        cos, sin = np.cos(t), np.sin(t)
+        return cos, sin, -omega * sin, omega * cos
+
     return LinearPair(
         u1=lambda q: np.cos(omega * np.asarray(q, dtype=float)),
         u2=lambda q: np.sin(omega * np.asarray(q, dtype=float)),
-        du1=lambda q: -omega * np.sin(omega * np.asarray(q, dtype=float)),
-        du2=lambda q: omega * np.cos(omega * np.asarray(q, dtype=float)),
+        values=values,
         wronskian=omega,
     )
 

@@ -3,6 +3,8 @@
 Provides the confluent hypergeometric function 1F1 (Kummer series), a
 Lanczos principal-branch log-gamma, the Whittaker functions M and W, and
 the Bessel function J of real order via its ascending power series.
+``whittaker_mw`` returns M and W together from the two sweeps
+M_{kappa,+-mu} that W needs, so a caller of both makes no third sweep.
 
 The ascending series are summed in extended precision (80-bit long double
 where the platform provides it) because the oscillatory arguments used
@@ -309,12 +311,17 @@ def whittaker_m(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
     return value if np.asarray(x).ndim else complex(value)
 
 
-def whittaker_w(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
-    """Whittaker function W_{kappa,mu}(x) via the M-connection formula.
+def whittaker_mw(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
+    """The pair (M_{kappa,mu}(x), W_{kappa,mu}(x)) from two Kummer sweeps.
+
+    W comes from the M-connection formula (DLMF 13.14.33)
 
     W = Gamma(-2mu)/Gamma(1/2 - mu - kappa) M_{kappa,mu}
       + Gamma(2mu)/Gamma(1/2 + mu - kappa) M_{kappa,-mu},
-    valid when 2 mu is not an integer.
+
+    valid when 2 mu is not an integer; the M_{kappa,mu} it uses is the
+    one returned, so a caller needing both pays for the sweeps
+    M_{kappa,+mu} and M_{kappa,-mu} only.
     """
     kappa = complex(kappa)
     mu = complex(mu)
@@ -323,9 +330,15 @@ def whittaker_w(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
         raise ValueError("connection formula degenerate: 2*mu is an integer")
     c_plus = cmath.exp(ln_gamma(-two_mu)) * rgamma(0.5 - mu - kappa)
     c_minus = cmath.exp(ln_gamma(two_mu)) * rgamma(0.5 + mu - kappa)
-    value = c_plus * whittaker_m(kappa, mu, x, ctl) + c_minus * whittaker_m(kappa, -mu, x, ctl)
-    _check_finite(value, "whittaker_w")
-    return value
+    m = whittaker_m(kappa, mu, x, ctl)
+    w = c_plus * m + c_minus * whittaker_m(kappa, -mu, x, ctl)
+    _check_finite(w, "whittaker_w")
+    return m, w
+
+
+def whittaker_w(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
+    """Whittaker function W_{kappa,mu}(x): the second entry of ``whittaker_mw``."""
+    return whittaker_mw(kappa, mu, x, ctl)[1]
 
 
 def _bessel_factor(nu, q, k):

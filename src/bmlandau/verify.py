@@ -64,13 +64,14 @@ def check_invariant_constancy() -> CheckResult:
     """Ermakov-Lewis invariant constant along u1 for the radial pair (a=0, beta=1)."""
     pair = sec.radial_basis(0, BETA_ONE)
     r = np.linspace(0.2, 3.0, 600)
+    v1, v2, d1, d2 = pair.values(r)
     worst = 0.0
     for A, B, D in _EP_COEF_SETS:
         coef = ek.ep_coefficients(A, B, D, pair.wronskian)
-        sigma = ek.pinney_amplitude(pair, coef)
-        dsigma = ek.pinney_derivative(pair, coef)
-        for y, dy in ((pair.u1, pair.du1), (pair.u2, pair.du2)):
-            inv = ek.ermakov_invariant(y(r), dy(r), sigma(r), dsigma(r), coef.c**2)
+        sigma = ek.pinney_sigma(coef, v1, v2)
+        dsigma = ek.pinney_sigma_prime(coef, v1, v2, d1, d2, sigma)
+        for y, dy in ((v1, d1), (v2, d2)):
+            inv = ek.ermakov_invariant(y, dy, sigma, dsigma, coef.c**2)
             worst = max(worst, float((inv.max() - inv.min()) / abs(inv.mean())))
     return CheckResult.bounded("ep.invariant_constancy", worst, 1e-8)
 
@@ -619,11 +620,9 @@ def check_whittaker_wronskian() -> CheckResult:
     worst = math.inf
     for kappa, mu, x in ((0.0, 1 / math.sqrt(2), 1.0), (-0.25j, 1 / math.sqrt(2), 0.8j + 0.2)):
         h = 1e-5
-        m_p, m_m = sf.whittaker_m(kappa, mu, x + h), sf.whittaker_m(kappa, mu, x - h)
-        w_p, w_m = sf.whittaker_w(kappa, mu, x + h), sf.whittaker_w(kappa, mu, x - h)
-        wr = sf.whittaker_m(kappa, mu, x) * (w_p - w_m) / (2 * h) - sf.whittaker_w(kappa, mu, x) * (
-            m_p - m_m
-        ) / (2 * h)
+        (m_p, w_p), (m_m, w_m) = sf.whittaker_mw(kappa, mu, x + h), sf.whittaker_mw(kappa, mu, x - h)
+        m, w = sf.whittaker_mw(kappa, mu, x)
+        wr = m * (w_p - w_m) / (2 * h) - w * (m_p - m_m) / (2 * h)
         worst = min(worst, abs(wr))
     return CheckResult.separated("specfun.whittaker_wronskian", worst, 1e-6)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,16 @@ class TestFirstIntegralQuadrature:
         with pytest.raises(ValueError, match="positive"):
             fx.theta_first_integral_quadrature(-0.3, 2.0, 1, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "target", [math.nan, math.inf, np.array([0.7, 0.75, math.nan, 0.8])], ids=["nan", "inf", "array"]
+    )
+    def test_non_finite_target_rejected_first(self, target):
+        # named at once, with no RuntimeWarning from the radicand and no scan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^amplitude target must be finite \(got nan or inf\)$"):
+                fx.theta_first_integral_quadrature(target, 2.0, 1, 0.5, 0.7)
+
     def test_integrand_called_once_per_level(self, monkeypatch):
         # the integrand takes whole node arrays: at most max_level + 1 calls
         # per quadrature, not one call per node
@@ -296,6 +307,9 @@ def _seed_theta_quadrature(Theta_target, E_theta, l, kappa_theta, phi, hbar=1.0,
     def g(T):
         return float(fx.first_integral_radicand(T, E_theta, l, kappa_theta, phi, hbar))
 
+    # the one addition to the verbatim copy: non-finite targets are rejected first
+    if not math.isfinite(Theta_target):
+        raise ValueError("amplitude target must be finite (got nan or inf)")
     if Theta_target <= 0:
         raise ValueError("amplitude must be positive")
     if g(Theta_target) < 0:
@@ -373,6 +387,7 @@ def _quadrature_outcome(fn, T, args):
 
 # the batch checks its targets stage by stage; the first failing stage is raised
 _STAGES = (
+    "amplitude target must be finite (got nan or inf)",
     "amplitude must be positive",
     "classically forbidden amplitude (radicand negative at target)",
     "classically forbidden amplitude: no real turning point brackets the target",

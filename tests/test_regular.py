@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlandau import regular as rg
+from bmlandau import specfun as sf
 from bmlandau.core import PhysParams, QuantumNumbers, SampledProfile
 from bmlandau.oracle import fd_residual, quad_singular
 
@@ -130,6 +131,50 @@ class TestAzimuthalWhittaker:
     def test_theta_zero_rejected(self):
         with pytest.raises(ValueError, match="theta = 0"):
             rg.azimuthal_whittaker(np.array([0.0, 0.5]), 1, 0.5, 1.0, 0.0)
+
+
+def _seed_azimuthal_whittaker(theta, l, phi, c1, c2):
+    """The amplitude as it was with separate M and W calls, kept verbatim as the reference."""
+    if l == 0:
+        raise ValueError("Whittaker map degenerate (x = 0 for l = 0)")
+    kappa = -1j * phi / (2.0 * l)
+    th_arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    if np.any(th_arr == 0):
+        raise ValueError("azimuthal amplitude undefined at theta = 0")
+    x = 2j * l * th_arr
+    out = np.zeros(th_arr.shape, dtype=complex)
+    if c1 != 0:
+        out = out + c1 * np.asarray(sf.whittaker_m(kappa, rg.WHITTAKER_MU, x))
+    if c2 != 0:
+        out = out + c2 * np.asarray(sf.whittaker_w(kappa, rg.WHITTAKER_MU, x))
+    return out if np.asarray(theta).ndim else complex(out[0])
+
+
+class TestWhittakerSweeps:
+    @pytest.mark.parametrize("c1", [1.0, 0.8 + 0.1j, 0.0])
+    @pytest.mark.parametrize(
+        "theta", [np.arange(0.2, 2.0, 1e-4), np.linspace(-1.5, -0.1, 50), 0.7], ids=["18000", "50", "scalar"]
+    )
+    def test_c2_zero_equals_reference(self, theta, c1):
+        for l, phi in ((1, 0.5), (2, 1.125), (-3, 0.0)):
+            got = rg.azimuthal_whittaker(theta, l, phi, c1, 0.0)
+            want = _seed_azimuthal_whittaker(theta, l, phi, c1, 0.0)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("c1", [1.0, 0.0])
+    def test_small_grids_with_w_equal_reference(self, c1):
+        # below numpy's temporary-elision size every product rounds as before
+        for theta in (np.linspace(0.2, 2.0, 1000), 0.7):
+            got = rg.azimuthal_whittaker(theta, 2, 0.8, c1, 0.3 + 0.2j)
+            want = _seed_azimuthal_whittaker(theta, 2, 0.8, c1, 0.3 + 0.2j)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("c1, c2, n_sweeps", [(1.0, 0.3 + 0.2j, 2), (0.0, 0.5j, 2), (1.0, 0.0, 1), (0.0, 0.0, 0)])
+    def test_one_sweep_per_distinct_kummer_function(self, sweeps, c1, c2, n_sweeps):
+        grid = np.linspace(0.2, 2.0, 500)
+        rg.azimuthal_whittaker(grid, 1, 0.5, c1, c2)
+        assert sweeps == [grid.size] * n_sweeps
 
 
 class TestThetaLocalBranch:

@@ -173,6 +173,30 @@ class TestWhittakerW:
         with pytest.raises(ValueError, match="connection formula degenerate"):
             sf.whittaker_w(0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "kappa, mu, x",
+        [(0.0, SQ2, 1.0), (0.2, SQ2, 2.5), (-0.25j, SQ2, 1j), (-0.3j, SQ2, 2j * np.linspace(0.2, 2.0, 300)),
+         (0.1, 0.3, np.linspace(0.5, 4.0, 64))],
+    )
+    def test_pair_is_m_and_connection_formula(self, kappa, mu, x):
+        # M is whittaker_m's value; W equals the connection formula as
+        # whittaker_w wrote it with two separate M calls (the grids stay
+        # below numpy's temporary-elision size, where both round alike)
+        m, w = sf.whittaker_mw(kappa, mu, x)
+        assert np.asarray(m).tobytes() == np.asarray(sf.whittaker_m(kappa, mu, x)).tobytes()
+        kappa, mu = complex(kappa), complex(mu)
+        two_mu = 2.0 * mu
+        c_plus = cmath.exp(sf.ln_gamma(-two_mu)) * sf.rgamma(0.5 - mu - kappa)
+        c_minus = cmath.exp(sf.ln_gamma(two_mu)) * sf.rgamma(0.5 + mu - kappa)
+        want = c_plus * sf.whittaker_m(kappa, mu, x) + c_minus * sf.whittaker_m(kappa, -mu, x)
+        assert type(w) is type(want)
+        assert np.asarray(w).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(sf.whittaker_w(kappa, mu, x)).tobytes() == np.asarray(w).tobytes()
+
+    def test_pair_makes_two_sweeps(self, sweeps):
+        sf.whittaker_mw(-0.25j, SQ2, 2j * np.linspace(0.2, 2.0, 300))
+        assert sweeps == [300, 300]
+
 
 class TestBesselJ:
     def test_value_at_zero(self):

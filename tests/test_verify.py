@@ -43,3 +43,11 @@ def test_tol_override_skips_separation_checks():
     # separation checks (value must exceed the gate) keep their own gate
     assert by_name["regular.obstruction"]["tol"] == 1e-6
     assert by_name["regular.obstruction"]["pass"]
+
+
+def test_invariant_constancy_evaluates_each_kummer_sweep_once(sweeps):
+    # the radial pair at a = 0 needs 1F1(0, 1/2), 1F1(1, 3/2), 1F1(1/2, 3/2)
+    # and 1F1(3/2, 5/2) on the 600-point grid, each once for all coefficient sets
+    result = vf.check_invariant_constancy()
+    assert result.passed
+    assert sweeps == [600] * 4
