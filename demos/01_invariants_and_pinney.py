@@ -18,7 +18,6 @@ trigonometric pairs.
 import numpy as np
 
 from bmlandau import (
-    FrequencyProfile,
     PhysParams,
     ep_coefficients,
     ermakov_invariant,
@@ -27,7 +26,7 @@ from bmlandau import (
     pinney_residual,
     radial_basis,
     radial_kappa_sq,
-    theta_amplitude_trig,
+    trig_amplitude,
     trig_pair,
 )
 
@@ -43,7 +42,7 @@ r = np.linspace(0.2, 3.0, 400)
 w = pair.wronskian_at(r)
 print(f"Wronskian along r: min {w.min():.15f}, max {w.max():.15f} (constant, = 1)")
 
-freq = FrequencyProfile(lambda q: kappa_sq - (params.beta * q) ** 2)
+omega_sq = lambda q: kappa_sq - (params.beta * q) ** 2
 for A, B, D in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (1.5, 1.5, -1.0)):
     coef = ep_coefficients(A, B, D, pair.wronskian)
     sigma = pinney_amplitude(pair, coef)
@@ -51,7 +50,7 @@ for A, B, D in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (1.5, 1.5, -1.0)):
 
     inv = ermakov_invariant(pair.u1(r), pair.du1(r), sigma(r), dsigma(r), coef.c**2)
     spread = (inv.max() - inv.min()) / abs(inv.mean())
-    res = pinney_residual(sigma, freq, coef.c, np.arange(0.2, 1.5, 1e-3))
+    res = pinney_residual(sigma, omega_sq, coef.c, np.arange(0.2, 1.5, 1e-3))
     print(
         f"(A,B,D) = ({A},{B},{D}): flux c = {coef.c:.6f}, "
         f"invariant = {inv.mean():.12f} (relative spread {spread:.2e}), "
@@ -62,19 +61,19 @@ for A, B, D in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (1.5, 1.5, -1.0)):
 print("\nazimuthal trigonometric amplitude at Omega = 1:")
 omega = 1.0
 coef = ep_coefficients(1.0, 0.8, 0.2, omega)
-theta_amp = theta_amplitude_trig(coef, omega)
+theta_amp = trig_amplitude(coef, omega)
 tp = trig_pair(omega)
 th = np.linspace(0.0, 2 * np.pi, 9)
 print("  theta:", np.array2string(th, precision=3))
 print("  Theta:", np.array2string(theta_amp(th), precision=6))
 res = pinney_residual(
-    theta_amp, FrequencyProfile(lambda q: omega**2 + 0 * np.asarray(q)), coef.c,
+    theta_amp, lambda q: omega**2 + 0 * np.asarray(q), coef.c,
     np.arange(0.0, 2 * np.pi, 1e-3),
 )
 print(f"  Pinney residual over a full turn: {res:.2e}")
 
 # the equal-weight choice collapses to a constant amplitude
-flat = theta_amplitude_trig(
+flat = trig_amplitude(
     ep_coefficients(0.5, 0.5, 0.0, omega), omega
 )
 print(f"  equal-weight case: Theta = {float(flat(0.3)):.6f} everywhere (sqrt(c/Omega))")

@@ -48,7 +48,7 @@ dpi0 = -16 * ctx.Lambda**1.5 * math.sqrt(ctx.discriminant) / ctx.E_pi**2
 w0 = -dpi0 / (2 * pi0)
 rhs = lambda y, t: np.array(uw_flow(AzimuthalState(y[0], y[1]), ctx, 0.0))
 period = math.pi / math.sqrt(ctx.Lambda)
-sol = integrate_ivp(IVPProblem(2, rhs, [pi0, w0], (0.0, period), 1e-11, 1e-13, max_step=0.02))
+sol = integrate_ivp(IVPProblem(rhs, [pi0, w0], (0.0, period), 1e-11, 1e-13, max_step=0.02))
 th = np.linspace(0.0, period, 601)
 err = np.max(np.abs(sol(th)[:, 0] - pi_theta_closed(th, ctx)))
 print(f"\n1. integrated flow vs closed form over one period: max dev {err:.2e}")
@@ -69,7 +69,7 @@ pi0 = 8 * ctx0.Lambda / ctx0.E_pi
 dpi0 = -16 * ctx0.Lambda**1.5 * math.sqrt(ctx0.discriminant) / ctx0.E_pi**2
 rhs0 = lambda y, t: np.array(uw_flow(AzimuthalState(y[0], y[1]), ctx0, 0.0))
 sol0 = integrate_ivp(
-    IVPProblem(2, rhs0, [pi0, -dpi0 / (2 * pi0)], (0.0, math.pi), 1e-11, 1e-13, max_step=0.01)
+    IVPProblem(rhs0, [pi0, -dpi0 / (2 * pi0)], (0.0, math.pi), 1e-11, 1e-13, max_step=0.01)
 )
 hg = 5e-4
 grid = np.arange(0.0, math.pi, hg)

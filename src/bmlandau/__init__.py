@@ -10,7 +10,6 @@ independent ODE/quadrature oracle used to verify every closed form.
 from .core import PhysParams, QuantumNumbers, SampledProfile
 from .ermakov import (
     EPCoefficients,
-    FrequencyProfile,
     LinearPair,
     ep_coefficients,
     ermakov_invariant,
@@ -58,12 +57,11 @@ from .regular import (
 )
 from .sectors import (
     SectorFrequencies,
-    axial_amplitude_trig,
     energy_el,
     radial_basis,
     radial_kappa_sq,
     sector_frequencies,
-    theta_amplitude_trig,
+    trig_amplitude,
     trig_pair,
 )
 from .specfun import SeriesControl, bessel_j, hyp1f1, ln_gamma, whittaker_m, whittaker_mw, whittaker_w

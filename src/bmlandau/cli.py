@@ -256,8 +256,7 @@ def cmd_amplitude(args, config: RunConfig) -> int:
             if omega is None:
                 raise UsageError(f"sector {sector!r} ep branch needs --omega/--kz")
             coef = ep_coefficients(args.A, args.B, args.D, omega)
-            maker = sec.theta_amplitude_trig if sector == "theta" else sec.axial_amplitude_trig
-            values = maker(coef, omega)(grid)
+            values = sec.trig_amplitude(coef, omega)(grid)
     elif branch == "regularised":
         if sector == "r":
             values = rg.radial_regularised(QuantumNumbers(args.nr, args.l_index, 0.0), params)(grid)

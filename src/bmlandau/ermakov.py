@@ -11,6 +11,8 @@ A*B - D^2 = c^2 / W^2.  Along any linear solution y the pair carries the
 conserved Ermakov-Lewis quantity
 
     I = (1/2) [ (sigma y' - sigma' y)^2 + k (y / sigma)^2 ],  k = c^2.
+
+``pinney_residual`` checks the Pinney equation with Omega^2 given as a plain callable.
 """
 
 from __future__ import annotations
@@ -80,13 +82,6 @@ def ep_coefficients(A: float, B: float, D: float, wronskian: float) -> EPCoeffic
     return EPCoefficients(A, B, D, abs(wronskian) * np.sqrt(det), wronskian)
 
 
-@dataclass
-class FrequencyProfile:
-    """Effective Sturm-Liouville frequency Omega^2(q) of one sector."""
-
-    omega_sq: Callable
-
-
 def pinney_sigma(coef: EPCoefficients, v1, v2):
     """sigma = sqrt(A u1^2 + B u2^2 + 2 D u1 u2) from the values u1, u2.
 
@@ -145,9 +140,10 @@ def ermakov_invariant(y, dy, sigma, dsigma, k):
     return 0.5 * (cross * cross + k * (y / sigma) ** 2)
 
 
-def pinney_residual(sigma: Callable, freq: FrequencyProfile, c: float, grid) -> float:
+def pinney_residual(sigma: Callable, omega_sq: Callable, c: float, grid) -> float:
     """Max |sigma'' + Omega^2 sigma - c^2/sigma^3| over interior grid points.
 
+    ``omega_sq(q)`` is the sector's frequency Omega^2 at the points q.
     Central second-order differences on a uniform grid of >= 5 points;
     the reported value converges as O(h^2) for a true Pinney amplitude.
     """
@@ -159,6 +155,6 @@ def pinney_residual(sigma: Callable, freq: FrequencyProfile, c: float, grid) -> 
     c_sq = c * c
 
     def ode_form(y, dy, d2y, q):
-        return d2y + freq.omega_sq(q) * y - c_sq / y**3
+        return d2y + omega_sq(q) * y - c_sq / y**3
 
     return fd_residual(profile, ode_form).max_abs

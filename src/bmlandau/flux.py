@@ -256,6 +256,12 @@ def theta_first_integral_quadrature(
     forbidden or unbracketed target raises the float call's ValueError
     (the first failing test over the whole array: finiteness, positivity,
     then the radicand at the targets, then the turning-point search).
+
+    Known limit: at tol=1e-12, targets measured from the upper turning
+    point can exhaust the level-12 tanh-sinh budget and raise
+    RuntimeError ("quadrature budget exceeded").  With E_theta = 2,
+    l = 1, kappa_theta = 0.5, phi = 0.7 (upper turning point about 2.08)
+    the targets 1.5 to 2.0 fail there; the default tol=1e-10 converges.
     """
 
     def g(T):

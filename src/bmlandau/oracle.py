@@ -33,7 +33,6 @@ from .core import SampledProfile
 class IVPProblem:
     """An initial-value problem y'(q) = rhs(y, q) on a coordinate span."""
 
-    dimension: int
     rhs: Callable
     y0: Sequence[float]
     span: tuple[float, float]
@@ -46,10 +45,9 @@ class IVPProblem:
             raise ValueError("tolerances must be positive")
         if self.span[0] == self.span[1]:
             raise ValueError("degenerate coordinate span")
-        y0 = np.asarray(self.y0, dtype=float)
-        if y0.shape != (self.dimension,):
-            raise ValueError("initial state size does not match dimension")
-        self.y0 = y0
+        self.y0 = np.asarray(self.y0, dtype=float)
+        if self.y0.ndim != 1:
+            raise ValueError("initial state y0 must be one-dimensional")
 
 
 @dataclass
@@ -150,7 +148,7 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
     h = min(h, p.max_step, span)
 
     ts, ys, fs = [t], [y.copy()], [f.copy()]
-    k = np.empty((7, p.dimension))
+    k = np.empty((7, y.size))
     min_step = 1e-14 * max(span, abs(t0), 1.0)
 
     while (t1 - t) * direction > 0:

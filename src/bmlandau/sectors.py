@@ -11,7 +11,8 @@ with beta = e B / (2 hbar).  The radial basis pairs a Gaussian-weighted
 Kummer function with its odd partner at the common eigenvalue
 kappa^2 = beta (1 - 4a), so both members solve one Liouville-normal
 equation and the Pinney construction applies.  The azimuthal and axial
-amplitudes use the fixed-frequency trigonometric form.
+amplitudes share one fixed-frequency trigonometric form,
+``trig_amplitude(coef, omega)`` with omega = Omega_theta or k_z.
 """
 
 from __future__ import annotations
@@ -74,20 +75,6 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
     return LinearPair(u1=u1, u2=u2, values=values, wronskian=1.0)
 
 
-def theta_amplitude_trig(coef: EPCoefficients, omega_theta: float) -> Callable:
-    """Azimuthal Pinney amplitude at fixed frequency Omega_theta.
-
-    Theta(t) = sqrt(A cos^2 + B sin^2 + 2 D sin cos) with the angular
-    Wronskian W = Omega_theta, requiring A*B - D^2 = c^2/Omega^2.
-    """
-    return _trig_amplitude(coef, omega_theta)
-
-
-def axial_amplitude_trig(coef: EPCoefficients, k_z: float) -> Callable:
-    """Axial Pinney amplitude, identical structure with Omega -> k_z."""
-    return _trig_amplitude(coef, k_z)
-
-
 def trig_pair(omega: float) -> LinearPair:
     """cos/sin solutions of y'' + omega^2 y = 0; Wronskian = omega."""
 
@@ -104,7 +91,12 @@ def trig_pair(omega: float) -> LinearPair:
     )
 
 
-def _trig_amplitude(coef: EPCoefficients, omega: float) -> Callable:
+def trig_amplitude(coef: EPCoefficients, omega: float) -> Callable:
+    """Pinney amplitude of a fixed-frequency sector (azimuthal Omega_theta or axial k_z).
+
+    sigma(q) = sqrt(A cos^2 + B sin^2 + 2 D sin cos) of omega q, with the
+    Wronskian W = omega, requiring A*B - D^2 = c^2/omega^2.
+    """
     if omega == 0:
         raise ValueError("trigonometric amplitude needs a nonzero frequency")
     return pinney_amplitude(trig_pair(omega), coef)

@@ -112,25 +112,25 @@ class TestPinneyResidual:
     def test_constant_omega_residual_and_convergence(self):
         coef = ek.ep_coefficients(1.0, 0.8, 0.2, 1.0)
         sigma = ek.pinney_amplitude(trig_pair(1.0), coef)
-        freq = ek.FrequencyProfile(lambda q: 1.0 + 0.0 * np.asarray(q))
-        res1 = ek.pinney_residual(sigma, freq, coef.c, np.arange(0.0, 4.0, 1e-3))
-        res2 = ek.pinney_residual(sigma, freq, coef.c, np.arange(0.0, 4.0, 5e-4))
+        omega_sq = lambda q: 1.0 + 0.0 * np.asarray(q)
+        res1 = ek.pinney_residual(sigma, omega_sq, coef.c, np.arange(0.0, 4.0, 1e-3))
+        res2 = ek.pinney_residual(sigma, omega_sq, coef.c, np.arange(0.0, 4.0, 5e-4))
         assert res1 < 1e-6
         assert 3.5 <= res1 / res2 <= 4.5
 
     def test_corrupted_amplitude_detected(self):
         coef = ek.ep_coefficients(1.0, 0.8, 0.2, 1.0)
         sigma = ek.pinney_amplitude(trig_pair(1.0), coef)
-        freq = ek.FrequencyProfile(lambda q: 1.0 + 0.0 * np.asarray(q))
+        omega_sq = lambda q: 1.0 + 0.0 * np.asarray(q)
         grid = np.arange(0.0, 4.0, 1e-3)
-        clean = ek.pinney_residual(sigma, freq, coef.c, grid)
-        corrupted = ek.pinney_residual(lambda q: 1.01 * sigma(q), freq, coef.c, grid)
+        clean = ek.pinney_residual(sigma, omega_sq, coef.c, grid)
+        corrupted = ek.pinney_residual(lambda q: 1.01 * sigma(q), omega_sq, coef.c, grid)
         assert corrupted > 1e-3
         assert corrupted > 100.0 * clean
 
     def test_node_inside_window_rejected(self):
         # sigma = |sin| has an exact node at q = 0
-        freq = ek.FrequencyProfile(lambda q: 1.0 + 0.0 * np.asarray(q))
+        omega_sq = lambda q: 1.0 + 0.0 * np.asarray(q)
         grid = np.linspace(0.0, 3.0, 301)
         with pytest.raises(ValueError, match="node inside residual window"):
-            ek.pinney_residual(lambda q: np.abs(np.sin(q)), freq, 0.0, grid)
+            ek.pinney_residual(lambda q: np.abs(np.sin(q)), omega_sq, 0.0, grid)

@@ -63,7 +63,7 @@ class TestUwFlow:
 
         rhs = lambda y, t: np.array(fx.uw_flow(fx.AzimuthalState(y[0], y[1]), ctx, 0.0))
         period = math.pi / math.sqrt(ctx.Lambda)
-        sol = integrate_ivp(IVPProblem(2, rhs, [pi0, w0], (0.0, period), 1e-11, 1e-13, max_step=0.02))
+        sol = integrate_ivp(IVPProblem(rhs, [pi0, w0], (0.0, period), 1e-11, 1e-13, max_step=0.02))
         th = np.linspace(0.0, period, 500)
         assert np.max(np.abs(sol(th)[:, 0] - fx.pi_theta_closed(th, ctx))) < 1e-6
 
@@ -205,7 +205,7 @@ class TestFBranchFlow:
         pi0 = 0.8
         F0 = pi0 * target(pi0)
         rhs = lambda y, t: np.array([fx.f_branch_flow(y[0], t, ctx, 0.0, +1)])
-        sol = integrate_ivp(IVPProblem(1, rhs, [F0], (pi0, 1.9), 1e-12, 1e-14))
+        sol = integrate_ivp(IVPProblem(rhs, [F0], (pi0, 1.9), 1e-12, 1e-14))
         for p in (1.0, 1.4, 1.9):
             assert sol(p)[0] / p == pytest.approx(target(p), abs=1e-8)
 
@@ -521,7 +521,7 @@ class TestThetaFromW:
         dpi0 = -16.0 * ctx.Lambda**1.5 * math.sqrt(ctx.discriminant) / ctx.E_pi**2
         w0 = -dpi0 / (2.0 * pi0)
         rhs = lambda y, t: np.array(fx.uw_flow(fx.AzimuthalState(y[0], y[1]), ctx, 0.0))
-        sol = integrate_ivp(IVPProblem(2, rhs, [pi0, w0], (0.0, math.pi), 1e-11, 1e-13, max_step=0.01))
+        sol = integrate_ivp(IVPProblem(rhs, [pi0, w0], (0.0, math.pi), 1e-11, 1e-13, max_step=0.01))
         h = 5e-4
         grid = np.arange(0.0, math.pi, h)
         kappa_theta = 1.0
@@ -605,7 +605,7 @@ class TestBohmEnergyResidual:
         beta = NATURAL.beta
         R = lambda r: math.exp(-beta * r * r / 2.0) * sf.hyp1f1(-n_r, 1.0, beta * r * r)
         coef_z = ek.ep_coefficients(1.1, 0.9, -0.2, k_z)
-        Z = sec.axial_amplitude_trig(coef_z, k_z)
+        Z = sec.trig_amplitude(coef_z, k_z)
         for pt in ((1.0, 0.3, 0.2), (0.7, 1.0, -0.4), (1.6, 2.0, 0.9)):
             p_z = NATURAL.hbar * coef_z.c / float(Z(pt[2])) ** 2
             res = fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z, E, NATURAL, pt)

@@ -14,47 +14,47 @@ from bmlandau.oracle import IVPProblem, fd_residual, integrate_ivp, quad_singula
 
 class TestIntegrator:
     def test_exponential(self):
-        sol = integrate_ivp(IVPProblem(1, lambda y, t: y, [1.0], (0.0, 1.0), 1e-10, 1e-12))
+        sol = integrate_ivp(IVPProblem(lambda y, t: y, [1.0], (0.0, 1.0), 1e-10, 1e-12))
         assert abs(sol(1.0)[0] - math.e) < 1e-9
 
     def test_sine_system(self):
         rhs = lambda y, t: np.array([y[1], -y[0]])
-        sol = integrate_ivp(IVPProblem(2, rhs, [0.0, 1.0], (0.0, math.pi), 1e-10, 1e-12))
+        sol = integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, math.pi), 1e-10, 1e-12))
         assert abs(sol(math.pi)[0]) < 1e-8
 
     def test_dense_output_accuracy(self):
         rhs = lambda y, t: np.array([y[1], -y[0]])
-        sol = integrate_ivp(IVPProblem(2, rhs, [0.0, 1.0], (0.0, math.pi), 1e-10, 1e-12))
+        sol = integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, math.pi), 1e-10, 1e-12))
         ts = np.linspace(0.0, math.pi, 777)
         assert np.max(np.abs(sol(ts)[:, 0] - np.sin(ts))) < 1e-7
 
     def test_global_error_scales_with_tolerance(self):
         errs = []
         for tol in (1e-6, 1e-8, 1e-10):
-            sol = integrate_ivp(IVPProblem(1, lambda y, t: y, [1.0], (0.0, 1.0), tol, tol * 1e-2))
+            sol = integrate_ivp(IVPProblem(lambda y, t: y, [1.0], (0.0, 1.0), tol, tol * 1e-2))
             errs.append(abs(sol(1.0)[0] - math.e))
         assert errs[0] > errs[1] > errs[2]
         for err, tol in zip(errs, (1e-6, 1e-8, 1e-10)):
             assert err < 100.0 * tol
 
     def test_backward_span(self):
-        sol = integrate_ivp(IVPProblem(1, lambda y, t: y, [math.e], (1.0, 0.0), 1e-10, 1e-12))
+        sol = integrate_ivp(IVPProblem(lambda y, t: y, [math.e], (1.0, 0.0), 1e-10, 1e-12))
         assert abs(sol(0.0)[0] - 1.0) < 1e-9
 
     def test_max_step_respected(self):
         sol = integrate_ivp(
-            IVPProblem(1, lambda y, t: y, [1.0], (0.0, 1.0), 1e-6, 1e-8, max_step=0.01)
+            IVPProblem(lambda y, t: y, [1.0], (0.0, 1.0), 1e-6, 1e-8, max_step=0.01)
         )
         assert np.max(np.abs(np.diff(sol.ts))) <= 0.01 + 1e-12
 
     def test_stall_near_singularity(self):
         # y' = y^2, y(0)=1 blows up at t=1
         with pytest.raises(RuntimeError, match="integration stalled"):
-            integrate_ivp(IVPProblem(1, lambda y, t: y * y, [1.0], (0.0, 2.0), 1e-10, 1e-12))
+            integrate_ivp(IVPProblem(lambda y, t: y * y, [1.0], (0.0, 2.0), 1e-10, 1e-12))
 
     def test_profiles_export(self):
         rhs = lambda y, t: np.array([y[1], -y[0]])
-        sol = integrate_ivp(IVPProblem(2, rhs, [0.0, 1.0], (0.0, 1.0), 1e-9, 1e-11))
+        sol = integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, 1.0), 1e-9, 1e-11))
         profs = sol.profiles("t", np.linspace(0.0, 1.0, 11), names=["sin", "cos"])
         assert len(profs) == 2
         assert profs[0].metadata["component"] == "sin"
@@ -62,9 +62,9 @@ class TestIntegrator:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            IVPProblem(1, lambda y, t: y, [1.0], (0.0, 0.0), 1e-8, 1e-10)
+            IVPProblem(lambda y, t: y, [1.0], (0.0, 0.0), 1e-8, 1e-10)
         with pytest.raises(ValueError):
-            IVPProblem(2, lambda y, t: y, [1.0], (0.0, 1.0), 1e-8, 1e-10)
+            IVPProblem(lambda y, t: y, [[1.0]], (0.0, 1.0), 1e-8, 1e-10)
 
 
 class TestFdResidual:

@@ -204,36 +204,36 @@ class TestTrigAmplitudes:
     def test_constant_theta_amplitude(self):
         c, om = 1.0, 2.0
         coef = ek.EPCoefficients(c / om, c / om, 0.0, c, om)
-        theta = sec.theta_amplitude_trig(coef, om)
+        theta = sec.trig_amplitude(coef, om)
         q = np.linspace(0.0, 6.0, 61)
         assert np.allclose(theta(q), math.sqrt(c / om), atol=1e-15)
 
     def test_degenerate_gives_abs_cos(self):
         coef = ek.EPCoefficients(1.0, 0.0, 0.0, 0.0, 1.5)
-        theta = sec.theta_amplitude_trig(coef, 1.5)
+        theta = sec.trig_amplitude(coef, 1.5)
         q = np.linspace(0.0, 4.0, 41)
         assert np.allclose(theta(q), np.abs(np.cos(1.5 * q)), atol=1e-15)
 
     def test_generic_theta_passes_pinney_residual(self):
         om = 1.0
         coef = ek.ep_coefficients(1.0, 0.8, 0.2, om)
-        theta = sec.theta_amplitude_trig(coef, om)
-        freq = ek.FrequencyProfile(lambda q: om * om + 0.0 * np.asarray(q))
-        res = ek.pinney_residual(theta, freq, coef.c, np.arange(0.0, 2 * math.pi, 1e-3))
+        theta = sec.trig_amplitude(coef, om)
+        omega_sq = lambda q: om * om + 0.0 * np.asarray(q)
+        res = ek.pinney_residual(theta, omega_sq, coef.c, np.arange(0.0, 2 * math.pi, 1e-3))
         assert res < 1e-6
 
     def test_axial_mirrors_theta(self):
         k_z = 1.2
         coef = ek.ep_coefficients(0.9, 0.7, -0.1, k_z)
-        z_amp = sec.axial_amplitude_trig(coef, k_z)
-        freq = ek.FrequencyProfile(lambda q: k_z * k_z + 0.0 * np.asarray(q))
-        res = ek.pinney_residual(z_amp, freq, coef.c, np.arange(0.0, 2 * math.pi, 1e-3))
+        z_amp = sec.trig_amplitude(coef, k_z)
+        omega_sq = lambda q: k_z * k_z + 0.0 * np.asarray(q)
+        res = ek.pinney_residual(z_amp, omega_sq, coef.c, np.arange(0.0, 2 * math.pi, 1e-3))
         assert res < 1e-6
 
     def test_zero_frequency_rejected(self):
         coef = ek.EPCoefficients(1.0, 0.0, 0.0, 0.0, 1.5)
         with pytest.raises(ValueError, match="nonzero frequency"):
-            sec.axial_amplitude_trig(coef, 0.0)
+            sec.trig_amplitude(coef, 0.0)
 
     def test_zero_wronskian_rejected(self):
         with pytest.raises(ValueError, match="Wronskian must be nonzero"):

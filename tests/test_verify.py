@@ -1,5 +1,7 @@
 """Suite registry: coverage of the module properties and report shape."""
 
+import inspect
+
 import pytest
 
 from bmlandau import verify as vf
@@ -51,3 +53,59 @@ def test_invariant_constancy_evaluates_each_kummer_sweep_once(sweeps):
     result = vf.check_invariant_constancy()
     assert result.passed
     assert sweeps == [600] * 4
+
+
+# every registered check by suite, in report order
+REGISTERED = {
+    "ep": (
+        "ep.invariant_constancy", "ep.pinney_residual_radial", "ep.pinney_residual_theta",
+        "ep.pinney_residual_axial", "ep.pinney_convergence", "ep.wronskian_constancy",
+        "sectors.omega_theta_axis", "sectors.energy_el_degeneracy", "sectors.energy_el_values",
+    ),
+    "flux": (
+        "flux.uw_vs_closed", "flux.action_derivative", "flux.nonlinpie_closed_form",
+        "flux.uw_nonzero_current", "flux.f_linear_flow", "flux.f_branch_split",
+        "flux.quadrature_arcsin", "flux.quadrature_roundtrip", "flux.theta_reconstruction",
+        "flux.divergence_zero_current", "flux.divergence_nonzero_current",
+        "flux.bohm_residual_el", "flux.bohm_residual_cbr", "flux.current_zero_sum",
+    ),
+    "regular": (
+        "regular.radial_ode", "regular.axial_ode", "regular.whittaker_ode", "regular.obstruction",
+        "regular.local_branch_logderiv", "regular.local_branch_kappa0",
+        "regular.branch_bookkeeping", "regular.damped_profiles", "specfun.kummer_contiguity",
+        "specfun.whittaker_equation", "specfun.bessel_half_order", "specfun.gamma_reflection",
+        "specfun.whittaker_wronskian",
+    ),
+    "spectrum": (
+        "spectrum.reference_values", "spectrum.ordering_sweep", "spectrum.splitting_positive",
+        "spectrum.axial_term_shared",
+    ),
+}
+SEPARATION_CHECKS = {"regular.obstruction", "specfun.whittaker_wronskian", "spectrum.splitting_positive"}
+
+
+@pytest.fixture(scope="module")
+def results():
+    """Each registered check run once, by suite."""
+    return {suite: [fn() for fn in fns] for suite, fns in vf.SUITES.items()}
+
+
+def test_registry_lists_every_check_in_report_order(report, results):
+    assert list(vf.SUITES) == list(REGISTERED)
+    assert {suite: tuple(r.name for r in rs) for suite, rs in results.items()} == REGISTERED
+    assert [c["name"] for c in report["checks"]] == [n for names in REGISTERED.values() for n in names]
+
+
+def test_registry_entries_are_the_module_functions():
+    # the benchmark tracer rewires each entry by identity and names it by __name__
+    fns = [fn for fns in vf.SUITES.values() for fn in fns]
+    assert len({fn.__name__ for fn in fns}) == len(fns) == 40
+    for fn in fns:
+        assert inspect.isfunction(fn)
+        assert getattr(vf, fn.__name__) is fn
+
+
+def test_only_separation_checks_point_upwards(results):
+    directions = {r.name: r.direction for rs in results.values() for r in rs}
+    assert {name for name, d in directions.items() if d == ">"} == SEPARATION_CHECKS
+    assert set(directions.values()) == {"<=", ">"}
