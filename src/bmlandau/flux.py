@@ -19,11 +19,16 @@ flux term.  The C_theta != 0 structure is exposed through the first-order
 branch equation for F = (pi'/pi)^2 * pi.
 
 On a nonzero-current branch the amplitude is known only implicitly, as
-theta(Theta) from the first integral (Theta')^2 = radicand(Theta).
-theta_first_integral_quadrature evaluates it by tanh-sinh quadrature from
-the nearest turning point, for one target amplitude or a whole array of
-them: the turning-point scans and bisections run in lock-step over the
-targets, and the quadratures run as one batch of intervals.
+theta(Theta) from the first integral (Theta')^2 = g(Theta), g the
+radicand.  theta_first_integral_quadrature evaluates it by tanh-sinh
+quadrature from the nearest turning point tp, for one target amplitude or
+a whole array of them: the turning-point scans and bisections run in
+lock-step over the targets, and the quadratures run as one batch of
+intervals.  The integrand is written in offset form: with
+Theta = tp + u, every term of g(tp + u) - g(tp) carries a factor u, so
+radicand_increment_quotient gives H(u) = g(tp + u)/u without
+cancellation, H(0) = g'(tp), and after Theta = tp + s t^2 the integrand
+2/sqrt(s H(s t^2)) is analytic down to the endpoint t = 0.
 """
 
 from __future__ import annotations
@@ -230,6 +235,26 @@ def first_integral_radicand(Theta, E_theta: float, l: int, kappa_theta: float, p
     )
 
 
+def radicand_increment_quotient(u, tp, l: int, kappa_theta: float, phi: float, hbar: float = 1.0):
+    """H(u) = (g(tp + u) - g(tp)) / u for the first-integral radicand g, free of cancellation.
+
+    Every term of the increment carries a factor u, so with k = kappa/hbar
+
+        H(u) = -l^2 (2 tp + u) + 2 k phi log1p(u/tp)/u + k^2 (2 tp + u) / (tp^2 (tp + u)^2),
+
+    and where u/tp is 0 (u = 0 or underflowed) log1p(v)/v takes its limit
+    1, so H(0) = g'(tp).  H does not depend on E_theta.  Needs tp > 0 and
+    tp + u > 0; u and tp broadcast.
+    """
+    u = np.asarray(u, dtype=float)
+    k = kappa_theta / hbar
+    v = u / tp
+    nonzero = v != 0.0
+    log_ratio = np.where(nonzero, np.log1p(v) / np.where(nonzero, v, 1.0), 1.0)
+    width = 2.0 * tp + u
+    return -(l * l) * width + 2.0 * k * phi / tp * log_ratio + k * k * width / (tp * tp * (tp + u) ** 2)
+
+
 def theta_first_integral_quadrature(
     Theta_target,
     E_theta: float,
@@ -241,11 +266,14 @@ def theta_first_integral_quadrature(
 ):
     """theta - theta0 from the implicit first-integral quadrature.
 
-    Integrates d Theta / sqrt(radicand) from the turning point nearest the
-    target amplitude; the square-root endpoint is removed by substituting
-    Theta = tp + s*t^2 so the transformed integrand is smooth.  The sign
-    of the result equals the sign of (Theta_target - turning point); the
-    caller chooses the physical branch.
+    Integrates d Theta / sqrt(radicand) from the turning point tp nearest
+    the target amplitude.  Substituting Theta = tp + s*t^2 removes the
+    square-root endpoint, and the radicand is written in offset form,
+    g(tp + u) = u H(u) with u = s t^2 (radicand_increment_quotient), so
+    the integrand 2/sqrt(s H(s t^2)) is smooth down to t = 0 and
+    tanh-sinh converges at its exponential rate.  The sign of the result
+    equals the sign of (Theta_target - turning point); the caller chooses
+    the physical branch.
 
     Theta_target may be a float or an array of targets; an array gives an
     array of the same shape, each entry equal bit for bit to the float
@@ -256,12 +284,6 @@ def theta_first_integral_quadrature(
     forbidden or unbracketed target raises the float call's ValueError
     (the first failing test over the whole array: finiteness, positivity,
     then the radicand at the targets, then the turning-point search).
-
-    Known limit: at tol=1e-12, targets measured from the upper turning
-    point can exhaust the level-12 tanh-sinh budget and raise
-    RuntimeError ("quadrature budget exceeded").  With E_theta = 2,
-    l = 1, kappa_theta = 0.5, phi = 0.7 (upper turning point about 2.08)
-    the targets 1.5 to 2.0 fail there; the default tol=1e-10 converges.
     """
 
     def g(T):
@@ -273,8 +295,7 @@ def theta_first_integral_quadrature(
         raise ValueError("amplitude target must be finite (got nan or inf)")
     if np.any(T <= 0):
         raise ValueError("amplitude must be positive")
-    g_target = g(T)
-    if np.any(g_target < 0):
+    if np.any(g(T) < 0):
         raise ValueError("classically forbidden amplitude (radicand negative at target)")
 
     tp = _nearest_turning_points(g, T)
@@ -283,23 +304,13 @@ def theta_first_integral_quadrature(
 
     s = np.where(T > tp, 1.0, -1.0)
     t_max = np.sqrt(np.abs(T - tp))
-    # slope of the radicand at the turning point, for the linearized
-    # integrand inside the zone where g is rounding-noise dominated
-    h_tp = 1e-7 * np.maximum(np.abs(tp), 1.0)
-    gp = np.abs(g(tp + s * h_tp) - g(tp - s * h_tp)) / (2.0 * h_tp)
-    gp = np.maximum(gp, 1e-300)
-    noise = np.maximum(np.maximum(np.abs(g(tp)), 1e-14 * np.abs(g_target)), 1e-250)
-    t_noise = np.sqrt(100.0 * noise / gp)
-    flat_value = 2.0 / np.sqrt(gp)
 
     def integrand(t, _d, rows=None):
         # rows is None for a single target: f then sees 1-D node arrays
-        params = (tp, s, t_noise, flat_value)
-        row_tp, row_s, row_noise, row_flat = params if rows is None else (v[rows, None] for v in params)
-        rad = first_integral_radicand(row_tp + row_s * t * t, E_theta, l, kappa_theta, phi, hbar)
-        # for t <= t_noise g ~ gp * t^2, so the integrand is flat: 2/sqrt(gp)
-        flat = (t <= row_noise) | (rad <= 0.0)
-        return np.where(flat, row_flat, 2.0 * t / np.sqrt(np.where(flat, 1.0, rad)))
+        row_tp, row_s = (tp, s) if rows is None else (tp[rows, None], s[rows, None])
+        # g(tp + u) = u H(u) with u = s t^2, so 2 t / sqrt(g) = 2 / sqrt(s H)
+        u = row_s * t * t
+        return 2.0 / np.sqrt(row_s * radicand_increment_quotient(u, row_tp, l, kappa_theta, phi, hbar))
 
     quad = quad_singular_array(integrand, 0.0, t_max.reshape(target.shape), endpoint_order=0.0, tol=tol)
     # a target on its turning point gives +0.0, not s * 0.0

@@ -356,7 +356,8 @@ def bessel_j(nu: float, x, ctl: SeriesControl = DEFAULT_CONTROL):
     (maxima over the grid) for two consecutive terms; the array test is
     skipped on terms where the scalar bound |c_k| max(x/2)^{2k} shows it
     must fail, which leaves the stopping term and every result bit
-    unchanged.  Non-finite ``x`` raises ValueError.
+    unchanged.  Non-finite ``x`` and x > SERIES_RANGE raise ValueError,
+    as in hyp1f1.
     """
     if nu < 0:
         raise ValueError("bessel_j requires nu >= 0")
@@ -367,7 +368,7 @@ def bessel_j(nu: float, x, ctl: SeriesControl = DEFAULT_CONTROL):
         raise ValueError("bessel_j requires x >= 0")
     x_max = float(np.max(x_arr)) if x_arr.size else 0.0
     if x_max > SERIES_RANGE:
-        raise RuntimeError(
+        raise ValueError(
             f"use of ascending series out of validated range |x| <= {SERIES_RANGE:g}"
         )
 

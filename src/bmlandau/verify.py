@@ -74,6 +74,17 @@ def _register(suite: str, name: str, tol: float, direction: str = "<="):
     return register
 
 
+def _worst(values, pick=np.max) -> float:
+    """The largest of values (the smallest with pick=np.min); nan if any value is nan.
+
+    Every check that reduces several residuals goes through here.  Python's
+    max and min, and max(worst, x) from worst = 0.0, drop a nan that does
+    not come first, so a check whose residuals are nan would pass; numpy's
+    max and min propagate it, and nan fails both directions of the gate.
+    """
+    return float(pick(np.array(list(values), dtype=float)))
+
+
 # ---------------------------------------------------------------------------
 # ep suite: invariants and Pinney residuals of the separated sectors
 # ---------------------------------------------------------------------------
@@ -87,15 +98,15 @@ def check_invariant_constancy():
     pair = sec.radial_basis(0, BETA_ONE)
     r = np.linspace(0.2, 3.0, 600)
     v1, v2, d1, d2 = pair.values(r)
-    worst = 0.0
+    spreads = []
     for A, B, D in _EP_COEF_SETS:
         coef = ek.ep_coefficients(A, B, D, pair.wronskian)
         sigma = ek.pinney_sigma(coef, v1, v2)
         dsigma = ek.pinney_sigma_prime(coef, v1, v2, d1, d2, sigma)
         for y, dy in ((v1, d1), (v2, d2)):
             inv = ek.ermakov_invariant(y, dy, sigma, dsigma, coef.c**2)
-            worst = max(worst, float((inv.max() - inv.min()) / abs(inv.mean())))
-    return worst
+            spreads.append((inv.max() - inv.min()) / abs(inv.mean()))
+    return _worst(spreads)
 
 
 def _pinney_residual(sector: str, h: float) -> float:
@@ -135,10 +146,10 @@ def check_pinney_residual_axial():
 @_register("ep", "ep.pinney_convergence", 0.5)
 def check_pinney_convergence():
     """Halving the step scales each sector residual by ~4 (second order)."""
-    worst = 0.0
-    for sector in ("radial", "theta", "axial"):
-        worst = max(worst, abs(_pinney_residual(sector, 1e-3) / _pinney_residual(sector, 5e-4) - 4.0))
-    return worst
+    return _worst(
+        abs(_pinney_residual(sector, 1e-3) / _pinney_residual(sector, 5e-4) - 4.0)
+        for sector in ("radial", "theta", "axial")
+    )
 
 
 @_register("ep", "ep.wronskian_constancy", 1e-8)
@@ -152,17 +163,14 @@ def check_wronskian_constancy():
 
 @_register("ep", "sectors.omega_theta_axis", 1e-12)
 def check_omega_theta_axis():
-    worst = 0.0
-    for l in (-3, 1, 5):
-        freqs = sec.sector_frequencies(1.0, QuantumNumbers(0, l, 0.0), NATURAL)
-        worst = max(worst, abs(float(freqs.omega_theta_sq(0.0)) - l * l))
-    return worst
+    freqs = {l: sec.sector_frequencies(1.0, QuantumNumbers(0, l, 0.0), NATURAL) for l in (-3, 1, 5)}
+    return _worst(abs(float(f.omega_theta_sq(0.0)) - l * l) for l, f in freqs.items())
 
 
 @_register("ep", "sectors.energy_el_degeneracy", 1e-14)
 def check_energy_el_degeneracy():
     energies = [sec.energy_el(QuantumNumbers(2, l, 0.5), NATURAL) for l in range(0, 11)]
-    return max(energies) - min(energies)
+    return _worst(energies) - _worst(energies, np.min)
 
 
 @_register("ep", "sectors.energy_el_values", 1e-12)
@@ -172,7 +180,7 @@ def check_energy_el_values():
         (QuantumNumbers(2, 5, 0.0), 2.5),
         (QuantumNumbers(0, 0, 2.0), 2.5),
     )
-    return max(abs(sec.energy_el(qn, NATURAL) - want) for qn, want in cases)
+    return _worst(abs(sec.energy_el(qn, NATURAL) - want) for qn, want in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +228,7 @@ def check_action_derivative():
         fd = (fx.s_theta_closed(pts + h, ctx) - fx.s_theta_closed(pts - h, ctx)) / (2.0 * h)
         errs.append(np.max(np.abs(fd - ctx.hbar * ctx.phi - fx.pi_theta_closed(pts, ctx))))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
-    return max(abs(r - 4.0) for r in ratios)
+    return _worst(abs(r - 4.0) for r in ratios)
 
 
 @_register("flux", "flux.nonlinpie_closed_form", 1e-5)
@@ -267,24 +275,24 @@ def check_f_linear_flow():
     target = lambda p: E_pi * p - 4.0 * p * p - 4.0 * lam  # (pi'/pi)^2
     pi0 = 0.8
     F0 = pi0 * target(pi0)  # F = (pi'/pi)^2 * pi
-    worst = 0.0
+    errors = []
     for p in (0.9, 1.2, 1.5, 1.9):
         integral = quad_singular(lambda s: -4.0 + 4.0 * lam / (s * s), pi0, p, 0.0, 1e-12)
         F_if = p * p * (F0 / pi0**2 + integral)
-        worst = max(worst, abs(F_if / p - target(p)))
-    return worst
+        errors.append(abs(F_if / p - target(p)))
+    return _worst(errors)
 
 
 @_register("flux", "flux.f_branch_split", 1e-12)
 def check_f_branch_split():
     """Sign branches differ by exactly -8 r^2 C sqrt(F/pi)/pi."""
     ctx = fx.FluxContext(r=1.3, l=1, beta=0.7, E_pi=15.0)
-    worst = 0.0
+    errors = []
     for F, p, C in ((1.0, 0.9, 0.4), (2.0, 1.3, -0.7), (0.3, 2.1, 1.1)):
         split = fx.f_branch_flow(F, p, ctx, C, +1) - fx.f_branch_flow(F, p, ctx, C, -1)
         want = -8.0 * ctx.r**2 * C * math.sqrt(F / p) / p
-        worst = max(worst, abs(split - want))
-    return worst
+        errors.append(abs(split - want))
+    return _worst(errors)
 
 
 @_register("flux", "flux.quadrature_arcsin", 1e-8)
@@ -292,19 +300,18 @@ def check_quadrature_arcsin():
     """kappa = 0 first-integral quadrature against the arcsin reduction."""
     E_th, l = 2.0, 2
     Ts = (0.2, 0.45, 0.7, 0.9, 0.99)
-    worst = 0.0
-    for T, got in zip(Ts, fx.theta_first_integral_quadrature(np.array(Ts), E_th, l, 0.0, 0.7).tolist()):
-        want = (math.asin(l * T / math.sqrt(2 * E_th)) - math.pi / 2) / l
-        worst = max(worst, abs(got - want))
-    return worst
+    got = fx.theta_first_integral_quadrature(np.array(Ts), E_th, l, 0.0, 0.7).tolist()
+    want = ((math.asin(l * T / math.sqrt(2 * E_th)) - math.pi / 2) / l for T in Ts)
+    return _worst(abs(a - b) for a, b in zip(got, want))
 
 
 @_register("flux", "flux.quadrature_roundtrip", 1e-6)
 def check_quadrature_roundtrip():
     """kappa != 0: invert theta(Theta) and compare (Theta')^2 to the radicand.
 
-    The inversion slope uses a five-point stencil at a step large enough
-    that the ~1e-11 pointwise quadrature noise is not amplified.
+    The inversion slope is a five-point stencil at step 2e-3; the
+    quadrature values are good to about 1e-16, so the residual, about
+    3e-10, is the stencil's truncation error.
     """
     E_th, l, kap, phi = 2.0, 1, 0.5, 0.7
     h = 2e-3
@@ -391,13 +398,12 @@ def check_bohm_residual_el():
     coef_z = ek.ep_coefficients(1.1, 0.9, -0.2, k_z)
     Z = sec.trig_amplitude(coef_z, k_z)
     rng = np.random.default_rng(7)
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         pt = (rng.uniform(0.5, 2.2), rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5))
         p_z = NATURAL.hbar * coef_z.c / float(Z(pt[2])) ** 2
-        res = fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z, E, NATURAL, pt)
-        worst = max(worst, abs(res))
-    return worst
+        residuals.append(abs(fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z, E, NATURAL, pt)))
+    return _worst(residuals)
 
 
 @_register("flux", "flux.bohm_residual_cbr", 1e-5)
@@ -412,15 +418,15 @@ def check_bohm_residual_cbr():
     R = rg.radial_regularised(qn, NATURAL)
     Z = rg.axial_regularised(qn.k_z)
     hb = NATURAL.hbar
-    worst = 0.0
+    residuals = []
     for r, th, z in ((0.9, 0.4, 0.6), (1.4, 0.8, 1.1), (0.7, 1.5, 2.0), (1.1, -0.9, 0.9)):
         phi = NATURAL.beta * r * r
         Theta = lambda t: rg.azimuthal_whittaker(t, qn.l, phi, 1.0, 0.3 + 0.2j)
         res = fx.bohm_energy_residual(
             R, Theta, Z, hb / (2 * r), hb / (2 * r * th), hb / (2 * z), E, NATURAL, (r, th, z)
         )
-        worst = max(worst, abs(res))
-    return worst
+        residuals.append(abs(res))
+    return _worst(residuals)
 
 
 def _branch_draws(seed: int, n: int, span: float):
@@ -434,10 +440,8 @@ def _branch_draws(seed: int, n: int, span: float):
 @_register("flux", "flux.current_zero_sum", 1e-14)
 def check_current_zero_sum():
     """CurrentBranch constructors preserve the zero-sum constraint."""
-    worst = 0.0
-    for _, _, branch, _ in _branch_draws(11, 200, 5):
-        worst = max(worst, abs(branch.C_r + branch.C_theta + branch.C_z))
-    return worst
+    draws = _branch_draws(11, 200, 5)
+    return _worst(abs(branch.C_r + branch.C_theta + branch.C_z) for _, _, branch, _ in draws)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +456,7 @@ def _ode_residual(coordinate: str, grid, values, ode_form) -> float:
 @_register("regular", "regular.radial_ode", 1e-6)
 def check_radial_ode():
     """chi = sqrt(r) R satisfies the Langer-corrected radial equation."""
-    worst = 0.0
+    residuals = []
     for n_r, l in ((0, 0), (1, 1), (2, 3)):
         qn = QuantumNumbers(n_r, l, 0.0)
         labels = rg.RegularisedLabels.from_quantum_numbers(qn)
@@ -460,12 +464,11 @@ def check_radial_ode():
         nu = labels.nu
         R = rg.radial_regularised(qn, BETA_ONE)
         grid = np.arange(0.2, 3.0, 2e-4)
-        res = _ode_residual(
+        residuals.append(_ode_residual(
             "r", grid, np.sqrt(grid) * R(grid),
             lambda y, dy, d2y, q: d2y + (k2 - (BETA_ONE.beta * q) ** 2 - (nu * nu - 0.25) / q**2) * y,
-        )
-        worst = max(worst, res)
-    return worst
+        ))
+    return _worst(residuals)
 
 
 @_register("regular", "regular.axial_ode", 1e-6)
@@ -527,10 +530,10 @@ def check_local_branch_kappa0():
 @_register("regular", "regular.branch_bookkeeping", 1e-14)
 def check_branch_bookkeeping():
     """1000 random branch closures: zero sum at machine precision, sign rules hold."""
-    worst = 0.0
+    sums = []
     ok = True
     for c_r, c_z, branch, label in _branch_draws(3, 1000, 4):
-        worst = max(worst, abs(branch.C_r + branch.C_theta + branch.C_z))
+        sums.append(abs(branch.C_r + branch.C_theta + branch.C_z))
         if c_z == -c_r:
             ok &= label == "compensating"
         elif c_r < 0 and c_z < 0:
@@ -545,31 +548,31 @@ def check_branch_bookkeeping():
         and rg.branch_assignment(1.0, 1.0)[1] == "inadmissible"
     )
     if not (ok and fixed):
-        worst = math.inf  # classification failure must never be masked by a tol override
-    return worst
+        return math.inf  # classification failure must never be masked by a tol override
+    return _worst(sums)
 
 
 @_register("regular", "regular.damped_profiles", 1e-8)
 def check_damped_profiles():
     """Damped branch profiles: log-derivative identity and Gaussian tail."""
-    worst = 0.0
+    errors = []
     h = 1e-6
     for z, C_z in ((1.0, -1.0), (0.7, -2.5)):
         ld = (
             rg.damped_axial_profile(z + h, C_z, NATURAL) - rg.damped_axial_profile(z - h, C_z, NATURAL)
         ) / (2 * h * rg.damped_axial_profile(z, C_z, NATURAL))
-        worst = max(worst, abs(ld - (1.0 / (2 * z) + C_z * z / NATURAL.hbar)))
+        errors.append(abs(ld - (1.0 / (2 * z) + C_z * z / NATURAL.hbar)))
     gauss = quad_singular(lambda r: r * rg.damped_radial_profile(r, -1.0, NATURAL), 0.0, 9.0, 0.0, 1e-12)
-    worst = max(worst, abs(gauss - 0.5))
+    errors.append(abs(gauss - 0.5))
     if not (rg.radial_profile_normalisable(-0.3) and not rg.radial_profile_normalisable(0.3)):
-        worst = math.inf
-    return worst
+        return math.inf
+    return _worst(errors)
 
 
 @_register("regular", "specfun.kummer_contiguity", 1e-10)
 def check_kummer_contiguity():
     """b F(a,b;x) - b F(a-1,b;x) - x F(a,b+1;x) = 0 over a parameter grid."""
-    worst = 0.0
+    errors = []
     for a in (0.3, 1.0, 2.5, -0.7):
         for b in (0.5, 1.7, 3.0):
             for x in (-10.0, -2.0, 0.3, 4.0, 10.0, 5j, 10j, 3.0 + 4.0j):
@@ -578,8 +581,8 @@ def check_kummer_contiguity():
                 f_bp = sf.hyp1f1(a, b + 1.0, x)
                 resid = b * f_ab - b * f_am - x * f_bp
                 scale = max(abs(b * f_ab), abs(b * f_am), abs(x * f_bp), 1e-300)
-                worst = max(worst, abs(resid) / scale)
-    return worst
+                errors.append(abs(resid) / scale)
+    return _worst(errors)
 
 
 @_register("regular", "specfun.whittaker_equation", 1e-7)
@@ -591,7 +594,7 @@ def check_whittaker_equation_grid():
     linear, so the absolute residual gate is meaningful only at a fixed
     amplitude scale).
     """
-    worst = 0.0
+    residuals = []
     for kappa, mu, s, t in (
         (0.3, 0.8, 1.0, np.arange(0.5, 2.5, 2e-4)),
         (-0.3j, 1.0 / math.sqrt(2.0), 2j, np.arange(0.3, 2.0, 2e-4)),
@@ -601,8 +604,8 @@ def check_whittaker_equation_grid():
             return d2y / s**2 + (-0.25 + kappa / x + (0.25 - mu * mu) / x**2) * y
 
         vals = np.asarray(sf.whittaker_m(kappa, mu, s * t))
-        worst = max(worst, _ode_residual("t", t, vals / np.max(np.abs(vals)), form))
-    return worst
+        residuals.append(_ode_residual("t", t, vals / np.max(np.abs(vals)), form))
+    return _worst(residuals)
 
 
 @_register("regular", "specfun.bessel_half_order", 1e-10)
@@ -618,26 +621,23 @@ def check_bessel_half_order():
 @_register("regular", "specfun.gamma_reflection", 1e-10)
 def check_gamma_reflection():
     """Gamma(z) Gamma(1-z) sin(pi z) / pi = 1 on (0, 1)."""
-    worst = 0.0
-    for z in np.linspace(0.05, 0.95, 19):
-        value = (
-            math.exp(sf.ln_gamma(z).real + sf.ln_gamma(1.0 - z).real) * math.sin(math.pi * z) / math.pi
-        )
-        worst = max(worst, abs(value - 1.0))
-    return worst
+    return _worst(
+        abs(math.exp(sf.ln_gamma(z).real + sf.ln_gamma(1.0 - z).real) * math.sin(math.pi * z) / math.pi - 1.0)
+        for z in np.linspace(0.05, 0.95, 19)
+    )
 
 
 @_register("regular", "specfun.whittaker_wronskian", 1e-6, direction=">")
 def check_whittaker_wronskian():
     """M and W are independent: numerical Wronskian bounded away from zero."""
-    worst = math.inf
+    wronskians = []
     for kappa, mu, x in ((0.0, 1 / math.sqrt(2), 1.0), (-0.25j, 1 / math.sqrt(2), 0.8j + 0.2)):
         h = 1e-5
         (m_p, w_p), (m_m, w_m) = sf.whittaker_mw(kappa, mu, x + h), sf.whittaker_mw(kappa, mu, x - h)
         m, w = sf.whittaker_mw(kappa, mu, x)
         wr = m * (w_p - w_m) / (2 * h) - w * (m_p - m_m) / (2 * h)
-        worst = min(worst, abs(wr))
-    return worst
+        wronskians.append(abs(wr))
+    return _worst(wronskians, np.min)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +651,7 @@ def check_spectrum_reference_values():
         (sp.energy_cbr(QuantumNumbers(0, 0, 0.0), NATURAL), 0.75),
         (sp.energy_cbr(QuantumNumbers(0, 1, 0.0), NATURAL), 0.5 + math.sqrt(5.0) / 4.0),
     )
-    return max(abs(got - want) for got, want in cases)
+    return _worst(abs(got - want) for got, want in cases)
 
 
 @_register("spectrum", "spectrum.ordering_sweep", 0.0)
@@ -663,23 +663,17 @@ def check_spectrum_ordering():
 @_register("spectrum", "spectrum.splitting_positive", 0.0, direction=">")
 def check_splitting_positive():
     """E_CBR - E_EL strictly positive for every l (eB > 0)."""
-    return min(
-        sp.energy_cbr(QuantumNumbers(2, l, 0.7), NATURAL) - sec.energy_el(QuantumNumbers(2, l, 0.7), NATURAL)
-        for l in range(-10, 11)
-    )
+    qns = [QuantumNumbers(2, l, 0.7) for l in range(-10, 11)]
+    return _worst((sp.energy_cbr(qn, NATURAL) - sec.energy_el(qn, NATURAL) for qn in qns), np.min)
 
 
 @_register("spectrum", "spectrum.axial_term_shared", 1e-12)
 def check_axial_term_shared():
     """The k_z term is model-independent."""
-    worst = 0.0
-    for model in sp.SpectrumModel:
-        for l in (0, 2, -3):
-            qn1 = QuantumNumbers(1, l, 1.7)
-            qn0 = QuantumNumbers(1, l, 0.0)
-            diff = sp.energy(model, qn1, NATURAL) - sp.energy(model, qn0, NATURAL)
-            worst = max(worst, abs(diff - NATURAL.hbar**2 * 1.7**2 / (2.0 * NATURAL.mass)))
-    return worst
+    axial = NATURAL.hbar**2 * 1.7**2 / (2.0 * NATURAL.mass)
+    energy = lambda model, l, k_z: sp.energy(model, QuantumNumbers(1, l, k_z), NATURAL)
+    cases = [(model, l) for model in sp.SpectrumModel for l in (0, 2, -3)]
+    return _worst(abs(energy(model, l, 1.7) - energy(model, l, 0.0) - axial) for model, l in cases)
 
 
 def run_suite(suite: str, tol_override: float | None = None) -> dict:

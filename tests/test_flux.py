@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -266,8 +267,8 @@ class TestFirstIntegralQuadrature:
                 fx.theta_first_integral_quadrature(target, 2.0, 1, 0.5, 0.7)
 
     def test_integrand_called_once_per_level(self, monkeypatch):
-        # the integrand takes whole node arrays: at most max_level + 1 calls
-        # per quadrature, not one call per node
+        # the integrand takes one whole node array per level, not one call
+        # per node, and the smooth offset form converges by level 5
         core = fx.quad_singular_array
         runs = []
 
@@ -287,8 +288,18 @@ class TestFirstIntegralQuadrature:
             fx.theta_first_integral_quadrature(T, E_th, l, kap, phi, tol=1e-12)
         assert len(runs) == 3
         for sizes in runs:
-            assert 1 <= len(sizes) <= 13  # default max_level = 12
-            assert max(sizes) > 100
+            assert 1 <= len(sizes) <= 6  # levels 0-5 of the default 12
+            assert min(sizes) > 1
+
+    @pytest.mark.parametrize("target", [1.5, 1.9, 2.0])
+    def test_targets_from_the_upper_turning_point_converge_at_tight_tol(self, target):
+        # these ran out of the level-12 budget at tol=1e-12 with the
+        # integrand that subtracted O(1) radicand values near the turning point
+        args = (2.0, 1, 0.5, 0.7, 1.0)
+        with mp.workdps(30):
+            upper = mp.findroot(_mp_radicand(*args), (2.0, 2.2), solver="anderson")
+        got = fx.theta_first_integral_quadrature(target, *args, tol=1e-12)
+        assert abs(got - _mp_theta(target, *args, upper)) <= 1e-12
 
     def test_sign_follows_side_of_turning_point(self):
         E_th, l, kap, phi = 2.0, 1, 0.5, 0.7
@@ -297,6 +308,30 @@ class TestFirstIntegralQuadrature:
         above = fx.theta_first_integral_quadrature(1.9, E_th, l, kap, phi)
         assert below > 0  # measured upward from the lower turning point
         assert above < 0  # measured downward from the upper turning point
+
+
+class TestIncrementQuotient:
+    ARGS = (2.0, 1, 0.5, 0.7, 1.0)  # turning points about 0.287 and 2.08
+
+    @pytest.mark.parametrize("tp", [0.287, 2.08, 1.0])
+    @pytest.mark.parametrize("u", [0.5, 1e-3, -1e-3, 1e-9, -1e-9, 1e-30, -0.2])
+    def test_matches_the_increment_at_high_precision(self, tp, u):
+        E, l, kappa, phi, hbar = self.ARGS
+        got = fx.radicand_increment_quotient(u, tp, l, kappa, phi, hbar)
+        g = _mp_radicand(*self.ARGS)
+        with mp.workdps(60):
+            want = (g(mp.mpf(tp) + mp.mpf(u)) - g(mp.mpf(tp))) / mp.mpf(u)
+        assert got == pytest.approx(float(want), rel=1e-14)
+
+    @pytest.mark.parametrize("u", [0.0, 5e-324, -5e-324, 1e-310])
+    def test_limit_at_zero_is_the_slope(self, u):
+        _, l, kappa, phi, hbar = self.ARGS
+        tp = 0.287
+        slope = -2.0 * l * l * tp + 2.0 * kappa * phi / (hbar * tp) + 2.0 * (kappa / hbar) ** 2 / tp**3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fx.radicand_increment_quotient(np.array([u]), tp, l, kappa, phi, hbar)
+        assert got[0] == pytest.approx(slope, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +413,38 @@ def _seed_bisect(g, inside, outside, iters=200):
     return 0.5 * (inside + outside)
 
 
+def _mp_radicand(E_theta, l, kappa_theta, phi, hbar):
+    """The radicand g at the working precision of mpmath."""
+    E, k, ph = mp.mpf(E_theta), mp.mpf(kappa_theta) / mp.mpf(hbar), mp.mpf(phi)
+    return lambda x: 2 * E - l * l * x * x + 2 * k * ph * mp.log(x) - k * k / (x * x)
+
+
+def _mp_theta(T, E_theta, l, kappa_theta, phi, hbar, tp):
+    """s * int_0^sqrt|T - tp| 2 t / sqrt(g(tp + s t^2) - g(tp)) dt at 30 digits.
+
+    tp is taken as the root (for a float turning point, subtracting g(tp)
+    removes its rounding, as the offset form does), and the quadrature
+    keeps away from t = 0, where the subtraction loses every digit: below
+    t_lo = 1e-6 min(t_max, sqrt(tp)) the integrand is its limit
+    2/sqrt|g'(tp)|, an error of order t_lo^3.  The cut at t = sqrt(tp)
+    resolves the steep rise of g above a turning point near 0 (tiny kappa).
+    """
+    with mp.workdps(30):
+        g = _mp_radicand(E_theta, l, kappa_theta, phi, hbar)
+        k = mp.mpf(kappa_theta) / mp.mpf(hbar)
+        tp = mp.mpf(tp)
+        s = 1 if T > tp else -1
+        t_max = mp.sqrt(abs(mp.mpf(T) - tp))
+        if t_max == 0:
+            return 0.0
+        slope = abs(-2 * l * l * tp + 2 * k * mp.mpf(phi) / tp + 2 * k * k / tp**3)
+        t_lo = mp.mpf("1e-6") * min(t_max, mp.sqrt(tp))
+        cuts = [t_lo] + ([mp.sqrt(tp)] if mp.sqrt(tp) < t_max else []) + [t_max]
+        g_tp = g(tp)
+        body = mp.quad(lambda t: 2 * t / mp.sqrt(g(tp + s * t * t) - g_tp), cuts)
+        return float(s * (body + 2 * t_lo / mp.sqrt(slope)))
+
+
 def _quadrature_outcome(fn, T, args):
     try:
         return np.float64(fn(T, *args)).tobytes()
@@ -440,13 +507,25 @@ class TestArrayTargets:
     @example(((2.0, 1, 0.5, 0.7, 1.0, 1e-12), np.array([0.5, 1.9, 0.7, 2.0])))
     @example(((2.0, 2, 0.0, 0.7, 1.0, 1e-10), np.array([0.2, 1.0, 0.99])))
     def test_array_equals_scalar_calls(self, case):
-        # every entry equals the scalar call bit for bit, and the scalar
-        # call equals the reference; a batch with a failing target raises
-        # the error of the first failing stage
+        # every entry equals the scalar call bit for bit; the scalar call
+        # raises the reference's error or, where the reference returns a
+        # value or exhausts its quadrature budget, agrees with mpmath from
+        # the same turning point; a batch with a failing target raises the
+        # error of the first failing stage
         (E_theta, l, kappa, phi, hbar, tol), Ts = case
         args = (E_theta, l, kappa, phi, hbar, tol)
-        want = [_quadrature_outcome(_seed_theta_quadrature, T, args) for T in Ts.tolist()]
-        assert [_quadrature_outcome(fx.theta_first_integral_quadrature, T, args) for T in Ts.tolist()] == want
+        g = lambda T: float(fx.first_integral_radicand(T, E_theta, l, kappa, phi, hbar))
+        want = [_quadrature_outcome(fx.theta_first_integral_quadrature, T, args) for T in Ts.tolist()]
+        seeds = [_quadrature_outcome(_seed_theta_quadrature, T, args) for T in Ts.tolist()]
+        for T, got, seed in zip(Ts.tolist(), want, seeds):
+            if isinstance(seed, tuple) and seed[1] != _STAGES[-1]:
+                assert got == seed
+                continue
+            event("reference out of budget" if isinstance(seed, tuple) else "reference value")
+            assert not isinstance(got, tuple)
+            theta = np.frombuffer(got)[0]
+            ref = _mp_theta(T, E_theta, l, kappa, phi, hbar, _seed_nearest_turning_point(g, T))
+            assert abs(theta - ref) <= 1e-12 * max(1.0, abs(ref))
         for targets, outcomes in ((Ts, want), *_solved_only(Ts, want)):
             errors = sorted((_STAGES.index(w[1]), w) for w in outcomes if isinstance(w, tuple))
             if errors:
@@ -492,16 +571,27 @@ class TestArrayTargets:
             assert got[0] == 1.0 - half_width
 
     def test_one_pass_for_all_targets(self, monkeypatch):
-        # the verify batch: one quadrature call and a few hundred radicand
-        # calls (scans, bisection, slope, levels), not one search per target
-        calls = []
+        # the verify batch: one quadrature whose level-0 integrand call
+        # takes every target's row, and fewer than 120 radicand calls (the
+        # target test, scans and bisection), not one search per target
+        calls, rows_per_level = [], []
         radicand = fx.first_integral_radicand
         monkeypatch.setattr(fx, "first_integral_radicand", lambda T, *a: calls.append(np.size(T)) or radicand(T, *a))
+        core = fx.quad_singular_array
+
+        def watching(f, *args, **kwargs):
+            def watched(x, d, rows):
+                rows_per_level.append((len(rows), x.shape[0]))
+                return f(x, d, rows)
+
+            return core(watched, *args, **kwargs)
+
+        monkeypatch.setattr(fx, "quad_singular_array", watching)
         Ts = np.arange(0.7, 0.9 + 1e-3, 2e-3)
         got = fx.theta_first_integral_quadrature(Ts, 2.0, 1, 0.5, 0.7, tol=1e-12)
         assert got.shape == (101,)
         assert len(calls) < 120
-        assert max(calls) > 101 * 13  # the level-0 nodes of every target at once
+        assert rows_per_level[0] == (101, 101)  # the level-0 nodes of every target at once
 
 
 class TestThetaFromW:

@@ -1,7 +1,9 @@
 """Suite registry: coverage of the module properties and report shape."""
 
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 from bmlandau import verify as vf
@@ -109,3 +111,44 @@ def test_only_separation_checks_point_upwards(results):
     directions = {r.name: r.direction for rs in results.values() for r in rs}
     assert {name for name, d in directions.items() if d == ">"} == SEPARATION_CHECKS
     assert set(directions.values()) == {"<=", ">"}
+
+
+@pytest.mark.parametrize("nan_at", [None, 0, 1, 2])
+def test_nan_branch_flow_fails_branch_split(monkeypatch, nan_at):
+    # a nan residual in any position, not only the first, fails the check
+    flow = vf.fx.f_branch_flow
+    cases = [1.0, 2.0, 0.3]  # the F of each case the check evaluates
+
+    def flow_with_nan(F, *args):
+        return math.nan if nan_at is None or F == cases[nan_at] else flow(F, *args)
+
+    monkeypatch.setattr(vf.fx, "f_branch_flow", flow_with_nan)
+    result = vf.check_f_branch_split()
+    assert math.isnan(result.max_residual)
+    assert not result.passed
+
+
+@pytest.mark.parametrize("nan_at", [None, 0, 1])
+def test_nan_whittaker_pair_fails_wronskian_separation(monkeypatch, nan_at):
+    # a ">" check: a nan Wronskian must not be taken for a separated one
+    mw = vf.sf.whittaker_mw
+    kappas = [0.0, -0.25j]  # the kappa of each case the check evaluates
+
+    def mw_with_nan(kappa, mu, x):
+        if nan_at is None or kappa == kappas[nan_at]:
+            return complex(math.nan, math.nan), complex(math.nan, math.nan)
+        return mw(kappa, mu, x)
+
+    monkeypatch.setattr(vf.sf, "whittaker_mw", mw_with_nan)
+    result = vf.check_whittaker_wronskian()
+    assert result.direction == ">"
+    assert math.isnan(result.max_residual)
+    assert not result.passed
+
+
+def test_worst_propagates_nan_in_any_position():
+    assert vf._worst([1.0, 3.0, 2.0]) == 3.0
+    assert vf._worst([1.0, 3.0, 2.0], np.min) == 1.0
+    for values in ([math.nan, 1.0], [1.0, math.nan], [0.0, 2.0, math.nan]):
+        assert math.isnan(vf._worst(values))
+        assert math.isnan(vf._worst(iter(values), np.min))
