@@ -41,7 +41,6 @@ from .oracle import (
     fd_residual,
     integrate_ivp,
     quad_singular,
-    quad_singular_array,
 )
 from .regular import (
     LocalBranchParams,

@@ -23,12 +23,14 @@ theta(Theta) from the first integral (Theta')^2 = g(Theta), g the
 radicand.  theta_first_integral_quadrature evaluates it by tanh-sinh
 quadrature from the nearest turning point tp, for one target amplitude or
 a whole array of them: the turning-point scans and bisections run in
-lock-step over the targets, and the quadratures run as one batch of
-intervals.  The integrand is written in offset form: with
-Theta = tp + u, every term of g(tp + u) - g(tp) carries a factor u, so
-radicand_increment_quotient gives H(u) = g(tp + u)/u without
-cancellation, H(0) = g'(tp), and after Theta = tp + s t^2 the integrand
-2/sqrt(s H(s t^2)) is analytic down to the endpoint t = 0.
+lock-step over the targets, and the quadratures run as one
+oracle.quad_singular call over all the intervals.  A singularity at a
+nonzero endpoint is the caller's to remove, so the integrand is written
+in offset form: with Theta = tp + u, every term of g(tp + u) - g(tp)
+carries a factor u, so radicand_increment_quotient gives
+H(u) = g(tp + u)/u without cancellation, H(0) = g'(tp), and after
+Theta = tp + s t^2 the integrand 2/sqrt(s H(s t^2)) is analytic down to
+the endpoint t = 0.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .core import PhysParams, SampledProfile, uniform_step
-from .oracle import quad_singular_array
+from .oracle import quad_singular
 
 
 @dataclass(frozen=True)
@@ -279,11 +281,13 @@ def theta_first_integral_quadrature(
     array of the same shape, each entry equal bit for bit to the float
     call on it.  All targets are solved in one pass: the turning-point
     scans and bisections run in lock-step as array operations, each
-    element with its own stop rule, and the quadratures are one batch of
-    quad_singular_array.  A non-finite, non-positive, classically
-    forbidden or unbracketed target raises the float call's ValueError
-    (the first failing test over the whole array: finiteness, positivity,
-    then the radicand at the targets, then the turning-point search).
+    element with its own stop rule, and the quadratures are one
+    quad_singular call over all the intervals, which evaluates the
+    integrand at the kept nodes only.  A non-finite, non-positive,
+    classically forbidden or unbracketed target raises the float call's
+    ValueError (the first failing test over the whole array: finiteness,
+    positivity, then the radicand at the targets, then the turning-point
+    search).
     """
 
     def g(T):
@@ -305,14 +309,12 @@ def theta_first_integral_quadrature(
     s = np.where(T > tp, 1.0, -1.0)
     t_max = np.sqrt(np.abs(T - tp))
 
-    def integrand(t, _d, rows=None):
-        # rows is None for a single target: f then sees 1-D node arrays
-        row_tp, row_s = (tp, s) if rows is None else (tp[rows, None], s[rows, None])
+    def integrand(t, i):
         # g(tp + u) = u H(u) with u = s t^2, so 2 t / sqrt(g) = 2 / sqrt(s H)
-        u = row_s * t * t
-        return 2.0 / np.sqrt(row_s * radicand_increment_quotient(u, row_tp, l, kappa_theta, phi, hbar))
+        u = s[i] * t * t
+        return 2.0 / np.sqrt(s[i] * radicand_increment_quotient(u, tp[i], l, kappa_theta, phi, hbar))
 
-    quad = quad_singular_array(integrand, 0.0, t_max.reshape(target.shape), endpoint_order=0.0, tol=tol)
+    quad = quad_singular(integrand, 0.0, t_max.reshape(target.shape), tol=tol)
     # a target on its turning point gives +0.0, not s * 0.0
     out = np.where(T == tp, 0.0, s * np.ravel(quad))
     return out.reshape(target.shape) if target.ndim else float(out[0])

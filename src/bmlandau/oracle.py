@@ -9,19 +9,18 @@ beats configurability.
 The quadrature nodes and weights of each level depend only on the
 interval-free variable t, so they are computed once per level, cached,
 and scaled to the interval at each call (precomputed tables in the
-manner of Bailey, Jeyabalan & Li 2005).  One array core,
-quad_singular_array, evaluates the integrand on a whole level's node
-array at a time; quad_singular adapts scalar integrands to it.  Given
-arrays of limits, the same core integrates many intervals in lock-step:
-the node arrays gain a leading row axis, and each row is summed,
-tested and retired on its own, so it equals the single-interval call bit
-for bit.
+manner of Bailey, Jeyabalan & Li 2005).  quad_singular evaluates the
+integrand once per level, on the array of that level's kept nodes.
+Given arrays of limits, it integrates many intervals in lock-step: the
+kept nodes of every unconverged interval go to the integrand in one
+array, and each interval is summed, tested and retired on its own, so it
+equals the single-interval call bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -233,11 +232,10 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level_nodes(level: int, a, b):
-    """Abscissae x, signed endpoint offsets d and weights w of one level on (a, b).
+    """Abscissae x and weights w of one level on (a, b).
 
-    d > 0 means x = a + d, d < 0 means x = b + d; the centre node of
-    level 0 carries d = mid - a.  a and b are floats or arrays of one
-    shape S; the node arrays have shape S + (n,), one row per interval.
+    a and b are floats or arrays of one shape S; the node arrays have
+    shape S + (n,), one row per interval.
     """
     unit_offset, unit_weight = _level_table(level)
     a = np.asarray(a, dtype=float)[..., None]
@@ -246,66 +244,49 @@ def _level_nodes(level: int, a, b):
     offset = half * unit_offset
     w = half * unit_weight
     x = np.concatenate((b - offset, a + offset), axis=-1)
-    d = np.concatenate((-offset, offset), axis=-1)
     w = np.concatenate((w, w), axis=-1)
     if level == 0:
-        mid = 0.5 * (a + b)
-        x = np.concatenate((mid, x), axis=-1)
-        d = np.concatenate((mid - a, d), axis=-1)
+        x = np.concatenate((0.5 * (a + b), x), axis=-1)
         w = np.concatenate((half * 0.5 * math.pi, w), axis=-1)
-    return x, d, w
+    return x, w
 
 
-def quad_singular_array(
-    f: Callable,
-    a,
-    b,
-    endpoint_order: float = 0.0,
-    tol: float = 1e-10,
-    max_level: int = 12,
-    offset_aware: bool = False,
-):
-    """Tanh-sinh quadrature of an array integrand on (a, b), or on many intervals at once.
+def quad_singular(f: Callable, a, b, tol: float = 1e-10, max_level: int = 12):
+    """Tanh-sinh quadrature of f on (a, b), or on many intervals at once; absolute tolerance ``tol``.
 
-    With float limits, ``f(x, d)`` receives the whole node array of one
-    level, abscissae x and signed endpoint offsets d (see quad_singular),
-    and returns the integrand values as an array shaped like x; it is
-    called once per level, and the result is a float.  Arguments, node
-    set, convergence test and errors are those of quad_singular.
+    Integrable endpoint singularities are handled by the double
+    exponential clustering of nodes, which are generated as exact offsets
+    from the endpoints.  A node that rounds onto an endpoint, or whose
+    weight underflows to zero, is dropped, as are non-finite values of f.
+    Near a nonzero endpoint the abscissa x cannot resolve offsets below
+    its float spacing, so a singularity there must be written by the
+    caller in offset form: substitute x = endpoint + u and integrate over
+    u from 0 (as flux.theta_first_integral_quadrature does).
 
-    With array limits (a and b broadcast to one shape S) every interval
-    is integrated as the float call on it would be, and the result is an
-    array of shape S.  The intervals run in lock-step, one level at a
-    time: ``f(x, d, rows)`` receives node arrays of shape (len(rows), n),
-    one row per interval still unconverged, and ``rows`` indexes those
-    intervals in ``np.ravel`` order, so f can look up per-interval
-    parameters.  Each row keeps its own node mask, its own sum (one
-    ``np.dot`` over exactly the nodes the float call sums, in the same
-    order), its own history and its own convergence level, and leaves the
-    batch when it converges; so each entry equals the float call bit for
-    bit.  If any interval reaches max_level unconverged, the float call's
-    RuntimeError is raised.
+    a and b are floats or arrays that broadcast to one shape S.  The
+    intervals run in lock-step, one level at a time, and f is called
+    once per level as ``f(x, i)``: x is a 1-D array of the level's kept
+    nodes, interval after interval, and i gives each node's interval
+    index in ``np.ravel`` order of the broadcast limits (all zeros for
+    float limits), so f can look up per-interval parameters.  f returns
+    an array of values shaped like x.  Each interval keeps its own sum
+    (one ``np.dot`` over its nodes, in table order), its own history and
+    its own convergence level, and leaves the batch when it converges; so
+    each entry equals the float call on that interval bit for bit.  b < a
+    integrates (b, a) and negates.  The result is a float for float
+    limits and an array of shape S otherwise.  If any interval reaches
+    max_level unconverged, RuntimeError is raised.
     """
-    if endpoint_order <= -1.0:
-        raise ValueError("endpoint_order must exceed -1 for an integrable singularity")
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     a, b = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
-    # b < a integrates (b, a) and negates, as the float call does
     flip = b < a
     lo, hi = np.where(flip, b, a), np.where(flip, a, b)
 
     def level_sums(level, rows):
-        x, d, w = _level_nodes(level, lo[rows], hi[rows])
-        keep = w != 0.0
-        if not offset_aware:
-            # skip nodes that rounded exactly onto an endpoint
-            keep &= (x != lo[rows, None]) & (x != hi[rows, None])
-        if shape:
-            fx = np.asarray(f(x, d, rows), dtype=float)
-        else:
-            # one interval: f sees the kept nodes only, as a 1-D array
-            fx = np.zeros(x.shape)
-            fx[keep] = np.asarray(f(x[keep], d[keep]), dtype=float)
+        x, w = _level_nodes(level, lo[rows], hi[rows])
+        keep = (w != 0.0) & (x != lo[rows, None]) & (x != hi[rows, None])
+        fx = np.zeros(x.shape)
+        fx[keep] = f(x[keep], np.repeat(rows, np.count_nonzero(keep, axis=1)))
         ok = keep & np.isfinite(fx)
         return np.array([np.dot(wr[okr], fr[okr]) for wr, fr, okr in zip(w, fx, ok)])
 
@@ -326,38 +307,3 @@ def quad_singular_array(
         raise RuntimeError("quadrature budget exceeded: tanh-sinh did not converge")
     out = np.where(flip, -out, out)
     return out.reshape(shape) if shape else float(out[0])
-
-
-def quad_singular(
-    f: Callable,
-    a: float,
-    b: float,
-    endpoint_order: float = 0.0,
-    tol: float = 1e-10,
-    max_level: int = 12,
-    offset_aware: bool = False,
-) -> float:
-    """Tanh-sinh quadrature of f on (a, b), absolute tolerance ``tol``.
-
-    Integrable endpoint singularities (declared via endpoint_order, e.g.
-    -0.5 for inverse square root behaviour) are handled by the double
-    exponential clustering of nodes.  Abscissae are generated as exact
-    offsets from the endpoints; with ``offset_aware=True`` the integrand
-    is called as ``f(x, d)`` where ``d`` is the signed distance to the
-    nearer endpoint (positive: x = a + d, negative: x = b + d), which
-    lets integrands like 1/sqrt(1 - x*x) stay accurate at offsets far
-    below float spacing around a nonzero endpoint.
-
-    f is a scalar function called once per node with Python floats.  The
-    node tables of each level are computed once, in the interval-free
-    variable t, and cached; this adapter maps f over a level's node
-    array and leaves the summation to quad_singular_array, which takes
-    array integrands directly.
-    """
-    if offset_aware:
-        def g(x, d):
-            return [f(xi, di) for xi, di in zip(x.tolist(), d.tolist())]
-    else:
-        def g(x, d):
-            return [f(xi) for xi in x.tolist()]
-    return quad_singular_array(g, a, b, endpoint_order, tol, max_level, offset_aware)

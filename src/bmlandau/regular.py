@@ -15,6 +15,7 @@ assignments follow from damping requirements on the radial/axial sectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,13 +162,25 @@ def local_branch_log_density_slope(theta, p: LocalBranchParams):
     return (1.0 / th + 2.0 * p.kappa * th) / (1.0 - 2.0 * p.phi * th)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def damped_radial_profile(r, C_r: float, params: PhysParams):
     """Radial density under the canonical closure: R^2(r) = exp(C_r r^2 / hbar).
 
-    Normalisable over r dr only for C_r < 0.
+    Normalisable over r dr only for C_r < 0.  Raises ValueError where the
+    exponent C_r r^2 / hbar exceeds log(float max), so that the density
+    would overflow.
     """
     r = np.asarray(r, dtype=float)
-    out = np.exp(C_r * r * r / params.hbar)
+    with np.errstate(over="ignore"):  # an exponent of +-inf is tested or gives 0
+        exponent = C_r * r * r / params.hbar
+    if np.any(exponent > _LOG_FLOAT_MAX):
+        raise ValueError(
+            f"damped radial density overflows: C_r r^2/hbar reaches {np.max(exponent):.6g},"
+            f" above log(float max) = {_LOG_FLOAT_MAX:.6g}"
+        )
+    out = np.exp(exponent)
     return out if np.asarray(r).ndim else float(out)
 
 

@@ -277,7 +277,7 @@ def check_f_linear_flow():
     F0 = pi0 * target(pi0)  # F = (pi'/pi)^2 * pi
     errors = []
     for p in (0.9, 1.2, 1.5, 1.9):
-        integral = quad_singular(lambda s: -4.0 + 4.0 * lam / (s * s), pi0, p, 0.0, 1e-12)
+        integral = quad_singular(lambda s, _i: -4.0 + 4.0 * lam / (s * s), pi0, p, 1e-12)
         F_if = p * p * (F0 / pi0**2 + integral)
         errors.append(abs(F_if / p - target(p)))
     return _worst(errors)
@@ -562,7 +562,7 @@ def check_damped_profiles():
             rg.damped_axial_profile(z + h, C_z, NATURAL) - rg.damped_axial_profile(z - h, C_z, NATURAL)
         ) / (2 * h * rg.damped_axial_profile(z, C_z, NATURAL))
         errors.append(abs(ld - (1.0 / (2 * z) + C_z * z / NATURAL.hbar)))
-    gauss = quad_singular(lambda r: r * rg.damped_radial_profile(r, -1.0, NATURAL), 0.0, 9.0, 0.0, 1e-12)
+    gauss = quad_singular(lambda r, _i: r * rg.damped_radial_profile(r, -1.0, NATURAL), 0.0, 9.0, 1e-12)
     errors.append(abs(gauss - 0.5))
     if not (rg.radial_profile_normalisable(-0.3) and not rg.radial_profile_normalisable(0.3)):
         return math.inf

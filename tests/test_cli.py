@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,20 @@ class TestAmplitudeCommand:
         )
         assert code == 2
         assert "valid pairs" in err
+
+    @pytest.mark.parametrize("cr, grid", [("1000", "0:10:3"), ("1e300", "0:1e10:3")])
+    def test_overflowing_damped_radial_is_clean_error(self, capsys, cr, grid):
+        # exp(C_r r^2/hbar) past the float range: exit 2 and one line, not inf rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["amplitude", "--sector", "r", "--branch", "damped", "--cr", cr, "--grid", grid], capsys
+            )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: damped radial density overflows: C_r r^2/hbar reaches ")
+        assert err.endswith(", above log(float max) = 709.783\n")
+        assert err.count("\n") == 1
 
     def test_ep_radial_profile(self, capsys):
         code, out, _ = run_cli(

@@ -15,7 +15,7 @@ from bmlandau import sectors as sec
 from bmlandau import ermakov as ek
 from bmlandau import specfun as sf
 from bmlandau.core import PhysParams, QuantumNumbers, SampledProfile
-from bmlandau.oracle import IVPProblem, integrate_ivp, quad_singular_array
+from bmlandau.oracle import IVPProblem, integrate_ivp, quad_singular
 
 NATURAL = PhysParams()
 
@@ -269,20 +269,20 @@ class TestFirstIntegralQuadrature:
     def test_integrand_called_once_per_level(self, monkeypatch):
         # the integrand takes one whole node array per level, not one call
         # per node, and the smooth offset form converges by level 5
-        core = fx.quad_singular_array
+        core = fx.quad_singular
         runs = []
 
         def counting(f, *args, **kwargs):
             sizes = []
             runs.append(sizes)
 
-            def counted(x, d):
+            def counted(x, i):
                 sizes.append(len(x))
-                return f(x, d)
+                return f(x, i)
 
             return core(counted, *args, **kwargs)
 
-        monkeypatch.setattr(fx, "quad_singular_array", counting)
+        monkeypatch.setattr(fx, "quad_singular", counting)
         E_th, l, kap, phi = 2.0, 1, 0.5, 0.7
         for T in (0.5, 0.7, 0.9):
             fx.theta_first_integral_quadrature(T, E_th, l, kap, phi, tol=1e-12)
@@ -362,12 +362,12 @@ def _seed_theta_quadrature(Theta_target, E_theta, l, kappa_theta, phi, hbar=1.0,
     noise = max(abs(g(tp)), 1e-14 * abs(g(Theta_target)), 1e-250)
     t_noise = math.sqrt(100.0 * noise / gp)
 
-    def integrand(t, _d):
+    def integrand(t, _i):
         rad = fx.first_integral_radicand(tp + s * t * t, E_theta, l, kappa_theta, phi, hbar)
         flat = (t <= t_noise) | (rad <= 0.0)
         return np.where(flat, 2.0 / math.sqrt(gp), 2.0 * t / np.sqrt(np.where(flat, 1.0, rad)))
 
-    return s * quad_singular_array(integrand, 0.0, t_max, endpoint_order=0.0, tol=tol)
+    return s * quad_singular(integrand, 0.0, t_max, tol=tol)
 
 
 def _seed_nearest_turning_point(g, target, expand=1.6, max_iter=200):
@@ -560,6 +560,18 @@ class TestArrayTargets:
             fx.theta_first_integral_quadrature(batch, *args)
         assert str(info.value) == expected[1]
 
+    def test_target_far_below_its_turning_point_in_a_batch_is_silent(self):
+        # T - tp rounds to -tp for T = 1e-17 (kappa = 0, tp = 2), so
+        # the row's end node sits at tp + u = 0; it is never evaluated, and
+        # the batch equals the float calls bit for bit with no RuntimeWarning
+        args = (2.0, 1, 0.0, 0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fx.theta_first_integral_quadrature(np.array([1e-17, 1.0]), *args)
+            want = [fx.theta_first_integral_quadrature(T, *args) for T in (1e-17, 1.0)]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got == pytest.approx([-math.pi / 2, -math.pi / 3], abs=1e-12)
+
     @pytest.mark.parametrize("half_width", [0.5, 0.25, 0.125, 0.375, 0.75])
     def test_tie_between_turning_points_keeps_the_lower(self, half_width):
         # roots 1 -+ half_width; the first four are exactly equidistant from 1
@@ -577,21 +589,21 @@ class TestArrayTargets:
         calls, rows_per_level = [], []
         radicand = fx.first_integral_radicand
         monkeypatch.setattr(fx, "first_integral_radicand", lambda T, *a: calls.append(np.size(T)) or radicand(T, *a))
-        core = fx.quad_singular_array
+        core = fx.quad_singular
 
         def watching(f, *args, **kwargs):
-            def watched(x, d, rows):
-                rows_per_level.append((len(rows), x.shape[0]))
-                return f(x, d, rows)
+            def watched(x, i):
+                rows_per_level.append(len(np.unique(i)))
+                return f(x, i)
 
             return core(watched, *args, **kwargs)
 
-        monkeypatch.setattr(fx, "quad_singular_array", watching)
+        monkeypatch.setattr(fx, "quad_singular", watching)
         Ts = np.arange(0.7, 0.9 + 1e-3, 2e-3)
         got = fx.theta_first_integral_quadrature(Ts, 2.0, 1, 0.5, 0.7, tol=1e-12)
         assert got.shape == (101,)
         assert len(calls) < 120
-        assert rows_per_level[0] == (101, 101)  # the level-0 nodes of every target at once
+        assert rows_per_level[0] == 101  # the level-0 nodes of every target at once
 
 
 class TestThetaFromW:

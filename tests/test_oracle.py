@@ -1,6 +1,7 @@
 """Oracle layer: integrator accuracy, residual evaluator, quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from bmlandau import oracle
 from bmlandau.core import SampledProfile
-from bmlandau.oracle import IVPProblem, fd_residual, integrate_ivp, quad_singular, quad_singular_array
+from bmlandau.oracle import IVPProblem, fd_residual, integrate_ivp, quad_singular
 
 
 class TestIntegrator:
@@ -100,46 +101,77 @@ class TestFdResidual:
 
 class TestQuadSingular:
     def test_inverse_sqrt_at_origin(self):
-        assert quad_singular(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, -0.5, 1e-10) == pytest.approx(
-            2.0, abs=1e-10
-        )
+        assert quad_singular(lambda x, i: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-10) == pytest.approx(2.0, abs=1e-10)
 
     def test_arcsine_kernel_offset_aware(self):
-        f = lambda x, d: 1.0 / math.sqrt((-d) * (1.0 + x)) if d < 0 else 1.0 / math.sqrt(1.0 - x * x)
-        got = quad_singular(f, 0.0, 1.0, -0.5, 1e-10, offset_aware=True)
+        # int_0^1 dx / sqrt(1 - x^2) in the caller's offset form x = 1 - u,
+        # which puts the singularity at the origin: int_0^1 du / sqrt(u (2 - u))
+        got = quad_singular(lambda u, i: 1.0 / np.sqrt(u * (2.0 - u)), 0.0, 1.0, 1e-10)
         assert got == pytest.approx(math.pi / 2.0, abs=1e-10)
 
     @pytest.mark.parametrize("degree", range(0, 11))
     def test_polynomial_times_inverse_sqrt(self, degree):
-        # int_0^1 x^n / sqrt(1-x) dx = B(n+1, 1/2)
+        # int_0^1 x^n / sqrt(1-x) dx = B(n+1, 1/2), in offset form x = 1 - u
         exact = math.gamma(degree + 1) * math.gamma(0.5) / math.gamma(degree + 1.5)
-        f = lambda x, d: (x**degree) / math.sqrt(-d if d < 0 else 1.0 - x)
-        got = quad_singular(f, 0.0, 1.0, -0.5, 1e-11, offset_aware=True)
+        got = quad_singular(lambda u, i: (1.0 - u) ** degree / np.sqrt(u), 0.0, 1.0, 1e-11)
         assert got == pytest.approx(exact, abs=1e-10)
 
     def test_smooth_interval(self):
-        got = quad_singular(math.sin, 2.0, 5.0, 0.0, 1e-12)
+        got = quad_singular(lambda x, i: np.sin(x), 2.0, 5.0, 1e-12)
         assert got == pytest.approx(math.cos(2.0) - math.cos(5.0), abs=1e-12)
 
     def test_orientation(self):
-        fwd = quad_singular(lambda x: x * x, 0.0, 2.0, 0.0, 1e-12)
-        assert quad_singular(lambda x: x * x, 2.0, 0.0, 0.0, 1e-12) == pytest.approx(-fwd, abs=1e-13)
+        fwd = quad_singular(lambda x, i: x * x, 0.0, 2.0, 1e-12)
+        assert quad_singular(lambda x, i: x * x, 2.0, 0.0, 1e-12) == pytest.approx(-fwd, abs=1e-13)
 
     def test_empty_interval(self):
-        assert quad_singular(lambda x: 1.0, 1.3, 1.3, 0.0, 1e-12) == 0.0
-
-    def test_nonintegrable_order_rejected(self):
-        with pytest.raises(ValueError, match="endpoint_order"):
-            quad_singular(lambda x: 1.0 / x, 0.0, 1.0, -1.0, 1e-8)
+        assert quad_singular(lambda x, i: np.ones_like(x), 1.3, 1.3, 1e-12) == 0.0
 
     def test_budget_exceeded(self):
-        # unresolvable at a nonzero endpoint without offset-aware evaluation
+        # unresolvable at a nonzero endpoint unless the caller writes it in offset form
         with pytest.raises(RuntimeError, match="quadrature budget exceeded"):
-            quad_singular(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0, -0.5, 1e-13, max_level=4)
+            quad_singular(lambda x, i: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, 1e-13, max_level=4)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (0.0, 1.0),
+            (1.0, 0.0),
+            (-3.0, 0.25),
+            (1.0, np.array([1.0 + 2**-52, 1.0 + 4 * 2**-52, 1.0 - 2**-53, 2.0, 1.0, 0.5])),
+            (0.0, np.array([5e-324, 1e-320, 3.0, 2.0**-1070])),
+        ],
+        ids=["unit", "reversed", "general", "ulp-wide", "subnormal-wide"],
+    )
+    def test_integrand_sees_only_kept_nodes(self, a, b):
+        # f gets exactly the nodes of each level with a nonzero weight that
+        # did not round onto an end, interval after interval; an end node
+        # would take log(0) below and fail under warnings-as-errors
+        lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        lo, hi = np.broadcast_arrays(lo, hi)
+        levels = []
+
+        def f(x, i):
+            level = len(levels)
+            levels.append(i)
+            assert x.ndim == 1 and x.shape == i.shape and i.dtype.kind == "i"
+            for row in np.unique(i):
+                nodes, w = oracle._level_nodes(level, lo[row], hi[row])
+                kept = (w != 0.0) & (nodes != lo[row]) & (nodes != hi[row])
+                assert x[i == row].tobytes() == nodes[kept].tobytes()
+            assert np.all(np.diff(i) >= 0)  # interval after interval
+            return np.log(x - lo[i]) + np.log(hi[i] - x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quad_singular(f, a, b, 1e-10)
+        assert np.all(np.isfinite(got))
+        if np.ndim(b) == 0:
+            assert all(np.all(i == 0) for i in levels)  # float limits: interval 0
 
 
 def scalar_node(tk, a, b):
-    """Scalar tanh-sinh node (x, d, w) at t = tk on (a, b), the table reference."""
+    """Scalar tanh-sinh node (x, w) at t = tk on (a, b), the table reference."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     u = 0.5 * math.pi * math.sinh(tk)
@@ -149,10 +181,10 @@ def scalar_node(tk, a, b):
         return None
     offset = half * 2.0 * e2 / (1.0 + e2)
     if tk > 0:
-        return b - offset, -offset, w
+        return b - offset, w
     if tk < 0:
-        return a + offset, offset, w
-    return mid, mid - a, w
+        return a + offset, w
+    return mid, w
 
 
 def scalar_level(level, a, b):
@@ -170,7 +202,8 @@ def ulps(got, want):
 
 
 class TestLevelTables:
-    # quadrature_roundtrip reaches level 12, the default max_level
+    # every level up to the default max_level of 12 (quadrature_roundtrip,
+    # with its offset-form integrand, converges by level 4)
     LEVELS = range(0, 13)
 
     @pytest.mark.parametrize("level", LEVELS)
@@ -178,9 +211,9 @@ class TestLevelTables:
         # half = 1/2 scales exactly, so the tables reproduce the scalar
         # formula bit for bit except in the last place of subnormal weights
         want = scalar_level(level, 0.0, 1.0)
-        x, d, w = oracle._level_nodes(level, 0.0, 1.0)
+        x, w = oracle._level_nodes(level, 0.0, 1.0)
         assert len(x) == len(want)
-        for got, col in ((x, 0), (d, 1), (w, 2)):
+        for got, col in ((x, 0), (w, 1)):
             assert ulps(got, want[:, col]) <= 1.0
 
     @pytest.mark.parametrize("level", LEVELS)
@@ -189,16 +222,14 @@ class TestLevelTables:
         # tables last, so products of the same factors round in a
         # different order (a few ulp at most); the node set is the same
         want = scalar_level(level, 2.0, 5.0)
-        x, d, w = oracle._level_nodes(level, 2.0, 5.0)
+        x, w = oracle._level_nodes(level, 2.0, 5.0)
         assert len(x) == len(want)
         assert ulps(x, want[:, 0]) <= 1.0
-        assert ulps(d, want[:, 1]) <= 2.0
-        assert ulps(w, want[:, 2]) <= 4.0
+        assert ulps(w, want[:, 1]) <= 4.0
 
     def test_cache_keys_are_levels_only(self):
         for a, b in ((0.0, 1.0), (2.0, 5.0), (-3.0, 0.25), (1e-3, 7.0)):
-            quad_singular(math.sin, a, b, 0.0, 1e-12)
-            quad_singular_array(lambda x, d: np.sin(x), a, b, 0.0, 1e-12)
+            quad_singular(lambda x, i: np.sin(x), a, b, 1e-12)
         keys = set(oracle._TS_LEVELS)
         assert keys <= set(range(0, 13))
         assert all(type(k) is int for k in keys)
@@ -206,26 +237,6 @@ class TestLevelTables:
         for offsets, weights in oracle._TS_LEVELS.values():
             assert offsets.shape == weights.shape
             assert np.all((offsets > 0) & (offsets <= 1.0) & (weights > 0))
-
-
-class TestArrayCore:
-    def test_smooth_interval_agrees_with_scalar_adapter(self):
-        arr = quad_singular_array(lambda x, d: np.sin(x), 2.0, 5.0, 0.0, 1e-12)
-        scal = quad_singular(math.sin, 2.0, 5.0, 0.0, 1e-12)
-        assert arr == pytest.approx(scal, abs=1e-14)
-        assert arr == pytest.approx(math.cos(2.0) - math.cos(5.0), abs=1e-12)
-
-    def test_arcsine_kernel_agrees_with_scalar_adapter(self):
-        f = lambda x, d: 1.0 / math.sqrt((-d) * (1.0 + x)) if d < 0 else 1.0 / math.sqrt(1.0 - x * x)
-
-        def fa(x, d):
-            # np.where evaluates both branches; the unused one may divide by 0
-            with np.errstate(divide="ignore"):
-                return np.where(d < 0, 1.0 / np.sqrt(np.abs(d) * (1.0 + x)), 1.0 / np.sqrt(1.0 - x * x))
-
-        scal = quad_singular(f, 0.0, 1.0, -0.5, 1e-10, offset_aware=True)
-        arr = quad_singular_array(fa, 0.0, 1.0, -0.5, 1e-10, offset_aware=True)
-        assert arr == pytest.approx(scal, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -238,31 +249,25 @@ def _seed_level_nodes(level, a, b):
     offset = half * unit_offset
     w = half * unit_weight
     x = np.concatenate((b - offset, a + offset))
-    d = np.concatenate((-offset, offset))
     w = np.concatenate((w, w))
     if level == 0:
         mid = 0.5 * (a + b)
         x = np.concatenate(([mid], x))
-        d = np.concatenate(([mid - a], d))
         w = np.concatenate(([half * 0.5 * math.pi], w))
-    return x, d, w
+    return x, w
 
 
-def _seed_quad(f, a, b, endpoint_order=0.0, tol=1e-10, max_level=12, offset_aware=False):
-    if endpoint_order <= -1.0:
-        raise ValueError("endpoint_order must exceed -1 for an integrable singularity")
+def _seed_quad(f, a, b, tol=1e-10, max_level=12):
     if a == b:
         return 0.0
     if b < a:
-        return -_seed_quad(f, b, a, endpoint_order, tol, max_level, offset_aware)
+        return -_seed_quad(f, b, a, tol, max_level)
 
     def level_sum(level):
-        x, d, w = _seed_level_nodes(level, a, b)
-        keep = w != 0.0
-        if not offset_aware:
-            keep &= (x != a) & (x != b)
+        x, w = _seed_level_nodes(level, a, b)
+        keep = (w != 0.0) & (x != a) & (x != b)
         w = w[keep]
-        fx = np.asarray(f(x[keep], d[keep]), dtype=float)
+        fx = np.asarray(f(x[keep], np.zeros(len(w), dtype=np.intp)), dtype=float)
         finite = np.isfinite(fx)
         return float(np.dot(w[finite], fx[finite]))
 
@@ -276,15 +281,15 @@ def _seed_quad(f, a, b, endpoint_order=0.0, tol=1e-10, max_level=12, offset_awar
     raise RuntimeError("quadrature budget exceeded: tanh-sinh did not converge")
 
 
-def _kernel(kind, x, d, c):
+def _kernel(kind, x, c, a):
     """Integrands with a per-interval parameter c; all of them elementwise."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "smooth":
             return np.sin(c * x)
-        if kind == "endpoint":  # c / sqrt at both endpoints (needs the offsets)
-            return c / np.sqrt(np.abs(d))
+        if kind == "endpoint":  # c / sqrt at the lower limit a
+            return c / np.sqrt(np.abs(x - a))
         if kind == "log":
-            return c * np.log(np.abs(d))
+            return c * np.log(np.abs(x - a))
         # non-finite values at some nodes, different ones in each row
         return np.where(np.abs(x - c) < 0.05, np.nan, np.cos(x))
 
@@ -317,63 +322,61 @@ class TestIntervalArrays:
         st.sampled_from(["smooth", "endpoint", "log", "holes"]),
         st.sampled_from([1e-8, 1e-10, 1e-12, 1e-14]),
         st.sampled_from([0, 2, 4, 7, 12]),
-        st.booleans(),
     )
-    @example((0.0, np.array([1.0, 0.0, -2.0, 5e-324]), np.array([1.0, 1.5, 0.7, 1.0])), "endpoint", 1e-10, 12, True)
-    @example((1.0, np.array([1.0 + 2**-52, 0.5, 3.0]), np.array([1.0, 2.0, 1.2])), "holes", 1e-12, 4, False)
-    def test_vector_of_upper_limits_equals_scalar_calls(self, limits, kind, tol, max_level, offset_aware):
+    @example((0.0, np.array([1.0, 0.0, -2.0, 5e-324]), np.array([1.0, 1.5, 0.7, 1.0])), "endpoint", 1e-10, 12)
+    @example((1.0, np.array([1.0 + 2**-52, 0.5, 3.0]), np.array([1.0, 2.0, 1.2])), "holes", 1e-12, 4)
+    def test_vector_of_upper_limits_equals_scalar_calls(self, limits, kind, tol, max_level):
         # each row is the single-interval call bit for bit, or the batch
         # raises that call's RuntimeError
         a, bs, cs = limits
-        args = (0.0, tol, max_level, offset_aware)
+        args = (tol, max_level)
         want = []
         for b, c in zip(bs.tolist(), cs.tolist()):
-            row_f = lambda x, d, c=c: _kernel(kind, x, d, c)
+            row_f = lambda x, i, c=c: _kernel(kind, x, c, a)
             want.append(_outcome(_seed_quad, row_f, a, b, *args))
-            assert _outcome(quad_singular_array, row_f, a, b, *args) == want[-1]
-        batch_f = lambda x, d, rows: _kernel(kind, x, d, cs[rows, None])
+            assert _outcome(quad_singular, row_f, a, b, *args) == want[-1]
+        batch_f = lambda x, i: _kernel(kind, x, cs[i], a)
         errors = [w for w in want if isinstance(w, tuple)]
         event("raises" if errors else "equal")
         if errors:
             with pytest.raises(errors[0][0]) as info:
-                quad_singular_array(batch_f, a, bs, *args)
+                quad_singular(batch_f, a, bs, *args)
             assert str(info.value) == errors[0][1]
         else:
-            assert quad_singular_array(batch_f, a, bs, *args).tobytes() == b"".join(want)
+            assert quad_singular(batch_f, a, bs, *args).tobytes() == b"".join(want)
 
     def test_row_at_max_level_raises_the_scalar_error(self):
-        def f(x, d):  # unresolvable without the offsets
-            with np.errstate(divide="ignore"):
-                return 1.0 / np.sqrt(1.0 - x)
+        def f(x, i):  # unresolvable unless written in offset form
+            return 1.0 / np.sqrt(1.0 - x)
 
         with pytest.raises(RuntimeError) as scalar:
-            quad_singular_array(f, 0.0, 1.0, 0.0, 1e-13, max_level=4)
+            quad_singular(f, 0.0, 1.0, 1e-13, max_level=4)
         with pytest.raises(RuntimeError) as batch:
-            quad_singular_array(lambda x, d, rows: f(x, d), 0.0, np.array([0.5, 1.0, 0.25]), 0.0, 1e-13, max_level=4)
+            quad_singular(f, 0.0, np.array([0.5, 1.0, 0.25]), 1e-13, max_level=4)
         assert str(batch.value) == str(scalar.value) == "quadrature budget exceeded: tanh-sinh did not converge"
 
     def test_rows_leave_the_batch_when_converged(self):
         seen = []
 
-        def f(x, d, rows):
-            assert x.shape == d.shape == (len(rows), x.shape[1])
-            seen.append(rows.tolist())
+        def f(x, i):
+            assert x.shape == i.shape and x.ndim == 1
+            seen.append(np.unique(i).tolist())
             return np.cos(x)
 
         bs = np.array([1.0, 1e-3, 0.0, 30.0])
-        got = quad_singular_array(f, 0.0, bs, 0.0, 1e-12)
+        got = quad_singular(f, 0.0, bs, 1e-12)
         assert seen[0] == [0, 1, 3]  # the empty interval is never evaluated
         for before, after in zip(seen, seen[1:]):
             assert set(after) <= set(before)
         assert len(seen[-1]) < 3  # the rows converge at different levels
         for i, b in enumerate(bs.tolist()):
-            assert got[i] == quad_singular_array(lambda x, d: np.cos(x), 0.0, b, 0.0, 1e-12)
+            assert got[i] == quad_singular(lambda x, i: np.cos(x), 0.0, b, 1e-12)
 
     def test_limits_broadcast_to_one_shape(self):
         a = np.array([[0.0], [1.0]])
         b = np.array([2.0, 3.0, 4.0])
-        got = quad_singular_array(lambda x, d, rows: np.cos(x), a, b, 0.0, 1e-12)
+        got = quad_singular(lambda x, i: np.cos(x), a, b, 1e-12)
         assert got.shape == (2, 3)
         for i in range(2):
             for j in range(3):
-                assert got[i, j] == quad_singular_array(lambda x, d: np.cos(x), a[i, 0], b[j], 0.0, 1e-12)
+                assert got[i, j] == quad_singular(lambda x, i: np.cos(x), a[i, 0], b[j], 1e-12)

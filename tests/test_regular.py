@@ -1,6 +1,8 @@
 """Shell-regularised sectors: closed forms, obstruction, branch rules."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -232,8 +234,26 @@ class TestDampedProfiles:
         assert rg.damped_radial_profile(1.7, 0.0, NATURAL) == 1.0
 
     def test_radial_gaussian_integral(self):
-        got = quad_singular(lambda r: r * rg.damped_radial_profile(r, -1.0, NATURAL), 0.0, 9.0, 0.0, 1e-12)
+        got = quad_singular(lambda r, i: r * rg.damped_radial_profile(r, -1.0, NATURAL), 0.0, 9.0, 1e-12)
         assert got == pytest.approx(0.5, abs=1e-11)
+
+    def test_radial_overflow_raises(self):
+        # C_r r^2/hbar = 1e5 at r = 10: the density would be inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"C_r r\^2/hbar reaches 100000, above log\(float max\) = 709\.783$"):
+                rg.damped_radial_profile(np.array([0.0, 5.0, 10.0]), 1000.0, NATURAL)
+            with pytest.raises(ValueError, match="C_r"):
+                rg.damped_radial_profile(1e200, 1.0, NATURAL)
+
+    def test_radial_at_the_overflow_limit_is_finite(self):
+        # the largest exponent below the limit still gives a finite density,
+        # and a huge negative exponent underflows to 0 without a warning
+        limit = math.log(sys.float_info.max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(rg.damped_radial_profile(1.0, limit, NATURAL))
+            assert rg.damped_radial_profile(np.array([1e200]), -1.0, NATURAL).tolist() == [0.0]
 
     def test_radial_normalisability_flag(self):
         assert rg.radial_profile_normalisable(-0.1)
