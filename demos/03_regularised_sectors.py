@@ -24,11 +24,12 @@ from bmlandau import (
     PhysParams,
     QuantumNumbers,
     SampledProfile,
+    SpectrumModel,
     axial_regularised,
     azimuthal_whittaker,
     bohm_energy_residual,
     branch_assignment,
-    energy_cbr,
+    energy,
     fd_residual,
     radial_regularised,
     theta_local_branch,
@@ -74,7 +75,7 @@ imb = np.max(np.abs(Theta.imag)) / np.max(np.abs(Theta))
 print(f"\nobstruction: max |Im Theta| / max |Theta| = {imb:.3f} at phi = {phi} (nonreal)")
 
 # energy balance at the regularised spectrum ----------------------------
-E = energy_cbr(qn, params)
+E = energy(SpectrumModel.CBR, qn.n_r, qn.l, qn.k_z, params)
 hb = params.hbar
 pt = (0.9, 0.4, 0.6)
 res = bohm_energy_residual(

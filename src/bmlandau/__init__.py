@@ -56,7 +56,6 @@ from .regular import (
 )
 from .sectors import (
     SectorFrequencies,
-    energy_el,
     radial_basis,
     radial_kappa_sq,
     sector_frequencies,
@@ -65,13 +64,11 @@ from .sectors import (
 )
 from .specfun import SeriesControl, bessel_j, hyp1f1, ln_gamma, whittaker_m, whittaker_mw, whittaker_w
 from .spectrum import (
-    OrderingReport,
     SpectrumModel,
     default_ordering_grid,
     degeneracy_splitting,
     energy,
-    energy_cbr,
-    energy_qm,
+    ordering_flags,
     spectral_ordering_check,
 )
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import sys
@@ -52,7 +53,7 @@ from .core import PhysParams, QuantumNumbers
 from .ermakov import ep_coefficients, pinney_amplitude
 from .flux import _momentum_denominator, flux_context_from_lambda, pi_theta_closed, s_theta_closed
 
-_MODELS = ("qm", "el", "cbr")
+_MODELS = tuple(m.value for m in sp.SpectrumModel)
 _VALID_PAIRS = {
     "r": ("ep", "regularised", "damped"),
     "theta": ("ep", "local", "whittaker"),
@@ -211,22 +212,25 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         raise UsageError("n_r must be nonnegative")
     models = _MODELS if args.model == "all" else (args.model,)
 
-    with_order = args.model == "all"
-    columns = ["n_r", "l", "k_z", "model", "energy"] + (["ordering"] if with_order else [])
+    # states in row order (k_z fastest); the labels print the parsed values
+    states = list(itertools.product(nr_values, l_values, kz_values))
+    n, l, kz = (np.array(v, dtype=float) for v in zip(*states))
+    energies, errors = [], []
+    for m in models:
+        try:
+            energies.append(sp.energy(sp.SpectrumModel(m), n, l, kz, config.params))
+        except ValueError as exc:  # an energy out of range
+            errors.append(exc)
+    if errors:  # name the first state in row order, and on it the first model
+        raise min(errors, key=lambda exc: exc.state)
+    columns = ["n_r", "l", "k_z", "model", "energy"]
+    flags = [()] * len(states)
+    if args.model == "all":
+        columns.append("ordering")
+        flags = [(flag,) for flag in sp.ordering_flags(l, *energies).tolist()]
     rows = []
-    for n in nr_values:
-        for l in l_values:
-            for kz in kz_values:
-                qn = QuantumNumbers(n, l, kz)
-                energies = {m: sp.energy(sp.SpectrumModel(m), qn, config.params) for m in models}
-                if with_order:
-                    ordered = sp.ordering_holds(qn, energies["qm"], energies["el"], energies["cbr"])
-                    flag = "n/a" if ordered is None else ("ok" if ordered else "violated")
-                for m in models:
-                    row = [str(n), str(l), _fmt(kz), m, energies[m]]
-                    if with_order:
-                        row.append(flag)
-                    rows.append(row)
+    for (a, b, c), flag, state_energies in zip(states, flags, zip(*(e.tolist() for e in energies))):
+        rows += [[str(a), str(b), _fmt(c), m, e, *flag] for m, e in zip(models, state_energies)]
     meta = {"command": "spectrum", "model": args.model}
     _write(_emit_table(columns, rows, meta, config), config)
     return 0

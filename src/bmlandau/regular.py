@@ -195,7 +195,9 @@ def damped_axial_profile(z, C_z: float, params: PhysParams):
     envelope.  Log-derivative: Z'/Z = 1/(2z) + C_z z / hbar for C_z <= 0.
     """
     z = np.asarray(z, dtype=float)
-    out = np.sqrt(np.abs(z)) * np.exp(-abs(C_z) * z * z / (2.0 * params.hbar))
+    with np.errstate(over="ignore"):  # the exponent overflows only to -inf, and exp(-inf) = 0
+        envelope = np.exp(-abs(C_z) * z * z / (2.0 * params.hbar))
+    out = np.sqrt(np.abs(z)) * envelope
     return out if np.asarray(z).ndim else float(out)
 
 

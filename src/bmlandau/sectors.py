@@ -1,4 +1,4 @@
-"""Zero-current sector amplitudes and the Ermakov-Lewis energy spectrum.
+"""Zero-current sector amplitudes and effective frequencies.
 
 The three separated sectors of the cyclotron problem in cylindrical
 coordinates carry the effective frequencies
@@ -13,6 +13,7 @@ kappa^2 = beta (1 - 4a), so both members solve one Liouville-normal
 equation and the Pinney construction applies.  The azimuthal and axial
 amplitudes share one fixed-frequency trigonometric form,
 ``trig_amplitude(coef, omega)`` with omega = Omega_theta or k_z.
+The Ermakov-Lewis energy ladder lives with the other two in ``spectrum``.
 """
 
 from __future__ import annotations
@@ -120,17 +121,3 @@ def sector_frequencies(kappa_r_sq: float, qn: QuantumNumbers, params: PhysParams
         omega_z_sq=qn.k_z**2,
     )
 
-
-def energy_el(qn: QuantumNumbers, params: PhysParams) -> float:
-    """Ermakov-Lewis route energy.
-
-    E = hbar omega_c (n_r + 1/2) + (hbar l / 2m)(|eB| - eB) + hbar^2 k_z^2 / 2m.
-    For eB > 0 the middle term vanishes and the spectrum is degenerate in l.
-    """
-    hb, m = params.hbar, params.mass
-    eB = params.eB
-    return (
-        hb * params.omega_c * (qn.n_r + 0.5)
-        + (hb * qn.l / (2.0 * m)) * (abs(eB) - eB)
-        + hb * hb * qn.k_z * qn.k_z / (2.0 * m)
-    )

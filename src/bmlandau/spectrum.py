@@ -1,4 +1,4 @@
-"""The three energy spectra and the l-degeneracy splitting.
+"""The three energy ladders, the l-degeneracy splitting and the ordering sweep.
 
 QM   : textbook symmetric-gauge spectrum, degenerate for s*l >= 0
 EL   : invariant-structure route, hbar omega_c (n_r + 1/2) plus the
@@ -7,17 +7,18 @@ CBR  : canonically regularised route with the Langer-type shift
        nu = sqrt(l^2 + 1/4) lifting the l-degeneracy.
 
 All three share the axial free-particle term hbar^2 k_z^2 / 2m, and for
-eB > 0, l >= 1 they are ordered E_QM <= E_EL <= E_CBR.
+eB > 0, l >= 1 they are ordered E_QM <= E_EL <= E_CBR.  ``energy``
+evaluates any one of them on whole arrays of quantum numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import PhysParams, QuantumNumbers
-from .sectors import energy_el
+import numpy as np
+
+from .core import PhysParams
 
 
 class SpectrumModel(Enum):
@@ -26,38 +27,38 @@ class SpectrumModel(Enum):
     CBR = "cbr"
 
 
-def energy_qm(qn: QuantumNumbers, params: PhysParams) -> float:
-    """Standard spectrum E = hbar omega_c (n_r + (|l| - s l)/2 + 1/2) + axial, s = sign(eB)."""
-    s = math.copysign(1.0, params.eB)
-    hb, m = params.hbar, params.mass
-    return (
-        hb * params.omega_c * (qn.n_r + (abs(qn.l) - s * qn.l) / 2.0 + 0.5)
-        + hb * hb * qn.k_z * qn.k_z / (2.0 * m)
-    )
+# model -> transverse term in the cyclotron quantum hw = hbar omega_c, for float
+# arrays n = n_r and l; energy adds the shared axial term
+_TRANSVERSE = {
+    SpectrumModel.QM: lambda n, l, hw, p: hw * (n + (np.abs(l) - math.copysign(1.0, p.eB) * l) / 2.0 + 0.5),
+    SpectrumModel.EL: lambda n, l, hw, p: hw * (n + 0.5) + (p.hbar * l / (2.0 * p.mass)) * (abs(p.eB) - p.eB),
+    SpectrumModel.CBR: lambda n, l, hw, p: hw / 2.0 * (2.0 * n + np.sqrt(l * l + 0.25) + 1.0),
+}
 
 
-def energy_cbr(qn: QuantumNumbers, params: PhysParams) -> float:
-    """Regularised spectrum E = (hbar omega_c / 2)(2 n_r + sqrt(l^2 + 1/4) + 1) + axial."""
-    hb, m = params.hbar, params.mass
-    nu = math.sqrt(qn.l * qn.l + 0.25)
-    return hb * params.omega_c / 2.0 * (2.0 * qn.n_r + nu + 1.0) + hb * hb * qn.k_z * qn.k_z / (2.0 * m)
+def energy(model: SpectrumModel, n_r, l, k_z, params: PhysParams):
+    """Energy of the states (n_r, l, k_z), broadcast together, on one ladder.
 
-
-def energy(model: SpectrumModel, qn: QuantumNumbers, params: PhysParams) -> float:
-    """Energy of the state qn on one ladder; a non-finite energy is a ValueError.
-
-    The axial term hbar^2 k_z^2 / 2m leaves the float range (inf, or nan
-    at k_z = 0) when hbar or k_z is too large.
+    A float for scalar input, else an array.  n_r < 0 is a ValueError, and
+    so is a non-finite energy, for the first such state in row order (its
+    flat index is the error's ``state``): the axial term leaves the float
+    range (inf, or nan at k_z = 0) when hbar or k_z is too large.
     """
-    if model is SpectrumModel.QM:
-        e = energy_qm(qn, params)
-    elif model is SpectrumModel.EL:
-        e = energy_el(qn, params)
-    else:
-        e = energy_cbr(qn, params)
-    if not math.isfinite(e):
-        raise ValueError(f"{model.value} energy out of range for hbar = {params.hbar:g}, k_z = {qn.k_z:g} (got {e})")
-    return e
+    n_r, l, k_z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n_r, l, k_z)))
+    if np.any(n_r < 0):
+        raise ValueError("radial quantum number n_r must be >= 0")
+    hb, m = params.hbar, params.mass
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _TRANSVERSE[model](n_r, l, hb * params.omega_c, params) + hb * hb * k_z * k_z / (2.0 * m)
+    if not np.all(np.isfinite(e)):
+        i = int(np.argmin(np.isfinite(e)))  # the first non-finite state in row order
+        err = ValueError(
+            f"{model.value} energy out of range for hbar = {hb:g}, k_z = {float(k_z.flat[i]):g} "
+            f"(got {float(e.flat[i])})"
+        )
+        err.state = i  # lets a caller over several ladders name the first state
+        raise err
+    return float(e) if e.ndim == 0 else e
 
 
 def degeneracy_splitting(l: int, params: PhysParams) -> float:
@@ -65,51 +66,23 @@ def degeneracy_splitting(l: int, params: PhysParams) -> float:
     return params.hbar * params.omega_c / 2.0 * math.sqrt(l * l + 0.25)
 
 
-@dataclass
-class OrderingReport:
-    """Outcome of an E_QM <= E_EL <= E_CBR sweep over quantum numbers."""
-
-    checked: int = 0
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+def ordering_flags(l, e_qm, e_el, e_cbr) -> np.ndarray:
+    """Per state, "ok" where E_QM <= E_EL <= E_CBR holds, "violated" where it
+    fails and "n/a" where the ordering is not stated (l < 1).  The one
+    ordering test, shared by the sweep and the CLI's ordering column."""
+    holds = (np.asarray(e_qm) <= e_el) & (np.asarray(e_el) <= e_cbr)
+    return np.where(np.asarray(l) < 1, "n/a", np.where(holds, "ok", "violated"))
 
 
-def ordering_holds(qn: QuantumNumbers, e_qm: float, e_el: float, e_cbr: float) -> bool | None:
-    """Whether E_QM <= E_EL <= E_CBR holds for the state qn; None where the
-    ordering is not stated (l < 1).  The one ordering test, shared by the
-    sweep and the CLI's ordering column."""
-    if qn.l < 1:
-        return None
-    return e_qm <= e_el <= e_cbr
-
-
-def spectral_ordering_check(qn_grid, params: PhysParams) -> OrderingReport:
-    """Verify the ordering on a grid of states with l >= 1.
-
-    Each violating state is reported as (qn, E_QM, E_EL, E_CBR).
-    """
-    report = OrderingReport()
-    for qn in qn_grid:
-        e_qm = energy_qm(qn, params)
-        e_el = energy_el(qn, params)
-        e_cbr = energy_cbr(qn, params)
-        ordered = ordering_holds(qn, e_qm, e_el, e_cbr)
-        if ordered is None:
-            raise ValueError("ordering sweep is stated for l >= 1")
-        report.checked += 1
-        if not ordered:
-            report.violations.append((qn, e_qm, e_el, e_cbr))
-    return report
+def spectral_ordering_check(n_r, l, k_z, params: PhysParams) -> np.ndarray:
+    """Violation mask of the ordering over the states (n_r, l, k_z), all l >= 1."""
+    flags = ordering_flags(l, *(energy(model, n_r, l, k_z, params) for model in SpectrumModel))
+    if np.any(flags == "n/a"):
+        raise ValueError("ordering sweep is stated for l >= 1")
+    return flags == "violated"
 
 
 def default_ordering_grid(n_r_max: int = 10, l_max: int = 10, k_z_values=(0.0, 1.0, 2.0)):
-    """The standard sweep grid: n_r in [0, n_r_max], l in [1, l_max]."""
-    return [
-        QuantumNumbers(n, l, kz)
-        for n in range(n_r_max + 1)
-        for l in range(1, l_max + 1)
-        for kz in k_z_values
-    ]
+    """The standard sweep grid, ravelled: n_r in [0, n_r_max], l in [1, l_max], k_z fastest."""
+    grid = np.meshgrid(np.arange(n_r_max + 1), np.arange(1, l_max + 1), k_z_values, indexing="ij")
+    return tuple(a.ravel() for a in grid)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmlandau.cli import main
+from bmlandau import spectrum as sp
+from bmlandau.cli import _parse_int_range, main
+from bmlandau.core import PhysParams
 
 
 def run_cli(argv, capsys):
@@ -121,6 +123,17 @@ class TestAmplitudeCommand:
         assert err.startswith("error: damped radial density overflows: C_r r^2/hbar reaches ")
         assert err.endswith(", above log(float max) = 709.783\n")
         assert err.count("\n") == 1
+
+    def test_overflowing_damped_axial_is_zero(self, capsys):
+        # -|C_z| z^2 overflows to -inf: the right zeros, with no warning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["amplitude", "--sector", "z", "--branch", "damped", "--cz=1e300", "--grid", "0:1e10:3"], capsys
+            )
+        assert code == 0
+        assert err == ""
+        assert out == "z,value\n0,0\n5000000000,0\n10000000000,0\n"
 
     def test_ep_radial_profile(self, capsys):
         code, out, _ = run_cli(
@@ -241,6 +254,73 @@ class TestSpectrumOutOfRange:
         assert out == ""
         first = "qm" if model == "all" else model
         assert err == f"error: {first} energy out of range for hbar = 1, k_z = 1e+200 (got inf)\n"
+
+
+def _seed_spectrum_table(nr, ls, kzs, params, fmt):
+    """The --model all table row by row from the seed ladders, with the seed's
+    l < 1 -> n/a rule; or the error line of the first state that raises."""
+    from bmlandau.core import QuantumNumbers
+    from test_spectrum import _seed_energy
+
+    rows = []
+    for n in nr:
+        for l in ls:
+            for kz in kzs:
+                qn = QuantumNumbers(n, l, kz)
+                try:
+                    energies = {m.value: _seed_energy(m, qn, params) for m in sp.SpectrumModel}
+                except ValueError as exc:
+                    return "", f"error: {exc}\n"
+                ordered = None if l < 1 else energies["qm"] <= energies["el"] <= energies["cbr"]
+                flag = "n/a" if ordered is None else ("ok" if ordered else "violated")
+                rows += [[str(n), str(l), format(kz, ".17g"), m, e, flag] for m, e in energies.items()]
+    columns = ["n_r", "l", "k_z", "model", "energy", "ordering"]
+    if fmt == "json":
+        payload = {"columns": columns, "rows": rows, "metadata": {"command": "spectrum", "model": "all"}}
+        return json.dumps(payload, indent=2) + "\n", ""
+    lines = [",".join(columns)] + [",".join(row[:4] + [format(row[4], ".17g"), row[5]]) for row in rows]
+    return "\n".join(lines) + "\n", ""
+
+
+class TestSpectrumMatchesSeedLadders:
+    """spectrum --model all equals the table built state by state from the seed ladders."""
+
+    CASES = {
+        "natural": ({}, "0:3", "-2:4", "0,1.3"),
+        "negative charge": ({"charge": -1}, "0:2", "-3:3", "0,0.7,2"),
+        "scaled": ({"hbar": 0.3, "mass": 2.5, "B": 0.7}, "1:4", "0:5", "0.25"),
+        # E_EL is nan at the first state and E_QM overflows only at the second:
+        # the error names the first state in row order, not the first ladder
+        "first state wins": ({"charge": -1e308, "B": 1.7}, "0", "0:1", "0"),
+        "huge k_z": ({"charge": -1e308, "B": 1.7, "mass": 1e10}, "0:1", "-1:1", "0,1.3,1e200"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table(self, capsys, tmp_path, case, fmt):
+        config, nr, ls, kz = self.CASES[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), "spectrum", f"--nr={nr}", f"--l={ls}", f"--kz={kz}", "--format", fmt]
+        code, out, err = run_cli(argv, capsys)
+        want_out, want_err = _seed_spectrum_table(
+            _parse_int_range(nr), _parse_int_range(ls), [float(k) for k in kz.split(",")],
+            PhysParams(**config), fmt,
+        )
+        assert (code, out, err) == (2 if want_err else 0, want_out, want_err)
+
+    @pytest.mark.parametrize("model, calls", [("all", 3), ("qm", 1), ("cbr", 1)])
+    def test_energy_called_once_per_model(self, capsys, monkeypatch, model, calls):
+        seen, energy = [], sp.energy
+
+        def counted(*args):
+            seen.append(args[0])
+            return energy(*args)
+
+        monkeypatch.setattr(sp, "energy", counted)
+        code, _, _ = run_cli(["spectrum", "--nr", "0:4", "--l", "0:6", "--kz", "0,1", "--model", model], capsys)
+        assert code == 0
+        assert len(seen) == calls
 
 
 class TestDeterminismAndConfig:

@@ -14,7 +14,8 @@ from bmlandau import flux as fx
 from bmlandau import sectors as sec
 from bmlandau import ermakov as ek
 from bmlandau import specfun as sf
-from bmlandau.core import PhysParams, QuantumNumbers, SampledProfile
+from bmlandau import spectrum as sp
+from bmlandau.core import PhysParams, SampledProfile
 from bmlandau.oracle import IVPProblem, integrate_ivp, quad_singular
 
 NATURAL = PhysParams()
@@ -703,7 +704,7 @@ class TestBohmEnergyResidual:
 
     def test_zero_current_state_at_el_energy(self):
         n_r, k_z = 1, 1.3
-        E = sec.energy_el(QuantumNumbers(n_r, 0, k_z), NATURAL)
+        E = sp.energy(sp.SpectrumModel.EL, n_r, 0, k_z, NATURAL)
         beta = NATURAL.beta
         R = lambda r: math.exp(-beta * r * r / 2.0) * sf.hyp1f1(-n_r, 1.0, beta * r * r)
         coef_z = ek.ep_coefficients(1.1, 0.9, -0.2, k_z)

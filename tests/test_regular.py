@@ -275,6 +275,15 @@ class TestDampedProfiles:
         z = np.linspace(0.1, 2.0, 20)
         assert np.allclose(rg.damped_axial_profile(z, 0.0, NATURAL), np.sqrt(z), atol=1e-15)
 
+    @pytest.mark.parametrize("c_z", [-1e300, 1e300])
+    def test_axial_overflowing_exponent_is_zero(self, c_z):
+        # -|C_z| z^2 overflows to -inf past float range: the envelope is 0, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rg.damped_axial_profile(np.array([0.0, 5e9, -1e10]), c_z, NATURAL)
+            assert got.tolist() == [0.0, 0.0, 0.0]
+            assert rg.damped_axial_profile(1e200, -1.0, NATURAL) == 0.0
+
 
 class TestBranchAssignment:
     def test_componentwise(self):

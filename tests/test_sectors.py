@@ -1,4 +1,4 @@
-"""Zero-current sector amplitudes, radial basis pair, EL energies."""
+"""Zero-current sector amplitudes and the radial basis pair."""
 
 import math
 
@@ -250,19 +250,3 @@ class TestSectorFrequencies:
         freqs = sec.sector_frequencies(5.0, QuantumNumbers(0, 0, 0.0), BETA_ONE)
         assert freqs.omega_r_sq(2.0) == pytest.approx(5.0 - 4.0)
 
-
-class TestEnergyEL:
-    def test_natural_unit_values(self):
-        assert sec.energy_el(QuantumNumbers(0, 0, 0.0), NATURAL) == pytest.approx(0.5)
-        assert sec.energy_el(QuantumNumbers(2, 5, 0.0), NATURAL) == pytest.approx(2.5)
-        assert sec.energy_el(QuantumNumbers(0, 0, 2.0), NATURAL) == pytest.approx(2.5)
-
-    def test_degenerate_in_l_for_positive_field(self):
-        values = {sec.energy_el(QuantumNumbers(1, l, 0.3), NATURAL) for l in range(-5, 6)}
-        assert len(values) == 1
-
-    def test_negative_field_lifts_degeneracy(self):
-        p = PhysParams(charge=-1.0)
-        e0 = sec.energy_el(QuantumNumbers(0, 0, 0.0), p)
-        e1 = sec.energy_el(QuantumNumbers(0, 1, 0.0), p)
-        assert e1 - e0 == pytest.approx(p.hbar * 1 / (2 * p.mass) * (abs(p.eB) - p.eB))
