@@ -62,7 +62,7 @@ from .sectors import (
     trig_amplitude,
     trig_pair,
 )
-from .specfun import SeriesControl, bessel_j, hyp1f1, ln_gamma, whittaker_m, whittaker_mw, whittaker_w
+from .specfun import bessel_j, hyp1f1, ln_gamma, whittaker_m, whittaker_mw, whittaker_w
 from .spectrum import (
     SpectrumModel,
     default_ordering_grid,

@@ -20,9 +20,9 @@ Every float and complex input (flags, the --kz list, grid bounds, the
 config constants) must be finite; nan and inf are usage errors.
 
 Output is deterministic: CSV uses a header row, comma delimiter, LF line
-ends and 17 significant digits (each cell as format(x, ".17g"); an
-all-numeric row is formatted by one "%.17g" template, which gives the
-same bytes), so repeated runs are byte-identical. A JSON table is
+ends and 17 significant digits (each cell as format(x, ".17g"); one row
+template per table, "%s" in its str columns and "%.17g" elsewhere, gives
+the same bytes), so repeated runs are byte-identical. A JSON table is
 byte-identical to json.dumps({"columns", "rows", "metadata"}, indent=2):
 a row of finite floats is formatted by one "%r" template (float.__repr__
 is the text json writes for a finite float), any other row by json.dumps.
@@ -159,12 +159,13 @@ def _load_config(args) -> RunConfig:
 
 def _emit_table(columns, rows, metadata, config: RunConfig) -> str:
     if config.fmt == "csv":
-        numeric = ",".join(["%.17g"] * len(columns))
+        # "%s" where the first row holds a str (a str column is str in every row)
+        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) if rows else ""
         lines = [",".join(columns)]
         for row in rows:
             try:
-                lines.append(numeric % tuple(row))
-            except TypeError:  # a None (gap) or str cell: format cell by cell
+                lines.append(template % tuple(row))
+            except TypeError:  # a None (gap) cell: format cell by cell
                 lines.append(",".join("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row))
         return "\n".join(lines) + "\n"
     text = json.dumps({"columns": list(columns), "rows": [], "metadata": metadata}, indent=2)

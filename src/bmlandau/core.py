@@ -63,10 +63,11 @@ class QuantumNumbers:
 
 @dataclass
 class SampledProfile:
-    """A coordinate grid plus sampled (possibly complex) values.
+    """A strictly increasing coordinate grid plus the values sampled on it.
 
-    Carrier for every figure-like output: amplitude profiles, momentum
-    profiles, integrated trajectories.
+    The values keep their dtype, so a complex amplitude stays complex;
+    ``step`` gives the spacing of a uniform grid.  Carrier of the sampled
+    profiles that ``oracle.fd_residual`` and ``flux.theta_from_w`` take.
     """
 
     coordinate: str
@@ -83,10 +84,6 @@ class SampledProfile:
             raise ValueError("grid and values must have equal length")
         if len(self.grid) >= 2 and not np.all(np.diff(self.grid) > 0):
             raise ValueError("grid must be strictly increasing")
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
 
     def step(self) -> float:
         """Uniform grid spacing; raises if the grid is not uniform."""

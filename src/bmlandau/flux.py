@@ -20,17 +20,18 @@ branch equation for F = (pi'/pi)^2 * pi.
 
 On a nonzero-current branch the amplitude is known only implicitly, as
 theta(Theta) from the first integral (Theta')^2 = g(Theta), g the
-radicand.  theta_first_integral_quadrature evaluates it by tanh-sinh
-quadrature from the nearest turning point tp, for one target amplitude or
-a whole array of them: the turning-point scans and bisections run in
-lock-step over the targets, and the quadratures run as one
-oracle.quad_singular call over all the intervals.  A singularity at a
-nonzero endpoint is the caller's to remove, so the integrand is written
-in offset form: with Theta = tp + u, every term of g(tp + u) - g(tp)
-carries a factor u, so radicand_increment_quotient gives
-H(u) = g(tp + u)/u without cancellation, H(0) = g'(tp), and after
-Theta = tp + s t^2 the integrand 2/sqrt(s H(s t^2)) is analytic down to
-the endpoint t = 0.
+radicand, which depends on the current only through the scaled constant
+kappa = r^2 C_theta / hbar, as in regular.local_branch_params.
+theta_first_integral_quadrature evaluates it by tanh-sinh quadrature
+from the nearest turning point tp, for one target amplitude or a whole
+array of them: the turning-point scans and bisections run in lock-step
+over the targets, and the quadratures run as one oracle.quad_singular
+call over all the intervals.  A singularity at a nonzero endpoint is
+the caller's to remove, so the integrand is written in offset form: with
+Theta = tp + u, every term of g(tp + u) - g(tp) carries a factor u, so
+radicand_increment_quotient gives H(u) = g(tp + u)/u without
+cancellation, H(0) = g'(tp), and after Theta = tp + s t^2 the integrand
+2/sqrt(s H(s t^2)) is analytic down to the endpoint t = 0.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ def nonlinpie_residual(pi, dpi, d2pi, ctx: FluxContext, C_theta: float):
 # hbar >= sqrt(5e-324) keeps hbar**2 at least the least positive float
 _E_PI_MAX = math.sqrt(sys.float_info.max)
 _HBAR_MIN = math.sqrt(5e-324)
+_FD_STEP = 1e-3  # the step of bohm_energy_residual's five-point stencils
 
 
 def _require_positive_discriminant(ctx: FluxContext) -> float:
@@ -177,12 +179,12 @@ def pi_theta_closed(theta, ctx: FluxContext):
     return out if np.asarray(theta).ndim else float(out)
 
 
-def s_theta_closed(theta, ctx: FluxContext, s0: float = 0.0):
+def s_theta_closed(theta, ctx: FluxContext):
     """Azimuthal action S(theta); the arctan branch is unwrapped.
 
     S = hbar phi theta
       + hbar atan[(E_pi tan(sqrt(Lambda)(theta-theta0)) + sqrt(Delta)) / (8 sqrt(Lambda)/hbar)]
-      + hbar pi k(u) + s0,   u = sqrt(Lambda)(theta - theta0),
+      + hbar pi k(u),   u = sqrt(Lambda)(theta - theta0),
 
     where k(u) counts the tangent poles crossed.  k is recovered from
     round((u - atan(tan u))/pi) so the branch count always agrees with
@@ -198,7 +200,7 @@ def s_theta_closed(theta, ctx: FluxContext, s0: float = 0.0):
     tan_u = np.tan(u)
     base = np.arctan((ctx.E_pi * tan_u + math.sqrt(delta)) / scale)
     wrap = np.round((u - np.arctan(tan_u)) / math.pi)
-    out = hb * ctx.phi * th + hb * (base + math.pi * wrap) + s0
+    out = hb * ctx.phi * th + hb * (base + math.pi * wrap)
     return out if np.asarray(theta).ndim else float(out)
 
 
@@ -226,47 +228,45 @@ def f_branch_flow(F: float, pi: float, ctx: FluxContext, C_theta: float, sign: i
     )
 
 
-def first_integral_radicand(Theta, E_theta: float, l: int, kappa_theta: float, phi: float, hbar: float = 1.0):
-    """(Theta')^2 = 2 E - l^2 T^2 + 2 (kappa/hbar) phi ln|T| - kappa^2/(hbar^2 T^2)."""
+def first_integral_radicand(Theta, E_theta: float, l: int, kappa: float, phi: float):
+    """(Theta')^2 = 2 E - l^2 T^2 + 2 kappa phi ln|T| - kappa^2/T^2, kappa = r^2 C_theta / hbar."""
     T = np.asarray(Theta, dtype=float)
     return (
         2.0 * E_theta
         - (l * l) * T * T
-        + 2.0 * (kappa_theta / hbar) * phi * np.log(np.abs(T))
-        - (kappa_theta / hbar) ** 2 / (T * T)
+        + 2.0 * kappa * phi * np.log(np.abs(T))
+        - kappa**2 / (T * T)
     )
 
 
-def radicand_increment_quotient(u, tp, l: int, kappa_theta: float, phi: float, hbar: float = 1.0):
+def radicand_increment_quotient(u, tp, l: int, kappa: float, phi: float):
     """H(u) = (g(tp + u) - g(tp)) / u for the first-integral radicand g, free of cancellation.
 
-    Every term of the increment carries a factor u, so with k = kappa/hbar
+    Every term of the increment carries a factor u, so with kappa = r^2 C_theta / hbar
 
-        H(u) = -l^2 (2 tp + u) + 2 k phi log1p(u/tp)/u + k^2 (2 tp + u) / (tp^2 (tp + u)^2),
+        H(u) = -l^2 (2 tp + u) + 2 kappa phi log1p(u/tp)/u + kappa^2 (2 tp + u) / (tp^2 (tp + u)^2),
 
     and where u/tp is 0 (u = 0 or underflowed) log1p(v)/v takes its limit
     1, so H(0) = g'(tp).  H does not depend on E_theta.  Needs tp > 0 and
     tp + u > 0; u and tp broadcast.
     """
     u = np.asarray(u, dtype=float)
-    k = kappa_theta / hbar
     v = u / tp
     nonzero = v != 0.0
     log_ratio = np.where(nonzero, np.log1p(v) / np.where(nonzero, v, 1.0), 1.0)
     width = 2.0 * tp + u
-    return -(l * l) * width + 2.0 * k * phi / tp * log_ratio + k * k * width / (tp * tp * (tp + u) ** 2)
+    return -(l * l) * width + 2.0 * kappa * phi / tp * log_ratio + kappa * kappa * width / (tp * tp * (tp + u) ** 2)
 
 
 def theta_first_integral_quadrature(
     Theta_target,
     E_theta: float,
     l: int,
-    kappa_theta: float,
+    kappa: float,
     phi: float,
-    hbar: float = 1.0,
     tol: float = 1e-10,
 ):
-    """theta - theta0 from the implicit first-integral quadrature.
+    """theta - theta0 from the implicit first-integral quadrature, kappa = r^2 C_theta / hbar.
 
     Integrates d Theta / sqrt(radicand) from the turning point tp nearest
     the target amplitude.  Substituting Theta = tp + s*t^2 removes the
@@ -291,7 +291,7 @@ def theta_first_integral_quadrature(
     """
 
     def g(T):
-        return first_integral_radicand(T, E_theta, l, kappa_theta, phi, hbar)
+        return first_integral_radicand(T, E_theta, l, kappa, phi)
 
     target = np.asarray(Theta_target, dtype=float)
     T = target.ravel()
@@ -312,7 +312,7 @@ def theta_first_integral_quadrature(
     def integrand(t, i):
         # g(tp + u) = u H(u) with u = s t^2, so 2 t / sqrt(g) = 2 / sqrt(s H)
         u = s[i] * t * t
-        return 2.0 / np.sqrt(s[i] * radicand_increment_quotient(u, tp[i], l, kappa_theta, phi, hbar))
+        return 2.0 / np.sqrt(s[i] * radicand_increment_quotient(u, tp[i], l, kappa, phi))
 
     quad = quad_singular(integrand, 0.0, t_max.reshape(target.shape), tol=tol)
     # a target on its turning point gives +0.0, not s * 0.0
@@ -429,7 +429,6 @@ def bohm_energy_residual(
     E: float,
     params: PhysParams,
     point,
-    fd_step: float = 1e-3,
 ):
     """Stationary energy-balance defect at one point.
 
@@ -437,15 +436,15 @@ def bohm_energy_residual(
     [p_r^2 + p_theta^2 - eBr p_theta + (eBr)^2/4 + p_z^2] / 2m
       - (hbar^2/2m)[R''/R + R'/(r R) + Theta''/(r^2 Theta) + Z''/Z] - E,
     the amplitude-curvature block being the quantum potential.  Amplitude
-    derivatives are five-point central differences; Theta may be complex,
-    in which case the returned residual is complex.
+    derivatives are five-point central differences of step 1e-3; Theta
+    may be complex, in which case the returned residual is complex.
     """
     r, th, z = point
     if r <= 0:
         raise ValueError("quantum potential singular: needs r > 0")
-    Rv, d1R, d2R = _fd5(R, r, fd_step)
-    Tv, _, d2T = _fd5(Theta, th, fd_step)
-    Zv, _, d2Z = _fd5(Z, z, fd_step)
+    Rv, d1R, d2R = _fd5(R, r)
+    Tv, _, d2T = _fd5(Theta, th)
+    Zv, _, d2Z = _fd5(Z, z)
     if Rv == 0 or Tv == 0 or Zv == 0:
         raise ValueError("quantum potential singular: amplitude node at the point")
 
@@ -462,8 +461,9 @@ def bohm_energy_residual(
     return kinetic - hb * hb / (2.0 * m) * curvature - E
 
 
-def _fd5(f: Callable, x: float, h: float):
-    """Value and first/second derivatives by five-point central stencils."""
+def _fd5(f: Callable, x: float):
+    """Value and first/second derivatives by five-point central stencils of step _FD_STEP."""
+    h = _FD_STEP
     fm2, fm1, f0, fp1, fp2 = (f(x + k * h) for k in (-2, -1, 0, 1, 2))
     d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)

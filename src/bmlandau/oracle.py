@@ -110,18 +110,6 @@ class IVPSolution:
         out = h00 * y0 + h10 * hcol * f0 + h01 * y1 + h11 * hcol * f1
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
-    def profiles(self, coordinate: str, grid=None, names=None) -> list[SampledProfile]:
-        """Dense-sample each state component onto a SampledProfile."""
-        grid = self.ts if grid is None else np.asarray(grid, dtype=float)
-        values = self(grid)
-        values = np.atleast_2d(values)
-        ncomp = self.ys.shape[1]
-        names = names or [f"y{i}" for i in range(ncomp)]
-        return [
-            SampledProfile(coordinate, grid, values[:, i], {"component": names[i]})
-            for i in range(ncomp)
-        ]
-
 
 def integrate_ivp(p: IVPProblem) -> IVPSolution:
     """Adaptive Dormand-Prince 5(4) integration with dense output.
@@ -197,6 +185,7 @@ def fd_residual(candidate: SampledProfile, ode_form: Callable) -> ResidualReport
 
 
 _TS_TMAX = 6.8  # beyond this the double-exponential weight underflows
+_TS_MAX_LEVEL = 12  # the level budget; quad_singular reads it at call time
 
 # level -> (unit offsets, unit weights) of the nodes t > 0 new at that
 # level; the -t node shares both values.  Nothing here depends on the
@@ -251,7 +240,7 @@ def _level_nodes(level: int, a, b):
     return x, w
 
 
-def quad_singular(f: Callable, a, b, tol: float = 1e-10, max_level: int = 12):
+def quad_singular(f: Callable, a, b, tol: float = 1e-10):
     """Tanh-sinh quadrature of f on (a, b), or on many intervals at once; absolute tolerance ``tol``.
 
     Integrable endpoint singularities are handled by the double
@@ -274,8 +263,8 @@ def quad_singular(f: Callable, a, b, tol: float = 1e-10, max_level: int = 12):
     its own convergence level, and leaves the batch when it converges; so
     each entry equals the float call on that interval bit for bit.  b < a
     integrates (b, a) and negates.  The result is a float for float
-    limits and an array of shape S otherwise.  If any interval reaches
-    max_level unconverged, RuntimeError is raised.
+    limits and an array of shape S otherwise.  If any interval is still
+    unconverged after level 12, RuntimeError is raised.
     """
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     a, b = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
@@ -294,7 +283,7 @@ def quad_singular(f: Callable, a, b, tol: float = 1e-10, max_level: int = 12):
     rows = np.flatnonzero(lo != hi)
     h = 1.0
     total = level_sums(0, rows) if rows.size else None
-    for level in range(1, max_level + 1):
+    for level in range(1, _TS_MAX_LEVEL + 1):
         if not rows.size:
             break
         h *= 0.5

@@ -196,7 +196,8 @@ def damped_axial_profile(z, C_z: float, params: PhysParams):
     """
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore"):  # the exponent overflows only to -inf, and exp(-inf) = 0
-        envelope = np.exp(-abs(C_z) * z * z / (2.0 * params.hbar))
+        # divided by hbar, then 2: 2 hbar is inf for hbar near float max
+        envelope = np.exp(-abs(C_z) * z * z / params.hbar / 2.0)
     out = np.sqrt(np.abs(z)) * envelope
     return out if np.asarray(z).ndim else float(out)
 

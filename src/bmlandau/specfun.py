@@ -16,7 +16,9 @@ No asymptotic or large-argument expansions: the raw series is validated
 for |x| <= 30 only and larger arguments are rejected, as are non-finite
 arguments.
 
-``hyp1f1`` and ``bessel_j`` share one term loop, ``_sum_series``.  Every
+``hyp1f1`` and ``bessel_j`` share one term loop, ``_sum_series``, with
+fixed limits: a term counts as small below 1e-15 of the partial sum, and
+a series that has not converged in 500 terms raises RuntimeError.  Every
 term of one sweep is c_k w^k with c_k independent of the grid point, so
 the largest term over the grid and a bound on every partial sum follow
 from two scalars; the array convergence test runs only on terms where
@@ -30,7 +32,6 @@ import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,21 +41,9 @@ _LD = np.longdouble
 _CLD = np.clongdouble
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the ascending series."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# series limits (small-term ratio, term budget), read by _sum_series at call time
+_REL_TOL = 1e-15
+_MAX_TERMS = 500
 
 
 def _is_nonpositive_integer(z) -> bool:
@@ -94,8 +83,8 @@ def _moderate(*values) -> bool:
     return all(p == 0 or 1e-100 <= abs(p) <= 1e100 for p in parts)
 
 
-def _array_test(term, total, rel_tol: float, floor):
-    """The array convergence test max|term| <= rel_tol * max|partial sum|.
+def _array_test(term, total, floor):
+    """The array convergence test max|term| <= _REL_TOL * max|partial sum|.
 
     With a ``floor`` the partial-sum maximum is taken in float64 and kept
     at or above ``floor``.  Returns the verdict and that maximum.
@@ -103,23 +92,23 @@ def _array_test(term, total, rel_tol: float, floor):
     total_max = np.max(np.abs(total))
     if floor is not None:
         total_max = max(float(total_max), floor)
-    return np.max(np.abs(term)) <= rel_tol * total_max, float(total_max)
+    return np.max(np.abs(term)) <= _REL_TOL * total_max, float(total_max)
 
 
-def _sum_series(like, factor, growth, ctl: SeriesControl, what: str, n_terms=None, floor=None):
+def _sum_series(like, factor, growth, what: str, n_terms=None, floor=None):
     """Sum term_0 = 1, term_{k+1} = term_k * factor(k) over an array shaped ``like``.
 
     With ``n_terms`` exactly that many terms after term_0 are added (a
     terminating polynomial).  Otherwise the sum stops after two consecutive
-    terms pass ``_array_test``; ``ctl.max_terms`` terms without that
-    raise RuntimeError.
+    terms pass ``_array_test`` at ``_REL_TOL``; ``_MAX_TERMS`` terms
+    without that raise RuntimeError.
 
     Every term is c_k w^k with c_k the same at every grid point (w = x for
     1F1, w = -(x/2)^2 for Bessel), and ``growth(k)`` is |c_{k+1} / c_k|
     max|w|.  So the product s of the growths is max|term_k| over the grid,
     and m, the s summed since the last array test plus that test's
     max|partial sum|, bounds the current max|partial sum|.  While
-    s (1 - eps) > rel_tol m (1 + eps) the array test cannot pass: it is
+    s (1 - eps) > _REL_TOL m (1 + eps) the array test cannot pass: it is
     skipped and the term counts as not small.  eps = (k + 1) _BOUND_SLACK
     covers rounding.  A nan growth or an s outside [_BOUND_TINY,
     _BOUND_HUGE] turns s into nan, and every later term is tested.
@@ -132,10 +121,8 @@ def _sum_series(like, factor, growth, ctl: SeriesControl, what: str, n_terms=Non
     while True:
         if n_terms is not None and k >= n_terms:
             break
-        if k >= ctl.max_terms:
-            raise RuntimeError(
-                f"series budget exceeded: {what} did not converge in {ctl.max_terms} terms"
-            )
+        if k >= _MAX_TERMS:
+            raise RuntimeError(f"series budget exceeded: {what} did not converge in {_MAX_TERMS} terms")
         term = term * factor(k)
         total = total + term
         if n_terms is not None:
@@ -147,10 +134,10 @@ def _sum_series(like, factor, growth, ctl: SeriesControl, what: str, n_terms=Non
         m += s
         k += 1
         eps = (k + 1) * _BOUND_SLACK
-        if s * (1.0 - eps) > ctl.rel_tol * m * (1.0 + eps):
+        if s * (1.0 - eps) > _REL_TOL * m * (1.0 + eps):
             small_streak = 0
             continue
-        small, total_max = _array_test(term, total, ctl.rel_tol, floor)
+        small, total_max = _array_test(term, total, floor)
         m = min(m, total_max)
         if small:
             small_streak += 1
@@ -173,17 +160,17 @@ def _kummer_factor(aw, bw, xw, k):
     return (aw + k) * xw / denom
 
 
-def hyp1f1(a, b, x, ctl: SeriesControl = DEFAULT_CONTROL):
+def hyp1f1(a, b, x):
     """Kummer confluent hypergeometric function 1F1(a, b; x).
 
     Sums sum_k (a)_k x^k / ((b)_k k!).  Terminates exactly when ``a`` is a
     non-positive *integer-typed* value (polynomial of degree -a); the test
     is on the Python/numpy integer type, never on float rounding.
-    Otherwise truncates once the running term falls below
-    rel_tol * |partial sum| (maxima over the grid) for two consecutive
-    terms; the array test is skipped on terms where the scalar bound
-    |c_k| max|x|^k shows it must fail, which leaves the stopping term and
-    every result bit unchanged.
+    Otherwise truncates once the running term falls below 1e-15 |partial
+    sum| (maxima over the grid) for two consecutive terms, and raises
+    RuntimeError after 500 terms without that; the array test is skipped
+    on terms where the scalar bound |c_k| max|x|^k shows it must fail,
+    which leaves the stopping term and every result bit unchanged.
 
     ``x`` may be a scalar or ndarray (one series sweep over all entries).
     Real inputs give a float result, complex inputs a complex one.
@@ -220,19 +207,19 @@ def hyp1f1(a, b, x, ctl: SeriesControl = DEFAULT_CONTROL):
         return abs(ac + k) / abs(bc + k) * (x_max / (k + 1))
 
     factor = functools.partial(_kummer_factor, aw, bw, xw)
-    total = _sum_series(xw, factor, growth, ctl, "1F1", n_terms=-int(a) if polynomial else None)
+    total = _sum_series(xw, factor, growth, "1F1", n_terms=-int(a) if polynomial else None)
 
     out = total.astype(complex if is_complex else float)
     _check_finite(out, "hyp1f1")
     return out if out.ndim else out.item()
 
 
-def hyp1f1_deriv(a, b, x, ctl: SeriesControl = DEFAULT_CONTROL):
+def hyp1f1_deriv(a, b, x):
     """d/dx 1F1(a, b; x) = (a/b) 1F1(a+1, b+1; x) (contiguous relation).
 
     ``a + 1`` keeps integer type, so polynomial termination is preserved.
     """
-    return (a / b) * hyp1f1(a + 1, b + 1, x, ctl)
+    return (a / b) * hyp1f1(a + 1, b + 1, x)
 
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is a
@@ -276,11 +263,6 @@ def ln_gamma(z) -> complex:
     return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
-def gamma(z) -> complex:
-    """exp(ln_gamma(z))."""
-    return cmath.exp(ln_gamma(z))
-
-
 def rgamma(z) -> complex:
     """1/Gamma(z), returning exactly 0.0 at the poles of Gamma."""
     if _hits_gamma_pole(z):
@@ -288,7 +270,7 @@ def rgamma(z) -> complex:
     return cmath.exp(-ln_gamma(z))
 
 
-def whittaker_m(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
+def whittaker_m(kappa, mu, x):
     """Whittaker function M_{kappa,mu}(x), scalar or array x.
 
     M = exp(-x/2) x^{mu+1/2} 1F1(mu - kappa + 1/2, 1 + 2 mu; x), with the
@@ -306,12 +288,12 @@ def whittaker_m(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
         raise ValueError("whittaker_m singular at x = 0 for Re(mu + 1/2) <= 0")
     a = mu - kappa + 0.5
     power = np.exp((mu + 0.5) * np.log(x_arr))
-    value = np.exp(-0.5 * x_arr) * power * hyp1f1(a, b, x_arr, ctl)
+    value = np.exp(-0.5 * x_arr) * power * hyp1f1(a, b, x_arr)
     _check_finite(value, "whittaker_m")
     return value if np.asarray(x).ndim else complex(value)
 
 
-def whittaker_mw(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
+def whittaker_mw(kappa, mu, x):
     """The pair (M_{kappa,mu}(x), W_{kappa,mu}(x)) from two Kummer sweeps.
 
     W comes from the M-connection formula (DLMF 13.14.33)
@@ -330,15 +312,15 @@ def whittaker_mw(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
         raise ValueError("connection formula degenerate: 2*mu is an integer")
     c_plus = cmath.exp(ln_gamma(-two_mu)) * rgamma(0.5 - mu - kappa)
     c_minus = cmath.exp(ln_gamma(two_mu)) * rgamma(0.5 + mu - kappa)
-    m = whittaker_m(kappa, mu, x, ctl)
-    w = c_plus * m + c_minus * whittaker_m(kappa, -mu, x, ctl)
+    m = whittaker_m(kappa, mu, x)
+    w = c_plus * m + c_minus * whittaker_m(kappa, -mu, x)
     _check_finite(w, "whittaker_w")
     return m, w
 
 
-def whittaker_w(kappa, mu, x, ctl: SeriesControl = DEFAULT_CONTROL):
+def whittaker_w(kappa, mu, x):
     """Whittaker function W_{kappa,mu}(x): the second entry of ``whittaker_mw``."""
-    return whittaker_mw(kappa, mu, x, ctl)[1]
+    return whittaker_mw(kappa, mu, x)[1]
 
 
 def _bessel_factor(nu, q, k):
@@ -346,14 +328,15 @@ def _bessel_factor(nu, q, k):
     return -q / ((k + 1) * (k + 1 + _LD(nu)))
 
 
-def bessel_j(nu: float, x, ctl: SeriesControl = DEFAULT_CONTROL):
+def bessel_j(nu: float, x):
     """Bessel J_nu via the ascending series, nu >= 0 real, x >= 0.
 
     J_nu(x) = sum_k (-1)^k (x/2)^{2k+nu} / (k! Gamma(k+nu+1)); the common
     factor (x/2)^nu / Gamma(nu+1) is pulled out and the remaining
     alternating sum accumulated in extended precision.  It truncates once
-    the running term falls below rel_tol * max(|partial sum|, 1e-300)
-    (maxima over the grid) for two consecutive terms; the array test is
+    the running term falls below 1e-15 max(|partial sum|, 1e-300) (maxima
+    over the grid) for two consecutive terms, and raises RuntimeError
+    after 500 terms without that; the array test is
     skipped on terms where the scalar bound |c_k| max(x/2)^{2k} shows it
     must fail, which leaves the stopping term and every result bit
     unchanged.  Non-finite ``x`` and x > SERIES_RANGE raise ValueError,
@@ -379,7 +362,7 @@ def bessel_j(nu: float, x, ctl: SeriesControl = DEFAULT_CONTROL):
         return q_max / ((k + 1) * (k + 1 + nu))
 
     factor = functools.partial(_bessel_factor, nu, q)
-    total = _sum_series(q, factor, growth, ctl, "Bessel series", floor=1e-300)
+    total = _sum_series(q, factor, growth, "Bessel series", floor=1e-300)
 
     # prefactor applied in float64; x = 0 entries handled exactly
     with np.errstate(divide="ignore", invalid="ignore"):

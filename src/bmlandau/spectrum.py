@@ -82,7 +82,7 @@ def spectral_ordering_check(n_r, l, k_z, params: PhysParams) -> np.ndarray:
     return flags == "violated"
 
 
-def default_ordering_grid(n_r_max: int = 10, l_max: int = 10, k_z_values=(0.0, 1.0, 2.0)):
-    """The standard sweep grid, ravelled: n_r in [0, n_r_max], l in [1, l_max], k_z fastest."""
-    grid = np.meshgrid(np.arange(n_r_max + 1), np.arange(1, l_max + 1), k_z_values, indexing="ij")
+def default_ordering_grid():
+    """The standard sweep grid, ravelled: n_r in 0..10, l in 1..10, k_z in (0, 1, 2), k_z fastest."""
+    grid = np.meshgrid(np.arange(11), np.arange(1, 11), (0.0, 1.0, 2.0), indexing="ij")
     return tuple(a.ravel() for a in grid)

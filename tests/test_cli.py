@@ -135,6 +135,18 @@ class TestAmplitudeCommand:
         assert err == ""
         assert out == "z,value\n0,0\n5000000000,0\n10000000000,0\n"
 
+    def test_damped_axial_with_hbar_near_float_max_is_zero(self, capsys, tmp_path):
+        # 2 hbar overflows for hbar = 1e308: the rows used to be nan
+        cfg = tmp_path / "hb.json"
+        cfg.write_text('{"hbar": 1e308}')
+        argv = ["--config", str(cfg), "amplitude", "--sector", "z", "--branch", "damped", "--cz=1e300",
+                "--grid", "0:1e10:3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == "z,value\n0,0\n5000000000,0\n10000000000,0\n"
+
     def test_ep_radial_profile(self, capsys):
         code, out, _ = run_cli(
             ["amplitude", "--sector", "r", "--branch", "ep", "--a", "0", "--grid", "0.2:2:20"],
@@ -542,6 +554,48 @@ class TestByteIdentity:
         rows = [(0.1, None, None), ["0", "1", 0.1, "qm", 0.5]]
         text = _emit_table(["a", "b", "c"], rows, {}, config)
         assert text == "a,b,c\n0.10000000000000001,,\n0,1,0.10000000000000001,qm,0.5\n"
+
+
+def _cell_by_cell_csv(columns, rows):
+    """CSV by the per-cell rule: "" for a gap, a str as it is, else format(float(v), ".17g")."""
+    cell = lambda v: "" if v is None else v if isinstance(v, str) else format(float(v), ".17g")
+    return "\n".join([",".join(columns)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+
+
+class TestCsvRowTemplate:
+    """Each table's one row template gives the bytes of the per-cell rule."""
+
+    CASES = {
+        "spectrum all": ({}, ["spectrum", "--nr", "0:3", "--l=-1:3", "--kz", "0,0.1,2", "--model", "all"]),
+        "spectrum one model": ({}, ["spectrum", "--nr", "0:2", "--l", "0:2", "--kz", "0.1,1e-300", "--model", "el"]),
+        # hbar = 1e9 puts two momentum poles, and so two gap rows, on this grid
+        "flow with gaps": ({"hbar": 1e9}, ["flow", "--lambda", "1", "--e-pi", "1", "--grid", "2.3561:2.3563:201"]),
+        "amplitude complex": ({}, ["amplitude", "--sector", "theta", "--branch", "whittaker", "--l", "1",
+                                   "--r", "1", "--c2", "0.5j", "--grid", "0.2:2:50"]),
+        "amplitude real": ({}, ["amplitude", "--sector", "z", "--branch", "regularised", "--kz", "1",
+                                "--grid", "0.1:5:50"]),
+    }
+
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_equals_cell_by_cell(self, capsys, monkeypatch, tmp_path, kind):
+        from bmlandau import cli
+
+        config, argv = self.CASES[kind]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        tables, emit = [], cli._emit_table
+
+        def recording(columns, rows, metadata, config):
+            tables.append((columns, rows))
+            return emit(columns, rows, metadata, config)
+
+        monkeypatch.setattr(cli, "_emit_table", recording)
+        code, out, _ = run_cli(["--config", str(cfg)] + argv, capsys)
+        assert code == 0
+        [(columns, rows)] = tables
+        if kind == "flow with gaps":
+            assert sum(row[1] is None for row in rows) == 2
+        assert out == _cell_by_cell_csv(columns, rows)
 
 
 class TestPoleGapRows:

@@ -11,12 +11,11 @@ class TestSampledProfile:
         prof = SampledProfile("r", [0.0, 0.5, 1.0], [1.0, 2.0, 3.0], {"op": "demo"})
         assert prof.coordinate == "r"
         assert prof.metadata["op"] == "demo"
-        assert not prof.is_complex
         assert prof.step() == pytest.approx(0.5)
 
     def test_complex_values(self):
         prof = SampledProfile("theta", [0.1, 0.2], np.array([1j, 2.0 + 1j]))
-        assert prof.is_complex
+        assert prof.values.dtype == complex  # the values keep their dtype
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -184,10 +184,6 @@ class TestSThetaClosed:
         assert inc.max() - inc.min() < 1e-12
         assert inc[0] != 0.0
 
-    def test_offset_constant(self):
-        ctx = reference_context()
-        assert fx.s_theta_closed(0.7, ctx, s0=2.5) - fx.s_theta_closed(0.7, ctx) == pytest.approx(2.5)
-
 
 class TestFBranchFlow:
     def test_zero_current_reduces_to_linear_flow(self):
@@ -299,7 +295,7 @@ class TestFirstIntegralQuadrature:
         args = (2.0, 1, 0.5, 0.7, 1.0)
         with mp.workdps(30):
             upper = mp.findroot(_mp_radicand(*args), (2.0, 2.2), solver="anderson")
-        got = fx.theta_first_integral_quadrature(target, *args, tol=1e-12)
+        got = fx.theta_first_integral_quadrature(target, *_library_args(*args), tol=1e-12)
         assert abs(got - _mp_theta(target, *args, upper)) <= 1e-12
 
     def test_sign_follows_side_of_turning_point(self):
@@ -318,7 +314,7 @@ class TestIncrementQuotient:
     @pytest.mark.parametrize("u", [0.5, 1e-3, -1e-3, 1e-9, -1e-9, 1e-30, -0.2])
     def test_matches_the_increment_at_high_precision(self, tp, u):
         E, l, kappa, phi, hbar = self.ARGS
-        got = fx.radicand_increment_quotient(u, tp, l, kappa, phi, hbar)
+        got = fx.radicand_increment_quotient(u, tp, l, kappa / hbar, phi)
         g = _mp_radicand(*self.ARGS)
         with mp.workdps(60):
             want = (g(mp.mpf(tp) + mp.mpf(u)) - g(mp.mpf(tp))) / mp.mpf(u)
@@ -331,7 +327,7 @@ class TestIncrementQuotient:
         slope = -2.0 * l * l * tp + 2.0 * kappa * phi / (hbar * tp) + 2.0 * (kappa / hbar) ** 2 / tp**3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fx.radicand_increment_quotient(np.array([u]), tp, l, kappa, phi, hbar)
+            got = fx.radicand_increment_quotient(np.array([u]), tp, l, kappa / hbar, phi)
         assert got[0] == pytest.approx(slope, rel=1e-15)
 
 
@@ -339,9 +335,15 @@ class TestIncrementQuotient:
 # array targets: the scalar search and quadrature kept verbatim as the reference
 # ---------------------------------------------------------------------------
 
+def _library_args(E_theta, l, kappa_theta, phi, hbar, *tol):
+    """The library's arguments for (E_theta, l, kappa_theta, phi, hbar[, tol]):
+    the scaled current kappa_theta / hbar in place of kappa_theta and hbar."""
+    return (E_theta, l, kappa_theta / hbar, phi, *tol)
+
+
 def _seed_theta_quadrature(Theta_target, E_theta, l, kappa_theta, phi, hbar=1.0, tol=1e-10):
     def g(T):
-        return float(fx.first_integral_radicand(T, E_theta, l, kappa_theta, phi, hbar))
+        return float(fx.first_integral_radicand(T, E_theta, l, kappa_theta / hbar, phi))
 
     # the one addition to the verbatim copy: non-finite targets are rejected first
     if not math.isfinite(Theta_target):
@@ -364,7 +366,7 @@ def _seed_theta_quadrature(Theta_target, E_theta, l, kappa_theta, phi, hbar=1.0,
     t_noise = math.sqrt(100.0 * noise / gp)
 
     def integrand(t, _i):
-        rad = fx.first_integral_radicand(tp + s * t * t, E_theta, l, kappa_theta, phi, hbar)
+        rad = fx.first_integral_radicand(tp + s * t * t, E_theta, l, kappa_theta / hbar, phi)
         flat = (t <= t_noise) | (rad <= 0.0)
         return np.where(flat, 2.0 / math.sqrt(gp), 2.0 * t / np.sqrt(np.where(flat, 1.0, rad)))
 
@@ -479,11 +481,11 @@ def _first_integral_cases(draw):
     hbar = draw(st.sampled_from([1.0, 0.7]))
     tol = draw(st.sampled_from([1e-10, 1e-12]))
     grid = np.geomspace(1e-2, 1e2, 400)
-    allowed = grid[fx.first_integral_radicand(grid, E_theta, l, kappa, phi, hbar) > 0]
+    allowed = grid[fx.first_integral_radicand(grid, E_theta, l, kappa / hbar, phi) > 0]
     assume(allowed.size > 0)
     picks = draw(st.lists(st.integers(0, 399), min_size=1, max_size=5))
     targets = [float(allowed[i % allowed.size]) for i in picks]
-    g = lambda T: float(fx.first_integral_radicand(T, E_theta, l, kappa, phi, hbar))
+    g = lambda T: float(fx.first_integral_radicand(T, E_theta, l, kappa / hbar, phi))
     tp = _seed_nearest_turning_point(g, targets[0])
     if tp is not None:
         inward = 1.0 if targets[0] > tp else -1.0
@@ -515,8 +517,9 @@ class TestArrayTargets:
         # error of the first failing stage
         (E_theta, l, kappa, phi, hbar, tol), Ts = case
         args = (E_theta, l, kappa, phi, hbar, tol)
-        g = lambda T: float(fx.first_integral_radicand(T, E_theta, l, kappa, phi, hbar))
-        want = [_quadrature_outcome(fx.theta_first_integral_quadrature, T, args) for T in Ts.tolist()]
+        lib_args = _library_args(*args)
+        g = lambda T: float(fx.first_integral_radicand(T, E_theta, l, kappa / hbar, phi))
+        want = [_quadrature_outcome(fx.theta_first_integral_quadrature, T, lib_args) for T in Ts.tolist()]
         seeds = [_quadrature_outcome(_seed_theta_quadrature, T, args) for T in Ts.tolist()]
         for T, got, seed in zip(Ts.tolist(), want, seeds):
             if isinstance(seed, tuple) and seed[1] != _STAGES[-1]:
@@ -531,15 +534,15 @@ class TestArrayTargets:
             errors = sorted((_STAGES.index(w[1]), w) for w in outcomes if isinstance(w, tuple))
             if errors:
                 with pytest.raises(errors[0][1][0]) as info:
-                    fx.theta_first_integral_quadrature(targets, *args)
+                    fx.theta_first_integral_quadrature(targets, *lib_args)
                 assert str(info.value) == errors[0][1][1]
                 continue
             event("equal")
-            got = fx.theta_first_integral_quadrature(targets, *args)
+            got = fx.theta_first_integral_quadrature(targets, *lib_args)
             assert got.shape == targets.shape
             assert got.tobytes() == b"".join(outcomes)
             # any array shape, entries in ravel order
-            assert fx.theta_first_integral_quadrature(targets[:, None], *args).tobytes() == got.tobytes()
+            assert fx.theta_first_integral_quadrature(targets[:, None], *lib_args).tobytes() == got.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -558,7 +561,7 @@ class TestArrayTargets:
             return  # the drawn value is allowed for these parameters
         batch = np.array(good[:where] + [bad] + good[where:])
         with pytest.raises(ValueError) as info:
-            fx.theta_first_integral_quadrature(batch, *args)
+            fx.theta_first_integral_quadrature(batch, *_library_args(*args))
         assert str(info.value) == expected[1]
 
     def test_target_far_below_its_turning_point_in_a_batch_is_silent(self):

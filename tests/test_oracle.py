@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,14 +53,6 @@ class TestIntegrator:
         # y' = y^2, y(0)=1 blows up at t=1
         with pytest.raises(RuntimeError, match="integration stalled"):
             integrate_ivp(IVPProblem(lambda y, t: y * y, [1.0], (0.0, 2.0), 1e-10, 1e-12))
-
-    def test_profiles_export(self):
-        rhs = lambda y, t: np.array([y[1], -y[0]])
-        sol = integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, 1.0), 1e-9, 1e-11))
-        profs = sol.profiles("t", np.linspace(0.0, 1.0, 11), names=["sin", "cos"])
-        assert len(profs) == 2
-        assert profs[0].metadata["component"] == "sin"
-        assert np.allclose(profs[0].values, np.sin(profs[0].grid), atol=1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -129,8 +122,12 @@ class TestQuadSingular:
 
     def test_budget_exceeded(self):
         # unresolvable at a nonzero endpoint unless the caller writes it in offset form
+        with pytest.raises(RuntimeError, match="quadrature budget exceeded"), _level_budget(4):
+            quad_singular(lambda x, i: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, 1e-13)
+
+    def test_budget_exceeded_at_the_shipped_level(self):
         with pytest.raises(RuntimeError, match="quadrature budget exceeded"):
-            quad_singular(lambda x, i: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, 1e-13, max_level=4)
+            quad_singular(lambda x, i: 1 / np.sqrt(1 - x), 0.0, 1.0, 1e-13)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -202,7 +199,7 @@ def ulps(got, want):
 
 
 class TestLevelTables:
-    # every level up to the default max_level of 12 (quadrature_roundtrip,
+    # every level up to the level budget of 12 (quadrature_roundtrip,
     # with its offset-form integrand, converges by level 4)
     LEVELS = range(0, 13)
 
@@ -255,6 +252,11 @@ def _seed_level_nodes(level, a, b):
         x = np.concatenate(([mid], x))
         w = np.concatenate(([half * 0.5 * math.pi], w))
     return x, w
+
+
+def _level_budget(max_level):
+    """The library's level budget set to max_level for the block."""
+    return mock.patch.object(oracle, "_TS_MAX_LEVEL", max_level)
 
 
 def _seed_quad(f, a, b, tol=1e-10, max_level=12):
@@ -329,30 +331,32 @@ class TestIntervalArrays:
         # each row is the single-interval call bit for bit, or the batch
         # raises that call's RuntimeError
         a, bs, cs = limits
-        args = (tol, max_level)
         want = []
         for b, c in zip(bs.tolist(), cs.tolist()):
             row_f = lambda x, i, c=c: _kernel(kind, x, c, a)
-            want.append(_outcome(_seed_quad, row_f, a, b, *args))
-            assert _outcome(quad_singular, row_f, a, b, *args) == want[-1]
+            want.append(_outcome(_seed_quad, row_f, a, b, tol, max_level))
+            with _level_budget(max_level):
+                assert _outcome(quad_singular, row_f, a, b, tol) == want[-1]
         batch_f = lambda x, i: _kernel(kind, x, cs[i], a)
         errors = [w for w in want if isinstance(w, tuple)]
         event("raises" if errors else "equal")
-        if errors:
-            with pytest.raises(errors[0][0]) as info:
-                quad_singular(batch_f, a, bs, *args)
-            assert str(info.value) == errors[0][1]
-        else:
-            assert quad_singular(batch_f, a, bs, *args).tobytes() == b"".join(want)
+        with _level_budget(max_level):
+            if errors:
+                with pytest.raises(errors[0][0]) as info:
+                    quad_singular(batch_f, a, bs, tol)
+                assert str(info.value) == errors[0][1]
+            else:
+                assert quad_singular(batch_f, a, bs, tol).tobytes() == b"".join(want)
 
     def test_row_at_max_level_raises_the_scalar_error(self):
         def f(x, i):  # unresolvable unless written in offset form
             return 1.0 / np.sqrt(1.0 - x)
 
-        with pytest.raises(RuntimeError) as scalar:
-            quad_singular(f, 0.0, 1.0, 1e-13, max_level=4)
-        with pytest.raises(RuntimeError) as batch:
-            quad_singular(f, 0.0, np.array([0.5, 1.0, 0.25]), 1e-13, max_level=4)
+        with _level_budget(4):
+            with pytest.raises(RuntimeError) as scalar:
+                quad_singular(f, 0.0, 1.0, 1e-13)
+            with pytest.raises(RuntimeError) as batch:
+                quad_singular(f, 0.0, np.array([0.5, 1.0, 0.25]), 1e-13)
         assert str(batch.value) == str(scalar.value) == "quadrature budget exceeded: tanh-sinh did not converge"
 
     def test_rows_leave_the_batch_when_converged(self):

@@ -284,6 +284,13 @@ class TestDampedProfiles:
             assert got.tolist() == [0.0, 0.0, 0.0]
             assert rg.damped_axial_profile(1e200, -1.0, NATURAL) == 0.0
 
+    def test_axial_envelope_with_hbar_near_float_max(self):
+        # 2 hbar would overflow to inf and -inf / inf give nan: the envelope is 0, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rg.damped_axial_profile(np.array([0.0, 5e9, 1e10]), 1e300, PhysParams(hbar=1e308))
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
 
 class TestBranchAssignment:
     def test_componentwise(self):
