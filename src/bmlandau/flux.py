@@ -229,13 +229,17 @@ def f_branch_flow(F: float, pi: float, ctx: FluxContext, C_theta: float, sign: i
 
 
 def first_integral_radicand(Theta, E_theta: float, l: int, kappa: float, phi: float):
-    """(Theta')^2 = 2 E - l^2 T^2 + 2 kappa phi ln|T| - kappa^2/T^2, kappa = r^2 C_theta / hbar."""
+    """(Theta')^2 = 2 E - l^2 T^2 + 2 kappa phi ln|T| - kappa^2/T^2, kappa = r^2 C_theta / hbar.
+
+    With kappa = 0 the centrifugal term is left out, not computed as
+    0 / T^2, which is nan where T^2 underflows to 0.
+    """
     T = np.asarray(Theta, dtype=float)
     return (
         2.0 * E_theta
         - (l * l) * T * T
         + 2.0 * kappa * phi * np.log(np.abs(T))
-        - kappa**2 / (T * T)
+        - (kappa**2 / (T * T) if kappa else 0.0)
     )
 
 
@@ -320,41 +324,70 @@ def theta_first_integral_quadrature(
     return out.reshape(target.shape) if target.ndim else float(out[0])
 
 
-def _nearest_turning_points(g, target, expand: float = 1.6, max_iter: int = 200):
+# The turning-point scans cover [1e-150, 1e150], where T^2 and 1/T^2 of
+# the radicand stay normal floats; inside [1e-12, 1e12] they step by a
+# fixed ratio.
+_SCAN_RANGE = (1e-150, 1e150)
+_STEP_WINDOW = (1e-12, 1e12)
+
+
+def _nearest_turning_points(g, target, expand: float = 1.6):
     """Zero of g nearest each target among the brackets found on each side; nan where none.
 
-    The downward scan (targets / expand^k, stopping below 1e-12) and the
-    upward scan (targets * expand^k, stopping above 1e12) step all
-    targets in lock-step, each stopping at the first step where g <= 0
-    (a bracket) or at its limit.  The brackets are then bisected
-    together; between a downward and an upward root the nearer wins, the
-    downward one on a tie.
+    The downward scan (targets / expand^k) and the upward scan (targets *
+    expand^k) step all targets in lock-step, each stopping at the first
+    step where g <= 0 (a bracket).  A scan whose position lies outside
+    _STEP_WINDOW takes one last step, to the end of _SCAN_RANGE in its
+    direction, and stops there.  That step decides exactly, because g
+    has at most one local maximum on (0, inf), so {g > 0} is one
+    interval: for the radicand, T^3 g'(T) is a quadratic in T^2 with at
+    most one positive root.  Brackets wider than a factor expand^2 (the
+    last steps) are halved in log T until they are not; then all are
+    bisected together.  Between a downward and an upward root the nearer
+    wins, the downward one on a tie.
     """
     n = target.size
     # entries [0, n) scan downward from the targets, [n, 2n) upward
     down = np.arange(2 * n) < n
     pos = np.concatenate((target, target))
     outside = np.full(2 * n, np.nan)
-    active = np.arange(2 * n)
-    for _ in range(max_iter):
-        if not active.size:
-            break
+    end = np.where(down, _SCAN_RANGE[0], _SCAN_RANGE[1])
+    # a scan starting at or beyond the end of its range has nothing to search
+    active = np.flatnonzero(np.where(down, pos > end, pos < end))
+    while active.size:
         here, falls = pos[active], down[active]
-        nxt = np.where(falls, here / expand, here * expand)
+        last = (here < _STEP_WINDOW[0]) | (here > _STEP_WINDOW[1])
+        nxt = np.where(last, end[active], np.where(falls, here / expand, here * expand))
         hit = g(nxt) <= 0.0
         outside[active[hit]] = nxt[hit]
         pos[active[~hit]] = nxt[~hit]
-        # amplitudes shrink toward 0 where either the centrifugal term
-        # blows up (kappa != 0) or g stays positive to the axis
-        limit = np.where(falls, nxt < 1e-12, nxt > 1e12)
-        active = active[~(hit | limit)]
+        active = active[~(hit | last)]
     bracketed = ~np.isnan(outside)  # outside is set on a bracket only
     roots = np.full(2 * n, np.nan)
-    roots[bracketed] = _bisect(g, pos[bracketed], outside[bracketed])
+    inside, outside = _narrow_in_log(g, pos[bracketed], outside[bracketed], expand * expand)
+    roots[bracketed] = _bisect(g, inside, outside)
     lower, upper = roots[:n], roots[n:]
     # min() over [lower, upper] keyed on the distance keeps lower on a tie
     take_upper = np.isnan(lower) | (np.abs(upper - target) < np.abs(lower - target))
     return np.where(take_upper, upper, lower)
+
+
+def _narrow_in_log(g, inside, outside, ratio: float):
+    """Brackets of g's roots halved in log T (geometric midpoints) until their ends are within ``ratio``.
+
+    Brackets already that narrow are returned unchanged.
+    """
+    inside, outside = inside.copy(), outside.copy()
+    active = np.arange(inside.size)
+    while True:
+        lo, hi = np.minimum(inside[active], outside[active]), np.maximum(inside[active], outside[active])
+        active = active[hi > ratio * lo]
+        if not active.size:
+            return inside, outside
+        mid = np.sqrt(inside[active]) * np.sqrt(outside[active])
+        up = g(mid) > 0.0
+        inside[active[up]] = mid[up]
+        outside[active[~up]] = mid[~up]
 
 
 def _bisect(g, inside, outside, iters: int = 200):

@@ -8,13 +8,20 @@ from bmlandau import specfun as sf
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Grid sizes of the series sweeps (one per hyp1f1 or bessel_j evaluation) made during the test."""
+    """Grid sizes of the sweeps made during the test: one per region of a hyp1f1 or bessel_j evaluation.
+
+    A sweep is a series (``_sum_series``), the polynomial recurrence of
+    1F1 or Miller's recurrence of J, each over the grid points of its region.
+    """
     sizes = []
-    core = sf._sum_series
-
-    def counted(like, *args, **kwargs):
-        sizes.append(np.size(like))
-        return core(like, *args, **kwargs)
-
-    monkeypatch.setattr(sf, "_sum_series", counted)
+    for name, grid_at in (("_sum_series", 0), ("_kummer_polynomial", 2), ("_bessel_miller", 1)):
+        monkeypatch.setattr(sf, name, _counted(getattr(sf, name), grid_at, sizes))
     return sizes
+
+
+def _counted(core, grid_at, sizes):
+    def counted(*args, **kwargs):
+        sizes.append(np.size(args[grid_at]))
+        return core(*args, **kwargs)
+
+    return counted

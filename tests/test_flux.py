@@ -231,6 +231,31 @@ class TestFirstIntegralQuadrature:
             want = (math.asin(l * T / math.sqrt(2.0 * E_th)) - math.pi / 2.0) / l
             assert got == pytest.approx(want, abs=1e-8)
 
+    @settings(max_examples=100, deadline=None)
+    @given(E_th=st.floats(0.2, 5.0), l=st.integers(1, 3), phi=st.floats(-1.5, 1.5), frac=st.floats(0.0, 1.0))
+    @example(E_th=2.0, l=1, phi=0.7, frac=0.0)  # T = 1e-300
+    @example(E_th=2.0, l=1, phi=0.7, frac=1.0)  # T = tp
+    def test_arcsin_reduction_over_the_float_range(self, E_th, l, phi, frac):
+        # kappa = 0, T log-uniform in [1e-300, tp]: tiny targets scan up to tp
+        # from far below the fixed-step window, with no RuntimeWarning
+        tp = math.sqrt(2.0 * E_th) / l
+        T = math.exp((1.0 - frac) * math.log(1e-300) + frac * math.log(tp))
+        with mp.workdps(30):
+            x = l * mp.mpf(T) / mp.sqrt(2 * mp.mpf(E_th))
+            assume(x <= 1)  # T at or below the exact turning point
+            want = float((mp.asin(x) - mp.pi / 2) / l)
+        assume(fx.first_integral_radicand(T, E_th, l, 0.0, phi) >= 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fx.theta_first_integral_quadrature(T, E_th, l, 0.0, phi)
+        # the float turning point is off by a relative shift of a few ulp,
+        # which moves the answer by about x shift / sqrt(1 - x^2), at most
+        # sqrt(2 shift), both over l
+        shift = 1e-15
+        x = float(x)
+        moved = min(x * shift / math.sqrt(max(1.0 - x * x, 1e-300)), math.sqrt(2.0 * shift)) / l
+        assert abs(got - want) <= 1e-12 + moved
+
     def test_turning_point_gives_zero(self):
         E_th, l = 2.0, 2
         tp = math.sqrt(2.0 * E_th) / l
@@ -374,6 +399,9 @@ def _seed_theta_quadrature(Theta_target, E_theta, l, kappa_theta, phi, hbar=1.0,
 
 
 def _seed_nearest_turning_point(g, target, expand=1.6, max_iter=200):
+    # the scans of the verbatim copy stopped at 1e-12 and 1e12; a scan that
+    # stops there without a bracket now tests the end of the scan range,
+    # [1e-150, 1e150], and bisects in log T to a root found there
     candidates = []
     lo = target
     found = None
@@ -384,6 +412,7 @@ def _seed_nearest_turning_point(g, target, expand=1.6, max_iter=200):
             break
         lo = nxt
         if lo < 1e-12:
+            found = _seed_root_toward(g, lo, 1e-150)
             break
     if found is not None:
         candidates.append(found)
@@ -396,12 +425,28 @@ def _seed_nearest_turning_point(g, target, expand=1.6, max_iter=200):
             break
         hi = nxt
         if hi > 1e12:
+            found = _seed_root_toward(g, hi, 1e150)
             break
     if found is not None:
         candidates.append(found)
     if not candidates:
         return None
     return min(candidates, key=lambda tp: abs(tp - target))
+
+
+def _seed_root_toward(g, inside, end):
+    """The root of g between inside (g > 0) and the range end, by bisection in log T; None if g(end) > 0."""
+    if (end - inside) * (1.0 if end > inside else -1.0) <= 0.0 or g(end) > 0.0:
+        return None
+    outside = end
+    while True:
+        mid = math.sqrt(inside) * math.sqrt(outside)
+        if mid == inside or mid == outside:
+            return mid
+        if g(mid) > 0.0:
+            inside = mid
+        else:
+            outside = mid
 
 
 def _seed_bisect(g, inside, outside, iters=200):

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,23 @@ class TestRadialRegularised:
             lambda y, dy, d2y, q: d2y + (k2 - (BETA_ONE.beta * q) ** 2 - (nu * nu - 0.25) / q**2) * y,
         )
         assert rep.max_abs < 1e-6
+
+
+    def test_high_radial_order_against_mpmath(self):
+        # n_r = 40 on r in [0, 12] (x = beta r^2 up to 144): each point within
+        # hyp1f1's polynomial bound 1e-13 max(|M|, e^{x/2}) (b = nu + 1 > 1),
+        # times the envelope r^nu e^{-x/2}
+        qn = QuantumNumbers(40, 1, 0.0)
+        nu = rg.RegularisedLabels.from_quantum_numbers(qn).nu
+        r = np.linspace(0.0, 12.0, 400)
+        got = rg.radial_regularised(qn, BETA_ONE)(r)
+        for ri, value in zip(r.tolist(), got.tolist()):
+            with mp.workdps(30):
+                x = BETA_ONE.beta * mp.mpf(ri) ** 2
+                envelope = mp.mpf(ri) ** nu * mp.exp(-x / 2)
+                m = mp.hyp1f1(-40, nu + 1, x)
+                want, bound = float(envelope * m), float(envelope * max(abs(m), mp.exp(x / 2)))
+            assert abs(value - want) <= 1e-13 * bound
 
 
 class TestAxialRegularised:

@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bmlandau import specfun as sf
@@ -243,9 +243,12 @@ class TestBesselJ:
 # --- the shared series kernel ------------------------------------------------
 #
 # Reference: the term loops of hyp1f1 and bessel_j as they were before
-# _sum_series, copied verbatim (module names prefixed with ``sf.``).  They
-# run the array convergence test on every term, so any difference in a
-# stopping term, a result bit or an error shows against them.
+# _sum_series, copied verbatim (module names prefixed with ``sf.``) except
+# that the real work dtype is float64.  They run the array convergence
+# test on every term, so any difference in a stopping term, a result bit
+# or an error shows against them.  The library sums these series for
+# complex arguments, real non-polynomial 1F1 at x >= 0 and Bessel at
+# x <= 8; its other regions are checked against mpmath below.
 
 
 def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
@@ -256,7 +259,7 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
 
     x_arr = np.asarray(x)
     is_complex = sf._is_nonreal(a) or sf._is_nonreal(b) or np.iscomplexobj(x_arr)
-    work = sf._CLD if is_complex else sf._LD
+    work = sf._CLD if is_complex else np.float64
 
     if not polynomial and x_arr.size and np.max(np.abs(x_arr)) > sf.SERIES_RANGE:
         raise ValueError(
@@ -309,7 +312,7 @@ def _seed_bessel_j(nu, x, rel_tol=1e-15, max_terms=500):
             f"use of ascending series out of validated range |x| <= {sf.SERIES_RANGE:g}"
         )
 
-    q = (x_arr.astype(sf._LD) / 2.0) ** 2
+    q = (x_arr / 2.0) ** 2
     term = np.ones_like(q)
     total = term.copy()
     small_streak = 0
@@ -319,7 +322,7 @@ def _seed_bessel_j(nu, x, rel_tol=1e-15, max_terms=500):
             raise RuntimeError(
                 f"series budget exceeded: Bessel series did not converge in {max_terms} terms"
             )
-        term = term * (-q / ((k + 1) * (k + 1 + sf._LD(nu))))
+        term = term * (-q / ((k + 1) * (k + 1 + nu)))
         total = total + term
         k += 1
         if np.max(np.abs(term)) <= rel_tol * max(float(np.max(np.abs(total))), 1e-300):
@@ -330,7 +333,7 @@ def _seed_bessel_j(nu, x, rel_tol=1e-15, max_terms=500):
             small_streak = 0
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_pref = np.where(x_arr > 0, nu * np.log(np.where(x_arr > 0, x_arr, 1.0) / 2.0), 0.0)
+        log_pref = np.where(x_arr > 0, nu * np.log(np.where(x_arr > 0, x_arr, 1.0) / 2.0), 0.0) if nu else 0.0
     pref = np.exp(log_pref - sf.ln_gamma(nu + 1.0).real)
     result = np.where(x_arr > 0, pref * total.astype(float), 1.0 if nu == 0 else 0.0)
     sf._check_finite(result, "bessel_j")
@@ -364,7 +367,12 @@ _controls = st.one_of(
     st.just(_SHIPPED),
     st.tuples(st.sampled_from([1e-8, 1e-15, 1e-20, 1e-25]), st.integers(1, 60)),
 )
+# series limits at least as tight as the shipped ones, with the budget to reach them
+_tight_controls = st.one_of(
+    st.just(_SHIPPED), st.tuples(st.sampled_from([1e-15, 1e-20, 1e-25]), st.just(500))
+)
 _real = st.floats(-30.0, 30.0, allow_subnormal=False)
+_real_nonneg = st.floats(0.0, 30.0, allow_subnormal=False)
 _component = st.floats(-21.0, 21.0, allow_subnormal=False)
 _complex = st.builds(complex, _component, _component)
 
@@ -373,42 +381,136 @@ def _with_zeros(values):
     return st.lists(st.one_of(values, st.just(0.0)), min_size=1, max_size=12)
 
 
-_kummer_x = st.one_of(
-    _real,
+# the arguments on which hyp1f1 sums the Kummer series of x itself: real
+# x >= 0, and complex x (imaginary axis included)
+_series_x = st.one_of(
+    _real_nonneg,
     _complex,
     st.builds(1j.__mul__, _real),
-    _with_zeros(_real).map(np.array),
+    _with_zeros(_real_nonneg).map(np.array),
     _with_zeros(_complex).map(lambda v: np.array(v, dtype=complex)),
     _with_zeros(_real).map(lambda v: 1j * np.array(v)),
+)
+# real x < 0, alone or in an array with points of either sign
+_negative_x = st.one_of(
+    st.floats(-30.0, 0.0, exclude_max=True, allow_subnormal=False),
+    _with_zeros(_real).map(np.array).filter(lambda v: bool(np.any(v < 0))),
 )
 _param = st.floats(-6.0, 6.0, allow_subnormal=False)
 _kummer_a = st.one_of(_param, st.builds(complex, _param, _param), st.integers(-8, 0))
 _kummer_b = st.one_of(
     st.floats(0.05, 6.0), st.builds(complex, _param, _param.filter(lambda v: v != 0))
 )
+_wide = st.floats(-100.0, 100.0, allow_subnormal=False)
+
+
+def _abs_term_sum(a, b, x):
+    """sum_k |(a)_k| |x|^k / (|(b)_k| k!) in float64 (positive terms, no cancellation)."""
+    term = total = 1.0
+    k = 0
+    while term > 1e-17 * total or k <= abs(a):
+        term *= abs(a + k) * abs(x) / (abs(b + k) * (k + 1))
+        total += term
+        k += 1
+    return total
+
+
+def _kummer_scale(a, b, x):
+    """The scale of hyp1f1's series error bound: the absolute-term sum, times e^x for x < 0."""
+    return _abs_term_sum(a, b, x) if x >= 0 else math.exp(x) * _abs_term_sum(b - a, b, -x)
+
+
+def _mp_hyp1f1(a, b, x):
+    with mp.workdps(30):
+        return float(mp.hyp1f1(a, b, x))
+
+
+def _mp_kummer_polynomial(n, b, x):
+    """1F1(-n, b; x) as its finite sum at 80 digits (mpmath's hyp1f1 rejects exact zeros)."""
+    with mp.workdps(80):
+        term = total = mp.mpf(1)
+        for k in range(n):
+            term *= (k - n) * mp.mpf(x) / ((mp.mpf(b) + k) * (k + 1))
+            total += term
+        return float(total)
+
+
+def _mp_besselj(nu, x):
+    with mp.workdps(30):
+        return float(mp.besselj(nu, x))
 
 
 class TestSeriesKernel:
     @settings(max_examples=300, deadline=None)
-    @given(a=_kummer_a, b=_kummer_b, x=_kummer_x, ctl=_controls)
+    @given(a=_kummer_a, b=_kummer_b, x=_series_x, ctl=_controls)
     @example(a=0.5, b=1.5, x=30j, ctl=_SHIPPED)
+    @example(a=0.25 + 0.5j, b=1 + SQ2, x=30j, ctl=(1e-20, 40))
+    def test_hyp1f1_bitwise_equal_to_reference(self, a, b, x, ctl):
+        # an integer-typed a with real b and x runs the recurrence instead
+        assume(not (isinstance(a, int) and isinstance(b, float) and not np.iscomplexobj(x)))
+        assert _library_outcome(ctl, sf.hyp1f1, a, b, x) == _outcome(_seed_hyp1f1, a, b, x, *ctl)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_param, b=st.floats(0.05, 6.0), x=_negative_x, ctl=_tight_controls)
     @example(a=0.5, b=1.5, x=-30.0, ctl=_SHIPPED)
     @example(a=2.5, b=1.5, x=np.array([0.0, 30.0, -30.0]), ctl=_SHIPPED)
-    @example(a=0.25 + 0.5j, b=1 + SQ2, x=30j, ctl=(1e-20, 40))
+    @example(a=2.5, b=1.5, x=np.array([-10.0, 10.0]), ctl=_SHIPPED)
+    @example(a=1.0501162083011626, b=0.05, x=-14.0, ctl=_SHIPPED)  # b - a + 1 near 0
+    def test_hyp1f1_negative_axis_against_mpmath(self, a, b, x, ctl):
+        # every point, of either sign, within the docstring bound 1e-13 * scale
+        with _series_limits(*ctl):
+            got = np.atleast_1d(sf.hyp1f1(a, b, x))
+        for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
+            assert abs(value - _mp_hyp1f1(a, b, xi)) <= 1e-13 * _kummer_scale(a, b, xi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.integers(-60, 0),
+        b=st.floats(0.05, 50.0),
+        x=st.one_of(_wide, _with_zeros(_wide).map(np.array)),
+        ctl=_controls,
+    )
     @example(a=-3, b=2.0, x=np.array([0.0, 25.0]), ctl=(1e-15, 2))
-    def test_hyp1f1_bitwise_equal_to_reference(self, a, b, x, ctl):
-        assert _library_outcome(ctl, sf.hyp1f1, a, b, x) == _outcome(_seed_hyp1f1, a, b, x, *ctl)
+    def test_hyp1f1_polynomial_against_mpmath(self, a, b, x, ctl):
+        # the recurrence has no term budget: any series limits give the same bits
+        got = _library_outcome(ctl, sf.hyp1f1, a, b, x)
+        assert got == _outcome(sf.hyp1f1, a, b, x)
+        values = np.atleast_1d(sf.hyp1f1(a, b, x))
+        for xi, value in zip(np.atleast_1d(x).tolist(), values.tolist()):
+            want = _mp_kummer_polynomial(-a, b, xi)
+            assert abs(value - want) <= 1e-13 * max(abs(want), math.exp(xi / 2.0)) / min(b, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
         nu=st.one_of(st.floats(0.0, 6.0), st.just(SQ2)),
-        x=st.one_of(st.floats(0.0, 30.0), _with_zeros(st.floats(0.0, 30.0)).map(np.array)),
+        x=st.one_of(st.floats(0.0, 8.0), _with_zeros(st.floats(0.0, 8.0)).map(np.array)),
         ctl=_controls,
+    )
+    def test_bessel_j_bitwise_equal_to_reference(self, nu, x, ctl):
+        assert _library_outcome(ctl, sf.bessel_j, nu, x) == _outcome(_seed_bessel_j, nu, x, *ctl)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nu=st.one_of(st.floats(0.0, 6.0), st.just(SQ2)),
+        x=st.one_of(
+            st.floats(8.0, 30.0, exclude_min=True),
+            _with_zeros(st.floats(0.0, 30.0)).map(np.array).filter(lambda v: bool(np.any(v > 8.0))),
+        ),
+        ctl=_tight_controls,
     )
     @example(nu=SQ2, x=30.0, ctl=_SHIPPED)
     @example(nu=0.5, x=np.array([0.0, 2.4048, 30.0]), ctl=(1e-25, 60))
-    def test_bessel_j_bitwise_equal_to_reference(self, nu, x, ctl):
-        assert _library_outcome(ctl, sf.bessel_j, nu, x) == _outcome(_seed_bessel_j, nu, x, *ctl)
+    @example(nu=0.0, x=np.array([9.0, 5e-324]), ctl=_SHIPPED)  # x/2 underflows to 0
+    def test_bessel_j_miller_region_against_mpmath(self, nu, x, ctl):
+        # the docstring bounds: 1e-14 absolute above x = 8, 1e-13 at or below
+        with _series_limits(*ctl):
+            got = np.atleast_1d(sf.bessel_j(nu, x))
+        for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
+            assert abs(value - _mp_besselj(nu, xi)) <= (1e-14 if xi > 8.0 else 1e-13)
+
+    def test_overflowed_term_is_never_small(self):
+        small, _ = sf._array_test(np.array([math.inf, 1.0]), np.array([math.inf, 2.0]), None)
+        assert not small
 
     def test_budget_fires_at_the_same_term(self):
         # the reference converges after some K terms: K - 1 must fail in
