@@ -466,6 +466,17 @@ def _bessel_miller(nu, x):
     return f / norm
 
 
+# below this x, x/2 is subnormal and may round (5e-324 / 2 rounds to 0)
+_HALF_EXACT_FROM = 2.0 * np.finfo(float).tiny
+
+
+def _log_half(x):
+    """log(x/2), finite for every x > 0 (x = 0 entries read log(1/2): mask them)."""
+    x = np.where(x > 0, x, 1.0)
+    with np.errstate(divide="ignore"):  # the discarded log(x / 2) of tiny x
+        return np.where(x >= _HALF_EXACT_FROM, np.log(x / 2.0), np.log(x) - math.log(2.0))
+
+
 def bessel_j(nu: float, x):
     """Bessel J_nu(x), nu >= 0 real, 0 <= x <= 30, in float64 by region.
 
@@ -505,9 +516,7 @@ def bessel_j(nu: float, x):
     )
 
     # prefactor applied in float64; x = 0 entries handled exactly
-    # (nu = 0 skips the power: 0 * log(x/2) is nan where x/2 underflows to 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pref = np.where(x_arr > 0, nu * np.log(np.where(x_arr > 0, x_arr, 1.0) / 2.0), 0.0) if nu else 0.0
+    log_pref = np.where(x_arr > 0, nu * _log_half(x_arr), 0.0)
     pref = np.exp(log_pref - ln_gamma(nu + 1.0).real)
     result = np.where(x_arr > 0, pref * total, 1.0 if nu == 0 else 0.0)
     _check_finite(result, "bessel_j")

@@ -332,8 +332,7 @@ def _seed_bessel_j(nu, x, rel_tol=1e-15, max_terms=500):
         else:
             small_streak = 0
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pref = np.where(x_arr > 0, nu * np.log(np.where(x_arr > 0, x_arr, 1.0) / 2.0), 0.0) if nu else 0.0
+    log_pref = np.where(x_arr > 0, nu * sf._log_half(x_arr), 0.0)
     pref = np.exp(log_pref - sf.ln_gamma(nu + 1.0).real)
     result = np.where(x_arr > 0, pref * total.astype(float), 1.0 if nu == 0 else 0.0)
     sf._check_finite(result, "bessel_j")
@@ -501,6 +500,7 @@ class TestSeriesKernel:
     @example(nu=SQ2, x=30.0, ctl=_SHIPPED)
     @example(nu=0.5, x=np.array([0.0, 2.4048, 30.0]), ctl=(1e-25, 60))
     @example(nu=0.0, x=np.array([9.0, 5e-324]), ctl=_SHIPPED)  # x/2 underflows to 0
+    @example(nu=0.03125, x=np.array([9.0, 5e-324]), ctl=(1e-15, 500))
     def test_bessel_j_miller_region_against_mpmath(self, nu, x, ctl):
         # the docstring bounds: 1e-14 absolute above x = 8, 1e-13 at or below
         with _series_limits(*ctl):
