@@ -110,7 +110,7 @@ def azimuthal_whittaker(theta, l: int, phi: float, c1: complex, c2: complex):
     Theta'' + (l^2 + phi/theta - 1/(4 theta^2)) Theta = 0.
 
     With c2 != 0 one ``whittaker_mw`` call gives M and W (two Kummer
-    sweeps); with c2 == 0 only M is evaluated (one sweep).
+    functions); with c2 == 0 only M is evaluated (one).
     """
     if l == 0:
         raise ValueError("Whittaker map degenerate (x = 0 for l = 0)")

@@ -12,6 +12,10 @@ the command-line runner:
     flux      nonzero-current structure, closed forms, field identities
     regular   canonical shell regularisation and the special functions
     spectrum  the three energy ladders and their ordering
+
+Each check of a report gives its name, worst number (``max_residual``),
+``tol``, ``direction`` and ``pass``: direction "<=" passes a residual at
+or below tol, ">" a separation check whose number exceeds tol.
 """
 
 from __future__ import annotations
@@ -694,7 +698,7 @@ def run_suite(suite: str, tol_override: float | None = None) -> dict:
     return {
         "suite": suite,
         "checks": [
-            {"name": c.name, "max_residual": c.max_residual, "tol": c.tol, "pass": c.passed}
+            {"name": c.name, "max_residual": c.max_residual, "tol": c.tol, "direction": c.direction, "pass": c.passed}
             for c in checks
         ],
         "pass": all(c.passed for c in checks),

@@ -194,7 +194,9 @@ class TestWhittakerSweeps:
     def test_one_sweep_per_distinct_kummer_function(self, sweeps, c1, c2, n_sweeps):
         grid = np.linspace(0.2, 2.0, 500)
         rg.azimuthal_whittaker(grid, 1, 0.5, c1, c2)
-        assert sweeps == [grid.size] * n_sweeps
+        # each Kummer function is one series sweep (|x| = 2 theta <= 2) and one continuation sweep
+        n_series = int(np.count_nonzero(grid <= 1.0))
+        assert sweeps == [n_series, grid.size - n_series] * n_sweeps
 
 
 class TestThetaLocalBranch:

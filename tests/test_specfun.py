@@ -57,6 +57,29 @@ class TestHyp1f1:
         got = sf.hyp1f1(-1, -3, 2.0)
         assert got == pytest.approx(1.0 + (-1.0) / (-3.0) * 2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_polynomial_ending_at_the_pole_index(self, n):
+        # the degree-n sum divides by b + k for k < n only, so b = -n is allowed:
+        # 1F1(-n, -n; x) = sum_{k <= n} x^k / k!
+        for x in (1.0, -2.5, 7.0, 1.0 + 2.0j, -3j, 4.0 - 4.0j):
+            with mp.workdps(30):
+                want = complex(mp.hyp1f1(-n, -n, x))
+            got = sf.hyp1f1(-n, float(-n), x)
+            assert type(got) is (complex if isinstance(x, complex) else float)
+            scale = sum(abs(x) ** k / math.factorial(k) for k in range(n + 1))
+            assert abs(got - want) <= 1e-15 * scale
+        with pytest.raises(ValueError, match="pole of Kummer"):
+            sf.hyp1f1(-n - 1, float(-n), 1.0)
+
+    @pytest.mark.parametrize(
+        "a, b, x, dtype",
+        [(0.5, 1.5, np.array([]), float), (-2, 1.5, np.array([]), float),
+         (0.5 + 1j, 1.5, np.array([]), complex), (0.5, 1.5, np.empty((2, 0), dtype=complex), complex)],
+    )
+    def test_empty_array(self, a, b, x, dtype):
+        got = sf.hyp1f1(a, b, x)
+        assert got.shape == x.shape and got.dtype == dtype
+
     def test_out_of_validated_range(self):
         with pytest.raises(ValueError, match="validated range"):
             sf.hyp1f1(0.5, 1.5, 31.0)
@@ -140,6 +163,10 @@ class TestWhittakerM:
         resid = m_xx + (-0.25 + kappa / x0 + (0.25 - mu * mu) / x0**2) * vals[2]
         assert abs(resid) < 1e-8
 
+    def test_empty_array(self):
+        got = sf.whittaker_m(-0.25j, SQ2, np.empty((0, 3)))
+        assert got.shape == (0, 3) and got.dtype == complex
+
     def test_against_mpmath(self):
         for kappa, mu, x in [(0.3, SQ2, 1.2), (-0.25j, SQ2, 1j), (0.1, 0.9, 2.5)]:
             want = complex(mp.whitm(kappa, mu, x))
@@ -199,8 +226,11 @@ class TestWhittakerW:
         assert np.asarray(sf.whittaker_w(kappa, mu, x)).tobytes() == np.asarray(w).tobytes()
 
     def test_pair_makes_two_sweeps(self, sweeps):
-        sf.whittaker_mw(-0.25j, SQ2, 2j * np.linspace(0.2, 2.0, 300))
-        assert sweeps == [300, 300]
+        x = 2j * np.linspace(0.2, 2.0, 300)
+        sf.whittaker_mw(-0.25j, SQ2, x)
+        # each M is one series sweep (|x| <= 2) and one continuation sweep
+        n_series = int(np.count_nonzero(np.abs(x) <= 2.0))
+        assert sweeps == [n_series, 300 - n_series] * 2
 
 
 class TestBesselJ:
@@ -231,6 +261,10 @@ class TestBesselJ:
         for nu, x in [(0.0, 1.0), (SQ2, 5.0), (2.3, 17.0)]:
             assert sf.bessel_j(nu, x) == pytest.approx(float(mp.besselj(nu, x)), rel=1e-11, abs=1e-13)
 
+    def test_empty_array(self):
+        got = sf.bessel_j(0.5, np.array([]))
+        assert got.shape == (0,) and got.dtype == float
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             sf.bessel_j(-0.5, 1.0)
@@ -244,22 +278,23 @@ class TestBesselJ:
 #
 # Reference: the term loops of hyp1f1 and bessel_j as they were before
 # _sum_series, copied verbatim (module names prefixed with ``sf.``) except
-# that the real work dtype is float64.  They run the array convergence
-# test on every term, so any difference in a stopping term, a result bit
-# or an error shows against them.  The library sums these series for
-# complex arguments, real non-polynomial 1F1 at x >= 0 and Bessel at
-# x <= 8; its other regions are checked against mpmath below.
+# that the work dtypes are float64 and complex128 and that a polynomial
+# may end at the pole index.  They run the array convergence test on
+# every term, so any difference in a stopping term, a result bit or an
+# error shows against them.  The library sums these series for complex
+# arguments with |x| <= 2, real non-polynomial 1F1 at x >= 0 and Bessel
+# at x <= 8; its other regions are checked against mpmath below.
 
 
 def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
     polynomial = sf._is_nonpositive_integer(a)
     if sf._hits_gamma_pole(b):
-        if not (polynomial and -int(a) < -round(complex(b).real)):
+        if not (polynomial and -int(a) <= -round(complex(b).real)):
             raise ValueError("pole of Kummer function: b is a non-positive integer")
 
     x_arr = np.asarray(x)
     is_complex = sf._is_nonreal(a) or sf._is_nonreal(b) or np.iscomplexobj(x_arr)
-    work = sf._CLD if is_complex else np.float64
+    work = np.complex128 if is_complex else np.float64
 
     if not polynomial and x_arr.size and np.max(np.abs(x_arr)) > sf.SERIES_RANGE:
         raise ValueError(
@@ -372,7 +407,9 @@ _tight_controls = st.one_of(
 )
 _real = st.floats(-30.0, 30.0, allow_subnormal=False)
 _real_nonneg = st.floats(0.0, 30.0, allow_subnormal=False)
-_component = st.floats(-21.0, 21.0, allow_subnormal=False)
+# complex arguments of the series region |x| <= 2
+_small = st.floats(-2.0, 2.0, allow_subnormal=False)
+_component = st.floats(-1.4, 1.4, allow_subnormal=False)
 _complex = st.builds(complex, _component, _component)
 
 
@@ -381,14 +418,14 @@ def _with_zeros(values):
 
 
 # the arguments on which hyp1f1 sums the Kummer series of x itself: real
-# x >= 0, and complex x (imaginary axis included)
+# x >= 0, and complex x with |x| <= 2 (imaginary axis included)
 _series_x = st.one_of(
     _real_nonneg,
     _complex,
-    st.builds(1j.__mul__, _real),
+    st.builds(1j.__mul__, _small),
     _with_zeros(_real_nonneg).map(np.array),
     _with_zeros(_complex).map(lambda v: np.array(v, dtype=complex)),
-    _with_zeros(_real).map(lambda v: 1j * np.array(v)),
+    _with_zeros(_small).map(lambda v: 1j * np.array(v)),
 )
 # real x < 0, alone or in an array with points of either sign
 _negative_x = st.one_of(
@@ -401,6 +438,37 @@ _kummer_b = st.one_of(
     st.floats(0.05, 6.0), st.builds(complex, _param, _param.filter(lambda v: v != 0))
 )
 _wide = st.floats(-100.0, 100.0, allow_subnormal=False)
+# complex 1F1 beyond the series: real b at least 0.05 from a pole, |Re a| <= 6, |Im a| <= 3
+_complex_a = st.one_of(_param, st.builds(complex, _param, st.floats(-3.0, 3.0)))
+_real_b = st.floats(-5.5, 6.0).filter(lambda v: min(abs(v + k) for k in range(7)) >= 0.05)
+# the rays seen in use (+-i axis, real axis) and any other direction, |x| <= 30
+_ray = st.one_of(
+    st.sampled_from([1j, -1j, 1.0, -1.0]), st.floats(-math.pi, math.pi).map(lambda p: cmath.exp(1j * p))
+)
+
+
+def _on_a_ray(distance):
+    """A complex scalar or array of complex points t d, t drawn from ``distance``, d from _ray."""
+    return st.one_of(
+        st.builds(lambda t, d: complex(t * d), distance, _ray),
+        st.builds(lambda ts, d: np.array(ts) * complex(d), st.lists(distance, min_size=1, max_size=6), _ray),
+    )
+
+
+# |x| just below 30, as a direction exp(i p) may exceed modulus 1 by an ulp
+_complex_x = _on_a_ray(st.floats(0.0, 30.0 - 1e-13))
+
+
+def _off_recessive(a):
+    """a at least 0.05 from 0, -1, -2, ..., where 1F1 is nearly a recessive polynomial."""
+    return abs(a - min(round(complex(a).real), 0)) >= 0.05
+
+
+# the azimuthal sector: kappa = -i phi / (2 l), or a real kappa
+_sector_kappa = st.one_of(
+    st.builds(lambda phi, l: -1j * phi / (2.0 * l), st.floats(0.0, 2.0), st.integers(1, 15)),
+    st.floats(-1.0, 1.0),
+)
 
 
 def _abs_term_sum(a, b, x):
@@ -434,6 +502,12 @@ def _mp_kummer_polynomial(n, b, x):
         return float(total)
 
 
+def _mp_hyp1f1_pair(a, b, x):
+    """(1F1(a, b; x), d/dx 1F1(a, b; x)) at 30 digits, as Python complex."""
+    with mp.workdps(30):
+        return complex(mp.hyp1f1(a, b, x)), complex(a / mp.mpf(1) / b * mp.hyp1f1(a + 1, b + 1, x))
+
+
 def _mp_besselj(nu, x):
     with mp.workdps(30):
         return float(mp.besselj(nu, x))
@@ -442,11 +516,12 @@ def _mp_besselj(nu, x):
 class TestSeriesKernel:
     @settings(max_examples=300, deadline=None)
     @given(a=_kummer_a, b=_kummer_b, x=_series_x, ctl=_controls)
-    @example(a=0.5, b=1.5, x=30j, ctl=_SHIPPED)
-    @example(a=0.25 + 0.5j, b=1 + SQ2, x=30j, ctl=(1e-20, 40))
     def test_hyp1f1_bitwise_equal_to_reference(self, a, b, x, ctl):
-        # an integer-typed a with real b and x runs the recurrence instead
-        assume(not (isinstance(a, int) and isinstance(b, float) and not np.iscomplexobj(x)))
+        # an integer-typed a with real b and x runs the recurrence instead, and
+        # a complex call continues Kummer's equation beyond |x| = 2
+        real_call = isinstance(b, float) and not np.iscomplexobj(x) and not isinstance(a, complex)
+        assume(not (isinstance(a, int) and real_call))
+        assume(real_call or isinstance(a, int) or np.all(np.abs(x) <= 2.0))
         assert _library_outcome(ctl, sf.hyp1f1, a, b, x) == _outcome(_seed_hyp1f1, a, b, x, *ctl)
 
     @settings(max_examples=150, deadline=None)
@@ -508,6 +583,58 @@ class TestSeriesKernel:
         for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
             assert abs(value - _mp_besselj(nu, xi)) <= (1e-14 if xi > 8.0 else 1e-13)
 
+    @settings(max_examples=150, deadline=None)
+    @given(a=_complex_a, b=_real_b, x=_complex_x, ctl=_tight_controls)
+    @example(a=0.5, b=1.5, x=30j, ctl=_SHIPPED)
+    @example(a=0.25 + 0.5j, b=1 + SQ2, x=30j, ctl=(1e-20, 40))
+    @example(a=0.3 + 0.2j, b=1.7, x=np.array([5j, 10j, 3 + 4j, -10 + 0j]), ctl=_SHIPPED)
+    @example(a=1 - SQ2 + 0.1j, b=1 - 2 * SQ2, x=complex(-30.0), ctl=_SHIPPED)
+    def test_complex_hyp1f1_against_mpmath(self, a, b, x, ctl):
+        # the docstring bounds: 1e-14 of the absolute-term sum for |x| <= 2,
+        # 1e-13 of |M| + |M'| beyond, for a and b - a off the non-positive
+        # integers; the continuation has its own limits
+        assume(_off_recessive(a) and _off_recessive(b - a))
+        with _series_limits(*ctl):
+            got = np.atleast_1d(sf.hyp1f1(a, b, x))
+        for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
+            want, want_d = _mp_hyp1f1_pair(a, b, xi)
+            if abs(xi) <= 2.0:
+                bound = 1e-14 * _abs_term_sum(a, b, xi)
+            else:
+                bound = 1e-13 * (abs(want) + abs(want_d))
+            assert abs(value - want) <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(kappa=_sector_kappa, mu=st.sampled_from([SQ2, -SQ2]), x=_complex_x.filter(lambda x: np.all(x != 0)))
+    @example(kappa=-0.25j, mu=SQ2, x=np.array([0.4j, 4j, 30j, -30j]))
+    @example(kappa=1.0, mu=SQ2, x=np.array([0.0057 - 0.0082j, 5e-324j]))
+    def test_whittaker_m_sector_against_mpmath(self, kappa, mu, x):
+        # M = e^{-x/2} x^{mu+1/2} 1F1(mu - kappa + 1/2, 1 + 2 mu; x): the docstring
+        # bound 1e-15 (|x| <= 4) and 1e-14 (|x| <= 30) of |e^{-x/2} x^{mu+1/2}|
+        # (|1F1| + |1F1'|), plus the rounding of the power exp((mu + 1/2) log x),
+        # 2 eps (1 + |(mu + 1/2) log x|) |M|
+        a, b = mu - kappa + 0.5, 1.0 + 2.0 * mu
+        assume(_off_recessive(a) and _off_recessive(b - a))
+        got = np.atleast_1d(sf.whittaker_m(kappa, mu, x))
+        for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
+            want, want_d = _mp_hyp1f1_pair(a, b, xi)
+            with mp.workdps(30):
+                prefactor = abs(complex(mp.exp(-mp.mpc(xi) / 2) * mp.power(mp.mpc(xi), mu + 0.5)))
+                want_m = complex(mp.whitm(kappa, mu, xi))
+            tol = 1e-15 if abs(xi) <= 4.0 else 1e-14
+            power = 4.4e-16 * (1.0 + abs((mu + 0.5) * cmath.log(xi))) * abs(want_m)
+            assert abs(value - want_m) <= tol * prefactor * (abs(want) + abs(want_d)) + power
+
+    def test_continuation_point_does_not_depend_on_the_grid(self):
+        # nodes depend only on (a, b) and the ray: array and scalar calls agree bitwise,
+        # on grids long enough for numpy's vector loops and temporary elision
+        a, b = 0.3 + 0.2j, 1.7
+        t = np.linspace(2.01, 29.0, 20_000)
+        x = np.concatenate([1j * t, t * (3 + 4j) / 5, -t * np.exp(0.3j), [-12 + 0j]])
+        got = sf.hyp1f1(a, b, x)
+        for i in range(0, x.size, 211):
+            assert sf.hyp1f1(a, b, complex(x[i])) == got[i]
+
     def test_overflowed_term_is_never_small(self):
         small, _ = sf._array_test(np.array([math.inf, 1.0]), np.array([math.inf, 2.0]), None)
         assert not small
@@ -515,7 +642,7 @@ class TestSeriesKernel:
     def test_budget_fires_at_the_same_term(self):
         # the reference converges after some K terms: K - 1 must fail in
         # both, K must succeed in both
-        a, b, x = 0.3 + 0.2j, 1.7, 2j * np.linspace(0.1, 12.0, 50)
+        a, b, x = 0.3 + 0.2j, 1.7, 2j * np.linspace(0.05, 1.0, 50)
         for k_max in range(1, 200):
             ctl = (1e-20, k_max)
             ref = _outcome(_seed_hyp1f1, a, b, x, *ctl)
@@ -541,8 +668,9 @@ class TestSeriesKernel:
         x = 2j * l * np.linspace(0.2 / l, theta_max, 100_000)
         got = sf.hyp1f1(SQ2 - kappa + 0.5, 1.0 + 2.0 * SQ2, x)
         monkeypatch.undo()
-        assert np.array_equal(got, _seed_hyp1f1(SQ2 - kappa + 0.5, 1.0 + 2.0 * SQ2, x))
-        # the series runs about 25 (|x| = 4) and 80 (|x| = 30) terms
+        # the series sweeps |x| <= 2 (about 25 terms); the continuation beyond makes no array test
+        series = np.abs(x) <= 2.0
+        assert np.array_equal(got[series], _seed_hyp1f1(SQ2 - kappa + 0.5, 1.0 + 2.0 * SQ2, x[series]))
         assert len(calls) <= 4
 
 

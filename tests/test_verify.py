@@ -49,6 +49,15 @@ def test_tol_override_skips_separation_checks():
     assert by_name["regular.obstruction"]["pass"]
 
 
+def test_report_gives_each_check_direction():
+    # a separation check passes when its value exceeds tol; all others are bounded residuals
+    checks = vf.run_suite("all")["checks"]
+    assert {c["direction"] for c in checks} == {"<=", ">"}
+    assert sorted(c["name"] for c in checks if c["direction"] == ">") == [
+        "regular.obstruction", "specfun.whittaker_wronskian", "spectrum.splitting_positive"
+    ]
+
+
 def test_invariant_constancy_evaluates_each_kummer_sweep_once(sweeps):
     # the radial pair at a = 0 needs 1F1(0, 1/2), 1F1(1, 3/2), 1F1(1/2, 3/2)
     # and 1F1(3/2, 5/2) on the 600-point grid, each once for all coefficient sets
