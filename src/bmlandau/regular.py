@@ -122,7 +122,10 @@ def azimuthal_whittaker(theta, l: int, phi: float, c1: complex, c2: complex):
     out = np.zeros(th_arr.shape, dtype=complex)
     if c2 == 0:
         if c1 != 0:
-            out = out + c1 * np.asarray(whittaker_m(kappa, WHITTAKER_MU, x))
+            # named: numpy multiplies a fresh array of 16,384 or more points in
+            # place, which rounds differently, so a point would depend on the grid length
+            m = np.asarray(whittaker_m(kappa, WHITTAKER_MU, x))
+            out = out + c1 * m
     else:
         m, w = whittaker_mw(kappa, WHITTAKER_MU, x)
         if c1 != 0:

@@ -6,42 +6,45 @@ Bessel function J of real order.  ``whittaker_mw`` returns M and W
 together from the two Kummer functions M_{kappa,+-mu} that W needs, so a
 caller of both evaluates no third one.
 
-Real arguments are computed in float64, with the method chosen by region
-(Gil, Segura & Temme, *Numerical Methods for Special Functions*, 2007,
-chapters 4 and 9); each region of an array is its own sweep, so a
+Real arguments of 1F1 are computed in float64, with the method chosen by
+region (Gil, Segura & Temme, *Numerical Methods for Special Functions*,
+2007, chapters 4 and 9); each region of an array is its own sweep, so a
 point's accuracy does not depend on points of another region:
 
-- 1F1, x >= 0: the Kummer series.
-- 1F1, x < 0: the Kummer transformation e^x 1F1(b - a, b; -x) (DLMF
+- x >= 0: the Kummer series.
+- x < 0: the Kummer transformation e^x 1F1(b - a, b; -x) (DLMF
   13.2.39), whose series has no cancellation when b - a > 0.
-- 1F1, integer-typed a = -n: the forward recurrence in a (DLMF 13.3.1).
-- J_nu, x <= 8: the ascending series.
-- J_nu, x > 8: Miller's backward recurrence, normalised by the Neumann
-  sum (DLMF 10.23).
+- integer-typed a = -n: the forward recurrence in a (DLMF 13.3.1).
 
-Complex arguments (the imaginary Kummer arguments of the azimuthal
-sector) are computed in complex128, also by region:
+Complex arguments (the imaginary Kummer arguments of the azimuthal and
+axial sectors) are computed in complex128, also by region:
 
-- 1F1, |x| <= 2: the Kummer series.
-- 1F1, |x| > 2: a Taylor continuation of Kummer's equation
+- |x| <= 2: the Kummer series.
+- |x| > 2: a Taylor continuation of Kummer's equation
   x y'' + (b - x) y' - a y = 0 (DLMF 13.2.1) along the ray from 0
   through x (Gil, Segura & Temme, ch. 9), started from the series at
   |x| = 2; for Re x < 0 on the Kummer transformation.  The points of one
   ray share its nodes, and each ray is its own sweep.
+
+Bessel J_nu(x) is (x/2)^nu e^{-ix} 1F1(nu + 1/2, 2 nu + 1; 2ix) /
+Gamma(nu + 1) (DLMF 10.16.5), the complex 1F1 on the imaginary axis, so
+every exported function goes through ``hyp1f1``.
 
 No long double is used anywhere, so results do not depend on the
 platform's long double (float64, x87 extended or software quad).  The
 measured accuracy of each region is in the docstrings of ``hyp1f1`` and
 ``bessel_j``.
 
-No asymptotic or large-argument expansions: arguments are validated for
-|x| <= 30 (any finite x for a polynomial 1F1) and larger ones are
-rejected, as are non-finite arguments.
+No asymptotic or large-argument expansions.  Arguments are validated by
+region: complex x on the imaginary axis (Re x = 0) for |x| <= 2000, so
+J_nu for 0 <= x <= 1000; real x, and complex x off the axis, for
+|x| <= 30; any finite x for a polynomial 1F1.  A larger argument is
+rejected with a message naming its region, as are non-finite arguments.
 
 The series share one term loop, ``_sum_series``, with fixed limits: a
 term counts as small below 1e-15 of the partial sum, an overflowed term
 never does, and a series that has not converged in 500 terms raises
-RuntimeError.  Every term of one sweep is c_k w^k with c_k independent of
+RuntimeError.  Every term of one sweep is c_k x^k with c_k independent of
 the grid point, so the largest term over the grid and a bound on every
 partial sum follow from two scalars; the array convergence test runs
 only on terms where these scalars leave it a chance to pass.  The
@@ -58,7 +61,10 @@ import numbers
 
 import numpy as np
 
+# validated |x| of a non-polynomial 1F1: real x and complex x off the
+# imaginary axis up to SERIES_RANGE, complex x with Re x = 0 up to _AXIS_RANGE
 SERIES_RANGE = 30.0
+_AXIS_RANGE = 2000.0
 
 # series limits (small-term ratio, term budget), read by _sum_series at call time
 _REL_TOL = 1e-15
@@ -102,16 +108,13 @@ def _moderate(*values) -> bool:
     return all(p == 0 or 1e-100 <= abs(p) <= 1e100 for p in parts)
 
 
-def _array_test(term, total, floor):
+def _array_test(term, total):
     """The array convergence test max|term| <= _REL_TOL * max|partial sum|.
 
-    A non-finite term (an overflow) never counts as small.  With a
-    ``floor`` the partial-sum maximum is taken in float64 and kept at or
-    above ``floor``.  Returns the verdict and that maximum.
+    A non-finite term (an overflow) never counts as small.  Returns the
+    verdict and that maximum.
     """
     total_max = np.max(np.abs(total))
-    if floor is not None:
-        total_max = max(float(total_max), floor)
     term_max = np.max(np.abs(term))
     return np.isfinite(term_max) and term_max <= _REL_TOL * total_max, float(total_max)
 
@@ -119,7 +122,7 @@ def _array_test(term, total, floor):
 # an overflowed term is never small (_array_test), so a series that
 # overflows ends at the term budget instead of warning
 @np.errstate(over="ignore", invalid="ignore")
-def _sum_series(like, factor, growth, what: str, n_terms=None, floor=None):
+def _sum_series(like, factor, growth, what: str, n_terms=None):
     """Sum term_0 = 1, term_{k+1} = term_k * factor(k) over an array shaped ``like``.
 
     With ``n_terms`` exactly that many terms after term_0 are added (a
@@ -127,15 +130,15 @@ def _sum_series(like, factor, growth, what: str, n_terms=None, floor=None):
     terms pass ``_array_test`` at ``_REL_TOL``; ``_MAX_TERMS`` terms
     without that raise RuntimeError.
 
-    Every term is c_k w^k with c_k the same at every grid point (w = x for
-    1F1, w = -(x/2)^2 for Bessel), and ``growth(k)`` is |c_{k+1} / c_k|
-    max|w|.  So the product s of the growths is max|term_k| over the grid,
-    and m, the s summed since the last array test plus that test's
-    max|partial sum|, bounds the current max|partial sum|.  While
-    s (1 - eps) > _REL_TOL m (1 + eps) the array test cannot pass: it is
-    skipped and the term counts as not small.  eps = (k + 1) _BOUND_SLACK
-    covers rounding.  A nan growth or an s outside [_BOUND_TINY,
-    _BOUND_HUGE] turns s into nan, and every later term is tested.
+    Every term is c_k x^k with c_k the same at every grid point, and
+    ``growth(k)`` is |c_{k+1} / c_k| max|x|.  So the product s of the
+    growths is max|term_k| over the grid, and m, the s summed since the
+    last array test plus that test's max|partial sum|, bounds the current
+    max|partial sum|.  While s (1 - eps) > _REL_TOL m (1 + eps) the array
+    test cannot pass: it is skipped and the term counts as not small.
+    eps = (k + 1) _BOUND_SLACK covers rounding.  A nan growth or an s
+    outside [_BOUND_TINY, _BOUND_HUGE] turns s into nan, and every later
+    term is tested.
     """
     term = np.ones_like(like)
     total = term.copy()
@@ -161,7 +164,7 @@ def _sum_series(like, factor, growth, what: str, n_terms=None, floor=None):
         if s * (1.0 - eps) > _REL_TOL * m * (1.0 + eps):
             small_streak = 0
             continue
-        small, total_max = _array_test(term, total, floor)
+        small, total_max = _array_test(term, total)
         m = min(m, total_max)
         if small:
             small_streak += 1
@@ -405,6 +408,22 @@ def _by_region(x, upper, lower_fn, upper_fn):
     return out
 
 
+def _check_range(x):
+    """Raise ValueError, naming the region, where a point of ``x`` leaves its validated range."""
+    size = np.abs(x)
+    if float(np.max(size)) <= SERIES_RANGE:
+        return
+    if not np.iscomplexobj(x):
+        raise ValueError(f"hyp1f1: real x out of validated range |x| <= {SERIES_RANGE:g}")
+    axis = x.real == 0
+    if np.any(size[axis] > _AXIS_RANGE):
+        raise ValueError(f"hyp1f1: x on the imaginary axis out of validated range |x| <= {_AXIS_RANGE:g}")
+    if np.any(size[~axis] > SERIES_RANGE):
+        raise ValueError(
+            f"hyp1f1: complex x off the imaginary axis out of validated range |x| <= {SERIES_RANGE:g}"
+        )
+
+
 def hyp1f1(a, b, x):
     """Kummer confluent hypergeometric function 1F1(a, b; x).
 
@@ -431,10 +450,15 @@ def hyp1f1(a, b, x):
       M' = dM/dx, which unlike |M| does not vanish: below 1e-13 of it for
       real b in [-5.5, 6], |Re a| <= 6 and |Im a| <= 3, with a and b - a at
       least 0.05 from 0, -1, -2, ... (largest seen 5e-14; 2e-15 for
-      |x| <= 4).  For the azimuthal sector, a = 1/2 + mu - kappa and
-      b = 1 + 2 mu with mu = +-1/sqrt2 and kappa = -i phi / (2 l)
-      (0 <= phi <= 2) or real |kappa| <= 1, it is below 1e-15 of |M| + |M'|
-      for |x| <= 4 and 1e-14 up to 30 (largest seen 8e-16 and 3e-15).
+      |x| <= 4; 1.3e-14 on the +-i axis for 30 < |x| <= 2000).  The bound
+      holds off the imaginary axis for |x| <= 30 and on it for
+      |x| <= 2000; off the axis the error grows past 30 (1.5e-12 of
+      |M| + |M'| seen at |x| = 150), so the range there stays 30.  For the
+      azimuthal sector, a = 1/2 + mu - kappa and b = 1 + 2 mu with
+      mu = +-1/sqrt2 and kappa = -i phi / (2 l) (0 <= phi <= 2) or real
+      |kappa| <= 1, it is below 1e-15 of |M| + |M'| for |x| <= 4, 1e-14 up
+      to 30 and 1e-13 on the +-i axis up to 2000 (largest seen 8e-16,
+      3e-15 and 3.1e-14).
     - Complex, |x| > 2, a within 0.05 of 0, -1, -2, ... (b - a for
       Re x < 0): 1F1 is then nearly a polynomial, recessive against e^x
       on rays into Re x > 0 (e^{-x} on rays into Re x < 0), and the
@@ -477,7 +501,9 @@ def hyp1f1(a, b, x):
 
     ``x`` may be a scalar or ndarray.  Real inputs give a float result,
     complex inputs a complex one.  Non-finite ``x`` raises ValueError, as
-    does |x| > 30 outside the polynomial case.
+    does, outside the polynomial case, |x| > 2000 for complex x on the
+    imaginary axis (Re x = 0) and |x| > 30 for real x and complex x off
+    it; the message names the region.
     """
     polynomial = _is_nonpositive_integer(a)
     if _hits_gamma_pole(b):
@@ -493,10 +519,8 @@ def hyp1f1(a, b, x):
     if not x_arr.size:
         return np.empty(x_arr.shape, dtype=complex if is_complex else float)
 
-    if not polynomial and float(np.max(np.abs(x_arr))) > SERIES_RANGE:
-        raise ValueError(
-            f"use of ascending series out of validated range |x| <= {SERIES_RANGE:g}"
-        )
+    if not polynomial:
+        _check_range(x_arr)
 
     n_terms = -int(a) if polynomial else None
     if is_complex:
@@ -630,8 +654,11 @@ def whittaker_mw(kappa, mu, x):
         raise ValueError("connection formula degenerate: 2*mu is an integer")
     c_plus = cmath.exp(ln_gamma(-two_mu)) * rgamma(0.5 - mu - kappa)
     c_minus = cmath.exp(ln_gamma(two_mu)) * rgamma(0.5 + mu - kappa)
+    # both M named: numpy multiplies a fresh array of 16,384 or more points
+    # in place, which rounds differently, so W would depend on the grid length
     m = whittaker_m(kappa, mu, x)
-    w = c_plus * m + c_minus * whittaker_m(kappa, -mu, x)
+    m_minus = whittaker_m(kappa, -mu, x)
+    w = c_plus * m + c_minus * m_minus
     _check_finite(w, "whittaker_w")
     return m, w
 
@@ -639,57 +666,6 @@ def whittaker_mw(kappa, mu, x):
 def whittaker_w(kappa, mu, x):
     """Whittaker function W_{kappa,mu}(x): the second entry of ``whittaker_mw``."""
     return whittaker_mw(kappa, mu, x)[1]
-
-
-def _bessel_factor(nu, q, k):
-    """Term ratio -(x/2)^2 / ((k + 1)(k + 1 + nu)) of the Bessel series."""
-    return -q / ((k + 1) * (k + 1 + nu))
-
-
-def _bessel_series(nu, x):
-    """sum_k (-(x/2)^2)^k / (k! (nu + 1)_k), one float64 sweep over ``x``."""
-    q = (x / 2.0) ** 2
-    x_max = float(np.max(x))
-    q_max = (x_max / 2.0) ** 2 if _moderate(x_max) else math.nan
-
-    def growth(k):
-        return q_max / ((k + 1) * (k + 1 + nu))
-
-    factor = functools.partial(_bessel_factor, nu, q)
-    return _sum_series(q, factor, growth, "Bessel series", floor=1e-300)
-
-
-# bessel_j sums the series at x <= _MILLER_FROM and recurs above it, where
-# the alternating series would lose digits (1e-12 by x = 14)
-_MILLER_FROM = 8.0
-# Miller's recurrence starts at the even order nu + N, N >= max x + _MILLER_MARGIN
-_MILLER_MARGIN = 30.0
-
-
-def _bessel_miller(nu, x):
-    """J_nu(x) / ((x/2)^nu / Gamma(nu + 1)) by Miller's backward recurrence.
-
-    f_{n-1} = (2 (nu + n) / x) f_n - f_{n+1} runs down from f_{N+1} = 0,
-    f_N = 1, N even.  The Neumann sum (DLMF 10.23) divided by Gamma(nu + 1),
-
-        (x/2)^nu / Gamma(nu + 1) = J_nu + sum_{k>=1} (nu + 2k) (nu + 1)_{k-1} / k! J_{nu+2k},
-
-    normalises f_0; its weights are 2 at nu = 0.
-    """
-    top = 2 * math.ceil((float(np.max(x)) + _MILLER_MARGIN) / 2.0)
-    weight = [1.0, nu + 2.0]  # (nu + 2k) (nu + 1)_{k-1} / k! for k = 0, 1, ...
-    ratio = 1.0  # (nu + 1)_{k-1} / k!
-    for k in range(1, top // 2):
-        ratio *= (nu + k) / (k + 1)
-        weight.append((nu + 2 * k + 2) * ratio)
-    two_over_x = 2.0 / x
-    f_up, f = np.zeros_like(x), np.ones_like(x)
-    norm = weight[top // 2] * f
-    for n in range(top, 0, -1):
-        f_up, f = f, (nu + n) * two_over_x * f - f_up
-        if n % 2 == 1:
-            norm = norm + weight[(n - 1) // 2] * f
-    return f / norm
 
 
 # below this x, x/2 is subnormal and may round (5e-324 / 2 rounds to 0)
@@ -704,26 +680,18 @@ def _log_half(x):
 
 
 def bessel_j(nu: float, x):
-    """Bessel J_nu(x), nu >= 0 real, 0 <= x <= 30, in float64 by region.
+    """Bessel J_nu(x), nu >= 0 real, 0 <= x <= 1000, through complex 1F1 on the imaginary axis.
 
-    The common factor (x/2)^nu / Gamma(nu + 1) is applied in float64 to a
-    reduced value computed by region, each region as its own sweep:
+    J_nu(x) = (x/2)^nu / Gamma(nu + 1) e^{-ix} 1F1(nu + 1/2, 2 nu + 1; 2ix)
+    (DLMF 10.16.5).  The factor (x/2)^nu / Gamma(nu + 1) is applied in
+    float64 to the reduced value Re(e^{-ix} 1F1(...)), whose imaginary
+    part vanishes; the 1F1 is ``hyp1f1``'s on the +i axis, the series for
+    x <= 1 and the continuation beyond, so J needs 1F1 up to |2ix| = 2000.
+    Absolute error below 1e-14 for nu in [0, 6] and x <= 1000 (largest
+    seen 2.5e-15, near x = 8 with nu near 6), measured against mpmath at
+    30 digits.
 
-    - x <= 8: the ascending series sum_k (-(x/2)^2)^k / (k! (nu + 1)_k).
-      It truncates once the running term falls below 1e-15 max(|partial
-      sum|, 1e-300) (maxima over the sweep) for two consecutive terms,
-      and raises RuntimeError after 500 terms without that; the array
-      test is skipped on terms where the scalar bound |c_k| max(x/2)^{2k}
-      shows it must fail, which leaves the stopping term and every
-      result bit unchanged.
-      Absolute error below 1e-13 for nu in [0, 6] (largest seen 2e-14,
-      at x near 8, where the alternating terms reach 100 times the sum).
-    - x > 8: Miller's backward recurrence from the even order
-      nu + N, N >= max x + 30, normalised by the Neumann sum.  Absolute
-      error below 1e-14 for nu in [0, 6] (largest seen 3e-15).
-
-    Errors measured against mpmath at 30 digits.  Non-finite ``x``,
-    x < 0, nu < 0 and x > SERIES_RANGE raise ValueError.
+    Non-finite ``x``, x < 0, nu < 0 and x > 1000 raise ValueError.
     """
     if nu < 0:
         raise ValueError("bessel_j requires nu >= 0")
@@ -734,18 +702,17 @@ def bessel_j(nu: float, x):
         raise ValueError("bessel_j requires x >= 0")
     if not x_arr.size:
         return np.empty(x_arr.shape)
-    if float(np.max(x_arr)) > SERIES_RANGE:
-        raise ValueError(
-            f"use of ascending series out of validated range |x| <= {SERIES_RANGE:g}"
-        )
+    if float(np.max(x_arr)) > _AXIS_RANGE / 2.0:
+        raise ValueError(f"bessel_j: x out of validated range x <= {_AXIS_RANGE / 2.0:g}")
 
-    total = _by_region(
-        x_arr, x_arr > _MILLER_FROM, lambda x: _bessel_series(nu, x), lambda x: _bessel_miller(nu, x)
-    )
+    # both factors named, as in whittaker_mw: no product is done in place
+    kummer = hyp1f1(nu + 0.5, 2.0 * nu + 1.0, 2j * x_arr)
+    phase = np.exp(-1j * x_arr)
+    reduced = (kummer * phase).real
 
     # prefactor applied in float64; x = 0 entries handled exactly
     log_pref = np.where(x_arr > 0, nu * _log_half(x_arr), 0.0)
     pref = np.exp(log_pref - ln_gamma(nu + 1.0).real)
-    result = np.where(x_arr > 0, pref * total, 1.0 if nu == 0 else 0.0)
+    result = np.where(x_arr > 0, pref * reduced, 1.0 if nu == 0 else 0.0)
     _check_finite(result, "bessel_j")
     return result if result.ndim else result.item()

@@ -426,9 +426,9 @@ class TestErrorExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     def test_series_out_of_range(self, capsys):
-        # kz = 10 on r <= 5 puts the Bessel series beyond |x| <= 30
+        # kz = 250 on z <= 5 puts the Bessel argument k_z z beyond x <= 1000
         code, out, err = run_cli(
-            ["amplitude", "--sector", "z", "--branch", "regularised", "--kz", "10", "--grid", "0.1:5:10"],
+            ["amplitude", "--sector", "z", "--branch", "regularised", "--kz", "250", "--grid", "0.1:5:10"],
             capsys,
         )
         assert code == 2

@@ -1,5 +1,6 @@
 """Nonzero-current structure: flow system, closed forms, field identities."""
 
+import functools
 import math
 import re
 import warnings
@@ -467,6 +468,8 @@ def _mp_radicand(E_theta, l, kappa_theta, phi, hbar):
     return lambda x: 2 * E - l * l * x * x + 2 * k * ph * mp.log(x) - k * k / (x * x)
 
 
+# hypothesis draws many targets more than once; each reference is computed once per run
+@functools.lru_cache(maxsize=None)
 def _mp_theta(T, E_theta, l, kappa_theta, phi, hbar, tp):
     """s * int_0^sqrt|T - tp| 2 t / sqrt(g(tp + s t^2) - g(tp)) dt at 30 digits.
 

@@ -84,6 +84,17 @@ class TestHyp1f1:
         with pytest.raises(ValueError, match="validated range"):
             sf.hyp1f1(0.5, 1.5, 31.0)
 
+    @pytest.mark.parametrize(
+        "x, region",
+        [(30.5 * cmath.exp(0.4j), "complex x off the imaginary axis"), (30.5, "real x"),
+         (2000.5j, "x on the imaginary axis")],
+    )
+    def test_out_of_range_names_its_region(self, x, region):
+        with pytest.raises(ValueError, match=f"^hyp1f1: {region} out of validated range"):
+            sf.hyp1f1(0.5, 1.5, x)
+        with pytest.raises(ValueError, match=f"^hyp1f1: {region} out of validated range"):
+            sf.hyp1f1(0.5, 1.5, np.array([0 * x, x]))
+
     def test_series_budget_exceeded(self):
         with pytest.raises(RuntimeError, match="series budget exceeded"), _series_limits(1e-15, 5):
             sf.hyp1f1(0.5, 1.5, 25.0)
@@ -271,19 +282,26 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             sf.bessel_j(0.5, -1.0)
         with pytest.raises(ValueError, match="validated range"):
-            sf.bessel_j(0.5, 31.0)
+            sf.bessel_j(0.5, 1000.5)
+
+    def test_one_series_and_one_continuation_sweep(self, sweeps):
+        # J needs 1F1 at 2ix: the series for x <= 1, one ray of the continuation beyond
+        x = np.linspace(0.01, 5.0, 500)
+        sf.bessel_j(SQ2, x)
+        n_series = int(np.count_nonzero(x <= 1.0))
+        assert sweeps == [n_series, 500 - n_series]
 
 
 # --- the shared series kernel ------------------------------------------------
 #
-# Reference: the term loops of hyp1f1 and bessel_j as they were before
-# _sum_series, copied verbatim (module names prefixed with ``sf.``) except
-# that the work dtypes are float64 and complex128 and that a polynomial
-# may end at the pole index.  They run the array convergence test on
-# every term, so any difference in a stopping term, a result bit or an
-# error shows against them.  The library sums these series for complex
-# arguments with |x| <= 2, real non-polynomial 1F1 at x >= 0 and Bessel
-# at x <= 8; its other regions are checked against mpmath below.
+# Reference: the term loop of hyp1f1 as it was before _sum_series, copied
+# verbatim (module names prefixed with ``sf.``) except that the work
+# dtypes are float64 and complex128 and that a polynomial may end at the
+# pole index.  It runs the array convergence test on every term, so any
+# difference in a stopping term, a result bit or an error shows against
+# it.  The library sums this series for complex arguments with |x| <= 2
+# and real non-polynomial 1F1 at x >= 0; its other regions are checked
+# against mpmath below.
 
 
 def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
@@ -334,44 +352,6 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
     out = total.astype(complex if is_complex else float)
     sf._check_finite(out, "hyp1f1")
     return out if out.ndim else out.item()
-
-
-def _seed_bessel_j(nu, x, rel_tol=1e-15, max_terms=500):
-    if nu < 0:
-        raise ValueError("bessel_j requires nu >= 0")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("bessel_j requires x >= 0")
-    if x_arr.size and np.max(x_arr) > sf.SERIES_RANGE:
-        raise RuntimeError(
-            f"use of ascending series out of validated range |x| <= {sf.SERIES_RANGE:g}"
-        )
-
-    q = (x_arr / 2.0) ** 2
-    term = np.ones_like(q)
-    total = term.copy()
-    small_streak = 0
-    k = 0
-    while True:
-        if k >= max_terms:
-            raise RuntimeError(
-                f"series budget exceeded: Bessel series did not converge in {max_terms} terms"
-            )
-        term = term * (-q / ((k + 1) * (k + 1 + nu)))
-        total = total + term
-        k += 1
-        if np.max(np.abs(term)) <= rel_tol * max(float(np.max(np.abs(total))), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-
-    log_pref = np.where(x_arr > 0, nu * sf._log_half(x_arr), 0.0)
-    pref = np.exp(log_pref - sf.ln_gamma(nu + 1.0).real)
-    result = np.where(x_arr > 0, pref * total.astype(float), 1.0 if nu == 0 else 0.0)
-    sf._check_finite(result, "bessel_j")
-    return result if result.ndim else result.item()
 
 
 def _outcome(fn, *args):
@@ -457,6 +437,13 @@ def _on_a_ray(distance):
 
 # |x| just below 30, as a direction exp(i p) may exceed modulus 1 by an ulp
 _complex_x = _on_a_ray(st.floats(0.0, 30.0 - 1e-13))
+# the +-i axis beyond |x| = 30, up to the axis range 2000
+_far = st.floats(30.0, 2000.0, exclude_min=True)
+_axis = st.sampled_from([1j, -1j])
+_axis_x = st.one_of(
+    st.builds(lambda t, d: complex(t * d), _far, _axis),
+    st.builds(lambda ts, d: np.array(ts) * d, st.lists(_far, min_size=1, max_size=4), _axis),
+)
 
 
 def _off_recessive(a):
@@ -513,6 +500,27 @@ def _mp_besselj(nu, x):
         return float(mp.besselj(nu, x))
 
 
+def _assert_sector_m(kappa, mu, x, tol):
+    """whittaker_m(kappa, mu, x) within tol(x) of |e^{-x/2} x^{mu+1/2}| (|1F1| + |1F1'|) of mpmath.
+
+    M = e^{-x/2} x^{mu+1/2} 1F1(mu - kappa + 1/2, 1 + 2 mu; x); the bound
+    adds the rounding of the power exp((mu + 1/2) log x),
+    2 eps (1 + |(mu + 1/2) log x|) |M|, and for a subnormal M (tiny x with
+    mu > 0) the spacing of the subnormal grid, 2^-1074, for each of the
+    three roundings into it (the power and two products).
+    """
+    a, b = mu - kappa + 0.5, 1.0 + 2.0 * mu
+    assume(_off_recessive(a) and _off_recessive(b - a))
+    got = np.atleast_1d(sf.whittaker_m(kappa, mu, x))
+    for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
+        want, want_d = _mp_hyp1f1_pair(a, b, xi)
+        with mp.workdps(30):
+            prefactor = abs(complex(mp.exp(-mp.mpc(xi) / 2) * mp.power(mp.mpc(xi), mu + 0.5)))
+            want_m = complex(mp.whitm(kappa, mu, xi))
+        power = 4.4e-16 * (1.0 + abs((mu + 0.5) * cmath.log(xi))) * abs(want_m) + 3 * 2.0**-1074
+        assert abs(value - want_m) <= tol(xi) * prefactor * (abs(want) + abs(want_d)) + power
+
+
 class TestSeriesKernel:
     @settings(max_examples=300, deadline=None)
     @given(a=_kummer_a, b=_kummer_b, x=_series_x, ctl=_controls)
@@ -554,34 +562,23 @@ class TestSeriesKernel:
             want = _mp_kummer_polynomial(-a, b, xi)
             assert abs(value - want) <= 1e-13 * max(abs(want), math.exp(xi / 2.0)) / min(b, 1.0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         nu=st.one_of(st.floats(0.0, 6.0), st.just(SQ2)),
-        x=st.one_of(st.floats(0.0, 8.0), _with_zeros(st.floats(0.0, 8.0)).map(np.array)),
-        ctl=_controls,
-    )
-    def test_bessel_j_bitwise_equal_to_reference(self, nu, x, ctl):
-        assert _library_outcome(ctl, sf.bessel_j, nu, x) == _outcome(_seed_bessel_j, nu, x, *ctl)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        nu=st.one_of(st.floats(0.0, 6.0), st.just(SQ2)),
-        x=st.one_of(
-            st.floats(8.0, 30.0, exclude_min=True),
-            _with_zeros(st.floats(0.0, 30.0)).map(np.array).filter(lambda v: bool(np.any(v > 8.0))),
-        ),
+        x=st.one_of(st.floats(0.0, 1000.0), _with_zeros(st.floats(0.0, 1000.0)).map(np.array)),
         ctl=_tight_controls,
     )
     @example(nu=SQ2, x=30.0, ctl=_SHIPPED)
     @example(nu=0.5, x=np.array([0.0, 2.4048, 30.0]), ctl=(1e-25, 60))
     @example(nu=0.0, x=np.array([9.0, 5e-324]), ctl=_SHIPPED)  # x/2 underflows to 0
     @example(nu=0.03125, x=np.array([9.0, 5e-324]), ctl=(1e-15, 500))
-    def test_bessel_j_miller_region_against_mpmath(self, nu, x, ctl):
-        # the docstring bounds: 1e-14 absolute above x = 8, 1e-13 at or below
+    @example(nu=6.0, x=np.array([1.0, 1000.0]), ctl=_SHIPPED)
+    def test_bessel_j_against_mpmath(self, nu, x, ctl):
+        # the docstring bound: 1e-14 absolute for nu in [0, 6] and x <= 1000
         with _series_limits(*ctl):
             got = np.atleast_1d(sf.bessel_j(nu, x))
         for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
-            assert abs(value - _mp_besselj(nu, xi)) <= (1e-14 if xi > 8.0 else 1e-13)
+            assert abs(value - _mp_besselj(nu, xi)) <= 1e-14
 
     @settings(max_examples=150, deadline=None)
     @given(a=_complex_a, b=_real_b, x=_complex_x, ctl=_tight_controls)
@@ -604,26 +601,34 @@ class TestSeriesKernel:
                 bound = 1e-13 * (abs(want) + abs(want_d))
             assert abs(value - want) <= bound
 
+    @settings(max_examples=40, deadline=None)
+    @given(a=_complex_a, b=_real_b, x=_axis_x)
+    @example(a=0.5, b=1.5, x=2000j)
+    @example(a=-2.33 - 2.06j, b=-5.4, x=np.array([-30.5j, -2000j]))
+    def test_complex_hyp1f1_on_the_axis_against_mpmath(self, a, b, x):
+        # the docstring bound on the +-i axis up to |x| = 2000: 1e-13 of |M| + |M'|
+        assume(_off_recessive(a) and _off_recessive(b - a))
+        got = np.atleast_1d(sf.hyp1f1(a, b, x))
+        for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
+            want, want_d = _mp_hyp1f1_pair(a, b, xi)
+            assert abs(value - want) <= 1e-13 * (abs(want) + abs(want_d))
+
     @settings(max_examples=100, deadline=None)
     @given(kappa=_sector_kappa, mu=st.sampled_from([SQ2, -SQ2]), x=_complex_x.filter(lambda x: np.all(x != 0)))
     @example(kappa=-0.25j, mu=SQ2, x=np.array([0.4j, 4j, 30j, -30j]))
     @example(kappa=1.0, mu=SQ2, x=np.array([0.0057 - 0.0082j, 5e-324j]))
+    @example(kappa=0.0, mu=SQ2, x=np.array([8.187872454654166e-261 + 2.090707083284197e-261j]))  # subnormal M
     def test_whittaker_m_sector_against_mpmath(self, kappa, mu, x):
-        # M = e^{-x/2} x^{mu+1/2} 1F1(mu - kappa + 1/2, 1 + 2 mu; x): the docstring
-        # bound 1e-15 (|x| <= 4) and 1e-14 (|x| <= 30) of |e^{-x/2} x^{mu+1/2}|
-        # (|1F1| + |1F1'|), plus the rounding of the power exp((mu + 1/2) log x),
-        # 2 eps (1 + |(mu + 1/2) log x|) |M|
-        a, b = mu - kappa + 0.5, 1.0 + 2.0 * mu
-        assume(_off_recessive(a) and _off_recessive(b - a))
-        got = np.atleast_1d(sf.whittaker_m(kappa, mu, x))
-        for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
-            want, want_d = _mp_hyp1f1_pair(a, b, xi)
-            with mp.workdps(30):
-                prefactor = abs(complex(mp.exp(-mp.mpc(xi) / 2) * mp.power(mp.mpc(xi), mu + 0.5)))
-                want_m = complex(mp.whitm(kappa, mu, xi))
-            tol = 1e-15 if abs(xi) <= 4.0 else 1e-14
-            power = 4.4e-16 * (1.0 + abs((mu + 0.5) * cmath.log(xi))) * abs(want_m)
-            assert abs(value - want_m) <= tol * prefactor * (abs(want) + abs(want_d)) + power
+        # the docstring bound 1e-15 (|x| <= 4) and 1e-14 (|x| <= 30)
+        _assert_sector_m(kappa, mu, x, lambda xi: 1e-15 if abs(xi) <= 4.0 else 1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kappa=_sector_kappa, mu=st.sampled_from([SQ2, -SQ2]), x=_axis_x)
+    @example(kappa=-0.25j, mu=SQ2, x=np.array([30.5j, 2000j, -2000j]))
+    @example(kappa=-0.06865750930559383j, mu=-SQ2, x=2000j)
+    def test_whittaker_m_sector_on_the_axis_against_mpmath(self, kappa, mu, x):
+        # the docstring bound on the +-i axis up to |x| = 2000: 1e-13
+        _assert_sector_m(kappa, mu, x, lambda xi: 1e-13)
 
     def test_continuation_point_does_not_depend_on_the_grid(self):
         # nodes depend only on (a, b) and the ray: array and scalar calls agree bitwise,
@@ -636,7 +641,7 @@ class TestSeriesKernel:
             assert sf.hyp1f1(a, b, complex(x[i])) == got[i]
 
     def test_overflowed_term_is_never_small(self):
-        small, _ = sf._array_test(np.array([math.inf, 1.0]), np.array([math.inf, 2.0]), None)
+        small, _ = sf._array_test(np.array([math.inf, 1.0]), np.array([math.inf, 2.0]))
         assert not small
 
     def test_budget_fires_at_the_same_term(self):
