@@ -144,8 +144,8 @@ def pinney_residual(sigma: Callable, omega_sq: Callable, c: float, grid) -> floa
     """Max |sigma'' + Omega^2 sigma - c^2/sigma^3| over interior grid points.
 
     ``omega_sq(q)`` is the sector's frequency Omega^2 at the points q.
-    Central second-order differences on a uniform grid of >= 5 points;
-    the reported value converges as O(h^2) for a true Pinney amplitude.
+    Fourth-order five-point differences on a uniform grid of >= 5 points;
+    the reported value converges as O(h^4) for a true Pinney amplitude.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(sigma(grid), dtype=float)

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .core import PhysParams, SampledProfile, uniform_step
-from .oracle import quad_singular
+from .oracle import _five_point, _five_point_at, quad_singular
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,6 @@ def nonlinpie_residual(pi, dpi, d2pi, ctx: FluxContext, C_theta: float):
 # hbar >= sqrt(5e-324) keeps hbar**2 at least the least positive float
 _E_PI_MAX = math.sqrt(sys.float_info.max)
 _HBAR_MIN = math.sqrt(5e-324)
-_FD_STEP = 1e-3  # the step of bohm_energy_residual's five-point stencils
 
 
 def _require_positive_discriminant(ctx: FluxContext) -> float:
@@ -426,7 +425,7 @@ def divergence_residual(
 ) -> float:
     """Max stationary-continuity defect over the interior of an (r,theta,z) grid.
 
-    Central differences of
+    Five-point differences of (each axis needs at least 5 points)
     (1/r) d_r(r rho p_r) + (1/r) d_theta[rho (p_theta - eBr/2)] + d_z(rho p_z).
     """
     r = np.asarray(r_axis, dtype=float)
@@ -443,11 +442,12 @@ def divergence_residual(
     flux_th = rho * gauge
     flux_z = rho * np.asarray(p_z, dtype=float)
 
-    d_r = (flux_r[2:, 1:-1, 1:-1] - flux_r[:-2, 1:-1, 1:-1]) / (2.0 * hr)
-    d_th = (flux_th[1:-1, 2:, 1:-1] - flux_th[1:-1, :-2, 1:-1]) / (2.0 * hth)
-    d_z = (flux_z[1:-1, 1:-1, 2:] - flux_z[1:-1, 1:-1, :-2]) / (2.0 * hz)
+    # each derivative runs along the first axis of the array it is given
+    d_r = _five_point(flux_r[:, 2:-2, 2:-2], hr)[1]
+    d_th = _five_point(flux_th[2:-2, :, 2:-2].swapaxes(0, 1), hth)[1].swapaxes(0, 1)
+    d_z = _five_point(flux_z[2:-2, 2:-2].T, hz)[1].T
 
-    r_in = r[1:-1][:, None, None]
+    r_in = r[2:-2][:, None, None]
     total = d_r / r_in + d_th / r_in + d_z
     return float(np.max(np.abs(total)))
 
@@ -469,15 +469,15 @@ def bohm_energy_residual(
     [p_r^2 + p_theta^2 - eBr p_theta + (eBr)^2/4 + p_z^2] / 2m
       - (hbar^2/2m)[R''/R + R'/(r R) + Theta''/(r^2 Theta) + Z''/Z] - E,
     the amplitude-curvature block being the quantum potential.  Amplitude
-    derivatives are five-point central differences of step 1e-3; Theta
+    derivatives are fourth-order five-point differences of step 1e-3; Theta
     may be complex, in which case the returned residual is complex.
     """
     r, th, z = point
     if r <= 0:
         raise ValueError("quantum potential singular: needs r > 0")
-    Rv, d1R, d2R = _fd5(R, r)
-    Tv, _, d2T = _fd5(Theta, th)
-    Zv, _, d2Z = _fd5(Z, z)
+    Rv, d1R, d2R = _five_point_at(R, r, 1e-3)
+    Tv, _, d2T = _five_point_at(Theta, th, 1e-3)
+    Zv, _, d2Z = _five_point_at(Z, z, 1e-3)
     if Rv == 0 or Tv == 0 or Zv == 0:
         raise ValueError("quantum potential singular: amplitude node at the point")
 
@@ -493,11 +493,3 @@ def bohm_energy_residual(
     curvature = d2R / Rv + d1R / (r * Rv) + d2T / (r * r * Tv) + d2Z / Zv
     return kinetic - hb * hb / (2.0 * m) * curvature - E
 
-
-def _fd5(f: Callable, x: float):
-    """Value and first/second derivatives by five-point central stencils of step _FD_STEP."""
-    h = _FD_STEP
-    fm2, fm1, f0, fp1, fp2 = (f(x + k * h) for k in (-2, -1, 0, 1, 2))
-    d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
-    return f0, d1, d2

@@ -1,10 +1,11 @@
 """Independent numerical ground truth for every closed-form check.
 
 One adaptive initial-value integrator (embedded Dormand-Prince 5(4) pair
-with cubic-Hermite dense output), one central-difference residual
-evaluator, and one singularity-tolerant quadrature (tanh-sinh double
-exponential).  Deliberately a single rule each: verification simplicity
-beats configurability.
+with cubic-Hermite dense output), one fourth-order five-point
+central-difference stencil for every derivative a check takes, and one
+singularity-tolerant quadrature (tanh-sinh double exponential).
+Deliberately a single rule each: verification simplicity beats
+configurability.
 
 The quadrature nodes and weights of each level depend only on the
 interval-free variable t, so they are computed once per level, cached,
@@ -166,22 +167,37 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
     return IVPSolution(np.array(ts), np.array(ys), np.array(fs))
 
 
+def _five_point(y, h: float):
+    """Centre values y[2:-2] and first and second derivatives along the first axis of a stacked array.
+
+    The first axis holds at least 5 samples at step h; the fourth-order
+    central weights (Fornberg 1988) leave rounding of about eps/h^2.
+    """
+    y = np.asarray(y)
+    if len(y) < 5:
+        raise ValueError("five-point stencil needs at least 5 grid points along the axis")
+    m2, m1, y0, p1, p2 = y[:-4], y[1:-3], y[2:-2], y[3:-1], y[4:]
+    d1 = (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
+    d2 = (-m2 + 16.0 * m1 - 30.0 * y0 + 16.0 * p1 - p2) / (12.0 * h * h)
+    return y0, d1, d2
+
+
+def _five_point_at(f: Callable, x, h: float):
+    """(f, f', f'') at x from the calls f(x + k h), k = -2, ..., 2; each shaped like one f call's value."""
+    return tuple(d[0] for d in _five_point(np.array([f(x + k * h) for k in range(-2, 3)]), h))
+
+
 def fd_residual(candidate: SampledProfile, ode_form: Callable) -> ResidualReport:
     """Max residual of ode_form(y, y', y'', q) over interior grid points.
 
-    First and second derivatives come from second-order central
-    differences; the candidate grid must be uniform with at least 5 points.
+    Derivatives come from the five-point stencil, so two points at each
+    end are left out; the candidate grid must be uniform with at least 5 points.
     """
-    if len(candidate.grid) < 5:
-        raise ValueError("residual evaluation needs at least 5 grid points")
     h = candidate.step()
-    y = candidate.values
-    q = candidate.grid
-    dy = (y[2:] - y[:-2]) / (2.0 * h)
-    d2y = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
-    vals = np.abs(ode_form(y[1:-1], dy, d2y, q[1:-1]))
+    q = candidate.grid[2:-2]
+    vals = np.abs(ode_form(*_five_point(candidate.values, h), q))
     i = int(np.argmax(vals))
-    return ResidualReport(max_abs=float(vals[i]), location=float(q[1:-1][i]), step=h)
+    return ResidualReport(max_abs=float(vals[i]), location=float(q[i]), step=h)
 
 
 _TS_TMAX = 6.8  # beyond this the double-exponential weight underflows

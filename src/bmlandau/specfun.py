@@ -42,14 +42,14 @@ J_nu for 0 <= x <= 1000; real x, and complex x off the axis, for
 rejected with a message naming its region, as are non-finite arguments.
 
 The series share one term loop, ``_sum_series``, with fixed limits: a
-term counts as small below 1e-15 of the partial sum, an overflowed term
-never does, and a series that has not converged in 500 terms raises
-RuntimeError.  Every term of one sweep is c_k x^k with c_k independent of
-the grid point, so the largest term over the grid and a bound on every
-partial sum follow from two scalars; the array convergence test runs
-only on terms where these scalars leave it a chance to pass.  The
-truncation rule and every result bit are those of a loop that tests
-every term.
+term counts as small below 1e-15 of the partial sum while the terms
+shrink, an overflowed term never does, and a series that has not
+converged in 500 terms raises RuntimeError.  Every term of one sweep is
+c_k x^k with c_k independent of the grid point, so the largest term over
+the grid and a bound on every partial sum follow from two scalars; the
+array convergence test runs only on terms where these scalars leave it a
+chance to pass.  The truncation rule and every result bit are those of
+a loop that tests every term.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def _sum_series(like, factor, growth, what: str, n_terms=None):
 
     With ``n_terms`` exactly that many terms after term_0 are added (a
     terminating polynomial).  Otherwise the sum stops after two consecutive
-    terms pass ``_array_test`` at ``_REL_TOL``; ``_MAX_TERMS`` terms
+    terms pass ``_array_test`` at ``_REL_TOL`` with growth(k) < 1 (or nan),
+    since tiny first terms may precede growing ones; ``_MAX_TERMS`` terms
     without that raise RuntimeError.
 
     Every term is c_k x^k with c_k the same at every grid point, and
@@ -155,7 +156,8 @@ def _sum_series(like, factor, growth, what: str, n_terms=None):
         if n_terms is not None:
             k += 1
             continue
-        s *= growth(k)
+        g = growth(k)
+        s *= g
         if not _BOUND_TINY <= s <= _BOUND_HUGE:
             s = math.nan
         m += s
@@ -166,7 +168,7 @@ def _sum_series(like, factor, growth, what: str, n_terms=None):
             continue
         small, total_max = _array_test(term, total)
         m = min(m, total_max)
-        if small:
+        if small and not g >= 1.0:
             small_streak += 1
             if small_streak >= 2:
                 break
@@ -489,14 +491,14 @@ def hyp1f1(a, b, x):
       when b > 0 and a > 0 (x >= 0) or b - a > 0 (x < 0).
 
     A series sweep stops once the running term falls below 1e-15
-    |partial sum| (maxima over the sweep) for two consecutive terms; an
-    overflowed term never counts as small, and 500 terms without that
-    raise RuntimeError.  The array test is skipped on terms where the
-    scalar bound |c_k| max|x|^k shows it must fail, which leaves the
-    stopping term and every result bit unchanged.  The continuation has
-    fixed limits of its own: a Taylor sum ends after two terms below
-    2^-54 of its absolute-term sum, and 500 terms without that raise
-    RuntimeError.  The polynomial test is on the Python/numpy integer
+    |partial sum| (maxima over the sweep) for two consecutive terms while
+    the terms shrink; an overflowed term never counts as small, and 500
+    terms without that raise RuntimeError.  The array test is skipped on
+    terms where the scalar bound |c_k| max|x|^k shows it must fail, which
+    leaves the stopping term and every result bit unchanged.  The
+    continuation has fixed limits of its own: a Taylor sum ends after two
+    terms below 2^-54 of its absolute-term sum, and 500 terms without that
+    raise RuntimeError.  The polynomial test is on the Python/numpy integer
     type, never on float rounding.
 
     ``x`` may be a scalar or ndarray.  Real inputs give a float result,

@@ -1,7 +1,7 @@
 """Named verification checks over every module's stated properties.
 
 Each check pits a closed form against the independent oracle layer
-(adaptive integration, central differences, tanh-sinh quadrature) or
+(adaptive integration, five-point differences, tanh-sinh quadrature) or
 against an analytic reduction, and reports a single worst-case number
 against a fixed tolerance.  Check names are stable identifiers.  Each
 check body is registered by ``@_register(suite, name, tol)``, which
@@ -33,7 +33,7 @@ from . import sectors as sec
 from . import specfun as sf
 from . import spectrum as sp
 from .core import PhysParams, QuantumNumbers, SampledProfile
-from .oracle import IVPProblem, fd_residual, integrate_ivp, quad_singular
+from .oracle import IVPProblem, _five_point, _five_point_at, fd_residual, integrate_ivp, quad_singular
 
 NATURAL = PhysParams()  # hbar = m = e = B = 1
 BETA_ONE = PhysParams(B=2.0)  # beta = 1
@@ -113,11 +113,12 @@ def check_invariant_constancy():
     return _worst(spreads)
 
 
-def _pinney_residual(sector: str, h: float) -> float:
+def _pinney_residual(sector: str, h: float, refine: bool = False) -> float:
     """Pinney residual of the radial, theta or axial amplitude at grid step h.
 
-    Scales are modest so the h = 1e-3 central-difference truncation sits
-    well below the 1e-6 gate.
+    At h = 5e-3 truncation has fallen to the rounding floor, about 3e-10.
+    refine drops the grid's end points and halves its step, so both
+    residuals are maxima over the step-h grid's interior.
     """
     if sector == "radial":
         pair = sec.radial_basis(0, BETA_ONE)
@@ -129,29 +130,32 @@ def _pinney_residual(sector: str, h: float) -> float:
         coef = ek.ep_coefficients(A, B, D, omega)
         sigma, lo, hi = sec.trig_amplitude(coef, omega), 0.0, 2.0 * math.pi
         omega_sq = lambda q: omega**2 + 0.0 * np.asarray(q)
-    return ek.pinney_residual(sigma, omega_sq, coef.c, np.arange(lo, hi, h))
+    grid = np.arange(lo, hi, h)
+    if refine:
+        grid = np.linspace(grid[1], grid[-2], 2 * len(grid) - 5)
+    return ek.pinney_residual(sigma, omega_sq, coef.c, grid)
 
 
 @_register("ep", "ep.pinney_residual_radial", 1e-6)
 def check_pinney_residual_radial():
-    return _pinney_residual("radial", 1e-3)
+    return _pinney_residual("radial", 5e-3)
 
 
 @_register("ep", "ep.pinney_residual_theta", 1e-6)
 def check_pinney_residual_theta():
-    return _pinney_residual("theta", 1e-3)
+    return _pinney_residual("theta", 5e-3)
 
 
 @_register("ep", "ep.pinney_residual_axial", 1e-6)
 def check_pinney_residual_axial():
-    return _pinney_residual("axial", 1e-3)
+    return _pinney_residual("axial", 5e-3)
 
 
 @_register("ep", "ep.pinney_convergence", 0.5)
 def check_pinney_convergence():
-    """Halving the step scales each sector residual by ~4 (second order)."""
+    """Halving the step from 2e-2 scales each sector residual by ~16 (fourth order)."""
     return _worst(
-        abs(_pinney_residual(sector, 1e-3) / _pinney_residual(sector, 5e-4) - 4.0)
+        abs(_pinney_residual(sector, 2e-2) / _pinney_residual(sector, 2e-2, refine=True) - 16.0)
         for sector in ("radial", "theta", "axial")
     )
 
@@ -220,27 +224,23 @@ def check_uw_vs_closed():
 
 @_register("flux", "flux.action_derivative", 0.8)
 def check_action_derivative():
-    """Central-difference dS/dtheta - hbar*phi matches pi_theta at O(h^2)."""
+    """Five-point dS/dtheta - hbar*phi matches pi_theta at O(h^4); below h = 1e-2 rounding takes over."""
     ctx = _reference_flux_context()
     pts = np.linspace(0.05, 3.0, 37)
     errs = []
-    for h in (1e-3, 5e-4, 2.5e-4):
-        fd = (fx.s_theta_closed(pts + h, ctx) - fx.s_theta_closed(pts - h, ctx)) / (2.0 * h)
-        errs.append(np.max(np.abs(fd - ctx.hbar * ctx.phi - fx.pi_theta_closed(pts, ctx))))
+    for h in (4e-2, 2e-2, 1e-2):
+        dS = _five_point_at(lambda t: fx.s_theta_closed(t, ctx), pts, h)[1]
+        errs.append(np.max(np.abs(dS - ctx.hbar * ctx.phi - fx.pi_theta_closed(pts, ctx))))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
-    return _worst(abs(r - 4.0) for r in ratios)
+    return _worst(abs(r - 16.0) for r in ratios)
 
 
 @_register("flux", "flux.nonlinpie_closed_form", 1e-5)
 def check_nonlinpie_closed_form():
-    """Closed-form pi substituted into the master equation, FD step 1e-4."""
+    """Closed-form pi substituted into the master equation, five-point step 1e-3."""
     ctx = _reference_flux_context()
-    h = 1e-4
     pts = np.linspace(0.05, 3.0, 301)
-    p0 = fx.pi_theta_closed(pts, ctx)
-    p_up, p_down = fx.pi_theta_closed(pts + h, ctx), fx.pi_theta_closed(pts - h, ctx)
-    pp = (p_up - p_down) / (2 * h)
-    ppp = (p_up - 2 * p0 + p_down) / h**2
+    p0, pp, ppp = _five_point_at(lambda t: fx.pi_theta_closed(t, ctx), pts, 1e-3)
     return np.max(np.abs(fx.nonlinpie_residual(p0, pp, ppp, ctx, 0.0)))
 
 
@@ -250,12 +250,11 @@ def check_uw_nonzero_current():
 
     Run at r = 1, where the two current-coupling conventions (r C in the
     first-order system, r^2 C in the master equation) coincide.  pi' comes from the balance relation along the trajectory;
-    pi'' is an honest central difference of that momentum derivative.
+    pi'' is a five-point difference (step 1e-3) of that momentum derivative.
     """
     ctx = fx.FluxContext(r=1.0, l=1, beta=1.0, E_pi=12.0, hbar=1.0)
     C_theta = 0.4
     sol = _uw_solution(ctx, C_theta, [1.2, 0.3], 0.6, 1e-12, 1e-14, 0.005)
-    h = 1e-4
     pts = np.linspace(0.05, 0.55, 101)
 
     def dpi_of(t):
@@ -263,8 +262,7 @@ def check_uw_nonzero_current():
         return ctx.r * C_theta - 2.0 * y[:, 1] * y[:, 0]
 
     p0 = sol(pts)[:, 0]
-    pp = dpi_of(pts)
-    ppp = (dpi_of(pts + h) - dpi_of(pts - h)) / (2 * h)
+    pp, ppp = _five_point_at(dpi_of, pts, 1e-3)[:2]
     return np.max(np.abs(fx.nonlinpie_residual(p0, pp, ppp, ctx, C_theta)))
 
 
@@ -309,15 +307,15 @@ def check_quadrature_arcsin():
 def check_quadrature_roundtrip():
     """kappa != 0: invert theta(Theta) and compare (Theta')^2 to the radicand.
 
-    The inversion slope is a five-point stencil at step 2e-3; the
-    quadrature values are good to about 1e-16, so the residual, about
-    3e-10, is the stencil's truncation error.
+    The inversion slope is the oracle's fourth-order five-point stencil
+    on a grid of step 2e-3; the quadrature values are good to about
+    1e-16, so the residual, about 3e-10, is the stencil's truncation error.
     """
     E_th, l, kap, phi = 2.0, 1, 0.5, 0.7
     h = 2e-3
     Ts = np.arange(0.7, 0.9 + h / 2, h)
     th = fx.theta_first_integral_quadrature(Ts, E_th, l, kap, phi, tol=1e-12)
-    dth_dT = (th[:-4] - 8 * th[1:-3] + 8 * th[3:-1] - th[4:]) / (12 * h)
+    dth_dT = _five_point(th, h)[1]
     rad = fx.first_integral_radicand(Ts[2:-2], E_th, l, kap, phi)
     return np.max(np.abs(1.0 / dth_dT**2 - rad))
 
@@ -362,7 +360,7 @@ def check_divergence_nonzero_current():
 
     The radial sector carries the Gaussian curvature, so the grid is
     refined along r; the theta and z flux profiles are linear there and
-    centrally differenced exactly.
+    the five-point stencil differences them exactly.
     """
     C_r, C_th, C_z = 0.3, -0.5, 0.2
     r_ax = np.linspace(0.5, 2.0, 401)
@@ -448,7 +446,7 @@ def check_current_zero_sum():
 # ---------------------------------------------------------------------------
 
 def _ode_residual(coordinate: str, grid, values, ode_form) -> float:
-    """Worst central-difference residual of ode_form(y, y', y'', q) on sampled values."""
+    """Worst five-point residual of ode_form(y, y', y'', q) on sampled values."""
     return fd_residual(SampledProfile(coordinate, grid, values), ode_form).max_abs
 
 
@@ -462,7 +460,7 @@ def check_radial_ode():
         k2 = labels.kappa_r_sq(BETA_ONE.beta)
         nu = labels.nu
         R = rg.radial_regularised(qn, BETA_ONE)
-        grid = np.arange(0.2, 3.0, 2e-4)
+        grid = np.arange(0.2, 3.0, 2e-3)
         residuals.append(_ode_residual(
             "r", grid, np.sqrt(grid) * R(grid),
             lambda y, dy, d2y, q: d2y + (k2 - (BETA_ONE.beta * q) ** 2 - (nu * nu - 0.25) / q**2) * y,
@@ -473,7 +471,7 @@ def check_radial_ode():
 @_register("regular", "regular.axial_ode", 1e-6)
 def check_axial_ode():
     k_z = 1.0
-    grid = np.arange(0.2, 5.0, 2e-4)
+    grid = np.arange(0.2, 5.0, 2e-3)
     return _ode_residual(
         "z", grid, rg.axial_regularised(k_z)(grid),
         lambda y, dy, d2y, q: -d2y + y / (4.0 * q * q) - k_z * k_z * y,
@@ -484,7 +482,7 @@ def check_axial_ode():
 def check_whittaker_azimuthal_ode():
     """Complex Whittaker combination satisfies the regularised angular equation."""
     l, phi = 1, 0.5
-    grid = np.arange(0.2, 2.0, 1e-4)
+    grid = np.arange(0.2, 2.0, 1e-3)
     return _ode_residual(
         "theta", grid, rg.azimuthal_whittaker(grid, l, phi, 1.0, 0.3 + 0.2j),
         lambda y, dy, d2y, q: d2y + (l * l + phi / q - 1.0 / (4.0 * q * q)) * y,
@@ -508,11 +506,7 @@ def check_local_branch_logderiv():
     """
     p = rg.LocalBranchParams(A_theta=1.0, phi=0.8, kappa=0.3)
     ths = np.arange(0.2, 0.45, 1e-3)
-    h = 3e-5
-    fd = (
-        np.log(rg.theta_local_branch(ths + h, p) ** 2)
-        - np.log(rg.theta_local_branch(ths - h, p) ** 2)
-    ) / (2 * h)
+    fd = _five_point_at(lambda t: np.log(rg.theta_local_branch(t, p) ** 2), ths, 1e-4)[1]
     return np.max(np.abs(fd - rg.local_branch_log_density_slope(ths, p)))
 
 
@@ -555,12 +549,9 @@ def check_branch_bookkeeping():
 def check_damped_profiles():
     """Damped branch profiles: log-derivative identity and Gaussian tail."""
     errors = []
-    h = 1e-6
     for z, C_z in ((1.0, -1.0), (0.7, -2.5)):
-        ld = (
-            rg.damped_axial_profile(z + h, C_z, NATURAL) - rg.damped_axial_profile(z - h, C_z, NATURAL)
-        ) / (2 * h * rg.damped_axial_profile(z, C_z, NATURAL))
-        errors.append(abs(ld - (1.0 / (2 * z) + C_z * z / NATURAL.hbar)))
+        Z, dZ, _ = _five_point_at(lambda t: rg.damped_axial_profile(t, C_z, NATURAL), z, 1e-4)
+        errors.append(abs(dZ / Z - (1.0 / (2 * z) + C_z * z / NATURAL.hbar)))
     gauss = quad_singular(lambda r, _i: r * rg.damped_radial_profile(r, -1.0, NATURAL), 0.0, 9.0, 1e-12)
     errors.append(abs(gauss - 0.5))
     if not (rg.radial_profile_normalisable(-0.3) and not rg.radial_profile_normalisable(0.3)):
@@ -598,8 +589,8 @@ def check_whittaker_equation_grid():
     """
     residuals = []
     for kappa, mu, s, t in (
-        (0.3, 0.8, 1.0, np.arange(0.5, 2.5, 2e-4)),
-        (-0.3j, 1.0 / math.sqrt(2.0), 2j, np.arange(0.3, 2.0, 2e-4)),
+        (0.3, 0.8, 1.0, np.arange(0.5, 2.5, 2e-3)),
+        (-0.3j, 1.0 / math.sqrt(2.0), 2j, np.arange(0.3, 2.0, 2e-3)),
     ):
         def form(y, dy, d2y, q):
             x = s * q
@@ -634,11 +625,8 @@ def check_whittaker_wronskian():
     """M and W are independent: numerical Wronskian bounded away from zero."""
     wronskians = []
     for kappa, mu, x in ((0.0, 1 / math.sqrt(2), 1.0), (-0.25j, 1 / math.sqrt(2), 0.8j + 0.2)):
-        h = 1e-5
-        (m_p, w_p), (m_m, w_m) = sf.whittaker_mw(kappa, mu, x + h), sf.whittaker_mw(kappa, mu, x - h)
-        m, w = sf.whittaker_mw(kappa, mu, x)
-        wr = m * (w_p - w_m) / (2 * h) - w * (m_p - m_m) / (2 * h)
-        wronskians.append(abs(wr))
+        (m, w), (dm, dw), _ = _five_point_at(lambda t: sf.whittaker_mw(kappa, mu, t), x, 1e-3)
+        wronskians.append(abs(m * dw - w * dm))
     return _worst(wronskians, np.min)
 
 

@@ -39,7 +39,7 @@ def test_criterion_01_invariant_constancy():
 def test_criterion_02_pinney_residuals():
     _run(
         2,
-        "sector Pinney residuals with second-order convergence",
+        "sector Pinney residuals with fourth-order convergence",
         [
             vf.check_pinney_residual_radial,
             vf.check_pinney_residual_theta,

@@ -113,10 +113,11 @@ class TestPinneyResidual:
         coef = ek.ep_coefficients(1.0, 0.8, 0.2, 1.0)
         sigma = ek.pinney_amplitude(trig_pair(1.0), coef)
         omega_sq = lambda q: 1.0 + 0.0 * np.asarray(q)
-        res1 = ek.pinney_residual(sigma, omega_sq, coef.c, np.arange(0.0, 4.0, 1e-3))
-        res2 = ek.pinney_residual(sigma, omega_sq, coef.c, np.arange(0.0, 4.0, 5e-4))
-        assert res1 < 1e-6
-        assert 3.5 <= res1 / res2 <= 4.5
+        assert ek.pinney_residual(sigma, omega_sq, coef.c, np.arange(0.0, 4.0, 1e-3)) < 1e-6
+        # fourth order: halving the step divides the truncation error by 16
+        res1 = ek.pinney_residual(sigma, omega_sq, coef.c, np.arange(0.0, 4.0, 4e-2))
+        res2 = ek.pinney_residual(sigma, omega_sq, coef.c, np.arange(0.0, 4.0, 2e-2))
+        assert 15.0 <= res1 / res2 <= 17.0
 
     def test_corrupted_amplitude_detected(self):
         coef = ek.ep_coefficients(1.0, 0.8, 0.2, 1.0)

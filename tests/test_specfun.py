@@ -299,7 +299,10 @@ class TestBesselJ:
 # dtypes are float64 and complex128 and that a polynomial may end at the
 # pole index.  It runs the array convergence test on every term, so any
 # difference in a stopping term, a result bit or an error shows against
-# it.  The library sums this series for complex arguments with |x| <= 2
+# it.  A term counts as small only while the scalar growth bound
+# |c_{k+1}/c_k| max|x| is below 1 (or nan, where the library trusts no
+# bound), as in the library: a tiny first term may precede growing ones.
+# The library sums this series for complex arguments with |x| <= 2
 # and real non-polynomial 1F1 at x >= 0; its other regions are checked
 # against mpmath below.
 
@@ -322,6 +325,9 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
     aw = work(complex(a)) if is_complex else work(float(a))
     bw = work(complex(b)) if is_complex else work(float(b))
     xw = x_arr.astype(work)
+    x_max = float(np.max(np.abs(x_arr))) if x_arr.size else 0.0
+    if not sf._moderate(a, b, x_max):
+        x_max = math.nan
 
     term = np.ones_like(xw)
     total = term.copy()
@@ -340,9 +346,10 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
             raise ValueError("pole of Kummer function: b is a non-positive integer")
         term = term * ((aw + k) * xw / denom)
         total = total + term
+        growth = abs(complex(a) + k) / abs(complex(b) + k) * (x_max / (k + 1))
         k += 1
         if not polynomial:
-            if np.max(np.abs(term)) <= rel_tol * np.max(np.abs(total)):
+            if np.max(np.abs(term)) <= rel_tol * np.max(np.abs(total)) and not growth >= 1.0:
                 small_streak += 1
                 if small_streak >= 2:
                     break
@@ -538,6 +545,9 @@ class TestSeriesKernel:
     @example(a=2.5, b=1.5, x=np.array([0.0, 30.0, -30.0]), ctl=_SHIPPED)
     @example(a=2.5, b=1.5, x=np.array([-10.0, 10.0]), ctl=_SHIPPED)
     @example(a=1.0501162083011626, b=0.05, x=-14.0, ctl=_SHIPPED)  # b - a + 1 near 0
+    # a tiny but nonzero: at x > 0 the first terms are tiny, the later ones grow
+    @example(a=4.1356173556891693e-22, b=1.0, x=np.array([-23.0, 23.0]), ctl=_SHIPPED)
+    @example(a=2.05e-26, b=0.0625, x=np.array([-27.0, 27.0]), ctl=_SHIPPED)
     def test_hyp1f1_negative_axis_against_mpmath(self, a, b, x, ctl):
         # every point, of either sign, within the docstring bound 1e-13 * scale
         with _series_limits(*ctl):

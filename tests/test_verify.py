@@ -161,3 +161,77 @@ def test_worst_propagates_nan_in_any_position():
     for values in ([math.nan, 1.0], [1.0, math.nan], [0.0, 2.0, math.nan]):
         assert math.isnan(vf._worst(values))
         assert math.isnan(vf._worst(iter(values), np.min))
+
+
+def _plant(f, delta, q=lambda *args: args[0]):
+    """f scaled by 1 + delta sin 3|q|, q = q(*args) and by default f's first argument.
+
+    The factor broadcasts along the trailing axes of f's value, so a
+    solution sampled as (points, components) is scaled point by point.
+    """
+
+    def planted(*args, **kwargs):
+        value = np.asarray(f(*args, **kwargs))
+        factor = 1.0 + delta * np.sin(3.0 * np.abs(q(*args)))
+        return value * np.reshape(factor, np.shape(factor) + (1,) * (value.ndim - np.ndim(factor)))
+
+    return planted
+
+
+def _plant_made(make, delta):
+    """make(...) whose returned callables of q are planted."""
+    return lambda *args: _plant(make(*args), delta)
+
+
+def _plant_density(divergence, delta):
+    """divergence_residual with its density scaled by 1 + delta sin 3r."""
+    def planted(r, th, z, rho, *rest):
+        return divergence(r, th, z, rho * (1.0 + delta * np.sin(3.0 * r))[:, None, None], *rest)
+
+    return planted
+
+
+def _plant_argument(f, delta):
+    """whittaker_m(kappa, mu, x) with q = |x|."""
+    return _plant(f, delta, q=lambda kappa, mu, x: x)
+
+
+# every "<=" check that takes a derivative: the function it guards, how the
+# error is planted there, and the smallest power of ten the check detects
+PLANTED = {
+    "ep.pinney_residual_radial": (vf.check_pinney_residual_radial, vf.ek, "pinney_amplitude", _plant_made, 1e-6),
+    "ep.pinney_residual_theta": (vf.check_pinney_residual_theta, vf.sec, "trig_amplitude", _plant_made, 1e-6),
+    "ep.pinney_residual_axial": (vf.check_pinney_residual_axial, vf.sec, "trig_amplitude", _plant_made, 1e-6),
+    "ep.pinney_convergence": (vf.check_pinney_convergence, vf.ek, "pinney_amplitude", _plant_made, 1e-10),
+    "flux.action_derivative": (vf.check_action_derivative, vf.fx, "s_theta_closed", _plant, 1e-9),
+    "flux.nonlinpie_closed_form": (vf.check_nonlinpie_closed_form, vf.fx, "pi_theta_closed", _plant, 1e-6),
+    "flux.uw_nonzero_current": (vf.check_uw_nonzero_current, vf, "integrate_ivp", _plant_made, 1e-6),
+    "flux.quadrature_roundtrip": (
+        vf.check_quadrature_roundtrip, vf.fx, "theta_first_integral_quadrature", _plant, 1e-6
+    ),
+    "flux.theta_reconstruction": (vf.check_theta_reconstruction, vf, "integrate_ivp", _plant_made, 1e-5),
+    "flux.divergence_zero_current": (
+        vf.check_divergence_zero_current, vf.fx, "divergence_residual", _plant_density, 1e-5
+    ),
+    "flux.divergence_nonzero_current": (
+        vf.check_divergence_nonzero_current, vf.fx, "divergence_residual", _plant_density, 1e-5
+    ),
+    "flux.bohm_residual_el": (vf.check_bohm_residual_el, vf.sec, "trig_amplitude", _plant_made, 1e-5),
+    "flux.bohm_residual_cbr": (vf.check_bohm_residual_cbr, vf.rg, "axial_regularised", _plant_made, 1e-5),
+    "regular.radial_ode": (vf.check_radial_ode, vf.rg, "radial_regularised", _plant_made, 1e-6),
+    "regular.axial_ode": (vf.check_axial_ode, vf.rg, "axial_regularised", _plant_made, 1e-6),
+    "regular.whittaker_ode": (vf.check_whittaker_azimuthal_ode, vf.rg, "azimuthal_whittaker", _plant, 1e-7),
+    "regular.local_branch_logderiv": (vf.check_local_branch_logderiv, vf.rg, "theta_local_branch", _plant, 1e-6),
+    "regular.damped_profiles": (vf.check_damped_profiles, vf.rg, "damped_axial_profile", _plant, 1e-8),
+    "specfun.whittaker_equation": (vf.check_whittaker_equation_grid, vf.sf, "whittaker_m", _plant_argument, 1e-7),
+}
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_stencil_check_fails_on_planted_error(monkeypatch, name):
+    # a relative error delta sin 3q planted in the guarded function fails the check
+    check, owner, attr, plant, delta = PLANTED[name]
+    monkeypatch.setattr(owner, attr, plant(getattr(owner, attr), delta))
+    result = check()
+    assert result.name == name
+    assert not result.passed
