@@ -409,10 +409,24 @@ def _bisect(g, inside, outside, iters: int = 200):
 
 
 def theta_from_w(w_samples: SampledProfile, Theta0: float) -> SampledProfile:
-    """Reconstruct Theta = Theta0 exp(int w dtheta) by cumulative trapezoids."""
+    """Reconstruct Theta = Theta0 exp(int w dtheta) by the composite cubic rule (fourth order).
+
+    Each interval integrates the cubic through its four nearest samples:
+    h/24 (-w_{i-1} + 13 w_i + 13 w_{i+1} - w_{i+2}) inside, the one-sided
+    h/24 (9 w_0 + 19 w_1 - 5 w_2 + w_3) on the first interval and its
+    mirror on the last.  The grid must be uniform with at least 4 samples.
+    """
     h = w_samples.step()
     w = np.asarray(w_samples.values, dtype=float)
-    integral = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * h)))
+    if len(w) < 4:
+        raise ValueError("cubic rule needs at least 4 samples")
+    edge = (9.0, 19.0, -5.0, 1.0)
+    pieces = np.concatenate((
+        [np.dot(edge, w[:4])],
+        -w[:-3] + 13.0 * w[1:-2] + 13.0 * w[2:-1] - w[3:],
+        [np.dot(edge, w[:-5:-1])],
+    ))
+    integral = np.concatenate(([0.0], np.cumsum(pieces * (h / 24.0))))
     values = Theta0 * np.exp(integral)
     meta = dict(w_samples.metadata)
     meta["operation"] = "theta_from_w"
@@ -427,6 +441,8 @@ def divergence_residual(
 
     Five-point differences of (each axis needs at least 5 points)
     (1/r) d_r(r rho p_r) + (1/r) d_theta[rho (p_theta - eBr/2)] + d_z(rho p_z).
+    The fields broadcast to the grid shape, so a field that does not
+    vary along an axis may have length 1 there.
     """
     r = np.asarray(r_axis, dtype=float)
     th = np.asarray(theta_axis, dtype=float)
@@ -435,12 +451,13 @@ def divergence_residual(
         raise ValueError("axis excluded from stencil: the grid must satisfy r > 0")
     hr, hth, hz = uniform_step(r), uniform_step(th), uniform_step(z)
 
+    shape = (r.size, th.size, z.size)
     rho = np.asarray(rho, dtype=float)
     R3 = r[:, None, None]
-    flux_r = R3 * rho * np.asarray(p_r, dtype=float)
+    flux_r = np.broadcast_to(R3 * rho * np.asarray(p_r, dtype=float), shape)
     gauge = np.asarray(p_theta, dtype=float) - params.eB * R3 / 2.0
-    flux_th = rho * gauge
-    flux_z = rho * np.asarray(p_z, dtype=float)
+    flux_th = np.broadcast_to(rho * gauge, shape)
+    flux_z = np.broadcast_to(rho * np.asarray(p_z, dtype=float), shape)
 
     # each derivative runs along the first axis of the array it is given
     d_r = _five_point(flux_r[:, 2:-2, 2:-2], hr)[1]
@@ -456,29 +473,35 @@ def bohm_energy_residual(
     R: Callable,
     Theta: Callable,
     Z: Callable,
-    p_r: float,
-    p_theta: float,
-    p_z: float,
+    p_r,
+    p_theta,
+    p_z,
     E: float,
     params: PhysParams,
     point,
 ):
-    """Stationary energy-balance defect at one point.
+    """Stationary energy-balance defect at one point or an array of points.
 
     Evaluates
     [p_r^2 + p_theta^2 - eBr p_theta + (eBr)^2/4 + p_z^2] / 2m
       - (hbar^2/2m)[R''/R + R'/(r R) + Theta''/(r^2 Theta) + Z''/Z] - E,
     the amplitude-curvature block being the quantum potential.  Amplitude
-    derivatives are fourth-order five-point differences of step 1e-3; Theta
-    may be complex, in which case the returned residual is complex.
+    derivatives are fourth-order five-point differences of step 1e-3,
+    taken with one call of each amplitude: R, Theta and Z receive
+    ndarrays (the five samples on a leading axis) and return values of
+    that shape, or a scalar if the amplitude is constant.  The point
+    (r, theta, z) may hold arrays, which broadcast together with the
+    momenta; the residual then has their broadcast shape, each entry
+    equal to the call at that single point.  Theta may be complex, in
+    which case the returned residual is complex.
     """
-    r, th, z = point
-    if r <= 0:
+    r, th, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in point))
+    if np.any(r <= 0):
         raise ValueError("quantum potential singular: needs r > 0")
     Rv, d1R, d2R = _five_point_at(R, r, 1e-3)
     Tv, _, d2T = _five_point_at(Theta, th, 1e-3)
     Zv, _, d2Z = _five_point_at(Z, z, 1e-3)
-    if Rv == 0 or Tv == 0 or Zv == 0:
+    if np.any(Rv == 0) or np.any(Tv == 0) or np.any(Zv == 0):
         raise ValueError("quantum potential singular: amplitude node at the point")
 
     m, hb = params.mass, params.hbar
@@ -492,4 +515,3 @@ def bohm_energy_residual(
     ) / (2.0 * m)
     curvature = d2R / Rv + d1R / (r * Rv) + d2T / (r * r * Tv) + d2Z / Zv
     return kinetic - hb * hb / (2.0 * m) * curvature - E
-

@@ -91,7 +91,9 @@ class IVPSolution:
         self._sign = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        """State at t, a float or an array of any shape; the result has shape t.shape + (dim,)."""
+        t = np.asarray(t, dtype=float)
+        t_arr = t.ravel()
         ts = self.ts * self._sign
         tq = t_arr * self._sign
         if np.any(tq < ts[0] - 1e-12) or np.any(tq > ts[-1] + 1e-12):
@@ -109,7 +111,7 @@ class IVPSolution:
         h01 = -2 * s**3 + 3 * s**2
         h11 = s**3 - s**2
         out = h00 * y0 + h10 * hcol * f0 + h01 * y1 + h11 * hcol * f1
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return out.reshape(t.shape + out.shape[1:])
 
 
 def integrate_ivp(p: IVPProblem) -> IVPSolution:
@@ -183,8 +185,23 @@ def _five_point(y, h: float):
 
 
 def _five_point_at(f: Callable, x, h: float):
-    """(f, f', f'') at x from the calls f(x + k h), k = -2, ..., 2; each shaped like one f call's value."""
-    return tuple(d[0] for d in _five_point(np.array([f(x + k * h) for k in range(-2, 3)]), h))
+    """(f, f', f'') at x, a number or an array, from one call of f.
+
+    f receives the samples x + k h, k = -2, ..., 2, stacked on a new
+    leading axis (shape (5,) + x.shape) and returns values of that shape;
+    a scalar value, such as a constant amplitude, broadcasts.  A tuple of
+    values, each broadcast likewise, such as the (M, W) of whittaker_mw,
+    gives each of f, f' and f'' as an array with the tuple on its leading
+    axis, so callers unpack it as they would the tuple.
+    """
+    x = np.asarray(x)
+    xs = x + h * np.arange(-2.0, 3.0).reshape((5,) + (1,) * x.ndim)
+    y = f(xs)
+    if isinstance(y, tuple):
+        y = np.stack([np.broadcast_to(v, xs.shape) for v in y], axis=1)
+    else:
+        y = np.broadcast_to(y, xs.shape)
+    return tuple(d[0] for d in _five_point(y, h))
 
 
 def fd_residual(candidate: SampledProfile, ode_form: Callable) -> ResidualReport:

@@ -322,7 +322,9 @@ def _ray_sweep(a, a_lo, b, d, x):
     while nodes[-1] + min(nodes[-1] / 2.0, _NODE_STEP) <= t_last:
         nodes.append(nodes[-1] + min(nodes[-1] / 2.0, _NODE_STEP))
     at = np.maximum(np.searchsorted(nodes, t, side="right") - 1, 0)
-    count = np.bincount(at, minlength=len(nodes))
+    # the points of node j are order[start[j]:start[j + 1]], in their order in x
+    order = np.argsort(at, kind="stable")
+    start = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=len(nodes)))))
     out = np.empty_like(x)
     y, dy = _kummer_start(a, a_lo, b, nodes[0] * d)
     for j, t_j in enumerate(nodes):
@@ -330,8 +332,8 @@ def _ray_sweep(a, a_lo, b, d, x):
         x_j = t_j * d
         # the radius also covers the points' distance from the exact ray
         c = _taylor_coefficients(a, a_lo, b, x_j, y, dy, step + (t_j + step) / _RAY_GRID)
-        if count[j]:
-            mine = slice(None) if count[j] == x.size else at == j
+        if start[j + 1] > start[j]:
+            mine = order[start[j]:start[j + 1]]
             s = x[mine] - x_j
             acc = np.full_like(s, c[-1])
             for c_n in reversed(c[:-1]):

@@ -259,7 +259,7 @@ def check_uw_nonzero_current():
 
     def dpi_of(t):
         y = sol(t)
-        return ctx.r * C_theta - 2.0 * y[:, 1] * y[:, 0]
+        return ctx.r * C_theta - 2.0 * y[..., 1] * y[..., 0]
 
     p0 = sol(pts)[:, 0]
     pp, ppp = _five_point_at(dpi_of, pts, 1e-3)[:2]
@@ -339,14 +339,14 @@ def _zero_current_fields(n_pts=50):
     r_ax = np.linspace(0.5, 2.0, n_pts)
     th_ax = np.linspace(0.1, 1.2, n_pts)
     z_ax = np.linspace(-0.8, 0.8, n_pts)
-    R3, TH3, Z3 = np.meshgrid(r_ax, th_ax, z_ax, indexing="ij")
+    # every field depends on r alone, so each is one column along r
+    R3 = r_ax[:, None, None]
     R = np.exp(-(R3**2) / 2.0)
     rho = R**2
     K_r, K_th, K_z = 0.4, 0.3, 0.2
     p_r = K_r / (R3 * R**2)
     p_th = NATURAL.eB * R3 / 2.0 + K_th
-    p_z = K_z * np.ones_like(Z3)
-    return r_ax, th_ax, z_ax, rho, p_r, p_th, p_z
+    return r_ax, th_ax, z_ax, rho, p_r, p_th, K_z
 
 
 @_register("flux", "flux.divergence_zero_current", 1e-5)
@@ -382,7 +382,8 @@ def check_bohm_residual_el():
     """Zero-current stationary fields satisfy the energy balance at E_EL.
 
     Quantised azimuthal sector (l = 0), oscillatory axial Pinney sector
-    carrying p_z = hbar c_z / Z^2, radial Kummer amplitude; 20 points.
+    carrying p_z = hbar c_z / Z^2, radial Kummer amplitude; 20 points,
+    evaluated together.
     """
     n_r, k_z = 1, 1.3
     E = sp.energy(sp.SpectrumModel.EL, n_r, 0, k_z, NATURAL)
@@ -390,17 +391,13 @@ def check_bohm_residual_el():
 
     def R(r):
         x = beta * r * r
-        return math.exp(-x / 2.0) * sf.hyp1f1(-n_r, 1.0, x)
+        return np.exp(-x / 2.0) * sf.hyp1f1(-n_r, 1.0, x)
 
     coef_z = ek.ep_coefficients(1.1, 0.9, -0.2, k_z)
     Z = sec.trig_amplitude(coef_z, k_z)
-    rng = np.random.default_rng(7)
-    residuals = []
-    for _ in range(20):
-        pt = (rng.uniform(0.5, 2.2), rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5))
-        p_z = NATURAL.hbar * coef_z.c / float(Z(pt[2])) ** 2
-        residuals.append(abs(fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z, E, NATURAL, pt)))
-    return _worst(residuals)
+    r, th, z = np.random.default_rng(7).uniform((0.5, -2.0, -1.5), (2.2, 2.0, 1.5), size=(20, 3)).T
+    p_z = NATURAL.hbar * coef_z.c / Z(z) ** 2
+    return _worst(np.abs(fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z, E, NATURAL, (r, th, z))))
 
 
 @_register("flux", "flux.bohm_residual_cbr", 1e-5)
@@ -428,9 +425,7 @@ def check_bohm_residual_cbr():
 
 def _branch_draws(seed: int, n: int, span: float):
     """n seeded draws (c_r, c_z) uniform on [-span, span), each with its branch closure."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        c_r, c_z = rng.uniform(-span, span, size=2)
+    for c_r, c_z in np.random.default_rng(seed).uniform(-span, span, size=(n, 2)).tolist():
         yield c_r, c_z, *rg.branch_assignment(c_r, c_z)
 
 

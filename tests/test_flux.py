@@ -669,6 +669,28 @@ class TestThetaFromW:
         prof = fx.theta_from_w(SampledProfile("theta", grid, 0.7 * np.ones_like(grid)), 1.0)
         assert np.max(np.abs(prof.values - np.exp(0.7 * grid))) < 1e-8
 
+    def test_cubic_slope_is_integrated_exactly(self):
+        # the composite cubic rule is exact on cubics, end intervals included
+        grid = np.linspace(-0.5, 1.5, 41)
+        w = 0.3 - 1.2 * grid + 0.9 * grid**2 - 0.4 * grid**3
+        want = 0.3 * (grid + 0.5) - 0.6 * (grid**2 - 0.25) + 0.3 * (grid**3 + 0.125) - 0.1 * (grid**4 - 0.0625)
+        prof = fx.theta_from_w(SampledProfile("theta", grid, w), 1.0)
+        assert np.max(np.abs(np.log(prof.values) - want)) < 1e-14
+
+    def test_error_falls_sixteenfold_per_halving(self):
+        # fourth order: halving the step divides the error at the shared points by about 16
+        errors = []
+        for n in (161, 321):
+            grid = np.linspace(0.0, 2.0, n)
+            prof = fx.theta_from_w(SampledProfile("theta", grid, np.cos(grid)), 1.0)
+            errors.append(np.max(np.abs(np.log(prof.values) - np.sin(grid))))
+        assert 15.0 <= errors[0] / errors[1] <= 17.0
+
+    def test_needs_four_samples(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            fx.theta_from_w(SampledProfile("theta", grid, np.ones(3)), 1.0)
+
     def test_reconstruction_satisfies_first_integral(self):
         ctx = fx.FluxContext(r=0.0, l=1, beta=NATURAL.beta, E_pi=10.0)
         pi0 = 8.0 * ctx.Lambda / ctx.E_pi
@@ -757,13 +779,36 @@ class TestBohmEnergyResidual:
         n_r, k_z = 1, 1.3
         E = sp.energy(sp.SpectrumModel.EL, n_r, 0, k_z, NATURAL)
         beta = NATURAL.beta
-        R = lambda r: math.exp(-beta * r * r / 2.0) * sf.hyp1f1(-n_r, 1.0, beta * r * r)
+        R = lambda r: np.exp(-beta * r * r / 2.0) * sf.hyp1f1(-n_r, 1.0, beta * r * r)
         coef_z = ek.ep_coefficients(1.1, 0.9, -0.2, k_z)
         Z = sec.trig_amplitude(coef_z, k_z)
         for pt in ((1.0, 0.3, 0.2), (0.7, 1.0, -0.4), (1.6, 2.0, 0.9)):
             p_z = NATURAL.hbar * coef_z.c / float(Z(pt[2])) ** 2
             res = fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z, E, NATURAL, pt)
             assert abs(res) < 1e-5
+
+    def test_array_of_points_equals_single_point_calls(self):
+        n_r, k_z = 1, 1.3
+        E = sp.energy(sp.SpectrumModel.EL, n_r, 0, k_z, NATURAL)
+        R = lambda r: np.exp(-r * r / 4.0) * sf.hyp1f1(-n_r, 1.0, r * r / 2.0)
+        coef_z = ek.ep_coefficients(1.1, 0.9, -0.2, k_z)
+        Z = sec.trig_amplitude(coef_z, k_z)
+        r, th, z = np.random.default_rng(5).uniform((0.5, -2.0, -1.5), (2.2, 2.0, 1.5), size=(20, 3)).T
+        p_z = NATURAL.hbar * coef_z.c / Z(z) ** 2
+        got = fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z, E, NATURAL, (r, th, z))
+        assert got.shape == (20,)
+        for i in range(20):
+            pt = (float(r[i]), float(th[i]), float(z[i]))
+            assert got[i] == fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z[i], E, NATURAL, pt)
+
+    def test_points_broadcast(self):
+        # r, theta and z broadcast together; the residual takes their shape
+        res = fx.bohm_energy_residual(
+            lambda r: 1.0, lambda t: 1.0, lambda z: 1.0, 0.0, 0.0, 0.0, 0.0, NATURAL,
+            (np.array([[1.0], [2.0]]), np.zeros(3), 0.5),
+        )
+        assert res.shape == (2, 3)
+        assert np.allclose(res, (NATURAL.eB * np.array([[1.0], [2.0]])) ** 2 / (8.0 * NATURAL.mass))
 
     def test_node_rejected(self):
         with pytest.raises(ValueError, match="quantum potential singular"):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from bmlandau import flux as fx
 from bmlandau import oracle
-from bmlandau.core import SampledProfile
+from bmlandau import specfun as sf
+from bmlandau.core import PhysParams, SampledProfile
 from bmlandau.oracle import IVPProblem, fd_residual, integrate_ivp, quad_singular
 
 
@@ -54,6 +56,13 @@ class TestIntegrator:
         with pytest.raises(RuntimeError, match="integration stalled"):
             integrate_ivp(IVPProblem(lambda y, t: y * y, [1.0], (0.0, 2.0), 1e-10, 1e-12))
 
+    def test_dense_output_of_any_shape(self):
+        rhs = lambda y, t: np.array([y[1], -y[0]])
+        sol = integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, math.pi), 1e-10, 1e-12))
+        ts = np.linspace(0.0, math.pi, 5 * 41).reshape(5, 41)
+        assert np.array_equal(sol(ts), sol(ts.ravel()).reshape(5, 41, 2))
+        assert sol(1.0).shape == (2,) and np.array_equal(sol(1.0), sol(np.array([1.0]))[0])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             IVPProblem(lambda y, t: y, [1.0], (0.0, 0.0), 1e-8, 1e-10)
@@ -90,6 +99,59 @@ class TestFdResidual:
         grid = np.linspace(0, 1, 4)
         with pytest.raises(ValueError, match="5 grid points"):
             fd_residual(SampledProfile("q", grid, np.sin(grid)), lambda y, dy, d2y, q: d2y)
+
+
+def _five_calls(f, x, h):
+    """Reference: (f, f', f'') from five separate calls f(x + k h), their values stacked."""
+    return tuple(d[0] for d in oracle._five_point(np.array([f(x + k * h) for k in range(-2, 3)]), h))
+
+
+class TestFivePointAt:
+    def test_one_call_on_the_stacked_samples(self):
+        seen = []
+        oracle._five_point_at(lambda t: seen.append(t.shape) or np.sin(t), np.zeros((3, 4)), 1e-2)
+        assert seen == [(5, 3, 4)]
+
+    def test_real_closed_form_equals_five_calls_bitwise(self):
+        ctx = fx.flux_context_from_lambda(1.0, 0, 10.0, 0.0, PhysParams())
+        f = lambda t: fx.pi_theta_closed(t, ctx)
+        x = np.linspace(0.05, 3.0, 37)
+        for got, want in zip(oracle._five_point_at(f, x, 1e-3), _five_calls(f, x, 1e-3)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("x", [1.0, 0.8j + 0.2, np.array([0.5, 1.0j, 2.0 + 0.3j])])
+    def test_complex_tuple_equals_five_calls(self, x):
+        # numpy's complex exp and log round 0-d and longer arrays differently, so
+        # the one call agrees with the five to rounding, amplified 1/h^2 in f''
+        f = lambda t: sf.whittaker_mw(-0.25j, 1.0 / math.sqrt(2.0), t)
+        got, want = oracle._five_point_at(f, x, 1e-3), _five_calls(f, x, 1e-3)
+        for g, w, rel in zip(got, want, (1e-12, 1e-12, 1e-8)):
+            assert g.shape == w.shape == (2,) + np.shape(x)
+            assert np.all(np.abs(g - w) <= rel * np.abs(w))
+
+    def test_constant_broadcasts(self):
+        x = np.linspace(0.1, 1.0, 7)
+        value, d1, d2 = oracle._five_point_at(lambda t: 2.5, x, 1e-3)
+        assert value.shape == d1.shape == d2.shape == x.shape
+        assert np.all(value == 2.5) and np.all(d1 == 0.0) and np.all(d2 == 0.0)
+        assert oracle._five_point_at(lambda t: 2.5, 0.3, 1e-3) == _five_calls(lambda t: 2.5, 0.3, 1e-3)
+
+    def test_tuple_with_a_constant_equals_five_calls(self):
+        f = lambda t: (np.sin(t), 2.0)
+        x = np.linspace(0.1, 1.0, 7)
+        got = oracle._five_point_at(f, x, 1e-3)
+        want = _five_calls(lambda t: (np.sin(t), np.full_like(t, 2.0)), x, 1e-3)
+        for g, w in zip(got, want):
+            assert g.shape == (2, 7) and np.array_equal(g, w)
+
+    def test_real_tuple_equals_five_calls_bitwise(self):
+        f = lambda t: (np.sin(t), np.cos(t))
+        x = np.linspace(0.1, 1.0, 7)
+        got = oracle._five_point_at(f, x, 1e-3)
+        for g, w in zip(got, _five_calls(f, x, 1e-3)):
+            assert g.shape == (2, 7) and np.array_equal(g, w)
+        (s, c), _, _ = got
+        assert np.array_equal(s, np.sin(x)) and np.array_equal(c, np.cos(x))
 
 
 class TestQuadSingular:

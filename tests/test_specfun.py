@@ -642,10 +642,13 @@ class TestSeriesKernel:
 
     def test_continuation_point_does_not_depend_on_the_grid(self):
         # nodes depend only on (a, b) and the ray: array and scalar calls agree bitwise,
-        # on grids long enough for numpy's vector loops and temporary elision
+        # on grids long enough for numpy's vector loops and temporary elision; the +i
+        # axis runs on to |x| = 2000 in descending order, so its points reach the
+        # sweep's nodes out of order
         a, b = 0.3 + 0.2j, 1.7
         t = np.linspace(2.01, 29.0, 20_000)
-        x = np.concatenate([1j * t, t * (3 + 4j) / 5, -t * np.exp(0.3j), [-12 + 0j]])
+        far = np.linspace(2000.0, 29.5, 4_000)
+        x = np.concatenate([1j * t, t * (3 + 4j) / 5, -t * np.exp(0.3j), [-12 + 0j], 1j * far])
         got = sf.hyp1f1(a, b, x)
         for i in range(0, x.size, 211):
             assert sf.hyp1f1(a, b, complex(x[i])) == got[i]
