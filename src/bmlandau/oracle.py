@@ -7,6 +7,12 @@ singularity-tolerant quadrature (tanh-sinh double exponential).
 Deliberately a single rule each: verification simplicity beats
 configurability.
 
+The integrator steps in Python floats: the flux checks integrate
+2-component states, where numpy's fixed cost per call outweighs the
+arithmetic, so the seven stages are written out one by one (the form of
+Hairer, Norsett & Wanner's dopri5) and only the rhs sees an ndarray.
+The accepted steps are stacked into arrays for the dense output.
+
 The quadrature nodes and weights of each level depend only on the
 interval-free variable t, so they are computed once per level, cached,
 and scaled to the interval at each call (precomputed tables in the
@@ -31,7 +37,12 @@ from .core import SampledProfile
 
 @dataclass
 class IVPProblem:
-    """An initial-value problem y'(q) = rhs(y, q) on a coordinate span."""
+    """An initial-value problem y'(q) = rhs(y, q) on a coordinate span.
+
+    rhs receives the state as a fresh 1-D float ndarray and the
+    coordinate as a float, and returns a sequence of dim floats (a list,
+    a tuple or an ndarray of shape (dim,)).
+    """
 
     rhs: Callable
     y0: Sequence[float]
@@ -59,35 +70,29 @@ class ResidualReport:
     step: float
 
 
-# Dormand-Prince 5(4) tableau.  Fifth-order solution is propagated; the
-# embedded fourth-order difference provides the local error estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = tuple(
-    np.array(row)
-    for row in (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_E = _DP_B5 - _DP_B4
+@dataclass(frozen=True)
+class IVPStats:
+    """Work of one integration (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).
+
+    nfev counts rhs calls, accepted and rejected the steps tried, and
+    h_min and h_max bound the sizes of the accepted steps.
+    """
+
+    nfev: int
+    accepted: int
+    rejected: int
+    h_min: float
+    h_max: float
 
 
 class IVPSolution:
-    """Accepted steps plus a cubic-Hermite dense interpolant."""
+    """Accepted steps plus a cubic-Hermite dense interpolant; stats is an IVPStats, or None."""
 
-    def __init__(self, ts, ys, fs):
+    def __init__(self, ts, ys, fs, stats=None):
         self.ts = np.asarray(ts)
         self.ys = np.asarray(ys)
         self.fs = np.asarray(fs)
+        self.stats = stats
         self._sign = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
 
     def __call__(self, t):
@@ -114,32 +119,97 @@ class IVPSolution:
         return out.reshape(t.shape + out.shape[1:])
 
 
+def _dp_step(rhs: Callable, t: float, y: list, f: list, hd: float):
+    """One Dormand-Prince 5(4) step of signed size hd from (t, y), with f = rhs(y, t).
+
+    rhs maps a list of floats and a coordinate to a list of floats.
+    Returns the fifth-order state at t + hd, the rhs there (the last
+    stage, reused as the first of the next step) and the componentwise
+    local error estimate hd * (b5 - b4) . k.  The stages are written out
+    one by one, as in Hairer, Norsett & Wanner's dopri5.
+    """
+    k1 = f
+    k2 = rhs([y_ + hd * (1 / 5 * a) for y_, a in zip(y, k1)], t + 1 / 5 * hd)
+    k3 = rhs([y_ + hd * (3 / 40 * a + 9 / 40 * b) for y_, a, b in zip(y, k1, k2)], t + 3 / 10 * hd)
+    k4 = rhs(
+        [y_ + hd * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c) for y_, a, b, c in zip(y, k1, k2, k3)],
+        t + 4 / 5 * hd,
+    )
+    k5 = rhs(
+        [
+            y_ + hd * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c - 212 / 729 * d)
+            for y_, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ],
+        t + 8 / 9 * hd,
+    )
+    k6 = rhs(
+        [
+            y_ + hd * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c + 49 / 176 * d - 5103 / 18656 * e)
+            for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+        ],
+        t + hd,
+    )
+    y_new = [
+        y_ + hd * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d - 2187 / 6784 * e + 11 / 84 * g)
+        for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+    ]
+    k7 = rhs(y_new, t + hd)
+    err = [
+        hd * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d - 17253 / 339200 * e + 22 / 525 * g
+              - 1 / 40 * q)
+        for a, c, d, e, g, q in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    return y_new, k7, err
+
+
 def integrate_ivp(p: IVPProblem) -> IVPSolution:
     """Adaptive Dormand-Prince 5(4) integration with dense output.
 
     The local error estimate per step is kept below
-    rel_tol * |y| + abs_tol componentwise.
+    rel_tol * max(|y|, |y_new|) + abs_tol componentwise, with the step
+    controller 0.9 err^(-1/5) clamped to [0.2, 5] and steps no longer
+    than max_step.  State, stages and controller are Python floats; p.rhs
+    is read once per call and receives each stage as a fresh 1-D float
+    ndarray.  An rhs output whose shape is not (dim,) raises ValueError
+    on whichever call returns it.  A step whose new state or error
+    estimate has a non-finite component (a nan from the rhs, or an
+    overflow) is rejected, so a rhs that turns nan or a state that leaves
+    the float range ends in the stall below rather than in a nan or inf
+    state.  RuntimeError is raised once the step falls below 1e-14 of
+    the span's scale ("integration stalled").  The solution's stats
+    count rhs calls and steps.
     """
     t0, t1 = float(p.span[0]), float(p.span[1])
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
+    rtol, atol = p.rel_tol, p.abs_tol
+    user_rhs = p.rhs
+    y = np.asarray(p.y0, dtype=float).tolist()
+    shape = (len(y),)
+    nfev = 0
+
+    def rhs(y, t):
+        nonlocal nfev
+        nfev += 1
+        f = np.asarray(user_rhs(np.array(y), t), dtype=float)
+        if f.shape != shape:
+            raise ValueError("rhs output size does not match state dimension")
+        return f.tolist()
 
     t = t0
-    y = p.y0.astype(float).copy()
-    f = np.asarray(p.rhs(y, t), dtype=float)
-    if f.shape != y.shape:
-        raise ValueError("rhs output size does not match state dimension")
+    f = rhs(y, t)
 
     # initial step from the scale of y and f
-    scale0 = p.abs_tol + p.rel_tol * np.abs(y)
-    d0 = np.max(np.abs(y) / scale0)
-    d1 = np.max(np.abs(f) / scale0)
+    scale0 = [atol + rtol * abs(v) for v in y]
+    d0 = max(abs(v) / s for v, s in zip(y, scale0))
+    d1 = max(abs(v) / s for v, s in zip(f, scale0))
     h = 0.01 * span if d1 == 0 or d0 == 0 else min(0.01 * span, 0.01 * d0 / d1)
     h = min(h, p.max_step, span)
 
-    ts, ys, fs = [t], [y.copy()], [f.copy()]
-    k = np.empty((7, y.size))
+    ts, ys, fs = [t], [y], [f]
     min_step = 1e-14 * max(span, abs(t0), 1.0)
+    rejected = 0
+    h_min, h_max = math.inf, 0.0
 
     while (t1 - t) * direction > 0:
         h = min(h, abs(t1 - t), p.max_step)
@@ -147,26 +217,27 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
             raise RuntimeError(f"integration stalled near coordinate {t!r}")
         hd = h * direction
 
-        k[0] = f
-        for i in range(1, 7):
-            yi = y + hd * np.dot(_DP_A[i], k[:i])
-            k[i] = p.rhs(yi, t + _DP_C[i] * hd)
-        y_new = y + hd * np.dot(_DP_B5, k)
-        err_vec = hd * np.dot(_DP_E, k)
-        scale = p.abs_tol + p.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.max(np.abs(err_vec) / scale)
+        y_new, f_new, err_vec = _dp_step(rhs, t, y, f, hd)
+        errs = [abs(e) / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err_vec, y, y_new)]
+        # Python's max drops a nan that is not first, and float arithmetic
+        # overflows to inf without a warning: a nan or an inf in the new
+        # state or its error rejects the step and shrinks the next one
+        err = max(errs) if all(map(math.isfinite, y_new + errs)) else math.nan
 
-        if err <= 1.0 or h <= min_step:
+        if err <= 1.0 or (h <= min_step and err == err):
             t = t + hd
-            y = y_new
-            f = k[6].copy()  # FSAL: last stage is rhs at (t+h, y_new)
+            y, f = y_new, f_new
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
+            ys.append(y)
+            fs.append(f)
+            h_min, h_max = min(h_min, h), max(h_max, h)
+        else:
+            rejected += 1
         factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
 
-    return IVPSolution(np.array(ts), np.array(ys), np.array(fs))
+    stats = IVPStats(nfev, len(ts) - 1, rejected, h_min, h_max)
+    return IVPSolution(np.array(ts), np.array(ys), np.array(fs), stats)
 
 
 def _five_point(y, h: float):

@@ -207,7 +207,7 @@ def _uw_solution(ctx: fx.FluxContext, C_theta, y0, end, rtol, atol, max_step):
     """Dense Dormand-Prince solution of the coupled (pi, w) flow on [0, end]."""
 
     def rhs(y, t):
-        return np.array(fx.uw_flow(fx.AzimuthalState(y[0], y[1]), ctx, C_theta))
+        return fx.uw_flow(fx.AzimuthalState(*y.tolist()), ctx, C_theta)
 
     return integrate_ivp(IVPProblem(rhs, y0, (0.0, end), rtol, atol, max_step=max_step))
 

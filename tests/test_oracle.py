@@ -69,6 +69,107 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             IVPProblem(lambda y, t: y, [[1.0]], (0.0, 1.0), 1e-8, 1e-10)
 
+    def test_rhs_output_shape_checked_on_every_call(self):
+        # right on the first call, one component short afterwards: this
+        # must not broadcast into a two-component state
+        calls = []
+
+        def rhs(y, t):
+            calls.append(t)
+            return [y[1], -y[0]] if len(calls) == 1 else [-y[0]]
+
+        with pytest.raises(ValueError, match="rhs output size does not match state dimension"):
+            integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, 1.0), 1e-10, 1e-12))
+        assert len(calls) == 2
+
+    def test_nan_rhs_stalls(self):
+        # the nan sits in the second component, where Python's max would drop it
+        rhs = lambda y, t: [1.0, math.nan if t > 0.5 else 1.0]
+        with pytest.raises(RuntimeError, match=r"integration stalled near coordinate 0\.4999"):
+            integrate_ivp(IVPProblem(rhs, [0.0, 0.0], (0.0, 1.0), 1e-10, 1e-12))
+
+    def test_overflowing_state_stalls(self):
+        # y = 1e308 (1 + t) leaves the float range at t = 0.7977; float
+        # arithmetic gives inf there without a warning
+        with pytest.raises(RuntimeError, match=r"integration stalled near coordinate 0\.797"):
+            integrate_ivp(IVPProblem(lambda y, t: [1e308], [1e308], (0.0, 1.0), 1e-10, 1e-12))
+
+    @pytest.mark.parametrize(
+        "rhs, y0, span, tols, max_step, rejects",
+        [
+            (lambda y, t: y, [1.0], (0.0, 1.0), (1e-6, 1e-8), 0.01, False),
+            # the controller rejects steps in the fast transient and one in the sine
+            (lambda y, t: -50.0 * (y - np.cos(t)), [0.0], (0.0, 3.0), (1e-8, 1e-10), math.inf, True),
+            (lambda y, t: [y[1], -y[0]], [0.0, 1.0], (math.pi, 0.0), (1e-10, 1e-12), math.inf, True),
+        ],
+    )
+    def test_stats(self, rhs, y0, span, tols, max_step, rejects):
+        calls = []
+
+        def counted(y, t):
+            calls.append(t)
+            return rhs(y, t)
+
+        sol = integrate_ivp(IVPProblem(counted, y0, span, *tols, max_step=max_step))
+        st = sol.stats
+        assert st.nfev == len(calls) == 1 + 6 * (st.accepted + st.rejected)  # FSAL
+        assert st.accepted == len(sol.ts) - 1
+        assert (st.rejected > 0) == rejects
+        steps = np.abs(np.diff(sol.ts))
+        assert 0.0 < st.h_min <= st.h_max <= max_step
+        assert st.h_min == pytest.approx(steps.min(), rel=1e-12)
+        assert st.h_max == pytest.approx(steps.max(), rel=1e-12)
+
+
+class TestDormandPrinceTableau:
+    """One step of the written-out stages against what the 5(4) pair integrates exactly.
+
+    A wrong coefficient still converges, only more slowly, so the
+    integrator tests alone would not see it.
+    """
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_polynomial_chain_exact(self, k):
+        # u' = v, v' = t^k from t = 0.5 over h = 0.5: the weights b5 at the
+        # nodes c integrate v exactly for k <= 4 (this pins b5 and c), and
+        # u, a polynomial of degree k + 2, for k <= 3 (this pins the sums
+        # of b5_i a_ij c_j^k); neither is exact one degree higher
+        t, h = 0.5, 0.5
+        y_new, f_new, _ = oracle._dp_step(lambda y, t: [y[1], t**k], t, [1.0, 2.0], [2.0, t**k], h)
+        v = 2.0 + ((t + h) ** (k + 1) - t ** (k + 1)) / (k + 1)
+        u = 1.0 + 2.0 * h + (((t + h) ** (k + 2) - t ** (k + 2)) / (k + 2) - h * t ** (k + 1)) / (k + 1)
+        assert (y_new[1] == pytest.approx(v, rel=1e-15, abs=0.0)) == (k <= 4)
+        assert (y_new[0] == pytest.approx(u, rel=1e-15, abs=0.0)) == (k <= 3)
+        assert f_new == [y_new[1], 1.0]
+
+    def test_stage_times_are_row_sums(self):
+        # c_i = sum_j a_ij: carrying t as a state component with t' = 1
+        # gives the step that reads t from the stage times.  b_2 = 0 hides
+        # c_2 from every linear test, not from this one
+        g = lambda y, t: math.cos(t) * y
+        y_new = oracle._dp_step(lambda y, t: [g(y[0], t)], 0.5, [1.0], [g(1.0, 0.5)], 0.5)[0]
+        aug = oracle._dp_step(lambda y, t: [g(y[0], y[1]), 1.0], 0.0, [1.0, 0.5], [g(1.0, 0.5), 1.0], 0.5)[0]
+        assert y_new[0] == pytest.approx(aug[0], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("h", [0.5, -0.3, 1.0])
+    def test_linear_step_is_the_stability_polynomial(self, h):
+        # y' = y from 1: one step gives R(h) = sum_{n<=5} h^n/n! + h^6/600,
+        # the stability polynomial of DP5, which pins the a_ij
+        y_new, f_new, _ = oracle._dp_step(lambda y, t: list(y), 0.0, [1.0], [1.0], h)
+        R = sum(h**n / math.factorial(n) for n in range(6)) + h**6 / 600
+        assert y_new[0] == pytest.approx(R, rel=1e-15, abs=0.0)
+        assert f_new == y_new  # the last stage is the rhs at the new state
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_error_estimate_vanishes_through_degree_three(self, k):
+        # both b5 and b4 integrate degree <= 3 exactly, so their difference
+        # E = b5 - b4 sees nothing there; degree 4 is where b4 stops
+        err = oracle._dp_step(lambda y, t: [t**k], 0.5, [1.0], [0.5**k], 0.5)[2][0]
+        if k <= 3:
+            assert abs(err) <= 1e-16
+        else:
+            assert abs(err) > 1e-6
+
 
 class TestFdResidual:
     def test_sine_residual_fourth_order(self):
