@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from bmlandau import (
-    AzimuthalState,
     FluxContext,
     IVPProblem,
     PhysParams,
@@ -46,7 +45,7 @@ print(
 pi0 = 8 * ctx.Lambda / ctx.E_pi
 dpi0 = -16 * ctx.Lambda**1.5 * math.sqrt(ctx.discriminant) / ctx.E_pi**2
 w0 = -dpi0 / (2 * pi0)
-rhs = lambda y, t: np.array(uw_flow(AzimuthalState(y[0], y[1]), ctx, 0.0))
+rhs = lambda y, t: uw_flow(y, ctx, 0.0)
 period = math.pi / math.sqrt(ctx.Lambda)
 sol = integrate_ivp(IVPProblem(rhs, [pi0, w0], (0.0, period), 1e-11, 1e-13, max_step=0.02))
 th = np.linspace(0.0, period, 601)
@@ -64,10 +63,10 @@ wrap = s_theta_closed(th + 2 * math.pi, ctx) - s_theta_closed(th, ctx)
 print(f"   action increment over 2pi: {wrap[0]:.6f} (spread {wrap.max() - wrap.min():.1e})")
 
 # 3. amplitude reconstruction at phi = 0 ---------------------------------
-ctx0 = FluxContext(r=0.0, l=1, beta=params.beta, E_pi=10.0)
+ctx0 = FluxContext(r=0.0, l=1, E_pi=10.0, theta0=0.0, params=params)
 pi0 = 8 * ctx0.Lambda / ctx0.E_pi
 dpi0 = -16 * ctx0.Lambda**1.5 * math.sqrt(ctx0.discriminant) / ctx0.E_pi**2
-rhs0 = lambda y, t: np.array(uw_flow(AzimuthalState(y[0], y[1]), ctx0, 0.0))
+rhs0 = lambda y, t: uw_flow(y, ctx0, 0.0)
 sol0 = integrate_ivp(
     IVPProblem(rhs0, [pi0, -dpi0 / (2 * pi0)], (0.0, math.pi), 1e-11, 1e-13, max_step=0.01)
 )
@@ -81,7 +80,7 @@ rad = first_integral_radicand(T[1:-1], kappa_theta * ctx0.E_pi / 8, ctx0.l, kapp
 print(f"3. reconstructed Theta: first-integral defect {np.max(np.abs(dT**2 - rad)):.2e}")
 
 # 4. branch split with nonzero azimuthal current -------------------------
-ctx1 = FluxContext(r=1.0, l=1, beta=1.0, E_pi=12.0)
+ctx1 = FluxContext(r=1.0, l=1, E_pi=12.0, theta0=0.0, params=PhysParams(B=2.0))  # beta = 1
 F, p, C = 1.5, 1.1, 0.6
 up = f_branch_flow(F, p, ctx1, C, +1)
 dn = f_branch_flow(F, p, ctx1, C, -1)

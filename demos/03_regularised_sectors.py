@@ -39,13 +39,13 @@ from bmlandau.regular import RegularisedLabels
 params = PhysParams()
 qn = QuantumNumbers(1, 1, 1.0)
 labels = RegularisedLabels.from_quantum_numbers(qn)
-print(f"state (n_r, l, k_z) = (1, 1, 1): nu = {labels.nu:.6f}, kappa_r^2 = {labels.kappa_r_sq(params.beta):.6f}")
+print(f"state (n_r, l, k_z) = (1, 1, 1): nu = {labels.nu:.6f}, kappa_r^2 = {labels.kappa_r_sq(params):.6f}")
 
 # residuals of the three governing equations, central differences -------
 R = radial_regularised(qn, params)
 grid_r = np.arange(0.2, 3.0, 2e-4)
 chi = np.sqrt(grid_r) * R(grid_r)
-nu, k2 = labels.nu, labels.kappa_r_sq(params.beta)
+nu, k2 = labels.nu, labels.kappa_r_sq(params)
 rep_r = fd_residual(
     SampledProfile("r", grid_r, chi),
     lambda y, dy, d2y, q: d2y + (k2 - (params.beta * q) ** 2 - (nu * nu - 0.25) / q**2) * y,

@@ -20,7 +20,6 @@ from .ermakov import (
     pinney_sigma_prime,
 )
 from .flux import (
-    AzimuthalState,
     CurrentBranch,
     FluxContext,
     bohm_energy_residual,

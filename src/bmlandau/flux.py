@@ -9,6 +9,10 @@ the logarithmic derivative w = Theta'/Theta:
     pi' = r C_theta - 2 w pi
     w'  = (pi^2 - Lambda)/hbar^2 - w^2,     Lambda = l^2 + phi^2.
 
+FluxContext holds r, l and the integration constants E_pi and theta0,
+and reads hbar and beta from its PhysParams; uw_flow is the one
+statement of this system, for one state or an array of them.
+
 For C_theta = 0 the flow closes: with discriminant
 Delta = E_pi^2 - 64 Lambda / hbar^2 > 0,
 
@@ -36,6 +40,7 @@ cancellation, H(0) = g'(tp), and after Theta = tp + s t^2 the integrand
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -62,40 +67,32 @@ class CurrentBranch:
             raise ValueError("sectorial currents must satisfy C_r + C_theta + C_z = 0")
 
 
-@dataclass
-class AzimuthalState:
-    """Point (pi_theta, w) of the azimuthal flow."""
-
-    pi_theta: float
-    w: float
-
-
 @dataclass(frozen=True)
 class FluxContext:
     """Radius, angular index and integration constants of the azimuthal flow.
 
-    phi = beta r^2 and Lambda = l^2 + phi^2 are always recomputed from the
-    primaries.
+    hbar and beta are read from params, never copied.  phi = beta r^2 and
+    Lambda = l^2 + phi^2 are computed from the primaries on first access
+    and cached: the context is frozen, so they cannot go stale.
     """
 
     r: float
     l: int
-    beta: float
     E_pi: float
-    theta0: float = 0.0
-    hbar: float = 1.0
+    theta0: float
+    params: PhysParams
 
-    @property
+    @functools.cached_property
     def phi(self) -> float:
-        return self.beta * self.r * self.r
+        return self.params.beta * self.r * self.r
 
-    @property
+    @functools.cached_property
     def Lambda(self) -> float:
         return self.l * self.l + self.phi * self.phi
 
     @property
     def discriminant(self) -> float:
-        return self.E_pi**2 - 64.0 * self.Lambda / self.hbar**2
+        return self.E_pi**2 - 64.0 * self.Lambda / self.params.hbar**2
 
 
 def flux_context_from_lambda(
@@ -111,14 +108,18 @@ def flux_context_from_lambda(
     if params.beta <= 0 and phi > 0:
         raise ValueError("positive flux ratio needs beta > 0")
     r = math.sqrt(phi / params.beta) if phi > 0 else 0.0
-    return FluxContext(r=r, l=l, beta=params.beta, E_pi=E_pi, theta0=theta0, hbar=params.hbar)
+    return FluxContext(r=r, l=l, E_pi=E_pi, theta0=theta0, params=params)
 
 
-def uw_flow(state: AzimuthalState, ctx: FluxContext, C_theta: float):
-    """Right side of the coupled azimuthal system (pi', w')."""
-    pi, w = state.pi_theta, state.w
+def uw_flow(state, ctx: FluxContext, C_theta: float):
+    """Right side (pi', w') of the coupled azimuthal system at state = (pi, w).
+
+    The state is a pair of floats or a (2, ...) array; an array gives
+    arrays, each entry equal bit for bit to the call on that point.
+    """
+    pi, w = state
     dpi = ctx.r * C_theta - 2.0 * w * pi
-    dw = (pi * pi - ctx.Lambda) / ctx.hbar**2 - w * w
+    dw = (pi * pi - ctx.Lambda) / ctx.params.hbar**2 - w * w
     return dpi, dw
 
 
@@ -128,7 +129,7 @@ def nonlinpie_residual(pi, dpi, d2pi, ctx: FluxContext, C_theta: float):
     3 pi'^2 - 2 pi pi'' - 4 r^2 C pi' - (4/hbar^2) pi^4 + 4 Lambda pi^2 + r^4 C^2;
     zero along solutions.
     """
-    hb2 = ctx.hbar**2
+    hb2 = ctx.params.hbar**2
     r2 = ctx.r * ctx.r
     return (
         3.0 * dpi * dpi
@@ -149,8 +150,8 @@ _HBAR_MIN = math.sqrt(5e-324)
 def _require_positive_discriminant(ctx: FluxContext) -> float:
     if abs(ctx.E_pi) > _E_PI_MAX:
         raise ValueError(f"E_pi = {ctx.E_pi:g} out of range: |E_pi| must be <= {_E_PI_MAX:.6g}")
-    if not _HBAR_MIN <= ctx.hbar <= _E_PI_MAX:
-        raise ValueError(f"hbar = {ctx.hbar:g} out of range: hbar must be in [{_HBAR_MIN:.6g}, {_E_PI_MAX:.6g}]")
+    if not _HBAR_MIN <= ctx.params.hbar <= _E_PI_MAX:
+        raise ValueError(f"hbar = {ctx.params.hbar:g} out of range: hbar must be in [{_HBAR_MIN:.6g}, {_E_PI_MAX:.6g}]")
     delta = ctx.discriminant
     if not delta > 0:  # also rejects a nan discriminant
         raise ValueError("discriminant branch not covered by closed form (Delta_pi <= 0)")
@@ -192,7 +193,7 @@ def s_theta_closed(theta, ctx: FluxContext):
     """
     delta = _require_positive_discriminant(ctx)
     lam = ctx.Lambda
-    hb = ctx.hbar
+    hb = ctx.params.hbar
     th = np.asarray(theta, dtype=float)
     u = math.sqrt(lam) * (th - ctx.theta0)
     scale = 8.0 * math.sqrt(lam) / hb
@@ -216,7 +217,7 @@ def f_branch_flow(F: float, pi: float, ctx: FluxContext, C_theta: float, sign: i
     ratio = F / pi
     if ratio < 0:
         raise ValueError("branch violation: F/pi must be nonnegative")
-    hb2 = ctx.hbar**2
+    hb2 = ctx.params.hbar**2
     r2 = ctx.r * ctx.r
     return (
         2.0 * F / pi

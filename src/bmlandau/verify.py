@@ -206,9 +206,7 @@ def _closed_form_initial_state(ctx: fx.FluxContext):
 def _uw_solution(ctx: fx.FluxContext, C_theta, y0, end, rtol, atol, max_step):
     """Dense Dormand-Prince solution of the coupled (pi, w) flow on [0, end]."""
 
-    def rhs(y, t):
-        return fx.uw_flow(fx.AzimuthalState(*y.tolist()), ctx, C_theta)
-
+    rhs = lambda y, t: fx.uw_flow(y.tolist(), ctx, C_theta)
     return integrate_ivp(IVPProblem(rhs, y0, (0.0, end), rtol, atol, max_step=max_step))
 
 
@@ -230,7 +228,7 @@ def check_action_derivative():
     errs = []
     for h in (4e-2, 2e-2, 1e-2):
         dS = _five_point_at(lambda t: fx.s_theta_closed(t, ctx), pts, h)[1]
-        errs.append(np.max(np.abs(dS - ctx.hbar * ctx.phi - fx.pi_theta_closed(pts, ctx))))
+        errs.append(np.max(np.abs(dS - ctx.params.hbar * ctx.phi - fx.pi_theta_closed(pts, ctx))))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     return _worst(abs(r - 16.0) for r in ratios)
 
@@ -252,15 +250,11 @@ def check_uw_nonzero_current():
     first-order system, r^2 C in the master equation) coincide.  pi' comes from the balance relation along the trajectory;
     pi'' is a five-point difference (step 1e-3) of that momentum derivative.
     """
-    ctx = fx.FluxContext(r=1.0, l=1, beta=1.0, E_pi=12.0, hbar=1.0)
+    ctx = fx.FluxContext(r=1.0, l=1, E_pi=12.0, theta0=0.0, params=BETA_ONE)
     C_theta = 0.4
     sol = _uw_solution(ctx, C_theta, [1.2, 0.3], 0.6, 1e-12, 1e-14, 0.005)
     pts = np.linspace(0.05, 0.55, 101)
-
-    def dpi_of(t):
-        y = sol(t)
-        return ctx.r * C_theta - 2.0 * y[..., 1] * y[..., 0]
-
+    dpi_of = lambda t: fx.uw_flow(np.moveaxis(sol(t), -1, 0), ctx, C_theta)[0]
     p0 = sol(pts)[:, 0]
     pp, ppp = _five_point_at(dpi_of, pts, 1e-3)[:2]
     return np.max(np.abs(fx.nonlinpie_residual(p0, pp, ppp, ctx, C_theta)))
@@ -284,7 +278,7 @@ def check_f_linear_flow():
 @_register("flux", "flux.f_branch_split", 1e-12)
 def check_f_branch_split():
     """Sign branches differ by exactly -8 r^2 C sqrt(F/pi)/pi."""
-    ctx = fx.FluxContext(r=1.3, l=1, beta=0.7, E_pi=15.0)
+    ctx = fx.FluxContext(r=1.3, l=1, E_pi=15.0, theta0=0.0, params=PhysParams(B=1.4))
     errors = []
     for F, p, C in ((1.0, 0.9, 0.4), (2.0, 1.3, -0.7), (0.3, 2.1, 1.1)):
         split = fx.f_branch_flow(F, p, ctx, C, +1) - fx.f_branch_flow(F, p, ctx, C, -1)
@@ -323,7 +317,7 @@ def check_quadrature_roundtrip():
 @_register("flux", "flux.theta_reconstruction", 1e-5)
 def check_theta_reconstruction():
     """Theta rebuilt from w satisfies the first integral (phi = 0 branch)."""
-    ctx = fx.FluxContext(r=0.0, l=1, beta=NATURAL.beta, E_pi=10.0)
+    ctx = fx.FluxContext(r=0.0, l=1, E_pi=10.0, theta0=0.0, params=NATURAL)
     pi0, w0 = _closed_form_initial_state(ctx)
     sol = _uw_solution(ctx, 0.0, [pi0, w0], math.pi, 1e-11, 1e-13, 0.01)
     grid = np.arange(0.0, math.pi, 5e-4)
@@ -452,7 +446,7 @@ def check_radial_ode():
     for n_r, l in ((0, 0), (1, 1), (2, 3)):
         qn = QuantumNumbers(n_r, l, 0.0)
         labels = rg.RegularisedLabels.from_quantum_numbers(qn)
-        k2 = labels.kappa_r_sq(BETA_ONE.beta)
+        k2 = labels.kappa_r_sq(BETA_ONE)
         nu = labels.nu
         R = rg.radial_regularised(qn, BETA_ONE)
         grid = np.arange(0.2, 3.0, 2e-3)

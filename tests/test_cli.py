@@ -165,6 +165,35 @@ class TestAmplitudeCommand:
         values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
         assert all(v > 0 for v in values)
 
+    @pytest.mark.parametrize("r", ["1e-6", "0"])
+    def test_local_branch_at_small_flux(self, capsys, r):
+        # phi = r^2/2 near or at 0: no 1/phi, so no division by zero and no nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["amplitude", "--sector", "theta", "--branch", "local", "--r", r, "--ctheta", "1",
+                 "--grid", "0.1:0.9:50"],
+                capsys,
+            )
+        assert (code, err) == (0, "")
+        values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        assert len(values) == 50 and all(math.isfinite(v) and v > 0 for v in values)
+
+    @pytest.mark.parametrize("r, ctheta, message", [
+        ("1e200", "1", "error: local branch needs a finite flux ratio and current (got phi = inf, kappa = inf)\n"),
+        ("1", "3000", "error: local branch amplitude overflows the float range at theta = 0.9\n"),
+    ])
+    def test_local_branch_refuses_what_it_cannot_represent(self, capsys, r, ctheta, message):
+        # these printed nan rows with exit 0 (and a traceback under -W error)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["amplitude", "--sector", "theta", "--branch", "local", "--r", r, "--ctheta", ctheta,
+                 "--grid", "0.1:0.9:3"],
+                capsys,
+            )
+        assert (code, out, err) == (2, "", message)
+
 
 class TestVerifyCommand:
     def test_suite_report_schema(self, capsys):

@@ -20,6 +20,7 @@ from bmlandau.core import PhysParams, SampledProfile
 from bmlandau.oracle import IVPProblem, integrate_ivp, quad_singular
 
 NATURAL = PhysParams()
+BETA_ONE = PhysParams(B=2.0)  # beta = 1
 
 
 def reference_context():
@@ -36,7 +37,7 @@ class TestCurrentBranch:
 
 class TestFluxContext:
     def test_derived_quantities(self):
-        ctx = fx.FluxContext(r=2.0, l=3, beta=0.5, E_pi=40.0)
+        ctx = fx.FluxContext(r=2.0, l=3, E_pi=40.0, theta0=0.0, params=NATURAL)
         assert ctx.phi == pytest.approx(2.0)
         assert ctx.Lambda == pytest.approx(13.0)
         assert ctx.Lambda >= ctx.l**2
@@ -50,13 +51,27 @@ class TestFluxContext:
         with pytest.raises(ValueError, match="Lambda must be >= l\\^2"):
             fx.flux_context_from_lambda(3.9, 2, 30.0, 0.0, NATURAL)
 
+    def test_from_lambda_keeps_params(self):
+        params = PhysParams(hbar=0.7, B=1.3)
+        assert fx.flux_context_from_lambda(5.0, 2, 30.0, 0.1, params).params is params
+
 
 class TestUwFlow:
     def test_fixed_point(self):
         ctx = reference_context()
-        dpi, dw = fx.uw_flow(fx.AzimuthalState(math.sqrt(ctx.Lambda), 0.0), ctx, 0.0)
+        dpi, dw = fx.uw_flow((math.sqrt(ctx.Lambda), 0.0), ctx, 0.0)
         assert dpi == 0.0
         assert dw == 0.0
+
+    def test_array_state_matches_point_calls(self):
+        # a (2, N) state gives the per-point results bit for bit
+        ctx = fx.FluxContext(r=1.3, l=1, E_pi=15.0, theta0=0.0, params=PhysParams(hbar=0.9, B=1.4))
+        rng = np.random.default_rng(7)
+        states = rng.uniform(-2.0, 2.0, (2, 64))
+        dpi, dw = fx.uw_flow(states, ctx, 0.4)
+        points = np.array([fx.uw_flow(point, ctx, 0.4) for point in states.T.tolist()])
+        assert dpi.tobytes() == points[:, 0].tobytes()
+        assert dw.tobytes() == points[:, 1].tobytes()
 
     def test_matches_closed_form_over_a_period(self):
         ctx = reference_context()
@@ -64,7 +79,7 @@ class TestUwFlow:
         dpi0 = -16.0 * ctx.Lambda**1.5 * math.sqrt(ctx.discriminant) / ctx.E_pi**2
         w0 = -dpi0 / (2.0 * pi0)
 
-        rhs = lambda y, t: np.array(fx.uw_flow(fx.AzimuthalState(y[0], y[1]), ctx, 0.0))
+        rhs = lambda y, t: fx.uw_flow(y, ctx, 0.0)
         period = math.pi / math.sqrt(ctx.Lambda)
         sol = integrate_ivp(IVPProblem(rhs, [pi0, w0], (0.0, period), 1e-11, 1e-13, max_step=0.02))
         th = np.linspace(0.0, period, 500)
@@ -123,18 +138,20 @@ class TestPiThetaClosed:
         assert fx.pi_theta_closed(0.3, edge) > 0
 
     def test_hbar_whose_square_leaves_float_range_rejected(self):
+        # beta = eB/(2 hbar) = 1 at every hbar
+        context_at = lambda hbar: fx.FluxContext(r=0.0, l=1, E_pi=10.0, theta0=0.0, params=PhysParams(hbar=hbar, B=2.0 * hbar))
         for hbar in (1e200, 1e-200):
-            ctx = fx.FluxContext(r=0.0, l=1, beta=1.0, E_pi=10.0, hbar=hbar)
+            ctx = context_at(hbar)
             for closed_form in (fx.pi_theta_closed, fx.s_theta_closed):
                 with pytest.raises(ValueError, match=re.escape(f"hbar = {hbar:g} out of range")):
                     closed_form(0.3, ctx)
         # the limits themselves are accepted: hbar**2 is finite and not 0
         for hbar in (fx._HBAR_MIN, fx._E_PI_MAX):
             assert 0.0 < hbar * hbar < math.inf
-        edge = fx.FluxContext(r=0.0, l=1, beta=1.0, E_pi=10.0, hbar=fx._E_PI_MAX)
+        edge = context_at(fx._E_PI_MAX)
         assert fx.pi_theta_closed(0.3, edge) > 0
         # at the lower limit 64 Lambda / hbar**2 overflows: Delta_pi = -inf
-        edge = fx.FluxContext(r=0.0, l=1, beta=1.0, E_pi=10.0, hbar=fx._HBAR_MIN)
+        edge = context_at(fx._HBAR_MIN)
         with pytest.raises(ValueError, match="discriminant branch not covered"):
             fx.pi_theta_closed(0.3, edge)
 
@@ -149,7 +166,7 @@ class TestPiThetaClosed:
 
 class TestSThetaClosed:
     def test_value_at_theta0_with_zero_flux(self):
-        ctx = fx.FluxContext(r=0.0, l=1, beta=1.0, E_pi=10.0)
+        ctx = fx.FluxContext(r=0.0, l=1, E_pi=10.0, theta0=0.0, params=BETA_ONE)
         want = math.atan(math.sqrt(ctx.discriminant) / (8.0 * math.sqrt(ctx.Lambda)))
         assert fx.s_theta_closed(0.0, ctx) == pytest.approx(want, rel=1e-13)
 
@@ -158,7 +175,7 @@ class TestSThetaClosed:
         ctx = reference_context()
         h = 1e-5
         fd = (fx.s_theta_closed(ctx.theta0 + h, ctx) - fx.s_theta_closed(ctx.theta0 - h, ctx)) / (2 * h)
-        assert fd == pytest.approx(ctx.hbar * ctx.phi + 8.0 * ctx.Lambda / ctx.E_pi, abs=1e-7)
+        assert fd == pytest.approx(ctx.params.hbar * ctx.phi + 8.0 * ctx.Lambda / ctx.E_pi, abs=1e-7)
 
     def test_derivative_recovers_momentum(self):
         ctx = reference_context()
@@ -166,7 +183,7 @@ class TestSThetaClosed:
         errs = []
         for h in (1e-3, 5e-4, 2.5e-4):
             fd = (fx.s_theta_closed(pts + h, ctx) - fx.s_theta_closed(pts - h, ctx)) / (2 * h)
-            errs.append(np.max(np.abs(fd - ctx.hbar * ctx.phi - fx.pi_theta_closed(pts, ctx))))
+            errs.append(np.max(np.abs(fd - ctx.params.hbar * ctx.phi - fx.pi_theta_closed(pts, ctx))))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.8)
         assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.8)
 
@@ -175,7 +192,7 @@ class TestSThetaClosed:
         th = np.linspace(math.pi / 2 - 0.05, math.pi / 2 + 0.05, 501)
         s = fx.s_theta_closed(th, ctx)
         jumps = np.abs(np.diff(s))
-        slope_bound = ctx.hbar * ctx.phi + np.max(fx.pi_theta_closed(th, ctx))
+        slope_bound = ctx.params.hbar * ctx.phi + np.max(fx.pi_theta_closed(th, ctx))
         assert jumps.max() < 1.5 * (th[1] - th[0]) * slope_bound
 
     def test_quasi_periodic_increment(self):
@@ -188,10 +205,10 @@ class TestSThetaClosed:
 
 class TestFBranchFlow:
     def test_zero_current_reduces_to_linear_flow(self):
-        ctx = fx.FluxContext(r=1.4, l=1, beta=0.6, E_pi=20.0)
+        ctx = fx.FluxContext(r=1.4, l=1, E_pi=20.0, theta0=0.0, params=PhysParams(B=1.2))
         for F, p in ((1.0, 0.9), (2.3, 1.7)):
             got = fx.f_branch_flow(F, p, ctx, 0.0, +1)
-            want = 2.0 * F / p - 4.0 * p * p / ctx.hbar**2 + 4.0 * ctx.Lambda
+            want = 2.0 * F / p - 4.0 * p * p / ctx.params.hbar**2 + 4.0 * ctx.Lambda
             assert got == pytest.approx(want, rel=1e-14)
             assert fx.f_branch_flow(F, p, ctx, 0.0, -1) == pytest.approx(got, rel=1e-14)
 
@@ -209,13 +226,13 @@ class TestFBranchFlow:
             assert sol(p)[0] / p == pytest.approx(target(p), abs=1e-8)
 
     def test_branch_split(self):
-        ctx = fx.FluxContext(r=1.3, l=0, beta=0.7, E_pi=30.0)
+        ctx = fx.FluxContext(r=1.3, l=0, E_pi=30.0, theta0=0.0, params=PhysParams(B=1.4))
         F, p, C = 1.5, 1.1, 0.8
         split = fx.f_branch_flow(F, p, ctx, C, +1) - fx.f_branch_flow(F, p, ctx, C, -1)
         assert split == pytest.approx(-8.0 * ctx.r**2 * C * math.sqrt(F / p) / p, rel=1e-13)
 
     def test_guards(self):
-        ctx = fx.FluxContext(r=1.0, l=0, beta=1.0, E_pi=30.0)
+        ctx = fx.FluxContext(r=1.0, l=0, E_pi=30.0, theta0=0.0, params=BETA_ONE)
         with pytest.raises(ZeroDivisionError, match="momentum-axis singularity"):
             fx.f_branch_flow(1.0, 0.0, ctx, 0.5, +1)
         with pytest.raises(ValueError, match="branch violation"):
@@ -692,11 +709,11 @@ class TestThetaFromW:
             fx.theta_from_w(SampledProfile("theta", grid, np.ones(3)), 1.0)
 
     def test_reconstruction_satisfies_first_integral(self):
-        ctx = fx.FluxContext(r=0.0, l=1, beta=NATURAL.beta, E_pi=10.0)
+        ctx = fx.FluxContext(r=0.0, l=1, E_pi=10.0, theta0=0.0, params=NATURAL)
         pi0 = 8.0 * ctx.Lambda / ctx.E_pi
         dpi0 = -16.0 * ctx.Lambda**1.5 * math.sqrt(ctx.discriminant) / ctx.E_pi**2
         w0 = -dpi0 / (2.0 * pi0)
-        rhs = lambda y, t: np.array(fx.uw_flow(fx.AzimuthalState(y[0], y[1]), ctx, 0.0))
+        rhs = lambda y, t: fx.uw_flow(y, ctx, 0.0)
         sol = integrate_ivp(IVPProblem(rhs, [pi0, w0], (0.0, math.pi), 1e-11, 1e-13, max_step=0.01))
         h = 5e-4
         grid = np.arange(0.0, math.pi, h)

@@ -7,7 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmlandau import regular as rg
@@ -28,7 +28,7 @@ class TestRegularisedLabels:
 
     def test_quantisation_identity(self):
         labels = rg.RegularisedLabels.from_quantum_numbers(QuantumNumbers(1, 2, 0.0))
-        k2 = labels.kappa_r_sq(1.0)
+        k2 = labels.kappa_r_sq(BETA_ONE)
         assert 0.5 * (labels.nu + 1.0) - k2 / 4.0 == pytest.approx(labels.a_r, abs=1e-12)
 
 
@@ -49,7 +49,7 @@ class TestRadialRegularised:
     @pytest.mark.parametrize("qn", [QuantumNumbers(0, 0, 0.0), QuantumNumbers(1, 1, 0.0), QuantumNumbers(2, 3, 0.0)])
     def test_langer_corrected_ode(self, qn):
         labels = rg.RegularisedLabels.from_quantum_numbers(qn)
-        k2 = labels.kappa_r_sq(BETA_ONE.beta)
+        k2 = labels.kappa_r_sq(BETA_ONE)
         nu = labels.nu
         R = rg.radial_regularised(qn, BETA_ONE)
         grid = np.arange(0.2, 3.0, 2e-4)
@@ -266,6 +266,65 @@ class TestThetaLocalBranch:
             rg.theta_local_branch(1.0 / 1.6, p)
         with pytest.raises(ValueError, match="A_theta"):
             rg.LocalBranchParams(A_theta=0.0, phi=0.8, kappa=0.3)
+
+    @given(
+        log_r=st.floats(math.log(1e-8), math.log(2.0)),
+        c_theta=st.floats(-2.0, 2.0),
+        frac=st.floats(1e-4, 1.0),
+        sign=st.sampled_from((1.0, -1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    # r = 1e-6, C_theta = 1, theta = 1: 2.2e-5 relative in the 1/phi form
+    @example(log_r=math.log(1e-6), c_theta=1.0, frac=0.05, sign=1.0)
+    def test_against_mpmath(self, log_r, c_theta, frac, sign):
+        # the docstring bound, natural units, 0 < |theta| <= min(20, 0.95/(2 phi))
+        r = math.exp(log_r)
+        p = rg.local_branch_params(1.0, r, c_theta, NATURAL)
+        th = sign * frac * min(20.0, 0.95 / (2.0 * p.phi))
+        got = rg.theta_local_branch(th, p)
+        with mp.workdps(80):
+            phi, kappa, t = mp.mpf(p.phi), mp.mpf(p.kappa), mp.mpf(th)
+            want = mp.sqrt(abs(t)) * abs(1 - 2 * phi * t) ** (-(1 + kappa / (2 * phi**2)) / 2) * mp.exp(
+                -kappa * t / (2 * phi)
+            )
+            rel = float(abs(got - want) / want)
+        assert rel <= (1e-15 if r <= 1e-2 else 5e-14)
+
+    def test_zero_flux_limit(self):
+        # phi = 0: sqrt(A theta) e^{kappa theta^2/2}, the limit that the 1/phi form cannot take
+        p = rg.LocalBranchParams(A_theta=2.0, phi=0.0, kappa=0.3)
+        th = np.linspace(-3.0, 3.0, 61)[np.arange(61) != 30]
+        want = np.sqrt(2.0 * np.abs(th)) * np.exp(0.15 * th * th)
+        assert np.max(np.abs(rg.theta_local_branch(th, p) / want - 1.0)) <= 4e-16
+
+    def test_log_remainder_against_mpmath(self):
+        # both sides of the series switch at |x| = 1/4, and either side of the pole at x = -1
+        xs = [0.0, 1e-300, -1e-8, 0.1, -0.2, np.nextafter(0.25, 0), 0.25, -0.25, np.nextafter(-0.25, 0),
+              0.6, -0.9, -1.5, 4.0, 1e10, -1e200]
+        got = rg.log_remainder(np.array(xs))
+        for x, value in zip(xs, got.tolist()):
+            with mp.workdps(700):  # log|1 + x| - x cancels to about x^2 = 1e-600
+                want = -0.5 if x == 0 else (mp.log(abs(1 + mp.mpf(x))) - x) / mp.mpf(x) ** 2
+                assert abs(value - want) <= 2e-15 * abs(want), x
+
+    def test_non_finite_params_rejected(self):
+        for phi, kappa in ((math.inf, 0.3), (0.8, -math.inf), (math.nan, 0.3), (0.8, math.nan)):
+            with pytest.raises(ValueError, match="finite flux ratio and current"):
+                rg.LocalBranchParams(A_theta=1.0, phi=phi, kappa=kappa)
+
+    def test_overflow_refused_only_where_the_amplitude_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = rg.local_branch_params(1.0, 1.0, 3000.0, NATURAL)
+            with pytest.raises(ValueError, match=r"overflows the float range at theta = 0\.9"):
+                rg.theta_local_branch(np.array([0.1, 0.5, 0.9]), p)
+            # e^{+-841} alone leaves the float range, the amplitude with A = 1e-300 or 1e300 does not
+            for A, C in ((1e-300, 600.0), (1e300, -600.0)):
+                got = rg.theta_local_branch(0.9, rg.local_branch_params(A, 1.0, C, NATURAL))
+                with mp.workdps(50):
+                    kappa, t = mp.mpf(C), mp.mpf(0.9)  # phi = 1/2
+                    want = mp.sqrt(A * t) * abs(1 - t) ** (-(1 + 2 * kappa) / 2) * mp.exp(-kappa * t)
+                    assert abs(got - want) <= 1e-12 * want
 
     def test_params_builder(self):
         p = rg.local_branch_params(1.0, 2.0, 0.5, NATURAL)
