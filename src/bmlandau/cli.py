@@ -273,7 +273,10 @@ def cmd_amplitude(args, config: RunConfig) -> int:
         p = rg.local_branch_params(args.atheta, args.radius, args.ctheta, params)
         values = rg.theta_local_branch(grid, p)
     elif branch == "whittaker":
-        phi = params.beta * args.radius**2
+        try:
+            phi = params.beta * args.radius**2
+        except OverflowError:
+            raise ValueError(f"flux ratio phi = beta r^2 overflows the float range at r = {args.radius:g}") from None
         values = rg.azimuthal_whittaker(grid, args.l_index, phi, args.c1, args.c2)
     else:  # damped
         if sector == "r":

@@ -54,7 +54,10 @@ class LinearPair:
 
 @dataclass(frozen=True)
 class EPCoefficients:
-    """Quadratic-form weights (A, B, D) tied to flux magnitude c and Wronskian W."""
+    """Quadratic-form weights (A, B, D) tied to flux magnitude c and Wronskian W.
+
+    A*B - D^2 and c must be finite; weights past the float range raise ValueError.
+    """
 
     A: float
     B: float
@@ -66,6 +69,8 @@ class EPCoefficients:
         if self.W == 0:
             raise ValueError("Wronskian must be nonzero")
         det = self.A * self.B - self.D * self.D
+        if not (np.isfinite(det) and np.isfinite(self.c)):
+            raise ValueError(f"EP coefficients leave the float range (A*B - D^2 = {det:g}, c = {self.c:g})")
         target = (self.c / self.W) ** 2
         scale = max(abs(det), abs(target), 1e-300)
         if abs(det - target) > 1e-12 * scale:

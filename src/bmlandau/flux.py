@@ -342,9 +342,9 @@ def _nearest_turning_points(g, target, expand: float = 1.6):
     has at most one local maximum on (0, inf), so {g > 0} is one
     interval: for the radicand, T^3 g'(T) is a quadratic in T^2 with at
     most one positive root.  Brackets wider than a factor expand^2 (the
-    last steps) are halved in log T until they are not; then all are
-    bisected together.  Between a downward and an upward root the nearer
-    wins, the downward one on a tie.
+    last steps) are halved in log T until they are not, then at their
+    arithmetic midpoints, all in one loop (_bisect).  Between a downward
+    and an upward root the nearer wins, the downward one on a tie.
     """
     n = target.size
     # entries [0, n) scan downward from the targets, [n, 2n) upward
@@ -364,49 +364,38 @@ def _nearest_turning_points(g, target, expand: float = 1.6):
         active = active[~(hit | last)]
     bracketed = ~np.isnan(outside)  # outside is set on a bracket only
     roots = np.full(2 * n, np.nan)
-    inside, outside = _narrow_in_log(g, pos[bracketed], outside[bracketed], expand * expand)
-    roots[bracketed] = _bisect(g, inside, outside)
+    roots[bracketed] = _bisect(g, pos[bracketed], outside[bracketed], expand * expand)
     lower, upper = roots[:n], roots[n:]
     # min() over [lower, upper] keyed on the distance keeps lower on a tie
     take_upper = np.isnan(lower) | (np.abs(upper - target) < np.abs(lower - target))
     return np.where(take_upper, upper, lower)
 
 
-def _narrow_in_log(g, inside, outside, ratio: float):
-    """Brackets of g's roots halved in log T (geometric midpoints) until their ends are within ``ratio``.
+def _bisect(g, inside, outside, ratio: float):
+    """Roots of g between positive-radicand points and negative ones, all brackets in lock-step.
 
-    Brackets already that narrow are returned unchanged.
+    A bracket whose ends are more than ``ratio`` apart is halved in log T,
+    at its geometric midpoint, and a narrower one at its arithmetic
+    midpoint; each stops when its midpoint rounds onto one of its ends.
     """
     inside, outside = inside.copy(), outside.copy()
     active = np.arange(inside.size)
+    some_wide = True
     while True:
-        lo, hi = np.minimum(inside[active], outside[active]), np.maximum(inside[active], outside[active])
-        active = active[hi > ratio * lo]
-        if not active.size:
-            return inside, outside
-        mid = np.sqrt(inside[active]) * np.sqrt(outside[active])
-        up = g(mid) > 0.0
-        inside[active[up]] = mid[up]
-        outside[active[~up]] = mid[~up]
-
-
-def _bisect(g, inside, outside, iters: int = 200):
-    """Roots of g between positive-radicand points and negative ones, all in lock-step.
-
-    Each element stops when the midpoint rounds onto one of its ends.
-    """
-    inside, outside = inside.copy(), outside.copy()
-    active = np.arange(inside.size)
-    for _ in range(iters):
-        mid = 0.5 * (inside[active] + outside[active])
-        going = (mid != inside[active]) & (mid != outside[active])
+        ends_in, ends_out = inside[active], outside[active]
+        mid = 0.5 * (ends_in + ends_out)
+        # a bracket never widens, so once none is wide the test is skipped
+        if some_wide:
+            wide = np.maximum(ends_in, ends_out) > ratio * np.minimum(ends_in, ends_out)
+            some_wide = wide.any()
+            mid[wide] = np.sqrt(ends_in[wide]) * np.sqrt(ends_out[wide])
+        going = (mid != ends_in) & (mid != ends_out)
         active, mid = active[going], mid[going]
         if not active.size:
-            break
+            return 0.5 * (inside + outside)
         up = g(mid) > 0.0
         inside[active[up]] = mid[up]
         outside[active[~up]] = mid[~up]
-    return 0.5 * (inside + outside)
 
 
 def theta_from_w(w_samples: SampledProfile, Theta0: float) -> SampledProfile:

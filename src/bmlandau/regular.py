@@ -115,7 +115,8 @@ def azimuthal_whittaker(theta, l: int, phi: float, c1: complex, c2: complex):
     Theta'' + (l^2 + phi/theta - 1/(4 theta^2)) Theta = 0.
 
     With c2 != 0 one ``whittaker_mw`` call gives M and W (two Kummer
-    functions); with c2 == 0 only M is evaluated (one).
+    functions); with c2 == 0 only M is evaluated (one).  Raises
+    ValueError where the amplitude overflows the float range.
     """
     if l == 0:
         raise ValueError("Whittaker map degenerate (x = 0 for l = 0)")
@@ -125,17 +126,20 @@ def azimuthal_whittaker(theta, l: int, phi: float, c1: complex, c2: complex):
         raise ValueError("azimuthal amplitude undefined at theta = 0")
     x = 2j * l * th_arr
     out = np.zeros(th_arr.shape, dtype=complex)
-    if c2 == 0:
-        if c1 != 0:
-            # named: numpy multiplies a fresh array of 16,384 or more points in
-            # place, which rounds differently, so a point would depend on the grid length
-            m = np.asarray(whittaker_m(kappa, WHITTAKER_MU, x))
-            out = out + c1 * m
-    else:
+    if c2 != 0:
         m, w = whittaker_mw(kappa, WHITTAKER_MU, x)
+    elif c1 != 0:
+        m = np.asarray(whittaker_m(kappa, WHITTAKER_MU, x))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite amplitude is refused below
         if c1 != 0:
+            # m named: numpy multiplies a fresh array of 16,384 or more points in
+            # place, which rounds differently, so a point would depend on the grid length
             out = out + c1 * m
-        out = out + c2 * w
+        if c2 != 0:
+            out = out + c2 * w
+    overflow = ~np.isfinite(out)
+    if np.any(overflow):
+        raise ValueError(f"Whittaker amplitude overflows the float range at theta = {th_arr[overflow][0]:g}")
     return out if np.asarray(theta).ndim else complex(out[0])
 
 

@@ -6,25 +6,23 @@ Bessel function J of real order.  ``whittaker_mw`` returns M and W
 together from the two Kummer functions M_{kappa,+-mu} that W needs, so a
 caller of both evaluates no third one.
 
-Real arguments of 1F1 are computed in float64, with the method chosen by
-region (Gil, Segura & Temme, *Numerical Methods for Special Functions*,
-2007, chapters 4 and 9); each region of an array is its own sweep, so a
-point's accuracy does not depend on points of another region:
+1F1 is computed in float64 for real arguments and in complex128 for
+complex ones, by region (Gil, Segura & Temme, *Numerical Methods for
+Special Functions*, 2007, chapters 4 and 9); each region of an array is
+its own sweep, so a point's accuracy does not depend on points of
+another region:
 
-- x >= 0: the Kummer series.
-- x < 0: the Kummer transformation e^x 1F1(b - a, b; -x) (DLMF
-  13.2.39), whose series has no cancellation when b - a > 0.
-- integer-typed a = -n: the forward recurrence in a (DLMF 13.3.1).
-
-Complex arguments (the imaginary Kummer arguments of the azimuthal and
-axial sectors) are computed in complex128, also by region:
-
-- |x| <= 2: the Kummer series.
-- |x| > 2: a Taylor continuation of Kummer's equation
+- integer-typed a = -n: the forward recurrence in a (DLMF 13.3.1) for
+  real b and x, the terminating series otherwise.
+- real x, and complex x with |x| <= 2: the Kummer series.
+- complex x with |x| > 2: a Taylor continuation of Kummer's equation
   x y'' + (b - x) y' - a y = 0 (DLMF 13.2.1) along the ray from 0
   through x (Gil, Segura & Temme, ch. 9), started from the series at
-  |x| = 2; for Re x < 0 on the Kummer transformation.  The points of one
-  ray share its nodes, and each ray is its own sweep.
+  |x| = 2.  The points of one ray share its nodes; each ray is a sweep.
+- Re x < 0 (complex x only where |x| > 2): one Kummer transformation
+  e^x 1F1(b - a, b; -x) (DLMF 13.2.39) for both dtypes, with the series
+  or continuation above at -x; for real x its series does not cancel
+  when b - a > 0.
 
 Bessel J_nu(x) is (x/2)^nu e^{-ix} 1F1(nu + 1/2, 2 nu + 1; 2ix) /
 Gamma(nu + 1) (DLMF 10.16.5), the complex 1F1 on the imaginary axis, so
@@ -225,7 +223,7 @@ def _kummer_polynomial(n, b, x):
 
 
 # Complex 1F1 sums the Kummer series for |x| <= _CONTINUE_FROM and continues
-# Kummer's equation by Taylor series beyond it (see _kummer_continuation).
+# Kummer's equation by Taylor series beyond it (see _kummer_general).
 _CONTINUE_FROM = 2.0
 # within _RECESSIVE_NEAR of a non-positive integer a, the series also serves
 # the points u (Re u >= 0) with |u| - Re u <= _SERIES_LOSS beyond it
@@ -243,7 +241,11 @@ _TAYLOR_MAX_TERMS = 500
 
 
 def _two_diff(b, a):
-    """(c, c_lo) with c = fl(b - a) and b - a = c + c_lo exactly (TwoSum), for floats."""
+    """(c, c_lo) with c = fl(b - a) and b - a = c + c_lo exactly (TwoSum).
+
+    For floats, or for complex numbers part by part, since complex + and -
+    act on the real and imaginary parts separately.
+    """
     c = b - a
     return c, (b - (c - (c - b))) + (-a - (c - b))
 
@@ -346,24 +348,23 @@ def _ray_sweep(a, a_lo, b, d, x):
     return out
 
 
-def _kummer_continuation(a, b, x):
-    """Complex 1F1(a, b; x) for |x| > _CONTINUE_FROM, each region its own sweep.
+def _kummer_general(a, b, x):
+    """1F1(a, b; x) of float a, b, x or of complex ones, outside the polynomial case.
 
-    Points with Re x < 0 use the Kummer transformation e^x 1F1(b - a, b; -x)
-    (DLMF 13.2.39), b - a an exact two-float sum in each part, so every
-    argument u below has Re u >= 0 and the continuation runs where e^u does
-    not decay.  Points continue Kummer's equation along their ray
-    (_ray_sweep; Gil, Segura & Temme 2007, ch. 9), grouped by direction
-    rounded to multiples of 1 / _RAY_GRID.  Within _RECESSIVE_NEAR of
-    a = 0, -1, -2, ... 1F1 is nearly a polynomial, recessive against e^u
-    along a ray into Re u > 0, so the continuation's error would grow like
-    e^{Re u}; there the Kummer series of u is summed where it loses at most
-    about e^{|u| - Re u} <= e^{_SERIES_LOSS} to cancellation, and at every
-    u when a is exactly such an integer (the series terminates).
+    Points with Re x < 0 (complex ones only where |x| > _CONTINUE_FROM)
+    take the Kummer transformation e^x 1F1(b - a, b; -x) (DLMF 13.2.39),
+    b - a an exact two-float sum, so every argument u of the right half
+    has Re u >= 0.  Real u, and complex u with |u| <= _CONTINUE_FROM, sum
+    the Kummer series.  Other complex u continue Kummer's equation along
+    their ray (_ray_sweep; Gil, Segura & Temme 2007, ch. 9), grouped by
+    direction rounded to multiples of 1 / _RAY_GRID.  Within
+    _RECESSIVE_NEAR of a = 0, -1, -2, ... 1F1 is nearly a polynomial,
+    recessive against e^u along a ray into Re u > 0, so the continuation's
+    error would grow like e^{Re u}; there the series is summed where it
+    loses at most about e^{|u| - Re u} <= e^{_SERIES_LOSS} to cancellation,
+    and at every u when a is exactly such an integer (it terminates).
     """
-    re, re_lo = _two_diff(b.real, a.real)
-    im, im_lo = _two_diff(b.imag, a.imag)
-    shape, x = x.shape, x.reshape(-1)
+    complex_x = np.iscomplexobj(x)
 
     def by_ray(a, a_lo, u):
         rays = np.round(u / np.abs(u) * _RAY_GRID) + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -377,22 +378,33 @@ def _kummer_continuation(a, b, x):
         return out
 
     def right_half(a, a_lo, u):
+        if not complex_x:
+            return _kummer_series(a, b, u, np.float64, a_lo=a_lo)
+        series = functools.partial(_kummer_series, a, b, work=np.complex128, a_lo=a_lo)
         n = min(round(a.real), 0)
         if abs(a + a_lo - n) >= _RECESSIVE_NEAR:
             return by_ray(a, a_lo, u)
-        series = functools.partial(_kummer_series, a, b, work=np.complex128, a_lo=a_lo)
         if a_lo == 0 and a == n:
             return series(u)
         return _by_region(u, np.abs(u) - u.real > _SERIES_LOSS, series, lambda u: by_ray(a, a_lo, u))
 
     def left_half(x):
+        c, c_lo = _two_diff(b, a)
         # both factors named: numpy elides no temporary, so the operand
         # order, and with it every bit, does not depend on the array's size
         exp_x = np.exp(x)
-        transformed = right_half(complex(re, im), complex(re_lo, im_lo), -x)
+        transformed = right_half(c, c_lo, -x)
         return transformed * exp_x
 
-    return _by_region(x, x.real < 0, lambda x: right_half(a, 0.0, x), left_half).reshape(shape)
+    def halves(x):
+        return _by_region(x, x.real < 0, lambda x: right_half(a, 0.0, x), left_half)
+
+    if not complex_x:
+        return halves(x)
+    # the rays index 1-D arrays, but the series keeps the caller's shape:
+    # a 0-d complex sweep rounds differently from a 1-element one
+    series = functools.partial(_kummer_series, a, b, work=np.complex128)
+    return _by_region(x, np.abs(x) > _CONTINUE_FROM, series, lambda x: halves(x.reshape(-1)).reshape(x.shape))
 
 
 def _by_region(x, upper, lower_fn, upper_fn):
@@ -431,41 +443,55 @@ def _check_range(x):
 def hyp1f1(a, b, x):
     """Kummer confluent hypergeometric function 1F1(a, b; x).
 
-    The method depends on the argument types and on the region of x;
-    real regions are computed in float64, complex ones in complex128, and
-    each region of an array is its own sweep.  The errors below were
-    measured against mpmath at 30 digits.
+    Real arguments are computed in float64 and complex ones (any of a, b
+    or x complex) in complex128, by region; each region of an array is its
+    own sweep, so a point does not depend on the other regions.  Where x
+    is "transformed", 1F1 is e^x 1F1(b - a, b; -x) (DLMF 13.2.39), with
+    b - a an exact two-float sum:
 
-    - Complex ``a``, ``b`` or ``x``, integer-typed a = -n <= 0: the
-      terminating series (degree n) at any x.
-    - Complex, |x| <= 2: the Kummer series sum_k (a)_k x^k / ((b)_k k!).
-      Error below 1e-14 of its scale, the sum of the absolute terms
-      (largest seen 6e-16 at random and 1.5e-15 in a targeted search).
-    - Complex, |x| > 2: a Taylor continuation of Kummer's equation
-      x y'' + (b - x) y' - a y = 0 along the ray from 0 through x, from
-      the series at |x| = 2 (for Re x < 0, of e^x 1F1(b - a, b; -x) with
-      b - a an exact two-float sum).  Nodes sit at distances t_0 = 2,
-      t_{j+1} = t_j + min(t_j / 2, 2); their values (y, y') are carried in
-      Python complex scalars, and each point is one Horner sum about the
-      last node at or below it.  The nodes depend only on a, b and the ray
-      (directions rounded to multiples of 1/1024), so a point's value does
-      not depend on the other points.  The error is measured against the
-      local size of the solution, |M| + |M'| with M = 1F1(a, b; x) and
-      M' = dM/dx, which unlike |M| does not vanish: below 1e-13 of it for
-      real b in [-5.5, 6], |Re a| <= 6 and |Im a| <= 3, with a and b - a at
-      least 0.05 from 0, -1, -2, ... (largest seen 5e-14; 2e-15 for
-      |x| <= 4; 1.3e-14 on the +-i axis for 30 < |x| <= 2000).  The bound
-      holds off the imaginary axis for |x| <= 30 and on it for
-      |x| <= 2000; off the axis the error grows past 30 (1.5e-12 of
-      |M| + |M'| seen at |x| = 150), so the range there stays 30.  For the
-      azimuthal sector, a = 1/2 + mu - kappa and b = 1 + 2 mu with
-      mu = +-1/sqrt2 and kappa = -i phi / (2 l) (0 <= phi <= 2) or real
-      |kappa| <= 1, it is below 1e-15 of |M| + |M'| for |x| <= 4, 1e-14 up
-      to 30 and 1e-13 on the +-i axis up to 2000 (largest seen 8e-16,
-      3e-15 and 3.1e-14).
-    - Complex, |x| > 2, a within 0.05 of 0, -1, -2, ... (b - a for
-      Re x < 0): 1F1 is then nearly a polynomial, recessive against e^x
-      on rays into Re x > 0 (e^{-x} on rays into Re x < 0), and the
+    ==========================  ==========================================
+    integer-typed a = -n <= 0   real b and x: forward recurrence in a
+                                (DLMF 13.3.1), n steps; complex: the
+                                terminating series, degree n; any x
+    real, x >= 0                Kummer series sum_k (a)_k x^k/((b)_k k!)
+    real, x < 0                 transformed Kummer series
+    complex, |x| <= 2           Kummer series
+    complex, |x| > 2            Taylor continuation along the ray from 0
+                                through x, transformed where Re x < 0
+    ==========================  ==========================================
+
+    The continuation solves x y'' + (b - x) y' - a y = 0 from the series
+    at |x| = 2.  Nodes sit at distances t_0 = 2 and
+    t_{j+1} = t_j + min(t_j / 2, 2); their values (y, y') are carried in
+    Python complex scalars, and each point is one Horner sum about the
+    last node at or below it.  The nodes depend only on a, b and the ray
+    (directions rounded to multiples of 1/1024), so a point's value does
+    not depend on the other points.  Errors, against 30-digit mpmath:
+
+    - Recurrence: for b > 0, n <= 60 and |x| <= 100 below
+      1e-13 max(|M|, e^{x/2}) / min(b, 1); the largest seen was 2e-14 of
+      max(|M|, e^{x/2}) with b >= 1 and 2.2e-13 with b = 0.1.
+    - Real series: below 1e-13 of their scale, the sum of the absolute
+      terms, times e^x for x < 0 (largest seen 4e-15, for a in [-6, 6],
+      b in [0.05, 6] and |x| <= 30): relative error when b > 0 and a > 0
+      (x >= 0) or b - a > 0 (x < 0).  Complex series: below 1e-14 of its
+      scale (largest seen 6e-16 at random, 1.5e-15 in a targeted search).
+    - Continuation: against the local size of the solution, |M| + |M'|
+      with M = 1F1(a, b; x) and M' = dM/dx, which unlike |M| does not
+      vanish: below 1e-13 of it for real b in [-5.5, 6], |Re a| <= 6 and
+      |Im a| <= 3, with a and b - a at least 0.05 from 0, -1, -2, ...
+      (largest seen 5e-14; 2e-15 for |x| <= 4; 1.3e-14 on the +-i axis
+      for 30 < |x| <= 2000).  The bound holds off the imaginary axis for
+      |x| <= 30 and on it for |x| <= 2000; off the axis the error grows
+      past 30 (1.5e-12 of |M| + |M'| seen at |x| = 150), so the range
+      there stays 30.  For the azimuthal sector, a = 1/2 + mu - kappa and
+      b = 1 + 2 mu with mu = +-1/sqrt2 and kappa = -i phi / (2 l)
+      (0 <= phi <= 2) or real |kappa| <= 1, it is below 1e-15 of
+      |M| + |M'| for |x| <= 4, 1e-14 up to 30 and 1e-13 on the +-i axis
+      up to 2000 (largest seen 8e-16, 3e-15 and 3.1e-14).
+    - Continuation with a (b - a where transformed) within 0.05 of 0, -1,
+      -2, ...: 1F1 is then nearly a polynomial, recessive against e^x on
+      rays into Re x > 0 (e^{-x} on rays into Re x < 0), and the
       continuation's error grows like e^{|Re x|}.  The series is summed
       instead where |x| - |Re x| <= 2, where it loses at most about e^2
       to cancellation, and at every x when a (b - a) is exactly such an
@@ -477,20 +503,6 @@ def hyp1f1(a, b, x):
       ray while the other solution of the equation does not, the error
       grows with the ratio, e.g. 1e-12 of |M| + |M'| at a = 5 + 2.6i,
       b = 1.6 - 4.5i, x = 18i.
-    - Integer-typed a = -n <= 0 with real ``b`` and ``x``: the forward
-      recurrence in a (DLMF 13.3.1), n steps, at any finite x.  For
-      b > 0, n <= 60 and |x| <= 100 the error is below
-      1e-13 max(|M|, e^{x/2}) / min(b, 1); the largest seen was 2e-14 of
-      max(|M|, e^{x/2}) with b >= 1 and 2.2e-13 with b = 0.1.
-    - Real, x >= 0: the Kummer series in float64.
-    - Real, x < 0: the Kummer transformation e^x 1F1(b - a, b; -x)
-      (DLMF 13.2.39), the series in float64 with b - a carried as an
-      exact two-float sum, as its own sweep.  So a point's accuracy never
-      depends on grid points of the other sign.
-      Both real series have error below 1e-13 times their scale, the sum
-      of the absolute terms, times e^x for x < 0 (largest seen 4e-15, for
-      a in [-6, 6], b in [0.05, 6] and |x| <= 30).  That is relative error
-      when b > 0 and a > 0 (x >= 0) or b - a > 0 (x < 0).
 
     A series sweep stops once the running term falls below 1e-15
     |partial sum| (maxima over the sweep) for two consecutive terms while
@@ -519,40 +531,17 @@ def hyp1f1(a, b, x):
     x_arr = np.asarray(x)
     if not np.all(np.isfinite(x_arr)):
         raise ValueError("hyp1f1: non-finite argument")
-    is_complex = _is_nonreal(a) or _is_nonreal(b) or np.iscomplexobj(x_arr)
+    kind = complex if _is_nonreal(a) or _is_nonreal(b) or np.iscomplexobj(x_arr) else float
     if not x_arr.size:
-        return np.empty(x_arr.shape, dtype=complex if is_complex else float)
+        return np.empty(x_arr.shape, dtype=kind)
 
     if not polynomial:
         _check_range(x_arr)
-
-    n_terms = -int(a) if polynomial else None
-    if is_complex:
-        a, b = complex(a), complex(b)
-        x_arr = x_arr.astype(complex)
-        if polynomial:
-            out = _kummer_series(a, b, x_arr, np.complex128, n_terms)
-        else:
-            out = _by_region(
-                x_arr,
-                np.abs(x_arr) > _CONTINUE_FROM,
-                functools.partial(_kummer_series, a, b, work=np.complex128),
-                functools.partial(_kummer_continuation, a, b),
-            )
-    elif polynomial:
-        out = _kummer_polynomial(n_terms, float(b), x_arr.astype(float))
+        out = _kummer_general(kind(a), kind(b), x_arr.astype(kind))
+    elif kind is complex:
+        out = _kummer_series(complex(a), complex(b), x_arr.astype(complex), np.complex128, -int(a))
     else:
-        a, b = float(a), float(b)
-        # b - a = c + c_lo exactly (TwoSum), so a factor (b - a + k) near 0
-        # keeps its relative accuracy
-        c, c_lo = _two_diff(b, a)
-        x_arr = x_arr.astype(float)
-        out = _by_region(
-            x_arr,
-            x_arr < 0,
-            lambda x: _kummer_series(a, b, x, np.float64),
-            lambda x: np.exp(x) * _kummer_series(c, b, -x, np.float64, a_lo=c_lo),
-        )
+        out = _kummer_polynomial(-int(a), float(b), x_arr.astype(float))
     _check_finite(out, "hyp1f1")
     return out if out.ndim else out.item()
 

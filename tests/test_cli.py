@@ -194,6 +194,24 @@ class TestAmplitudeCommand:
             )
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--sector", "theta", "--branch", "whittaker", "--l", "1", "--r", "1", "--c1", "1e308+1e308j",
+          "--grid", "0.2:1:3"], "error: Whittaker amplitude overflows the float range at theta = 1\n"),
+        (["--sector", "r", "--branch", "ep", "--A", "1e308", "--B", "1e308", "--grid", "0:1:3"],
+         "error: EP coefficients leave the float range (A*B - D^2 = inf, c = inf)\n"),
+        (["--sector", "theta", "--branch", "ep", "--omega", "1", "--A", "1e200", "--B", "1e200",
+          "--grid", "0:1:3"], "error: EP coefficients leave the float range (A*B - D^2 = inf, c = inf)\n"),
+        (["--sector", "theta", "--branch", "whittaker", "--r", "1e200", "--grid", "0.2:1:3"],
+         "error: flux ratio phi = beta r^2 overflows the float range at r = 1e+200\n"),
+    ])
+    def test_overflowing_inputs_refused(self, capsys, argv, message):
+        # the first three printed -inf rows or accepted c = inf with exit 0
+        # (a traceback under -W error); the last named no quantity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["amplitude", *argv], capsys)
+        assert (code, out, err) == (2, "", message)
+
 
 class TestVerifyCommand:
     def test_suite_report_schema(self, capsys):

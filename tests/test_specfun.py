@@ -361,6 +361,26 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
     return out if out.ndim else out.item()
 
 
+def _real_transformed_reference(a, b, x):
+    """Real non-polynomial 1F1 with the Kummer transformation written out for floats.
+
+    A verbatim copy of the real branch of hyp1f1 from before real and
+    complex 1F1 shared one transformation: the series at x >= 0, and
+    e^x 1F1(b - a, b; -x) with b - a a two-float sum at x < 0.
+    """
+    a, b = float(a), float(b)
+    c, c_lo = sf._two_diff(b, a)
+    x_arr = np.asarray(x).astype(float)
+    out = sf._by_region(
+        x_arr,
+        x_arr < 0,
+        lambda x: sf._kummer_series(a, b, x, np.float64),
+        lambda x: np.exp(x) * sf._kummer_series(c, b, -x, np.float64, a_lo=c_lo),
+    )
+    sf._check_finite(out, "hyp1f1")
+    return out if out.ndim else out.item()
+
+
 def _outcome(fn, *args):
     """Result type, dtype and bytes, or the exception type and message."""
     try:
@@ -554,6 +574,16 @@ class TestSeriesKernel:
             got = np.atleast_1d(sf.hyp1f1(a, b, x))
         for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
             assert abs(value - _mp_hyp1f1(a, b, xi)) <= 1e-13 * _kummer_scale(a, b, xi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_param, b=_real_b, x=_negative_x, ctl=_tight_controls)
+    @example(a=1.0501162083011626, b=0.05, x=np.array([-14.0, 0.0, 14.0]), ctl=_SHIPPED)
+    @example(a=2.5, b=-1.5, x=-30.0, ctl=_SHIPPED)
+    def test_hyp1f1_negative_axis_bitwise_equal_to_reference(self, a, b, x, ctl):
+        # the shared transformation gives every bit, stopping term and error
+        # of the float-only statement of it
+        want = _library_outcome(ctl, _real_transformed_reference, a, b, x)
+        assert _library_outcome(ctl, sf.hyp1f1, a, b, x) == want
 
     @settings(max_examples=100, deadline=None)
     @given(
