@@ -17,8 +17,8 @@ another region:
 - real x, and complex x with |x| <= 2: the Kummer series.
 - complex x with |x| > 2: a Taylor continuation of Kummer's equation
   x y'' + (b - x) y' - a y = 0 (DLMF 13.2.1) along the ray from 0
-  through x (Gil, Segura & Temme, ch. 9), started from the series at
-  |x| = 2.  The points of one ray share its nodes; each ray is a sweep.
+  through x (Gil, Segura & Temme, ch. 9), started at x = 0 from y = 1,
+  y' = a/b.  The points of one ray share its nodes; each ray is a sweep.
 - Re x < 0 (complex x only where |x| > 2): one Kummer transformation
   e^x 1F1(b - a, b; -x) (DLMF 13.2.39) for both dtypes, with the series
   or continuation above at -x; for real x its series does not cancel
@@ -250,38 +250,16 @@ def _two_diff(b, a):
     return c, (b - (c - (c - b))) + (-a - (c - b))
 
 
-def _taylor_budget():
-    raise RuntimeError(
-        f"series budget exceeded: 1F1 continuation did not converge in {_TAYLOR_MAX_TERMS} terms"
-    )
-
-
-def _kummer_start(a, a_lo, b, x0):
-    """(1F1, d/dx 1F1) of 1F1(a + a_lo, b; x) at the scalar x0, by the Kummer series in Python complex."""
-    term = y = 1.0 + 0j
-    dy = 0j
-    scale = 1.0
-    small = 0
-    for k in range(_TAYLOR_MAX_TERMS):
-        term *= (a + k + a_lo) * x0 / ((b + k) * (k + 1))
-        y += term
-        dy += (k + 1) * term
-        size = abs(term) * (k + 2)
-        scale += size
-        small = small + 1 if size <= _TAYLOR_TOL * scale else 0
-        if small == 2:
-            return y, dy / x0
-    _taylor_budget()
-
-
 def _taylor_coefficients(a, a_lo, b, x0, y, dy, radius):
     """Taylor coefficients c_n about x0 of the solution of Kummer's equation with y(x0), y'(x0).
 
     x y'' + (b - x) y' - a y = 0 (DLMF 13.2.1) gives
-    c_{n+2} = ((n + a) c_n - (n + 1)(n + b - x0) c_{n+1}) / (x0 (n + 1)(n + 2));
-    enough terms are kept for |x - x0| <= radius.  Where |x - x0| <= |x0|/2
-    an error made in c_n reaches the sum damped by (|x - x0| / |x0|)^m
-    after m more terms, so the recurrence is stable there.
+    c_{n+2} = ((n + a) c_n - (n + 1)(n + b - x0) c_{n+1}) / (x0 (n + 1)(n + 2)),
+    and at x0 = 0, where y = 1 and y' = a / b, the series ratio
+    c_{n+2} = (n + 1 + a) c_{n+1} / ((n + 2)(n + 1 + b)); enough terms are
+    kept for |x - x0| <= radius.  Where |x - x0| <= |x0|/2 an error made
+    in c_n reaches the sum damped by (|x - x0| / |x0|)^m after m more
+    terms, so the recurrence is stable there.
     """
     c = [y, dy]
     power = radius
@@ -290,8 +268,13 @@ def _taylor_coefficients(a, a_lo, b, x0, y, dy, radius):
     n = 0
     while small < 2:
         if n >= _TAYLOR_MAX_TERMS:
-            _taylor_budget()
-        c.append(((n + a + a_lo) * c[n] - (n + 1) * (n + b - x0) * c[n + 1]) / (x0 * ((n + 1) * (n + 2))))
+            raise RuntimeError(
+                f"series budget exceeded: 1F1 continuation did not converge in {_TAYLOR_MAX_TERMS} terms"
+            )
+        if x0 == 0:
+            c.append((n + 1 + a + a_lo) * c[n + 1] / ((n + 2) * (n + 1 + b)))
+        else:
+            c.append(((n + a + a_lo) * c[n] - (n + 1) * (n + b - x0) * c[n + 1]) / (x0 * ((n + 1) * (n + 2))))
         power *= radius
         size = abs(c[-1]) * power
         scale += size
@@ -312,7 +295,7 @@ def _taylor_step(c, s):
 def _ray_sweep(a, a_lo, b, d, x):
     """1F1(a + a_lo, b; x) at points x near the ray t d, t > _CONTINUE_FROM.
 
-    The node values (y, y') start from the Kummer series at t_0 d and are
+    The node values (y, y') at t_0 d are a Taylor step from x = 0, and are
     carried node to node in Python complex scalars; each point is one
     Horner sum about the last node at or below its distance.  Node j and
     its coefficients depend only on (a, b, d, j), so a point's value does
@@ -328,7 +311,8 @@ def _ray_sweep(a, a_lo, b, d, x):
     order = np.argsort(at, kind="stable")
     start = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=len(nodes)))))
     out = np.empty_like(x)
-    y, dy = _kummer_start(a, a_lo, b, nodes[0] * d)
+    x_0 = nodes[0] * d
+    y, dy = _taylor_step(_taylor_coefficients(a, a_lo, b, 0, 1.0, (a + a_lo) / b, abs(x_0)), x_0)
     for j, t_j in enumerate(nodes):
         step = min(t_j / 2.0, _NODE_STEP)
         x_j = t_j * d
@@ -460,8 +444,8 @@ def hyp1f1(a, b, x):
                                 through x, transformed where Re x < 0
     ==========================  ==========================================
 
-    The continuation solves x y'' + (b - x) y' - a y = 0 from the series
-    at |x| = 2.  Nodes sit at distances t_0 = 2 and
+    The continuation solves x y'' + (b - x) y' - a y = 0 from y(0) = 1,
+    y'(0) = a/b, one Taylor step to t_0 = 2.  Nodes sit at distances t_0 and
     t_{j+1} = t_j + min(t_j / 2, 2); their values (y, y') are carried in
     Python complex scalars, and each point is one Horner sum about the
     last node at or below it.  The nodes depend only on a, b and the ray
@@ -489,6 +473,8 @@ def hyp1f1(a, b, x):
       (0 <= phi <= 2) or real |kappa| <= 1, it is below 1e-15 of
       |M| + |M'| for |x| <= 4, 1e-14 up to 30 and 1e-13 on the +-i axis
       up to 2000 (largest seen 8e-16, 3e-15 and 3.1e-14).
+      ``regular.azimuthal_whittaker`` allows |phi| <= 6|l|, that is
+      |Im a| <= 3, inside the general bound above.
     - Continuation with a (b - a where transformed) within 0.05 of 0, -1,
       -2, ...: 1F1 is then nearly a polynomial, recessive against e^x on
       rays into Re x > 0 (e^{-x} on rays into Re x < 0), and the
@@ -574,19 +560,35 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 
+def _log_sin_pi(z: complex) -> complex:
+    """Principal log sin(pi z), also where sin(pi z) overflows (|Im z| past about 226)."""
+    try:
+        sine = cmath.sin(math.pi * z)
+    except OverflowError:
+        # for Im w > 0, sin(pi w) = (i/2) e^{-i pi w} (1 - e^{2 i pi w}); for
+        # Im z < 0 take w = conj(z) and conjugate back
+        w = z if z.imag > 0 else z.conjugate()
+        log_sin = complex(math.pi * w.imag, -math.pi * w.real) + cmath.log(0.5j)
+        log_sin += cmath.log(1.0 - cmath.exp(2j * math.pi * w))
+        log_sin = complex(log_sin.real, math.remainder(log_sin.imag, 2.0 * math.pi))
+        return log_sin if z.imag > 0 else log_sin.conjugate()
+    return cmath.log(sine)
+
+
 def ln_gamma(z) -> complex:
     """Principal-branch log-gamma via a fixed Lanczos sum.
 
     For Re z < 0.5 the reflection formula is used; the branch there is the
     principal logarithm of the reflected factors, which exponentiates to
-    the exact gamma function everywhere off the poles.
+    the exact gamma function everywhere off the poles.  Where sin(pi z)
+    overflows, its logarithm comes from the exponential form of the sine.
     """
     z = complex(z)
     if _hits_gamma_pole(z):
         raise ValueError("gamma pole: log-gamma undefined at non-positive integers")
     if z.real < 0.5:
         # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        return _LOG_PI - cmath.log(cmath.sin(math.pi * z)) - ln_gamma(1.0 - z)
+        return _LOG_PI - _log_sin_pi(z) - ln_gamma(1.0 - z)
     zz = z - 1.0
     acc = complex(_LANCZOS_C[0])
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
@@ -609,7 +611,8 @@ def whittaker_m(kappa, mu, x):
     principal branch of x^{mu+1/2} (cut on the negative real axis).  The
     error is that of ``hyp1f1`` times |exp(-x/2) x^{mu+1/2}|, plus the
     rounding of x^{mu+1/2} = exp((mu + 1/2) log x), about
-    eps |(mu + 1/2) log x| relative.
+    eps |(mu + 1/2) log x| relative.  At x = 0, M is 0 for Re(mu + 1/2) > 0
+    and singular otherwise (ValueError).
     """
     kappa = complex(kappa)
     mu = complex(mu)
@@ -617,13 +620,17 @@ def whittaker_m(kappa, mu, x):
     if _hits_gamma_pole(b):
         raise ValueError("pole of Kummer function: 1 + 2*mu is a non-positive integer")
     x_arr = np.asarray(x, dtype=complex)
-    if np.any(x_arr == 0):
-        if (mu + 0.5).real > 0 and x_arr.ndim == 0:
-            return 0.0 + 0.0j
+    zero = x_arr == 0
+    if np.any(zero) and (mu + 0.5).real <= 0:
         raise ValueError("whittaker_m singular at x = 0 for Re(mu + 1/2) <= 0")
     a = mu - kappa + 0.5
-    power = np.exp((mu + 0.5) * np.log(x_arr))
-    value = np.exp(-0.5 * x_arr) * power * hyp1f1(a, b, x_arr)
+
+    def nonzero(x):
+        power = np.exp((mu + 0.5) * np.log(x))
+        return np.exp(-0.5 * x) * power * hyp1f1(a, b, x)
+
+    # M is 0 at x = 0; the other points are one sweep of their own
+    value = _by_region(x_arr, zero, nonzero, np.zeros_like)
     _check_finite(value, "whittaker_m")
     return value if np.asarray(x).ndim else complex(value)
 

@@ -360,7 +360,8 @@ def check_divergence_nonzero_current():
     r_ax = np.linspace(0.5, 2.0, 401)
     th_ax = np.linspace(0.1, 1.2, 7)
     z_ax = np.linspace(-0.8, 0.8, 7)
-    R3, TH3, Z3 = np.meshgrid(r_ax, th_ax, z_ax, indexing="ij")
+    # open-mesh columns along r, theta and z, which divergence_residual broadcasts
+    R3, TH3, Z3 = np.ix_(r_ax, th_ax, z_ax)
     Rsq = np.exp(-(R3**2))
     rho = Rsq
     K_r, K_th, K_z = 0.4, 0.3, 0.2

@@ -212,6 +212,25 @@ class TestAmplitudeCommand:
             code, out, err = run_cli(["amplitude", *argv], capsys)
         assert (code, out, err) == (2, "", message)
 
+    def test_whittaker_flux_past_its_validated_range_refused(self, capsys):
+        # phi = beta r^2 = 12.5 > 6|l|: |Im a| > 3 for the 1F1 behind M and W
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["amplitude", "--sector", "theta", "--branch", "whittaker", "--l", "1",
+                                      "--r", "5", "--c2", "0.5j", "--grid", "0.2:2:5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: flux ratio phi = 12.5 out of validated range |phi| <= 6|l| = 6\n"
+
+    def test_whittaker_flux_inside_its_validated_range(self, capsys):
+        # phi = 8.82 < 6|l| = 18
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["amplitude", "--sector", "theta", "--branch", "whittaker", "--l", "3",
+                                      "--r", "4.2", "--c2", "0.5j", "--grid", "0.2:6.28:50"], capsys)
+        assert (code, err) == (0, "")
+        rows = np.loadtxt(out.splitlines()[1:], delimiter=",")
+        assert rows.shape == (50, 3) and np.all(np.isfinite(rows))
+
 
 class TestVerifyCommand:
     def test_suite_report_schema(self, capsys):

@@ -153,6 +153,19 @@ class TestLnGamma:
             with pytest.raises(ValueError, match="gamma pole"):
                 sf.ln_gamma(z)
 
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(-5.0, 0.5, exclude_max=True), y=st.floats(-1e3, 1e3))
+    @example(x=-0.2, y=240.0)  # sin(pi z) overflows past |Im z| = 226
+    @example(x=-4.7, y=-1e3)
+    def test_reflection_matches_mpmath_at_large_imaginary_part(self, x, y):
+        # within 0.01 of a pole the rounding of pi z costs more than 1e-12
+        z = complex(x, y)
+        assume(abs(z - min(round(x), 0)) >= 0.01)
+        got = sf.ln_gamma(z)
+        want = complex(mp.loggamma(z))
+        assert abs(got.real - want.real) <= 1e-12 * abs(want)
+        assert abs(math.remainder(got.imag - want.imag, 2.0 * math.pi)) <= 1e-12 * abs(want)
+
 
 class TestWhittakerM:
     def test_reduces_to_sinh(self):
@@ -177,6 +190,16 @@ class TestWhittakerM:
     def test_empty_array(self):
         got = sf.whittaker_m(-0.25j, SQ2, np.empty((0, 3)))
         assert got.shape == (0, 3) and got.dtype == complex
+
+    def test_zeros_in_an_array(self):
+        x = np.array([[0.0, 1.0, 2.5j], [0.7 - 0.2j, 0.0, 3.0]])
+        with np.errstate(all="raise"):
+            got = sf.whittaker_m(0.3, 0.8, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got[x == 0], [0j, 0j])
+        assert np.array_equal(got[x != 0], sf.whittaker_m(0.3, 0.8, x[x != 0]))
+        with pytest.raises(ValueError, match="singular at x = 0"):
+            sf.whittaker_m(0.3, -0.8, np.array([0.0, 1.0]))
 
     def test_against_mpmath(self):
         for kappa, mu, x in [(0.3, SQ2, 1.2), (-0.25j, SQ2, 1j), (0.1, 0.9, 2.5)]:
