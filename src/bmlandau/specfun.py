@@ -6,6 +6,14 @@ Bessel function J of real order.  ``whittaker_mw`` returns M and W
 together from the two Kummer functions M_{kappa,+-mu} that W needs, so a
 caller of both evaluates no third one.
 
+``hyp1f1(a, b, x)`` broadcasts its three arguments, as ``scipy.special``
+does.  The points that share one distinct (a, b) form a group, and a
+group's values are those of a call with that scalar (a, b) on the
+group's points alone, bit for bit: a point depends only on the points of
+its own group and region.  Each region is one sweep over all its groups,
+so many small parameter sets cost about as much as one; a group of a few
+thousand points is faster in a call of its own.
+
 1F1 is computed in float64 for real arguments and in complex128 for
 complex ones, by region (Gil, Segura & Temme, *Numerical Methods for
 Special Functions*, 2007, chapters 4 and 9); each region of an array is
@@ -18,7 +26,8 @@ another region:
 - complex x with |x| > 2: a Taylor continuation of Kummer's equation
   x y'' + (b - x) y' - a y = 0 (DLMF 13.2.1) along the ray from 0
   through x (Gil, Segura & Temme, ch. 9), started at x = 0 from y = 1,
-  y' = a/b.  The points of one ray share its nodes; each ray is a sweep.
+  y' = a/b.  The points of one (a, b) and ray share its node chain; one
+  Horner pass per node index sums the points of every chain.
 - Re x < 0 (complex x only where |x| > 2): one Kummer transformation
   e^x 1F1(b - a, b; -x) (DLMF 13.2.39) for both dtypes, with the series
   or continuation above at -x; for real x its series does not cancel
@@ -42,20 +51,21 @@ rejected with a message naming its region, as are non-finite arguments.
 The series share one term loop, ``_sum_series``, with fixed limits: a
 term counts as small below 1e-15 of the partial sum while the terms
 shrink, an overflowed term never does, and a series that has not
-converged in 500 terms raises RuntimeError.  Every term of one sweep is
-c_k x^k with c_k independent of the grid point, so the largest term over
-the grid and a bound on every partial sum follow from two scalars; the
-array convergence test runs only on terms where these scalars leave it a
-chance to pass.  The truncation rule and every result bit are those of
-a loop that tests every term.
+converged in 500 terms raises RuntimeError.  Each (a, b) group of a
+sweep stops on its own test and then leaves the loop.  Every term of one
+group is c_k x^k with c_k independent of the grid point, so the largest
+term over the group and a bound on every partial sum follow from two
+scalars; the array convergence test runs only on terms where these
+scalars leave it a chance to pass.  The truncation rule and every result
+bit are those of a loop that tests every term.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +84,11 @@ def _is_nonpositive_integer(z) -> bool:
     return isinstance(z, numbers.Integral) and z <= 0
 
 
-def _is_nonreal(z) -> bool:
-    return isinstance(z, numbers.Complex) and not isinstance(z, numbers.Real)
-
-
-def _hits_gamma_pole(z) -> bool:
-    """Value equal to a non-positive integer (any numeric type)."""
+def _hits_gamma_pole(z):
+    """Value equal to a non-positive integer (any numeric type; elementwise for an ndarray)."""
+    if isinstance(z, np.ndarray) and z.ndim:
+        z = z.astype(complex)
+        return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == z.real.round())
     zc = complex(z)
     return zc.imag == 0.0 and zc.real <= 0.0 and zc.real == round(zc.real)
 
@@ -98,6 +107,10 @@ _BOUND_SLACK = 1e-14
 # no underflow or overflow and the array sums stay finite.
 _BOUND_TINY = 1e-280
 _BOUND_HUGE = 1e280
+# numpy computes a product with a fresh complex128 array of this many
+# points or more (256 KiB) in place, operands swapped, which rounds the
+# imaginary part differently
+_ELIDE_FROM = 16384
 
 
 def _moderate(*values) -> bool:
@@ -106,107 +119,198 @@ def _moderate(*values) -> bool:
     return all(p == 0 or 1e-100 <= abs(p) <= 1e100 for p in parts)
 
 
-def _array_test(term, total):
+def _array_test(term, total, starts=None):
     """The array convergence test max|term| <= _REL_TOL * max|partial sum|.
 
     A non-finite term (an overflow) never counts as small.  Returns the
-    verdict and that maximum.
+    verdict and that maximum over all points, or with ``starts`` lists of
+    them over each group of points, group i starting at starts[i].
     """
-    total_max = np.max(np.abs(total))
-    term_max = np.max(np.abs(term))
-    return np.isfinite(term_max) and term_max <= _REL_TOL * total_max, float(total_max)
+    if starts is None:
+        total_max = np.max(np.abs(total))
+        term_max = np.max(np.abs(term))
+        return np.isfinite(term_max) and term_max <= _REL_TOL * total_max, float(total_max)
+    total_max = np.maximum.reduceat(np.abs(total), starts)
+    term_max = np.maximum.reduceat(np.abs(term), starts)
+    return (np.isfinite(term_max) & (term_max <= _REL_TOL * total_max)).tolist(), total_max.tolist()
 
 
-# an overflowed term is never small (_array_test), so a series that
-# overflows ends at the term budget instead of warning
-@np.errstate(over="ignore", invalid="ignore")
-def _sum_series(like, factor, growth, what: str, n_terms=None):
-    """Sum term_0 = 1, term_{k+1} = term_k * factor(k) over an array shaped ``like``.
+def _next_test(growth, i, k, s, m):
+    """Group i's scalar bounds (s, m) after term k, run on to the next term whose array test they let pass.
 
-    With ``n_terms`` exactly that many terms after term_0 are added (a
-    terminating polynomial).  Otherwise the sum stops after two consecutive
-    terms pass ``_array_test`` at ``_REL_TOL`` with growth(k) < 1 (or nan),
-    since tiny first terms may precede growing ones; ``_MAX_TERMS`` terms
-    without that raise RuntimeError.
-
-    Every term is c_k x^k with c_k the same at every grid point, and
-    ``growth(k)`` is |c_{k+1} / c_k| max|x|.  So the product s of the
-    growths is max|term_k| over the grid, and m, the s summed since the
-    last array test plus that test's max|partial sum|, bounds the current
-    max|partial sum|.  While s (1 - eps) > _REL_TOL m (1 + eps) the array
-    test cannot pass: it is skipped and the term counts as not small.
-    eps = (k + 1) _BOUND_SLACK covers rounding.  A nan growth or an s
-    outside [_BOUND_TINY, _BOUND_HUGE] turns s into nan, and every later
-    term is tested.
+    Returns (t, s, m, g): that term t, the bounds there and g =
+    growth(i, t - 1); the terms before t are skipped (see _sum_series).
+    t is past _MAX_TERMS when the budget has no such term left.
     """
-    term = np.ones_like(like)
-    total = term.copy()
-    s = m = 1.0
-    small_streak = 0
-    k = 0
-    while True:
-        if n_terms is not None and k >= n_terms:
-            break
-        if k >= _MAX_TERMS:
-            raise RuntimeError(f"series budget exceeded: {what} did not converge in {_MAX_TERMS} terms")
-        term = term * factor(k)
-        total = total + term
-        if n_terms is not None:
-            k += 1
-            continue
-        g = growth(k)
+    while k < _MAX_TERMS:
+        g = growth(i, k)
         s *= g
         if not _BOUND_TINY <= s <= _BOUND_HUGE:
             s = math.nan
         m += s
         k += 1
         eps = (k + 1) * _BOUND_SLACK
-        if s * (1.0 - eps) > _REL_TOL * m * (1.0 + eps):
-            small_streak = 0
-            continue
-        small, total_max = _array_test(term, total)
-        m = min(m, total_max)
-        if small and not g >= 1.0:
-            small_streak += 1
-            if small_streak >= 2:
-                break
+        if not s * (1.0 - eps) > _REL_TOL * m * (1.0 + eps):
+            return k, s, m, g
+    return k + 1, s, m, math.nan
+
+
+# an overflowed term is never small (_array_test), so a series that
+# overflows ends at the term budget instead of warning
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_series(x, ratio, growth, what, n_terms=None, counts=None):
+    """Sum term_0 = 1, term_{k+1} = term_k p_k x / q_k over ``x``, with (p_k, q_k) = ratio(k).
+
+    The points form groups, and each group is summed as if it were alone.
+    With ``counts`` None all of ``x`` is one group and ratio(k) gives
+    scalars; otherwise ``x`` is 1-D, group i is the next counts[i] points
+    and ratio(k) gives an array with one entry per group.
+
+    With ``n_terms`` exactly that many terms after term_0 are added (a
+    terminating polynomial).  Otherwise a group stops after two
+    consecutive terms pass ``_array_test`` over its points at ``_REL_TOL``
+    with growth(i, k) < 1 (or nan), since tiny first terms may precede
+    growing ones, and its points leave the working arrays; ``_MAX_TERMS``
+    terms without that raise RuntimeError.
+
+    Every term of group i is c_k x^k with c_k the same at each of its
+    points, and ``growth(i, k)`` is |c_{k+1} / c_k| max|x| over the group.
+    So the product s of the growths is the group's max|term_k|, and m, the
+    s summed since the last array test plus that test's max|partial sum|,
+    bounds its current max|partial sum|.  While s (1 - eps) > _REL_TOL m
+    (1 + eps) the array test cannot pass: it is skipped and the term
+    counts as not small.  eps = (k + 1) _BOUND_SLACK covers rounding.  A
+    nan growth or an s outside [_BOUND_TINY, _BOUND_HUGE] turns s into
+    nan, and every later term is tested.  These scalars are Python floats,
+    run on group by group to each group's next array test (_next_test),
+    so a term that no group tests costs the loop no scalar work.
+    """
+    term = np.ones_like(x)
+    total = term.copy()
+    if counts is not None:
+        sizes = list(counts)
+        out, home = np.empty_like(x), np.arange(x.size)  # home: each working point's place in out
+        # at: the live group of each working point, an index into ratio(k)
+        starts, at = np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
+    live = list(range(1 if counts is None else len(sizes)))  # the groups still summing
+    # each live group's next array test (_next_test) and its run of small terms
+    plan = [] if n_terms is not None else [_next_test(growth, i, 0, 1.0, 1.0) for i in live]
+    streak = [0] * len(live)
+    due = min(plan)[0] if plan else None
+    k = 0
+    while k != n_terms:
+        if k >= _MAX_TERMS:
+            raise RuntimeError(f"series budget exceeded: {what} did not converge in {_MAX_TERMS} terms")
+        p, q = ratio(k)
+        if counts is None:
+            term = term * (p * x / q)
         else:
-            small_streak = 0
+            # f named, so numpy never multiplies it in place: the operand
+            # order, and with it every bit, does not depend on the array size
+            f = p[at] * x / q[at]
+            term = term * f
+        total = total + term
+        k += 1
+        if k != due:
+            continue
+        if counts is None:
+            small, total_max = _array_test(term, total)
+            small, total_max = [small], [total_max]
+        else:
+            small, total_max = _array_test(term, total, starts)
+        done = [False] * len(live)
+        for j, (t, s, m, g) in enumerate(plan):
+            if t != k:
+                continue
+            streak[j] = streak[j] + 1 if small[j] and not g >= 1.0 else 0
+            if streak[j] >= 2:
+                done[j] = True
+                continue
+            plan[j] = _next_test(growth, live[j], k, s, min(m, total_max[j]))
+            if plan[j][0] > k + 1:
+                streak[j] = 0  # the terms it skips are not small
+        if any(done):
+            if counts is None:
+                break
+            leaving = np.repeat(done, sizes)
+            out[home[leaving]] = total[leaving]
+            if all(done):
+                return out
+            x, term, total, home = (v[~leaving] for v in (x, term, total, home))
+            live, sizes, plan, streak = ([v for v, d in zip(seq, done) if not d] for seq in (live, sizes, plan, streak))
+            starts, at = np.cumsum([0] + sizes[:-1]), np.repeat(live, sizes)
+        due = min(plan)[0]
     return total
 
 
-# The per-term factors are module functions bound with functools.partial,
-# not closures over the arrays: with the arrays in closure cells, peak RSS
-# of a 1e5-point Whittaker request rose by 3.5 MB (allocator layout; the
-# live memory was the same).
-def _kummer_factor(aw, a_lo, bw, xw, k):
-    """Term ratio (a + k) x / ((b + k)(k + 1)) of the Kummer series, a = aw + a_lo.
+class _Groups(NamedTuple):
+    """Kummer parameters (a + a_lo, b) of the points of a sweep, group by group.
 
-    a_lo is 0.0 or the rounding error of aw (see hyp1f1's x < 0 region);
-    adding 0.0 to aw + k, which is never -0.0, changes no bit.
+    With ``counts`` None there is one group and a, a_lo and b are Python
+    floats (or complex).  Otherwise a and b are arrays with one entry per
+    group, a_lo is such an array or the shared 0.0, and group i holds the
+    next counts[i] points.
     """
-    denom = (bw + k) * (k + 1)
-    if denom == 0:
-        raise ValueError("pole of Kummer function: b is a non-positive integer")
-    return (aw + k + a_lo) * xw / denom
+
+    a: object
+    a_lo: object
+    b: object
+    counts: object = None
+
+    def params(self):
+        """(a, a_lo, b) of each group, in Python floats (or complex)."""
+        if self.counts is None:
+            return [(self.a, self.a_lo, self.b)]
+        a_lo = self.a_lo.tolist() if isinstance(self.a_lo, np.ndarray) else [self.a_lo] * len(self.counts)
+        return list(zip(self.a.tolist(), a_lo, self.b.tolist()))
+
+    def where(self, mask):
+        """The groups of the points where ``mask`` holds, in their order; one is a scalar group."""
+        counts = np.add.reduceat(mask, np.cumsum(self.counts) - self.counts, dtype=np.intp)
+        keep = np.flatnonzero(counts)
+        a_lo = self.a_lo[keep] if isinstance(self.a_lo, np.ndarray) else self.a_lo
+        if keep.size == 1:
+            return _Groups(*_Groups(self.a[keep], a_lo, self.b[keep], counts[keep]).params()[0])
+        return _Groups(self.a[keep], a_lo, self.b[keep], counts[keep])
 
 
-def _kummer_series(a, b, x, work, n_terms=None, a_lo=0.0):
+def _kummer_series(a, b, x, work, n_terms=None, a_lo=0.0, counts=None):
     """The Kummer series of 1F1(a + a_lo, b; x) as one _sum_series sweep over ``x`` in dtype ``work``.
 
-    ``a`` and ``b`` are Python floats for a float64 sweep and complex for
-    a complex128 one.
+    ``a``, ``b`` and ``a_lo`` are Python floats for a float64 sweep and
+    complex for a complex128 one; with ``counts`` they are the arrays of a
+    ``_Groups`` (a_lo may stay one scalar).  No b is a pole the series
+    reaches: hyp1f1 refuses those before summing.
     """
-    x_max = float(np.max(np.abs(x))) if n_terms is None else 0.0
-    if not _moderate(a, b, x_max):
-        x_max = math.nan  # no trusted bound: test every term
+    if counts is None:
+        params = [(a, a_lo, b)]
+        x_max = [float(np.max(np.abs(x))) if n_terms is None else 0.0]
+    elif work is np.complex128 and max(counts) >= _ELIDE_FROM:
+        # such a group's own sweep has numpy's in-place products (_ELIDE_FROM),
+        # so each group is summed alone, as its own call sums it
+        ends = np.cumsum(counts).tolist()
+        return np.concatenate([_kummer_series(a_i, b_i, x[end - n:end], work, n_terms, a_lo_i)
+                               for (a_i, a_lo_i, b_i), n, end in zip(_Groups(a, a_lo, b, counts).params(), counts, ends)])
+    else:
+        params = _Groups(a, a_lo, b, counts).params()
+        x_max = [0.0] * len(params) if n_terms is not None else \
+            np.maximum.reduceat(np.abs(x), np.cumsum(counts) - counts).tolist()
+    # no trusted bound: test every term
+    x_max = [x_i if _moderate(a_i, b_i, x_i) else math.nan for (a_i, _, b_i), x_i in zip(params, x_max)]
 
-    def growth(k):
-        return abs(a + k + a_lo) / abs(b + k) * (x_max / (k + 1))
+    def growth(i, k):
+        a_i, a_lo_i, b_i = params[i]
+        return abs(a_i + k + a_lo_i) / abs(b_i + k) * (x_max[i] / (k + 1))
 
-    xw = x.astype(work)
-    factor = functools.partial(_kummer_factor, work(a), a_lo, work(b), xw)
-    return _sum_series(xw, factor, growth, "1F1", n_terms=n_terms)
+    # one entry of a and b per group, in dtype work; a_lo is 0.0 or the
+    # rounding error of a (see _kummer_general's Re x < 0 region), and adding
+    # 0.0 to a + k, which is never -0.0, changes no bit
+    aw, bw = (work(a), work(b)) if counts is None else (a.astype(work), b.astype(work))
+
+    def ratio(k):
+        return aw + k + a_lo, (bw + k) * (k + 1)
+
+    return _sum_series(x.astype(work), ratio, growth, "1F1", n_terms, counts)
 
 
 def _kummer_polynomial(n, b, x):
@@ -292,103 +396,168 @@ def _taylor_step(c, s):
     return y * s + c[0], dy
 
 
-def _ray_sweep(a, a_lo, b, d, x):
-    """1F1(a + a_lo, b; x) at points x near the ray t d, t > _CONTINUE_FROM.
+def _horner(coefs, counts, s):
+    """sum_n c_n s^n at the points s, coefs[i] serving the next counts[i] points, longest list first.
 
-    The node values (y, y') at t_0 d are a Taylor step from x = 0, and are
-    carried node to node in Python complex scalars; each point is one
-    Horner sum about the last node at or below its distance.  Node j and
-    its coefficients depend only on (a, b, d, j), so a point's value does
-    not depend on the other points of the sweep.
+    A point's sum starts at the last coefficient of its own list, which
+    joins the sum when the longer lists reach that index.  Every product
+    is out of place: numpy rounds an in-place complex product of one point
+    differently.
     """
-    t = np.abs(x) / abs(d)
+    acc, end = None, 0
+    for i, c in enumerate(coefs):
+        top = len(c) - 1
+        joining = np.full(counts[i], c[top])
+        acc = joining if acc is None else np.concatenate((acc, joining))
+        end += counts[i]
+        s_live = s[:end]
+        bottom = len(coefs[i + 1]) - 1 if i + 1 < len(coefs) else 0
+        if i == 0:  # the first list alone: scalar coefficients, no gather
+            terms = reversed(c[bottom:top])
+        else:
+            rows = np.array([c_j[bottom:top] for c_j in coefs[:i + 1]])[:, ::-1].T
+            terms = (row.repeat(counts[:i + 1]) for row in rows)
+        for term in terms:
+            acc = acc * s_live + term
+    return acc
+
+
+def _ray_sweep(g, u):
+    """1F1(a + a_lo, b; u) of the groups ``g`` at their points u, |u| > _CONTINUE_FROM.
+
+    Each group and ray (the direction of u rounded to multiples of
+    1 / _RAY_GRID) has one node chain.  Its node values (y, y') at t_0 d
+    are a Taylor step from x = 0, carried node to node in Python complex
+    scalars.  Each point is one Horner sum about the last node at or below
+    its distance, and one pass per node index sums the points of every
+    chain at that node.  Node j of a chain and its coefficients depend
+    only on (a, b, d, j), so a point's value does not depend on the other
+    points.
+    """
+    params = g.params()
+    rays = np.round(u / np.abs(u) * _RAY_GRID) + 0.0  # + 0.0 turns -0.0 into 0.0
+    # the chain of each point (None: all one chain) and the first point of each chain
+    group = None if g.counts is None else np.repeat(np.arange(len(params)), g.counts)
+    firsts = [0] if group is None else np.cumsum(g.counts) - g.counts
+    if np.all(rays == (rays[0] if group is None else rays[firsts][group])):
+        chain = group  # one ray per group
+    else:
+        width = 2 * _RAY_GRID + 1
+        key = ((0 if group is None else group) * width + (rays.real + _RAY_GRID)) * width + (rays.imag + _RAY_GRID)
+        _, firsts, chain = np.unique(key, return_index=True, return_inverse=True)
+        chain = chain.reshape(-1)
+    d = [complex(rays[i]) / _RAY_GRID for i in firsts]
+    t = np.abs(u) / (abs(d[0]) if chain is None else np.array([abs(d_c) for d_c in d])[chain])
     t_last = float(np.max(t))
     nodes = [_CONTINUE_FROM]
     while nodes[-1] + min(nodes[-1] / 2.0, _NODE_STEP) <= t_last:
         nodes.append(nodes[-1] + min(nodes[-1] / 2.0, _NODE_STEP))
     at = np.maximum(np.searchsorted(nodes, t, side="right") - 1, 0)
-    # the points of node j are order[start[j]:start[j + 1]], in their order in x
-    order = np.argsort(at, kind="stable")
-    start = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=len(nodes)))))
-    out = np.empty_like(x)
-    x_0 = nodes[0] * d
-    y, dy = _taylor_step(_taylor_coefficients(a, a_lo, b, 0, 1.0, (a + a_lo) / b, abs(x_0)), x_0)
+    # the points of node j on chain c are order[bounds[j n + c]:bounds[j n + c + 1]]
+    n = len(d)
+    segment = at if chain is None else at * n + chain
+    order = np.argsort(segment, kind="stable")
+    bounds = [0] + np.cumsum(np.bincount(segment, minlength=len(nodes) * n)).tolist()
+    # each chain's last node with points (the point farthest out is at the last node)
+    if chain is None:
+        last = [len(nodes) - 1]
+    else:
+        last = np.zeros(n, dtype=np.intp)
+        np.maximum.at(last, chain, at)
+        last = last.tolist()
+    # each chain's parameters, and (y, y') at its current node
+    chain_params = [params[0 if group is None else group[first]] for first in firsts]
+    y = []
+    for (a, a_lo, b), d_c in zip(chain_params, d):
+        x_0 = nodes[0] * d_c
+        y.append(_taylor_step(_taylor_coefficients(a, a_lo, b, 0, 1.0, (a + a_lo) / b, abs(x_0)), x_0))
+    out = np.empty_like(u)
     for j, t_j in enumerate(nodes):
         step = min(t_j / 2.0, _NODE_STEP)
-        x_j = t_j * d
-        # the radius also covers the points' distance from the exact ray
-        c = _taylor_coefficients(a, a_lo, b, x_j, y, dy, step + (t_j + step) / _RAY_GRID)
-        if start[j + 1] > start[j]:
-            mine = order[start[j]:start[j + 1]]
-            s = x[mine] - x_j
-            acc = np.full_like(s, c[-1])
-            for c_n in reversed(c[:-1]):
-                # not acc *= s: numpy's in-place complex product rounds
-                # differently for short and long arrays
-                acc = acc * s + c_n
-            out[mine] = acc
-        if j + 1 < len(nodes):
-            y, dy = _taylor_step(c, nodes[j + 1] * d - x_j)
+        node = []  # (coefficients, x_j, first, end) of each chain with points at node j
+        for c, (a, a_lo, b) in enumerate(chain_params):
+            if j > last[c]:
+                continue
+            x_j = t_j * d[c]
+            # the radius also covers the points' distance from the exact ray
+            coef = _taylor_coefficients(a, a_lo, b, x_j, *y[c], step + (t_j + step) / _RAY_GRID)
+            if j < last[c]:
+                y[c] = _taylor_step(coef, nodes[j + 1] * d[c] - x_j)
+            lo, hi = bounds[j * n + c], bounds[j * n + c + 1]
+            if hi > lo:
+                node.append((coef, x_j, lo, hi))
+        if len(node) == 1:
+            coef, x_j, lo, hi = node[0]
+            mine = order[lo:hi]
+            out[mine] = _horner([coef], [hi - lo], u[mine] - x_j)
+        elif node:
+            node.sort(key=lambda seg: -len(seg[0]))
+            mine = np.concatenate([order[lo:hi] for _, _, lo, hi in node])
+            counts = [hi - lo for _, _, lo, hi in node]
+            out[mine] = _horner([seg[0] for seg in node], counts, u[mine] - np.repeat([seg[1] for seg in node], counts))
     return out
 
 
-def _kummer_general(a, b, x):
-    """1F1(a, b; x) of float a, b, x or of complex ones, outside the polynomial case.
+def _kummer_general(g, x):
+    """1F1(a, b; x) of the groups ``g`` (see _Groups), all float or all complex, outside the polynomial case.
 
-    Points with Re x < 0 (complex ones only where |x| > _CONTINUE_FROM)
-    take the Kummer transformation e^x 1F1(b - a, b; -x) (DLMF 13.2.39),
-    b - a an exact two-float sum, so every argument u of the right half
-    has Re u >= 0.  Real u, and complex u with |u| <= _CONTINUE_FROM, sum
-    the Kummer series.  Other complex u continue Kummer's equation along
-    their ray (_ray_sweep; Gil, Segura & Temme 2007, ch. 9), grouped by
-    direction rounded to multiples of 1 / _RAY_GRID.  Within
+    One group may have ``x`` of any shape; groups have 1-D ``x``.  Points
+    with Re x < 0 (complex ones only where |x| > _CONTINUE_FROM) take the
+    Kummer transformation e^x 1F1(b - a, b; -x) (DLMF 13.2.39), b - a an
+    exact two-float sum, so every argument u of the right half has
+    Re u >= 0.  Real u, and complex u with |u| <= _CONTINUE_FROM, sum the
+    Kummer series.  Other complex u continue Kummer's equation along
+    their ray (_ray_sweep; Gil, Segura & Temme 2007, ch. 9).  Within
     _RECESSIVE_NEAR of a = 0, -1, -2, ... 1F1 is nearly a polynomial,
     recessive against e^u along a ray into Re u > 0, so the continuation's
     error would grow like e^{Re u}; there the series is summed where it
     loses at most about e^{|u| - Re u} <= e^{_SERIES_LOSS} to cancellation,
     and at every u when a is exactly such an integer (it terminates).
+    Each region is one sweep over all its groups, and every choice above
+    is made per group.
     """
     complex_x = np.iscomplexobj(x)
+    work = np.complex128 if complex_x else np.float64
 
-    def by_ray(a, a_lo, u):
-        rays = np.round(u / np.abs(u) * _RAY_GRID) + 0.0  # + 0.0 turns -0.0 into 0.0
-        if np.all(rays == rays[0]):
-            return _ray_sweep(a, a_lo, b, complex(rays[0]) / _RAY_GRID, u)
-        distinct, which = np.unique(rays, return_inverse=True)
-        out = np.empty_like(u)
-        for i, ray in enumerate(distinct):
-            mine = which == i
-            out[mine] = _ray_sweep(a, a_lo, b, complex(ray) / _RAY_GRID, u[mine])
-        return out
+    def split(g, x, upper, lower_fn, upper_fn):
+        if g.counts is None:
+            return _by_region(x, upper, lambda x: lower_fn(g, x), lambda x: upper_fn(g, x))
+        return _by_region(x, upper, lambda x: lower_fn(g.where(~upper), x), lambda x: upper_fn(g.where(upper), x))
 
-    def right_half(a, a_lo, u):
+    def series(g, u):
+        return _kummer_series(g.a, g.b, u, work, a_lo=g.a_lo, counts=g.counts)
+
+    def right_half(g, u):
         if not complex_x:
-            return _kummer_series(a, b, u, np.float64, a_lo=a_lo)
-        series = functools.partial(_kummer_series, a, b, work=np.complex128, a_lo=a_lo)
-        n = min(round(a.real), 0)
-        if abs(a + a_lo - n) >= _RECESSIVE_NEAR:
-            return by_ray(a, a_lo, u)
-        if a_lo == 0 and a == n:
-            return series(u)
-        return _by_region(u, np.abs(u) - u.real > _SERIES_LOSS, series, lambda u: by_ray(a, a_lo, u))
+            return series(g, u)
+        # per group: 0 continues every point, 1 sums the series at every
+        # point (a terminates), 2 sums it where it loses at most e^_SERIES_LOSS
+        modes = []
+        for a, a_lo, _ in g.params():
+            n = min(round(a.real), 0)
+            modes.append(0 if abs(a + a_lo - n) >= _RECESSIVE_NEAR else 1 if a_lo == 0 and a == n else 2)
+        if not any(modes):
+            return _ray_sweep(g, u)
+        mode = modes[0] if g.counts is None else np.repeat(modes, g.counts)
+        along = (mode == 0) | ((mode == 2) & (np.abs(u) - u.real > _SERIES_LOSS))
+        return split(g, u, along, series, _ray_sweep)
 
-    def left_half(x):
-        c, c_lo = _two_diff(b, a)
+    def left_half(g, x):
+        c, c_lo = _two_diff(g.b, g.a)
         # both factors named: numpy elides no temporary, so the operand
         # order, and with it every bit, does not depend on the array's size
         exp_x = np.exp(x)
-        transformed = right_half(c, c_lo, -x)
+        transformed = right_half(_Groups(c, c_lo, g.b, g.counts), -x)
         return transformed * exp_x
 
-    def halves(x):
-        return _by_region(x, x.real < 0, lambda x: right_half(a, 0.0, x), left_half)
+    def halves(g, x):
+        return split(g, x, x.real < 0, right_half, left_half)
 
     if not complex_x:
-        return halves(x)
+        return halves(g, x)
     # the rays index 1-D arrays, but the series keeps the caller's shape:
     # a 0-d complex sweep rounds differently from a 1-element one
-    series = functools.partial(_kummer_series, a, b, work=np.complex128)
-    return _by_region(x, np.abs(x) > _CONTINUE_FROM, series, lambda x: halves(x.reshape(-1)).reshape(x.shape))
+    return split(g, x, np.abs(x) > _CONTINUE_FROM, series, lambda g, x: halves(g, x.reshape(-1)).reshape(x.shape))
 
 
 def _by_region(x, upper, lower_fn, upper_fn):
@@ -429,9 +598,10 @@ def hyp1f1(a, b, x):
 
     Real arguments are computed in float64 and complex ones (any of a, b
     or x complex) in complex128, by region; each region of an array is its
-    own sweep, so a point does not depend on the other regions.  Where x
-    is "transformed", 1F1 is e^x 1F1(b - a, b; -x) (DLMF 13.2.39), with
-    b - a an exact two-float sum:
+    own sweep, so a point does not depend on the other regions (nor on
+    the other (a, b) groups, see below).  Where x is "transformed", 1F1
+    is e^x 1F1(b - a, b; -x) (DLMF 13.2.39), with b - a an exact
+    two-float sum:
 
     ==========================  ==========================================
     integer-typed a = -n <= 0   real b and x: forward recurrence in a
@@ -501,35 +671,93 @@ def hyp1f1(a, b, x):
     raise RuntimeError.  The polynomial test is on the Python/numpy integer
     type, never on float rounding.
 
-    ``x`` may be a scalar or ndarray.  Real inputs give a float result,
-    complex inputs a complex one.  Non-finite ``x`` raises ValueError, as
-    does, outside the polynomial case, |x| > 2000 for complex x on the
-    imaginary axis (Re x = 0) and |x| > 30 for real x and complex x off
-    it; the message names the region.
+    ``a``, ``b`` and ``x`` broadcast against each other (the
+    ``scipy.special`` convention); the integer a of the polynomial case
+    is a scalar, and an integer-typed array a raises ValueError.  The
+    points of one distinct (a, b), told apart by its bits, form a group:
+    its values are those of ``hyp1f1(a_k, b_k, x_group)`` on the group's
+    points (broadcast, flattened, as a 1-D array) bit for bit, and every
+    stopping test, budget and region choice above is the group's own.  A
+    point therefore depends only on the points of its group and region.
+    Each region is one sweep over all its groups, one series loop and one
+    Horner pass per node index over the node chains of every group and
+    ray.  That pays for many small groups; a group of a few thousand
+    points is faster in a call of its own.  Scalar a and b give the shape
+    of ``x``; with an array a or b the result has the broadcast shape.
+    Real inputs give a float result, complex inputs (any of a, b or x) a
+    complex one, and scalar arguments a Python scalar.  A non-finite a, b
+    or x raises ValueError, as does, outside the polynomial case,
+    |x| > 2000 for complex x on the imaginary axis (Re x = 0) and
+    |x| > 30 for real x and complex x off it; the message names the
+    region.  A b at a pole raises in any group, outside the polynomial
+    case of lower degree.
     """
-    polynomial = _is_nonpositive_integer(a)
-    if _hits_gamma_pole(b):
-        # b at a pole -m is tolerated only in the polynomial case of degree
-        # n <= m, whose terms divide by b + k for k < n only
-        if not (polynomial and -int(a) <= -round(complex(b).real)):
-            raise ValueError("pole of Kummer function: b is a non-positive integer")
-
-    x_arr = np.asarray(x)
-    if not np.all(np.isfinite(x_arr)):
-        raise ValueError("hyp1f1: non-finite argument")
-    kind = complex if _is_nonreal(a) or _is_nonreal(b) or np.iscomplexobj(x_arr) else float
-    if not x_arr.size:
-        return np.empty(x_arr.shape, dtype=kind)
-
-    if not polynomial:
-        _check_range(x_arr)
-        out = _kummer_general(kind(a), kind(b), x_arr.astype(kind))
-    elif kind is complex:
-        out = _kummer_series(complex(a), complex(b), x_arr.astype(complex), np.complex128, -int(a))
+    a_arr, b_arr, x_arr = np.asarray(a), np.asarray(b), np.asarray(x)
+    if a_arr.dtype.kind in "iub" and not isinstance(a, numbers.Integral):
+        raise ValueError("hyp1f1: the polynomial case takes a scalar integer a, not an integer array")
+    broadcast = a_arr.ndim or b_arr.ndim
+    if broadcast:
+        finite = np.isfinite(a_arr).all() and np.isfinite(b_arr).all()
     else:
-        out = _kummer_polynomial(-int(a), float(b), x_arr.astype(float))
+        finite = cmath.isfinite(a) and cmath.isfinite(b)
+    if not (finite and np.isfinite(x_arr).all()):
+        raise ValueError("hyp1f1: non-finite argument")
+    polynomial = _is_nonpositive_integer(a)
+    pole = _hits_gamma_pole(b_arr)
+    # b at a pole -m is tolerated only in the polynomial case of degree
+    # n <= m, whose terms divide by b + k for k < n only
+    if np.count_nonzero(pole) and not (polynomial and (-int(a) <= -b_arr.real[pole]).all()):
+        raise ValueError("pole of Kummer function: b is a non-positive integer")
+    kind = complex if "c" in (a_arr.dtype.kind, b_arr.dtype.kind, x_arr.dtype.kind) else float
+    shape = np.broadcast_shapes(a_arr.shape, b_arr.shape, x_arr.shape) if broadcast else x_arr.shape
+    if not math.prod(shape):
+        return np.empty(shape, dtype=kind)
+
+    if broadcast:
+        g, x_pts, perm = _parameter_groups(a_arr, b_arr, x_arr, shape, kind)
+    else:
+        g, x_pts, perm = _Groups(kind(a), 0.0, kind(b)), x_arr.astype(kind), None
+    if not polynomial:
+        _check_range(x_pts)
+        out = _kummer_general(g, x_pts)
+    elif kind is complex:
+        out = _kummer_series(g.a, g.b, x_pts, np.complex128, -int(a), counts=g.counts)
+    else:
+        out = _kummer_polynomial(-int(a), g.b if g.counts is None else np.repeat(g.b, g.counts), x_pts)
     _check_finite(out, "hyp1f1")
+    if perm is not None:
+        out, sorted_out = np.empty_like(out), out
+        out[perm] = sorted_out
+    if broadcast:
+        return out.reshape(shape)
     return out if out.ndim else out.item()
+
+
+def _parameter_groups(a, b, x, shape, kind):
+    """(groups, points, perm) of a call whose a or b is an array.
+
+    The points are x broadcast to ``shape``, flattened and ordered by
+    group (``perm`` the ordering, None when they already are).  A group
+    is one distinct (a, b), told apart by its bits, so -0.0 and 0.0 fall
+    in two groups as they would in two calls; groups are numbered in the
+    order of their first point.
+    """
+    a, b = np.broadcast_arrays(a.astype(kind), b.astype(kind))
+    number, first, pair_group = {}, [], []  # group of each distinct bit pattern; its first entry
+    for i, key in enumerate(map(tuple, np.stack([a.ravel(), b.ravel()], axis=1).view(np.int64).tolist())):
+        if key not in number:
+            number[key] = len(first)
+            first.append(i)
+        pair_group.append(number[key])
+    points = np.broadcast_to(x.astype(kind), shape).ravel()
+    if len(first) == 1:
+        return _Groups(a.flat[0].item(), 0.0, b.flat[0].item()), points, None
+    group = np.broadcast_to(np.reshape(pair_group, a.shape), shape).ravel()
+    groups = _Groups(a.ravel()[first], 0.0, b.ravel()[first], np.bincount(group, minlength=len(first)))
+    if np.all(group[1:] >= group[:-1]):
+        return groups, points, None
+    perm = np.argsort(group, kind="stable")
+    return groups, points[perm], perm
 
 
 def hyp1f1_deriv(a, b, x):
@@ -561,9 +789,15 @@ _LOG_PI = math.log(math.pi)
 
 
 def _log_sin_pi(z: complex) -> complex:
-    """Principal log sin(pi z), also where sin(pi z) overflows (|Im z| past about 226)."""
+    """Principal log sin(pi z), also where sin(pi z) overflows (|Im z| past about 226).
+
+    sin(pi z) = (-1)^n sin(pi (z - n)) with n the integer nearest Re z.
+    z - n is exact, so the sine keeps the distance from z to the pole n,
+    which rounding pi z would lose.
+    """
+    n = round(z.real)
     try:
-        sine = cmath.sin(math.pi * z)
+        sine = cmath.sin(math.pi * (z - n))
     except OverflowError:
         # for Im w > 0, sin(pi w) = (i/2) e^{-i pi w} (1 - e^{2 i pi w}); for
         # Im z < 0 take w = conj(z) and conjugate back
@@ -572,7 +806,7 @@ def _log_sin_pi(z: complex) -> complex:
         log_sin += cmath.log(1.0 - cmath.exp(2j * math.pi * w))
         log_sin = complex(log_sin.real, math.remainder(log_sin.imag, 2.0 * math.pi))
         return log_sin if z.imag > 0 else log_sin.conjugate()
-    return cmath.log(sine)
+    return cmath.log(-sine if n % 2 else sine)
 
 
 def ln_gamma(z) -> complex:

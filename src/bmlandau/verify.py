@@ -553,18 +553,17 @@ def check_damped_profiles():
 def check_kummer_contiguity():
     """b F(a,b;x) - b F(a-1,b;x) - x F(a,b+1;x) = 0 over a parameter grid.
 
-    Each function is one real and one complex hyp1f1 call over the x grid.
+    The 36 functions F(a, b), F(a - 1, b) and F(a, b + 1) of the 12
+    (a, b) rows are one real and one complex broadcast hyp1f1 call over
+    the x grids; each function's values are those of its own call.
     """
+    a, b = (v.reshape(-1, 1) for v in np.meshgrid([0.3, 1.0, 2.5, -0.7], [0.5, 1.7, 3.0], indexing="ij"))
     errors = []
-    for a in (0.3, 1.0, 2.5, -0.7):
-        for b in (0.5, 1.7, 3.0):
-            for x in (np.array([-10.0, -2.0, 0.3, 4.0, 10.0]), np.array([5j, 10j, 3.0 + 4.0j])):
-                f_ab = sf.hyp1f1(a, b, x)
-                f_am = sf.hyp1f1(a - 1.0, b, x)
-                f_bp = sf.hyp1f1(a, b + 1.0, x)
-                resid = b * f_ab - b * f_am - x * f_bp
-                scale = np.abs([b * f_ab, b * f_am, x * f_bp]).max(axis=0)
-                errors.extend(np.abs(resid) / np.maximum(scale, 1e-300))
+    for x in (np.array([-10.0, -2.0, 0.3, 4.0, 10.0]), np.array([5j, 10j, 3.0 + 4.0j])):
+        f_ab, f_am, f_bp = np.split(sf.hyp1f1(np.vstack([a, a - 1.0, a]), np.vstack([b, b, b + 1.0]), x), 3)
+        resid = b * f_ab - b * f_am - x * f_bp
+        scale = np.abs([b * f_ab, b * f_am, x * f_bp]).max(axis=0)
+        errors.extend((np.abs(resid) / np.maximum(scale, 1e-300)).ravel())
     return _worst(errors)
 
 

@@ -167,6 +167,24 @@ class TestLnGamma:
         assert abs(math.remainder(got.imag - want.imag, 2.0 * math.pi)) <= 1e-12 * abs(want)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 30), offset=st.floats(1e-12, 0.3), side=st.sampled_from([1.0, -1.0]),
+           y=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)))
+    @example(n=4, offset=1e-8, side=1.0, y=0.0)  # z = -4 + 1e-8: 9.1e-12 before the reduction
+    @example(n=3, offset=0.0, side=1.0, y=1e-9)  # z = -3 + 1e-9 i: its imaginary part
+    @example(n=20, offset=1e-10, side=1.0, y=-1e-12)
+    def test_near_the_poles_against_mpmath(self, n, offset, side, y):
+        # sin(pi z) is taken at z - n, exact, so the distance to the pole n survives
+        z = complex(-n + side * offset, y)
+        assume(not sf._hits_gamma_pole(z))
+        with mp.workdps(40):
+            want = complex(mp.loggamma(mp.mpc(z)))
+        got = sf.ln_gamma(z)
+        scale = max(1.0, abs(want))
+        assert abs(got.real - want.real) <= 4e-15 * scale
+        assert abs(math.remainder(got.imag - want.imag, 2.0 * math.pi)) <= 4e-15 * scale
+
+
 class TestWhittakerM:
     def test_reduces_to_sinh(self):
         # M_{0,1/2}(x) = 2 sinh(x/2)
@@ -340,7 +358,7 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
             raise ValueError("pole of Kummer function: b is a non-positive integer")
 
     x_arr = np.asarray(x)
-    is_complex = sf._is_nonreal(a) or sf._is_nonreal(b) or np.iscomplexobj(x_arr)
+    is_complex = np.iscomplexobj(a) or np.iscomplexobj(b) or np.iscomplexobj(x_arr)
     work = np.complex128 if is_complex else np.float64
 
     if not polynomial and x_arr.size and np.max(np.abs(x_arr)) > sf.SERIES_RANGE:
@@ -761,6 +779,16 @@ class TestNonFiniteArgument:
         with pytest.raises(ValueError, match="non-finite argument"):
             sf.hyp1f1(-2, 1.5, x)  # polynomial
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(math.nan, 1.0), (1.0, math.inf), (0.5, -math.inf), (complex(0.5, math.nan), 1.0), (-2, math.nan),
+         (np.array([0.5, math.nan]), 1.5), (0.5, np.array([[1.5], [math.inf]]))],
+    )
+    def test_hyp1f1_rejects_non_finite_parameters(self, a, b):
+        # a nan a once ran the series to its budget, and an infinite b returned 1.0
+        with pytest.raises(ValueError, match="^hyp1f1: non-finite argument$"):
+            sf.hyp1f1(a, b, 1.0)
+
     @pytest.mark.parametrize("x", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([0.0, math.inf])])
     def test_bessel_j_rejects(self, x):
         with pytest.raises(ValueError, match="non-finite argument"):
@@ -769,3 +797,102 @@ class TestNonFiniteArgument:
     def test_whittaker_m_rejects(self):
         with pytest.raises(ValueError, match="non-finite argument"):
             sf.whittaker_m(0.0, SQ2, complex(0.0, math.nan))
+
+
+def _broadcast_outcome_equals_groups(a, b, x):
+    """hyp1f1(a, b, x) equals, group by group, the call at that (a, b) on the group's points.
+
+    A group is one distinct (a, b) bit pattern; its points are x broadcast
+    with a and b, taken in order.  Where such a call raises, the broadcast
+    call raises the same exception type.
+    """
+    got = _outcome(sf.hyp1f1, a, b, x)
+    a_b, b_b, x_b = np.broadcast_arrays(np.asarray(a), np.asarray(b), np.asarray(x))
+    groups = {}
+    for index in np.ndindex(a_b.shape):
+        groups.setdefault((a_b[index].tobytes(), b_b[index].tobytes()), []).append(index)
+    wants = [_outcome(sf.hyp1f1, a_b[at[0]].item(), b_b[at[0]].item(), np.array([x_b[i] for i in at]))
+             for at in groups.values()]
+    raised = [want[1] for want in wants if want[0] == "raised"]
+    if raised:
+        assert got[0] == "raised" and got[1] in raised
+        return
+    assert got[0] == "value" and got[3] == a_b.shape
+    values = np.frombuffer(got[4], dtype=got[2]).reshape(got[3])
+    for at, want in zip(groups.values(), wants):
+        assert np.array([values[i] for i in at]).tobytes() == want[4]
+
+
+# parameter rows: generic a, a near or at 0, -1, -2 (the near-polynomial
+# groups), complex a; each row may repeat
+_row_a = st.one_of(
+    _param, st.builds(complex, _param, st.floats(-3.0, 3.0)),
+    st.sampled_from([0.0, -1.0, -2.0, -2.0 + 0.01j, -1.0 + 1e-9j, -2.0 + 1e-8j, 0.02 - 0.01j]),
+)
+_rows = st.lists(st.tuples(_row_a, _real_b), min_size=1, max_size=4).flatmap(
+    lambda rows: st.lists(st.sampled_from(rows), min_size=1, max_size=6)
+)
+_broadcast_x = st.one_of(
+    st.lists(st.floats(-29.5, 29.5, allow_subnormal=False), min_size=0, max_size=6).map(np.array),
+    st.lists(st.builds(lambda t, d: complex(t * d), st.floats(0.0, 2.0), _ray), min_size=1, max_size=6).map(np.array),
+    st.lists(st.builds(lambda t, d: complex(t * d), st.floats(0.0, 29.9), _ray), min_size=1, max_size=6).map(np.array),
+    _on_a_ray(st.floats(2.0, 29.9)),
+    st.floats(-29.5, 29.5, allow_subnormal=False),
+)
+
+
+class TestBroadcast:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_rows, x=_broadcast_x)
+    # the contiguity check's grids, real and complex
+    @example(rows=[(a + da, b + db) for da, db in ((0.0, 0.0), (-1.0, 0.0), (0.0, 1.0))
+                   for a in (0.3, 1.0, 2.5, -0.7) for b in (0.5, 1.7, 3.0)],
+             x=np.array([-10.0, -2.0, 0.3, 4.0, 10.0]))
+    @example(rows=[(1.0, 0.5), (0.0, 0.5), (-0.7, 1.7), (1.0, 0.5)], x=np.array([5j, 10j, 3.0 + 4.0j]))
+    # near-polynomial rows beside generic ones, on the real axis and oblique rays of both half planes
+    @example(rows=[(-2.0 + 0.01j, 0.25), (-2.0, 0.25), (0.5, 0.25), (-2.0 + 0.01j, 0.25)],
+             x=np.array([29.0 * cmath.exp(0.8j), -12.0 + 0j, 1.5j, 25.0 * cmath.exp(2.9j), 3.0 + 0j]))
+    @example(rows=[(0.5, 1.5), (-0.0, 1.5), (0.0, 1.5)], x=np.array([-3.0, 0.0, 2.0]))
+    @example(rows=[(0.5, 1.5), (1.5, 2.5)], x=np.array([]))
+    @example(rows=[(0.5, 1.5), (1.5 + 1j, 2.5)], x=3.0)
+    def test_rows_equal_their_own_calls(self, rows, x):
+        # (R, 1) rows against the x grid, and (R,) rows against each x alone
+        a = np.array([a for a, _ in rows])
+        b = np.array([b for _, b in rows])
+        _broadcast_outcome_equals_groups(a[:, None], b[:, None], x)
+        for xi in np.atleast_1d(x)[:2]:
+            _broadcast_outcome_equals_groups(a, b, xi)
+
+    def test_shapes(self):
+        got = sf.hyp1f1(np.array([[0.5], [1.5]]), 2.0, np.linspace(-1.0, 1.0, 3))
+        assert got.shape == (2, 3) and got.dtype == float
+        assert sf.hyp1f1(np.array([0.5, 1.5]), np.array([2.0, 2.0]), 1j).shape == (2,)
+        empty = sf.hyp1f1(np.array([[0.5], [1.5j]]), 2.0, np.array([]))
+        assert empty.shape == (2, 0) and empty.dtype == complex
+        assert isinstance(sf.hyp1f1(0.5, 2.0, 1.0), float)  # scalar parameters and x: a scalar
+
+    @pytest.mark.parametrize("n", [1000, 20_000])
+    def test_groups_shared_or_alone_keep_their_own_rounding(self, n):
+        # small groups share one sweep (series and continuation); a complex
+        # series group of 16,384 points or more is summed alone, so it gets
+        # numpy's in-place products, as its own call does
+        x = np.concatenate([2j * np.linspace(0.01, 1.0, n), 3.0 * np.exp(1j * np.linspace(-3.0, 3.0, 7))])
+        a, b = np.array([[0.5 + 0.2j], [1.5 - 0.1j], [0.7]]), np.array([[1.2], [2.4], [0.9]])
+        got = sf.hyp1f1(a, b, x)
+        for row in range(3):
+            assert got[row].tobytes() == sf.hyp1f1(complex(a[row, 0]), float(b[row, 0]), x).tobytes()
+
+    def test_integer_array_a_is_refused(self):
+        for a in (np.array([-2, -1]), [0, 1], np.array(-2)):
+            with pytest.raises(ValueError, match="the polynomial case takes a scalar integer a"):
+                sf.hyp1f1(a, 1.5, 1.0)
+
+    def test_pole_in_any_group(self):
+        with pytest.raises(ValueError, match="^pole of Kummer function"):
+            sf.hyp1f1(np.array([0.5, 0.5]), np.array([1.5, -2.0]), 1.0)
+        with pytest.raises(ValueError, match="^pole of Kummer function"):
+            sf.hyp1f1(-3, np.array([-3.0, -2.0]), 2.0)  # degree 3 reaches the pole -2
+        # a polynomial of degree n passes b = -m >= n in every group
+        for b in (np.array([-3.0, 2.0, -3.0]), np.array([-3.0 + 0j, 2.0])):
+            got = sf.hyp1f1(-1, b, 2.0)
+            assert got.tolist() == [sf.hyp1f1(-1, b_k, 2.0) for b_k in b.tolist()]

@@ -58,6 +58,27 @@ def test_report_gives_each_check_direction():
     ]
 
 
+def test_kummer_contiguity_makes_one_sweep_per_region(sweeps, monkeypatch):
+    # the 36 functions are one real and one complex hyp1f1 call: the real call
+    # sums x >= 0 (3 points) and the transformed x < 0 (2 points) of all 36 at
+    # once; in the complex call the 3 functions with a = 0 sum their
+    # terminating series, and the other 33 continue along the rays through
+    # 5i, 10i and 3 + 4i, one node chain per distinct (a, b, ray): the rows
+    # (0.3 - 1, b) and (-0.7, b) are one (a, b), so 30 pairs make 60 chains
+    chains = []
+    taylor = vf.sf._taylor_coefficients
+
+    def counting(a, a_lo, b, x0, *rest):
+        if x0 == 0:
+            chains.append((a, b))
+        return taylor(a, a_lo, b, x0, *rest)
+
+    monkeypatch.setattr(vf.sf, "_taylor_coefficients", counting)
+    assert vf.check_kummer_contiguity().passed
+    assert sweeps == [36 * 3, 36 * 2, 3 * 3, 33 * 3]
+    assert len(chains) == 30 * 2 and len(set(chains)) == 30
+
+
 def test_invariant_constancy_evaluates_each_kummer_sweep_once(sweeps):
     # the radial pair at a = 0 needs 1F1(0, 1/2), 1F1(1, 3/2), 1F1(1/2, 3/2)
     # and 1F1(3/2, 5/2) on the 600-point grid, each once for all coefficient sets
