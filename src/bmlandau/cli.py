@@ -20,12 +20,13 @@ Every float and complex input (flags, the --kz list, grid bounds, the
 config constants) must be finite; nan and inf are usage errors.
 
 Output is deterministic: CSV uses a header row, comma delimiter, LF line
-ends and 17 significant digits (each cell as format(x, ".17g"); one row
-template per table, "%s" in its str columns and "%.17g" elsewhere, gives
-the same bytes), so repeated runs are byte-identical. A JSON table is
-byte-identical to json.dumps({"columns", "rows", "metadata"}, indent=2):
-a row of finite floats is formatted by one "%r" template (float.__repr__
-is the text json writes for a finite float), any other row by json.dumps.
+ends and 17 significant digits (each cell as format(x, ".17g")), so
+repeated runs are byte-identical. A JSON table is byte-identical to
+json.dumps({"columns", "rows", "metadata"}, indent=2). Each table is one
+template over its flat cells, filled by one "%": a number cell takes a
+"%.17g" slot in CSV and a finite float a "%r" slot in JSON (float.__repr__
+is the text json writes for it); any other cell takes a "%s" slot holding
+its text, a str as it is or "" for a gap in CSV, json.dumps(cell) in JSON.
 The verify report is small and nested and goes through json.dumps whole.
 
 The argument parser is built on the first call of main and reused by
@@ -71,10 +72,6 @@ class RunConfig:
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _finite(text, kind=float):
@@ -158,39 +155,41 @@ def _load_config(args) -> RunConfig:
 
 
 def _emit_table(columns, rows, metadata, config: RunConfig) -> str:
+    """The table as text: one template over the flat cells of rows (a 2-D
+    array or equal-length rows), filled by one "%"."""
+    width, floats = len(columns), isinstance(rows, np.ndarray) and rows.dtype == float
+    cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else list(itertools.chain.from_iterable(rows))
     if config.fmt == "csv":
-        # "%s" where the first row holds a str (a str column is str in every row)
-        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) if rows else ""
-        lines = [",".join(columns)]
-        for row in rows:
-            try:
-                lines.append(template % tuple(row))
-            except TypeError:  # a None (gap) cell: format cell by cell
-                lines.append(",".join("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        plain, lead, sep, end = "%.17g", "", ",", "\n"
+        odd = [] if floats else [i for i, v in enumerate(cells) if v is None or isinstance(v, str)]
+        as_text = lambda v: "" if v is None else v  # a gap (None) cell is empty
+    else:
+        # the layout json.dumps(indent=2) gives a row of floats at depth 2
+        plain, lead, sep, end = "%r", "    [\n      ", ",\n      ", "\n    ],\n"
+        if floats:
+            odd = np.flatnonzero(~np.isfinite(rows.ravel())).tolist()
+        else:
+            odd = [i for i, v in enumerate(cells) if type(v) is not float or not math.isfinite(v)]
+        as_text = json.dumps
+    row = lead + sep.join([plain] * width) + end
+    template = row * (len(cells) // width)
+    if odd:  # each odd cell's slot becomes "%s", its value its text
+        pieces, start = [], 0
+        for i in odd:
+            at = (i // width) * len(row) + len(lead) + (i % width) * (len(plain) + len(sep))
+            pieces += template[start:at], "%s"
+            start = at + len(plain)
+            cells[i] = as_text(cells[i])
+        template = "".join(pieces) + template[start:]
+    body = template % tuple(cells)
+    if config.fmt == "csv":
+        return ",".join(columns) + "\n" + body
     text = json.dumps({"columns": list(columns), "rows": [], "metadata": metadata}, indent=2)
-    if rows:
+    if cells:
         # the first '"rows": []' is the key itself: only the columns come
         # before it, and a JSON string holds no unescaped quote
-        text = text.replace('"rows": []', '"rows": [\n' + _json_rows(rows, len(columns)) + "\n  ]", 1)
+        text = text.replace('"rows": []', '"rows": [\n' + body[:-2] + "\n  ]", 1)
     return text + "\n"
-
-
-def _json_row(row) -> str:
-    """One row as json.dumps(payload, indent=2) writes it at depth 2."""
-    return "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
-
-
-def _json_rows(rows, width: int) -> str:
-    # the layout json.dumps gives a row of floats, each cell a "%r" slot
-    template = _json_row([0.0] * width).replace("0.0", "%r")
-    floats = (float,) * width
-    # sum(row) is finite only if every cell is; an overflowing sum merely
-    # sends its row to json.dumps
-    return ",\n".join([
-        template % row if tuple(map(type, row)) == floats and math.isfinite(sum(row)) else _json_row(row)
-        for row in map(tuple, rows)
-    ])
 
 
 def _write(text: str, config: RunConfig):
@@ -231,7 +230,7 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         flags = [(flag,) for flag in sp.ordering_flags(l, *energies).tolist()]
     rows = []
     for (a, b, c), flag, state_energies in zip(states, flags, zip(*(e.tolist() for e in energies))):
-        rows += [[str(a), str(b), _fmt(c), m, e, *flag] for m, e in zip(models, state_energies)]
+        rows += [[str(a), str(b), format(c, ".17g"), m, e, *flag] for m, e in zip(models, state_energies)]
     meta = {"command": "spectrum", "model": args.model}
     _write(_emit_table(columns, rows, meta, config), config)
     return 0
@@ -287,10 +286,10 @@ def cmd_amplitude(args, config: RunConfig) -> int:
     values = np.asarray(values)
     if np.iscomplexobj(values):
         columns = [sector, "value", "value_im"]
-        rows = list(zip(grid.tolist(), values.real.tolist(), values.imag.tolist()))
+        rows = np.column_stack((grid, values.real, values.imag))
     else:
         columns = [sector, "value"]
-        rows = list(zip(grid.tolist(), values.astype(float).tolist()))
+        rows = np.column_stack((grid, values))
     meta = {"command": "amplitude", "sector": sector, "branch": branch}
     _write(_emit_table(columns, rows, meta, config), config)
     return 0
@@ -320,10 +319,10 @@ def cmd_flow(args, config: RunConfig) -> int:
     ok = ~pole
     pi_vals = np.empty_like(grid)
     pi_vals[ok] = pi_theta_closed(grid[ok], ctx)
-    theta = grid.tolist()
-    rows = list(zip(theta, pi_vals.tolist(), s_theta_closed(grid, ctx).tolist()))
-    for i in np.flatnonzero(pole).tolist():
-        rows[i] = (theta[i], None, None)  # momentum pole: gap row
+    rows = np.column_stack((grid, pi_vals, s_theta_closed(grid, ctx)))
+    if pole.any():  # momentum pole: gap row
+        rows = rows.astype(object)
+        rows[pole, 1:] = None
     columns = ["theta", "pi_theta", "s_theta"]
     meta = {
         "command": "flow",

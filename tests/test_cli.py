@@ -617,9 +617,9 @@ class TestByteIdentity:
         from bmlandau.core import PhysParams
 
         config = RunConfig(params=PhysParams(), fmt="csv", out=None, tol=None)
-        rows = [(0.1, None, None), ["0", "1", 0.1, "qm", 0.5]]
-        text = _emit_table(["a", "b", "c"], rows, {}, config)
-        assert text == "a,b,c\n0.10000000000000001,,\n0,1,0.10000000000000001,qm,0.5\n"
+        rows = [(0.1, None, None, None, None), ["0", "1", 0.1, "qm", 0.5]]
+        text = _emit_table(["a", "b", "c", "d", "e"], rows, {}, config)
+        assert text == "a,b,c,d,e\n0.10000000000000001,,,,\n0,1,0.10000000000000001,qm,0.5\n"
 
 
 def _cell_by_cell_csv(columns, rows):
@@ -794,4 +794,40 @@ class TestJsonEmitter:
         columns, rows, metadata = table
         config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
         want = json.dumps({"columns": columns, "rows": rows, "metadata": metadata}, indent=2) + "\n"
+        assert _emit_table(columns, rows, metadata, config) == want
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e308, -1e308,
+                     1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def _array_tables(draw):
+    """A float array as the CLI passes it, gap rows as flow writes them."""
+    width, n = draw(st.integers(1, 4)), draw(st.integers(1, 50))
+    rows = np.array(draw(st.lists(_EDGE_FLOATS, min_size=width * n, max_size=width * n))).reshape(n, width)
+    # half the tables have no gap rows and stay float arrays
+    gaps = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if draw(st.booleans()) else [False]
+    if any(gaps):
+        rows = rows.astype(object)
+        rows[np.array(gaps), 1:] = None
+    return [f"c{i}" for i in range(width)], rows, draw(_METADATA)
+
+
+class TestArrayTables:
+    """A whole-array table gives the bytes of the per-cell rules."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_array_tables())
+    def test_equals_per_cell_rules(self, table):
+        from bmlandau.cli import RunConfig, _emit_table
+
+        columns, rows, metadata = table
+        csv = RunConfig(params=PhysParams(), fmt="csv", out=None, tol=None)
+        assert _emit_table(columns, rows, metadata, csv) == _cell_by_cell_csv(columns, rows)
+        config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
+        want = json.dumps({"columns": columns, "rows": rows.tolist(), "metadata": metadata}, indent=2) + "\n"
         assert _emit_table(columns, rows, metadata, config) == want
