@@ -842,7 +842,8 @@ def whittaker_m(kappa, mu, x):
     """Whittaker function M_{kappa,mu}(x), scalar or array x.
 
     M = exp(-x/2) x^{mu+1/2} 1F1(mu - kappa + 1/2, 1 + 2 mu; x), with the
-    principal branch of x^{mu+1/2} (cut on the negative real axis).  The
+    principal branch of x^{mu+1/2} (cut on the negative real axis, where a
+    -0 imaginary part takes the lower side, as numpy's log does).  The
     error is that of ``hyp1f1`` times |exp(-x/2) x^{mu+1/2}|, plus the
     rounding of x^{mu+1/2} = exp((mu + 1/2) log x), about
     eps |(mu + 1/2) log x| relative.  At x = 0, M is 0 for Re(mu + 1/2) > 0

@@ -579,16 +579,21 @@ def _assert_sector_m(kappa, mu, x, tol):
     adds the rounding of the power exp((mu + 1/2) log x),
     2 eps (1 + |(mu + 1/2) log x|) |M|, and for a subnormal M (tiny x with
     mu > 0) the spacing of the subnormal grid, 2^-1074, for each of the
-    three roundings into it (the power and two products).
+    three roundings into it (the power and two products).  mpmath has no
+    signed zero and puts the cut at arg x = pi; a -0 imaginary part on the
+    negative axis is the cut's lower side, arg x = -pi, as numpy's log reads
+    it, so there the reference turns by exp(-2 pi i (mu + 1/2)).
     """
     a, b = mu - kappa + 0.5, 1.0 + 2.0 * mu
     assume(_off_recessive(a) and _off_recessive(b - a))
     got = np.atleast_1d(sf.whittaker_m(kappa, mu, x))
     for xi, value in zip(np.atleast_1d(x).tolist(), got.tolist()):
         want, want_d = _mp_hyp1f1_pair(a, b, xi)
+        below_cut = xi.real < 0 and xi.imag == 0 and math.copysign(1.0, xi.imag) < 0
         with mp.workdps(30):
-            prefactor = abs(complex(mp.exp(-mp.mpc(xi) / 2) * mp.power(mp.mpc(xi), mu + 0.5)))
-            want_m = complex(mp.whitm(kappa, mu, xi))
+            turn = mp.exp(-2j * mp.pi * (mu + 0.5)) if below_cut else 1
+            prefactor = abs(complex(turn * mp.exp(-mp.mpc(xi) / 2) * mp.power(mp.mpc(xi), mu + 0.5)))
+            want_m = complex(turn * mp.whitm(kappa, mu, xi))
         power = 4.4e-16 * (1.0 + abs((mu + 0.5) * cmath.log(xi))) * abs(want_m) + 3 * 2.0**-1074
         assert abs(value - want_m) <= tol(xi) * prefactor * (abs(want) + abs(want_d)) + power
 
@@ -704,6 +709,9 @@ class TestSeriesKernel:
     @example(kappa=-0.25j, mu=SQ2, x=np.array([0.4j, 4j, 30j, -30j]))
     @example(kappa=1.0, mu=SQ2, x=np.array([0.0057 - 0.0082j, 5e-324j]))
     @example(kappa=0.0, mu=SQ2, x=np.array([8.187872454654166e-261 + 2.090707083284197e-261j]))  # subnormal M
+    # a -0 imaginary part on the negative axis: the lower side of the cut
+    @example(kappa=0.0, mu=-SQ2, x=complex(-5e-324, -0.0))
+    @example(kappa=0.3, mu=SQ2, x=np.array([complex(-2.5, -0.0), complex(-2.5, 0.0), complex(-5e-324, -0.0)]))
     def test_whittaker_m_sector_against_mpmath(self, kappa, mu, x):
         # the docstring bound 1e-15 (|x| <= 4) and 1e-14 (|x| <= 30)
         _assert_sector_m(kappa, mu, x, lambda xi: 1e-15 if abs(xi) <= 4.0 else 1e-14)
