@@ -831,3 +831,50 @@ class TestArrayTables:
         config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
         want = json.dumps({"columns": columns, "rows": rows.tolist(), "metadata": metadata}, indent=2) + "\n"
         assert _emit_table(columns, rows, metadata, config) == want
+
+
+class TestCsvDigits:
+    """The CSV digit grid writes format(x, ".17g") for every float."""
+
+    @staticmethod
+    def _check(values, width=1):
+        from bmlandau.cli import _csv_text
+
+        values = np.asarray(values, dtype=float)
+        columns = [f"c{i}" for i in range(width)]
+        rows = values[: values.size // width * width].reshape(-1, width)
+        assert _csv_text(columns, rows) == _cell_by_cell_csv(columns, rows.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60), st.integers(1, 4))
+    def test_bit_patterns(self, bits, width):
+        self._check(np.array(bits, dtype=np.uint64).view(np.float64), width)
+
+    def test_many_cells_across_blocks(self):
+        # rows of 3 straddle the 2**14-cell blocks
+        rng = np.random.default_rng(7919)
+        self._check(rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64), 3)
+        self._check(rng.standard_normal(60_000) * 10.0 ** rng.integers(-250, 250, 60_000), 3)
+
+    def test_powers_of_ten_and_neighbours(self):
+        # log10 of a float just below a power of ten rounds up to it
+        tens = 10.0 ** np.arange(-323, 309)
+        self._check(np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens]))
+
+    def test_ties_go_to_format(self):
+        from bmlandau.cli import _round17
+
+        # (4e15 + 1) / 4 = 1000000000000000.25: 18 digits, so its 17-digit rounding is a tie
+        ties = np.array([4000000000000001, 4000000000000003, 4000000000000005]) / 4
+        assert _round17(ties, np.full(3, 15))[2].all()
+        self._check(np.concatenate([ties, -ties]))
+
+    def test_outside_the_digit_range(self):
+        self._check([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-240, 9.99e-241, 1e240,
+                     1.01e240, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+
+    def test_long_and_non_ascii_labels(self):
+        from bmlandau.cli import _csv_text
+
+        rows = [["x" * 60, 0.1, None], ["λ = l²", -2.5e-7, "\U0001f600"]]
+        assert _csv_text(["a", "b", "c"], rows) == _cell_by_cell_csv(["a", "b", "c"], rows)
