@@ -192,7 +192,8 @@ def _emit_table(columns, rows, metadata, config: RunConfig) -> str:
 _BLOCK = 1 << 14  # cells per block: bounds the scratch arrays
 _GRID = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000", np.uint8)  # sign, "0.000", digits and points, exponent
 _DIGITS = slice(6, 39, 2)  # digit j of 17 at column 6 + 2j; column 7 + 2j is a point after it
-_QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view(np.uint32).ravel()  # "0000".."9999"
+# "0000".."9999" as 4-byte words, indexed by value
+_QUADS = np.ascontiguousarray(np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1) + 48).view(np.uint32).ravel()
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a float into two 26-bit halves
 
 
@@ -236,31 +237,24 @@ def _round17(a, X):
 
 @cache
 def _shown(width: int):
-    """The mask row of every cell shape, at the index _shape gives it: a
-    width-byte row whose last column is the separator."""
-    neg, sci, big, X, m = (
-        v.ravel() for v in np.meshgrid([0, 1], [0, 1], [0, 1], range(-4, 17), range(1, 18), indexing="ij")
-    )
-    sci, big = sci == 1, big == 1
+    """The mask row of every cell shape, a width-byte row whose last column
+    is the separator, indexed by sign, scientific form, 3-digit exponent,
+    exponent + 4 of a fixed-form cell and count of significant digits - 1."""
+    no_yes = [False, True]
+    neg, sci, big, X, m = np.meshgrid(no_yes, no_yes, no_yes, range(-4, 17), range(1, 18), indexing="ij", sparse=True)
     q = np.where(sci, 1, np.maximum(X + 1, 0))  # digits before the point
     m = np.where(sci, m, np.maximum(m, q))  # digits shown
     lead = ~sci & (X < 0)  # "0." and -X - 1 zeros before the digits
-    show = np.zeros((len(X), width), bool)
-    show[:, 0] = neg
-    show[:, 1] = show[:, 2] = lead
-    show[:, 3:6] = np.arange(3) < np.where(lead, -1 - X, 0)[:, None]
-    show[:, _DIGITS] = np.arange(17) < m[:, None]
-    show[:, 7:38:2] = (np.arange(1, 17) == q[:, None]) & (q < m)[:, None]
-    show[:, 39:41] = show[:, 42:44] = sci[:, None]
-    show[:, 41] = sci & big
-    show[:, -1] = True
+    show = np.zeros((2, 2, 2, 21, 17, width), bool)
+    show[..., 0] = neg
+    show[..., 1] = show[..., 2] = lead
+    show[..., 3:6] = np.arange(3) < np.where(lead, -1 - X, 0)[..., None]
+    show[..., _DIGITS] = np.arange(17) < m[..., None]
+    show[..., 7:38:2] = (np.arange(1, 17) == q[..., None]) & (q < m)[..., None]
+    show[..., 39:41] = show[..., 42:44] = sci[..., None]
+    show[..., 41] = sci & big
+    show[..., -1] = True
     return show
-
-
-def _shape(neg, sci, big, X, m):
-    """Index into _shown of a cell: sign, scientific form, 3-digit exponent,
-    exponent of a fixed-form cell and the count of significant digits."""
-    return (((neg * 2 + sci) * 2 + big) * 21 + np.where(sci, 0, X + 4)) * 17 + m - 1
 
 
 def _csv_text(columns, rows) -> str:
@@ -318,7 +312,9 @@ def _csv_text(columns, rows) -> str:
         grid[:, 40] = np.where(X < 0, ord("-"), ord("+"))
         grid[:, 41], grid[:, 42], grid[:, 43] = e // 100 + 48, e // 10 % 10 + 48, e % 10 + 48
         grid[:, -1] = seps[(start + np.arange(c)) % width]
-        show = _shown(W)[_shape(np.signbit(x), (X < -4) | (X > 16), e >= 100, X, m)]
+        sci = (X < -4) | (X > 16)
+        flags = (np.signbit(x), sci, e >= 100)
+        show = _shown(W)[(*(f.view(np.int8) for f in flags), np.where(sci, 0, X + 4), m - 1)]
         if texts:
             grid[odd, :-1] = np.frombuffer(b"".join(t.ljust(W - 1, b"\0") for t in texts), np.uint8).reshape(-1, W - 1)
             show[odd, :-1] = np.arange(W - 1) < np.array([len(t) for t in texts])[:, None]
