@@ -21,13 +21,16 @@ config constants) must be finite; nan and inf are usage errors.
 
 Output is deterministic: CSV uses a header row, comma delimiter, LF line
 ends and 17 significant digits (each cell as format(x, ".17g")), so
-repeated runs are byte-identical. CSV text is built by numpy from the
-whole table (_csv_text): the 17 digits of each float are one integer,
-laid out in a byte grid with a mask of the characters the cell shows. A
-JSON table is byte-identical to json.dumps({"columns", "rows",
-"metadata"}, indent=2): one template over its flat cells, filled by one
-"%", where a finite float takes a "%r" slot (float.__repr__ is the text
-json writes for it) and any other cell a "%s" slot holding json.dumps(cell).
+repeated runs are byte-identical. CSV text is built by numpy a block of
+cells at a time (_csv_text): the 17 digits of each float are one integer,
+laid out in a byte grid with a mask of the characters the cell shows.
+The blocks of a table are written by one thread per CPU the process may
+run on and joined in order; a table of one block, or a process on one
+CPU, writes them inline. A JSON table is byte-identical to
+json.dumps({"columns", "rows", "metadata"}, indent=2): one template over
+its flat cells, filled by one "%", where a finite float takes a "%r"
+slot (float.__repr__ is the text json writes for it) and any other cell
+a "%s" slot holding json.dumps(cell).
 The verify report is small and nested and goes through json.dumps whole.
 
 The argument parser is built on the first call of main and reused by
@@ -41,6 +44,7 @@ import cmath
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
@@ -124,7 +128,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"bad grid syntax {text!r}; expected START:STOP:COUNT with finite bounds")
     if count < 2 or not stop > start or not cmath.isfinite(stop - start):
         raise UsageError("grid needs COUNT >= 2 and STOP > START with a finite span")
-    return np.linspace(start, stop, count)
+    try:
+        return np.linspace(start, stop, count)
+    except MemoryError:
+        raise UsageError(f"grid COUNT {count} is too large to allocate") from None
 
 
 def _load_config(args) -> RunConfig:
@@ -186,14 +193,15 @@ def _emit_table(columns, rows, metadata, config: RunConfig) -> str:
     return text.replace('"rows": []', '"rows": [\n' + body + "\n  ]", 1) + "\n"
 
 
-# The CSV text is built as bytes, one block of cells at a time.  Each cell
-# is a row of a byte grid holding every character its text can have, in
-# the column layout of _GRID, and a mask row picks the ones it shows.
-_BLOCK = 1 << 14  # cells per block: bounds the scratch arrays
+# Each block of CSV cells is built as bytes.  Each cell is a row of a byte
+# grid holding every character its text can have, in the column layout of
+# _GRID, and a mask row picks the ones it shows.
+_BLOCK = 1 << 13  # cells per block: bounds each thread's scratch arrays
 _GRID = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000", np.uint8)  # sign, "0.000", digits and points, exponent
 _DIGITS = slice(6, 39, 2)  # digit j of 17 at column 6 + 2j; column 7 + 2j is a point after it
 # "0000".."9999" as 4-byte words, indexed by value
 _QUADS = np.ascontiguousarray(np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1) + 48).view(np.uint32).ravel()
+_QUADS.flags.writeable = False  # shared by the block threads, like _GRID and the _shown masks
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a float into two 26-bit halves
 
 
@@ -254,6 +262,7 @@ def _shown(width: int):
     show[..., 39:41] = show[..., 42:44] = sci[..., None]
     show[..., 41] = sci & big
     show[..., -1] = True
+    show.flags.writeable = False
     return show
 
 
@@ -264,7 +273,8 @@ def _csv_text(columns, rows) -> str:
     The 17 digits of |x| are the integer nearest |x| * 10**(16 - X), X its
     decimal exponent, from _round17; format() writes a cell this cannot
     settle (a near tie, nan, inf, |x| outside 1e-240..1e240) and every str
-    cell.
+    cell.  The blocks of _BLOCK cells are written by _csv_block, on the
+    _block_pool threads for a table of more than one block.
     """
     width = len(columns)
     if isinstance(rows, np.ndarray) and rows.dtype == float:
@@ -276,50 +286,75 @@ def _csv_text(columns, rows) -> str:
     is_text = np.zeros(len(values), bool)
     is_text[list(text)] = True
     seps = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
-    out = [(",".join(columns) + "\n").encode("utf-8", "surrogatepass")]
-    for start in range(0, len(values), _BLOCK):
-        x = values[start : start + _BLOCK]
-        c, a = len(x), np.abs(x)
-        zero, sure = a == 0, (a >= 1e-240) & (a <= 1e240)
-        a = np.where(sure, a, 1.0)
-        X = np.floor(np.log10(a)).astype(np.int64)
+    starts = range(0, len(values), _BLOCK)
+    pool = _block_pool() if len(starts) > 1 else None
+    blocks = (pool.map if pool else map)(partial(_csv_block, values, is_text, text, seps), starts)
+    return "".join([",".join(columns) + "\n", *blocks])
+
+
+def _csv_block(values, is_text, text, seps, start) -> str:
+    """The CSV text of the _BLOCK cells of values from start on.  It may run
+    on a pool thread, so it calls only numpy and this module's private
+    helpers: a tracer that wraps the package's public functions need not
+    be thread-safe."""
+    x = values[start : start + _BLOCK]
+    c, a = len(x), np.abs(x)
+    zero, sure = a == 0, (a >= 1e-240) & (a <= 1e240)
+    a = np.where(sure, a, 1.0)
+    X = np.floor(np.log10(a)).astype(np.int64)
+    N, low, tie = _round17(a, X)
+    off = (low >= 10**17).astype(np.int64) - (low < 10**16)
+    if off.any():  # log10 rounded across a power of ten
+        X += off
         N, low, tie = _round17(a, X)
-        off = (low >= 10**17).astype(np.int64) - (low < 10**16)
-        if off.any():  # log10 rounded across a power of ten
-            X += off
-            N, low, tie = _round17(a, X)
-        sure &= ~tie & (low >= 10**16) & (N < 10**17)
-        N, X = np.where(sure, N, 0), np.where(sure, X, 0)  # N = 0 prints "0", the text of a zero cell
-        quads = np.empty((c, 4), np.int64)
-        head, rest = np.divmod(N, 10**16)
-        quads[:, 0], rest = np.divmod(rest, 10**12)
-        quads[:, 1], rest = np.divmod(rest, 10**8)
-        quads[:, 2], quads[:, 3] = np.divmod(rest, 10**4)
-        digits = np.empty((c, 17), np.uint8)
-        digits[:, 0] = head + 48
-        digits[:, 1:] = _QUADS[quads].view(np.uint8).reshape(c, 16)
-        m = np.where(N == 0, 1, 17 - np.argmax(digits[:, ::-1] != 48, axis=1))  # through the last nonzero digit
-        odd = np.flatnonzero(~(sure | zero) | is_text[start : start + c])
-        texts = [
-            (text[i] if i in text else format(v, ".17g")).encode("utf-8", "surrogatepass")
-            for i, v in zip((odd + start).tolist(), x[odd].tolist())
-        ]
-        W = max([_GRID.size + 1] + [len(t) + 1 for t in texts])
-        grid = np.empty((c, W), np.uint8)
-        grid[:, : _GRID.size] = _GRID
-        grid[:, _DIGITS] = digits
-        e = np.abs(X)
-        grid[:, 40] = np.where(X < 0, ord("-"), ord("+"))
-        grid[:, 41], grid[:, 42], grid[:, 43] = e // 100 + 48, e // 10 % 10 + 48, e % 10 + 48
-        grid[:, -1] = seps[(start + np.arange(c)) % width]
-        sci = (X < -4) | (X > 16)
-        flags = (np.signbit(x), sci, e >= 100)
-        show = _shown(W)[(*(f.view(np.int8) for f in flags), np.where(sci, 0, X + 4), m - 1)]
-        if texts:
-            grid[odd, :-1] = np.frombuffer(b"".join(t.ljust(W - 1, b"\0") for t in texts), np.uint8).reshape(-1, W - 1)
-            show[odd, :-1] = np.arange(W - 1) < np.array([len(t) for t in texts])[:, None]
-        out.append(np.compress(show.ravel(), grid.ravel()).tobytes())
-    return b"".join(out).decode("utf-8", "surrogatepass")
+    sure &= ~tie & (low >= 10**16) & (N < 10**17)
+    N, X = np.where(sure, N, 0), np.where(sure, X, 0)  # N = 0 prints "0", the text of a zero cell
+    quads = np.empty((c, 4), np.int64)
+    head, rest = np.divmod(N, 10**16)
+    quads[:, 0], rest = np.divmod(rest, 10**12)
+    quads[:, 1], rest = np.divmod(rest, 10**8)
+    quads[:, 2], quads[:, 3] = np.divmod(rest, 10**4)
+    digits = np.empty((c, 17), np.uint8)
+    digits[:, 0] = head + 48
+    digits[:, 1:] = _QUADS[quads].view(np.uint8).reshape(c, 16)
+    m = np.where(N == 0, 1, 17 - np.argmax(digits[:, ::-1] != 48, axis=1))  # through the last nonzero digit
+    odd = np.flatnonzero(~(sure | zero) | is_text[start : start + c])
+    texts = [
+        (text[i] if i in text else format(v, ".17g")).encode("utf-8", "surrogatepass")
+        for i, v in zip((odd + start).tolist(), x[odd].tolist())
+    ]
+    W = max([_GRID.size + 1] + [len(t) + 1 for t in texts])
+    grid = np.empty((c, W), np.uint8)
+    grid[:, : _GRID.size] = _GRID
+    grid[:, _DIGITS] = digits
+    e = np.abs(X)
+    grid[:, 40] = np.where(X < 0, ord("-"), ord("+"))
+    grid[:, 41], grid[:, 42], grid[:, 43] = e // 100 + 48, e // 10 % 10 + 48, e % 10 + 48
+    grid[:, -1] = seps[(start + np.arange(c)) % len(seps)]
+    sci = (X < -4) | (X > 16)
+    flags = (np.signbit(x), sci, e >= 100)
+    show = _shown(W)[(*(f.view(np.int8) for f in flags), np.where(sci, 0, X + 4), m - 1)]
+    if texts:
+        grid[odd, :-1] = np.frombuffer(b"".join(t.ljust(W - 1, b"\0") for t in texts), np.uint8).reshape(-1, W - 1)
+        show[odd, :-1] = np.arange(W - 1) < np.array([len(t) for t in texts])[:, None]
+    # a block ends at a cell's end, so its bytes decode on their own
+    return np.compress(show.ravel(), grid.ravel()).tobytes().decode("utf-8", "surrogatepass")
+
+
+@cache
+def _block_pool():
+    """The CSV block writers: one thread per CPU this process may run on,
+    made by the first table of more than one block; None on one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(cpus, thread_name_prefix="bmlandau-csv")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads: it makes its own
+    os.register_at_fork(after_in_child=_block_pool.cache_clear)
 
 
 def _write(text: str, config: RunConfig):

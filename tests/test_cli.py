@@ -1,8 +1,13 @@
 """Command-line contract: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +507,16 @@ class TestErrorExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_grid_count_past_memory(self, capsys):
+        # 10**18 float64 points: numpy refuses the allocation at once, so no memory is used
+        code, out, err = run_cli(
+            ["amplitude", "--sector", "z", "--branch", "regularised", "--kz", "1", "--grid", f"0:1:{10**18}"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid COUNT {10**18} is too large to allocate\n"
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         path = tmp_path / "no_such_dir" / "out.csv"
         code, _, err = run_cli(
@@ -851,10 +866,30 @@ class TestCsvDigits:
         self._check(np.array(bits, dtype=np.uint64).view(np.float64), width)
 
     def test_many_cells_across_blocks(self):
-        # rows of 3 straddle the 2**14-cell blocks
+        from bmlandau.cli import _BLOCK
+
+        # rows of 3 straddle the blocks, and the last block is a part block
+        n = 15 * _BLOCK // 2 + 1
         rng = np.random.default_rng(7919)
-        self._check(rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64), 3)
-        self._check(rng.standard_normal(60_000) * 10.0 ** rng.integers(-250, 250, 60_000), 3)
+        self._check(rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64), 3)
+        self._check(rng.standard_normal(n) * 10.0 ** rng.integers(-250, 250, n), 3)
+
+    def test_text_and_gap_cells_at_block_edges(self):
+        from bmlandau.cli import _BLOCK, _csv_text
+
+        # str cells (multi-byte and a lone surrogate among them) and gaps on
+        # both sides of four block edges, so every block decodes on its own
+        cells = np.random.default_rng(3).standard_normal((4 * _BLOCK + 5) // 3 * 3).tolist()
+        edges = {
+            1: ["label", None, "λ = l²", None],
+            2: [None, "\U0001f600", None, "\ud800"],
+            3: ["x" * 60, None, None, "λ"],
+            4: [None, "\ud800", "\U0001f600", None],
+        }
+        for k, marks in edges.items():  # the last two cells of block k, then the first two of block k + 1
+            cells[k * _BLOCK - 2 : k * _BLOCK + 2] = marks
+        rows = [cells[i : i + 3] for i in range(0, len(cells), 3)]
+        assert _csv_text(["a", "b", "c"], rows) == _cell_by_cell_csv(["a", "b", "c"], rows)
 
     def test_powers_of_ten_and_neighbours(self):
         # log10 of a float just below a power of ten rounds up to it
@@ -878,3 +913,116 @@ class TestCsvDigits:
 
         rows = [["x" * 60, 0.1, None], ["λ = l²", -2.5e-7, "\U0001f600"]]
         assert _csv_text(["a", "b", "c"], rows) == _cell_by_cell_csv(["a", "b", "c"], rows)
+
+
+class TestCsvBlockThreads:
+    """The blocks of a CSV table are written on one thread per CPU and joined
+    in order; one block, or a process on one CPU, writes them inline."""
+
+    @staticmethod
+    def _python(code):
+        """Run code in a fresh interpreter that imports this bmlandau; its stdout."""
+        from bmlandau import cli
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+    def test_multi_block_flow_with_gap_rows(self, capsys, monkeypatch, tmp_path):
+        from bmlandau import cli
+
+        # hbar = 1e9 makes the momentum denominator touch zero at 3 pi / 4; a
+        # 1e-8 step puts ~140 gap rows there, centred on the first block edge
+        n, step = cli._BLOCK + 1, 1e-8
+        lo = 3 * math.pi / 4 - step * (cli._BLOCK // 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hbar": 1e9}))
+        tables, emit = [], cli._emit_table
+        monkeypatch.setattr(cli, "_emit_table", lambda *args: tables.append(args[:2]) or emit(*args))
+        argv = ["flow", "--lambda", "1", "--e-pi", "1", "--grid", f"{lo!r}:{lo + step * (n - 1)!r}:{n}"]
+        code, out, _ = run_cli(["--config", str(cfg)] + argv, capsys)
+        assert code == 0
+        [(columns, rows)] = tables
+        flat = rows.ravel()
+        assert flat.size > 3 * cli._BLOCK
+        assert flat[cli._BLOCK - 1] is None and flat[cli._BLOCK] is None
+        assert out == _cell_by_cell_csv(columns, rows)
+
+    def test_shared_tables_are_read_only(self):
+        from bmlandau.cli import _GRID, _QUADS, _shown
+
+        for table in (_GRID, _QUADS, _shown(45)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_concurrent_tables_share_the_pool_and_masks(self):
+        import threading
+
+        from bmlandau import cli
+
+        # six callers, more than the pool's threads, race to build the _shown
+        # masks and powers of ten from empty caches while they share the pool
+        rng = np.random.default_rng(8)
+        tables = [rng.standard_normal((cli._BLOCK, width)) * 10.0 ** rng.integers(-30, 30, (cli._BLOCK, width))
+                  for width in (1, 2, 3, 4, 5, 6)]
+        want = [_cell_by_cell_csv([f"c{i}" for i in range(t.shape[1])], t.tolist()) for t in tables]
+        got = [None] * len(tables)
+
+        def write(k):
+            got[k] = cli._csv_text([f"c{i}" for i in range(tables[k].shape[1])], tables[k])
+
+        cli._shown.cache_clear()
+        cli._power_of_ten.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(k,)) for k in range(len(tables))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_process_writes_the_same_bytes(self):
+        from bmlandau.cli import _BLOCK, _csv_text
+
+        rows = np.random.default_rng(5).standard_normal((_BLOCK + 7, 3))
+        code = (
+            "import os, sys, hashlib, numpy as np\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from bmlandau import cli\n"
+            f"rows = np.random.default_rng(5).standard_normal(({_BLOCK + 7}, 3))\n"
+            "text = cli._csv_text(['a', 'b', 'c'], rows)\n"
+            "print(cli._block_pool(), 'concurrent.futures' in sys.modules, hashlib.sha1(text.encode()).hexdigest())\n"
+        )
+        want = hashlib.sha1(_csv_text(["a", "b", "c"], rows).encode()).hexdigest()
+        assert self._python(code).split() == ["None", "False", want]
+
+    def test_import_and_one_block_table_start_no_threads(self):
+        code = (
+            "import os, sys, threading, bmlandau.cli\n"
+            "before = 'concurrent.futures' in sys.modules\n"
+            "bmlandau.cli.main(['flow', '--lambda', '1', '--e-pi', '10', '--grid', '0:6.3:1000', '--out', os.devnull])\n"
+            "print(before, 'concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        assert self._python(code).split() == ["False", "False", "1"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_makes_its_own_threads(self):
+        # the parent's first table makes its pool; a child forked after it
+        # must not wait on threads it does not have (SIGALRM ends a hang)
+        code = self._python(
+            "import os, signal, numpy as np\n"
+            "from bmlandau.cli import _BLOCK, _csv_text\n"
+            "rows = np.random.default_rng(6).standard_normal((_BLOCK, 3))\n"
+            "want = _csv_text(['a', 'b', 'c'], rows)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(60)\n"
+            "    os._exit(0 if _csv_text(['a', 'b', 'c'], rows) == want else 3)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        assert code.strip() == "0"
