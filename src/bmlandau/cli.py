@@ -20,18 +20,16 @@ Every float and complex input (flags, the --kz list, grid bounds, the
 config constants) must be finite; nan and inf are usage errors.
 
 Output is deterministic: CSV uses a header row, comma delimiter, LF line
-ends and 17 significant digits (each cell as format(x, ".17g")), so
-repeated runs are byte-identical. CSV text is built by numpy a block of
-cells at a time (_csv_text): the 17 digits of each float are one integer,
-laid out in a byte grid with a mask of the characters the cell shows.
-The blocks of a table are written by one thread per CPU the process may
-run on and joined in order; a table of one block, or a process on one
-CPU, writes them inline. A JSON table is byte-identical to
-json.dumps({"columns", "rows", "metadata"}, indent=2): one template over
-its flat cells, filled by one "%", where a finite float takes a "%r"
-slot (float.__repr__ is the text json writes for it) and any other cell
-a "%s" slot holding json.dumps(cell).
-The verify report is small and nested and goes through json.dumps whole.
+ends and 17 significant digits (each cell as format(x, ".17g")), and a
+JSON table is byte-identical to json.dumps({"columns", "rows",
+"metadata"}, indent=2), each float as float.__repr__ writes it: the
+shortest digits that read back as that float.  Both are written by
+bmlandau.tables with one numpy digit engine and one mask per format of
+the characters a cell shows; a cell the engine does not settle (a near
+tie, nan, inf, a magnitude outside 1e-240..1e240) goes to format() or
+repr(), and a cell that is not a float keeps its CSV text or its
+json.dumps text.  The verify report is small and nested and goes
+through json.dumps whole.
 
 The argument parser is built on the first call of main and reused by
 every later call in the process.
@@ -43,8 +41,6 @@ import argparse
 import cmath
 import itertools
 import json
-import math
-import os
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
@@ -58,6 +54,7 @@ from . import verify as vf
 from .core import PhysParams, QuantumNumbers
 from .ermakov import ep_coefficients, pinney_amplitude
 from .flux import _momentum_denominator, flux_context_from_lambda, pi_theta_closed, s_theta_closed
+from .tables import _emit_table
 
 _MODELS = tuple(m.value for m in sp.SpectrumModel)
 _VALID_PAIRS = {
@@ -160,201 +157,6 @@ def _load_config(args) -> RunConfig:
     if tol is None and file_cfg.get("tol") is not None:
         tol = number("tol", None)
     return RunConfig(params=params, fmt=fmt, out=getattr(args, "out", None), tol=tol)
-
-
-def _emit_table(columns, rows, metadata, config: RunConfig) -> str:
-    """The table (a 2-D array or equal-length rows) as text: CSV by
-    _csv_text, JSON by one template over the flat cells filled by one "%"."""
-    if config.fmt == "csv":
-        return _csv_text(columns, rows)
-    text = json.dumps({"columns": list(columns), "rows": [], "metadata": metadata}, indent=2)
-    cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else list(itertools.chain.from_iterable(rows))
-    if not cells:
-        return text + "\n"
-    if isinstance(rows, np.ndarray) and rows.dtype == float:
-        odd = np.flatnonzero(~np.isfinite(rows.ravel())).tolist()
-    else:
-        odd = [i for i, v in enumerate(cells) if type(v) is not float or not math.isfinite(v)]
-    # the layout json.dumps(indent=2) gives a row of floats at depth 2
-    width, lead, sep = len(columns), "    [\n      ", ",\n      "
-    row = lead + sep.join(["%r"] * width) + "\n    ],\n"
-    template = row * (len(cells) // width)
-    if odd:  # each odd cell's slot becomes "%s", its value json.dumps(value)
-        pieces, start = [], 0
-        for i in odd:
-            at = (i // width) * len(row) + len(lead) + (i % width) * (2 + len(sep))
-            pieces += template[start:at], "%s"
-            start = at + 2
-            cells[i] = json.dumps(cells[i])
-        template = "".join(pieces) + template[start:]
-    # the first '"rows": []' is the key itself: only the columns come
-    # before it, and a JSON string holds no unescaped quote
-    body = (template % tuple(cells))[:-2]
-    return text.replace('"rows": []', '"rows": [\n' + body + "\n  ]", 1) + "\n"
-
-
-# Each block of CSV cells is built as bytes.  Each cell is a row of a byte
-# grid holding every character its text can have, in the column layout of
-# _GRID, and a mask row picks the ones it shows.
-_BLOCK = 1 << 13  # cells per block: bounds each thread's scratch arrays
-_GRID = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000", np.uint8)  # sign, "0.000", digits and points, exponent
-_DIGITS = slice(6, 39, 2)  # digit j of 17 at column 6 + 2j; column 7 + 2j is a point after it
-# "0000".."9999" as 4-byte words, indexed by value
-_QUADS = np.ascontiguousarray(np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1) + 48).view(np.uint32).ravel()
-_QUADS.flags.writeable = False  # shared by the block threads, like _GRID and the _shown masks
-_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a float into two 26-bit halves
-
-
-def _split(a):
-    t = a * _SPLIT
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-@cache
-def _power_of_ten(k: int) -> tuple[float, float]:
-    """(hi, lo): hi the float nearest 10**k and lo the float nearest
-    10**k - hi, so hi + lo holds 10**k to about 2**-106."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    hi = num / den  # int division rounds correctly
-    p, q = hi.as_integer_ratio()
-    return hi, (num * q - p * den) / (den * q)
-
-
-def _round17(a, X):
-    """For a > 0 and decimal exponent X: the integer nearest a * 10**(16 - X),
-    the floor of that product, and where it lies within 1e-9 of a
-    half-integer, so that this rounding may differ from the exact one.
-
-    The product is a * hi as a float and its exact rounding error (Dekker's
-    two-product), plus a * lo: about 2**-100 relative, far inside 1e-9 of
-    a product below 2**60.  For a in 1e-240..1e240 every term is a
-    normal float.
-    """
-    k = 16 - X
-    k0 = int(k.min())
-    hi, lo = np.array([_power_of_ten(j) for j in range(k0, int(k.max()) + 1)]).T[:, k - k0]
-    p = a * hi
-    (ah, al), (hh, hl) = _split(a), _split(hi)
-    f = np.floor(p)
-    r = (p - f) + ((((ah * hh - p) + ah * hl) + al * hh) + al * hl + a * lo)
-    n = np.floor(r + 0.5)
-    f = f.astype(np.int64)
-    return f + n.astype(np.int64), f + np.floor(r).astype(np.int64), np.abs(r - n) > 0.5 - 1e-9
-
-
-@cache
-def _shown(width: int):
-    """The mask row of every cell shape, a width-byte row whose last column
-    is the separator, indexed by sign, scientific form, 3-digit exponent,
-    exponent + 4 of a fixed-form cell and count of significant digits - 1."""
-    no_yes = [False, True]
-    neg, sci, big, X, m = np.meshgrid(no_yes, no_yes, no_yes, range(-4, 17), range(1, 18), indexing="ij", sparse=True)
-    q = np.where(sci, 1, np.maximum(X + 1, 0))  # digits before the point
-    m = np.where(sci, m, np.maximum(m, q))  # digits shown
-    lead = ~sci & (X < 0)  # "0." and -X - 1 zeros before the digits
-    show = np.zeros((2, 2, 2, 21, 17, width), bool)
-    show[..., 0] = neg
-    show[..., 1] = show[..., 2] = lead
-    show[..., 3:6] = np.arange(3) < np.where(lead, -1 - X, 0)[..., None]
-    show[..., _DIGITS] = np.arange(17) < m[..., None]
-    show[..., 7:38:2] = (np.arange(1, 17) == q[..., None]) & (q < m)[..., None]
-    show[..., 39:41] = show[..., 42:44] = sci[..., None]
-    show[..., 41] = sci & big
-    show[..., -1] = True
-    show.flags.writeable = False
-    return show
-
-
-def _csv_text(columns, rows) -> str:
-    """The CSV text: the header, then each cell as format(float(v), ".17g"),
-    a str cell as it is and a gap (None) cell empty.
-
-    The 17 digits of |x| are the integer nearest |x| * 10**(16 - X), X its
-    decimal exponent, from _round17; format() writes a cell this cannot
-    settle (a near tie, nan, inf, |x| outside 1e-240..1e240) and every str
-    cell.  The blocks of _BLOCK cells are written by _csv_block, on the
-    _block_pool threads for a table of more than one block.
-    """
-    width = len(columns)
-    if isinstance(rows, np.ndarray) and rows.dtype == float:
-        values, text = rows.ravel(), {}
-    else:
-        cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else list(itertools.chain.from_iterable(rows))
-        text = {i: "" if v is None else v for i, v in enumerate(cells) if v is None or isinstance(v, str)}
-        values = np.array([0.0 if i in text else float(v) for i, v in enumerate(cells)], dtype=float)
-    is_text = np.zeros(len(values), bool)
-    is_text[list(text)] = True
-    seps = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
-    starts = range(0, len(values), _BLOCK)
-    pool = _block_pool() if len(starts) > 1 else None
-    blocks = (pool.map if pool else map)(partial(_csv_block, values, is_text, text, seps), starts)
-    return "".join([",".join(columns) + "\n", *blocks])
-
-
-def _csv_block(values, is_text, text, seps, start) -> str:
-    """The CSV text of the _BLOCK cells of values from start on.  It may run
-    on a pool thread, so it calls only numpy and this module's private
-    helpers: a tracer that wraps the package's public functions need not
-    be thread-safe."""
-    x = values[start : start + _BLOCK]
-    c, a = len(x), np.abs(x)
-    zero, sure = a == 0, (a >= 1e-240) & (a <= 1e240)
-    a = np.where(sure, a, 1.0)
-    X = np.floor(np.log10(a)).astype(np.int64)
-    N, low, tie = _round17(a, X)
-    off = (low >= 10**17).astype(np.int64) - (low < 10**16)
-    if off.any():  # log10 rounded across a power of ten
-        X += off
-        N, low, tie = _round17(a, X)
-    sure &= ~tie & (low >= 10**16) & (N < 10**17)
-    N, X = np.where(sure, N, 0), np.where(sure, X, 0)  # N = 0 prints "0", the text of a zero cell
-    quads = np.empty((c, 4), np.int64)
-    head, rest = np.divmod(N, 10**16)
-    quads[:, 0], rest = np.divmod(rest, 10**12)
-    quads[:, 1], rest = np.divmod(rest, 10**8)
-    quads[:, 2], quads[:, 3] = np.divmod(rest, 10**4)
-    digits = np.empty((c, 17), np.uint8)
-    digits[:, 0] = head + 48
-    digits[:, 1:] = _QUADS[quads].view(np.uint8).reshape(c, 16)
-    m = np.where(N == 0, 1, 17 - np.argmax(digits[:, ::-1] != 48, axis=1))  # through the last nonzero digit
-    odd = np.flatnonzero(~(sure | zero) | is_text[start : start + c])
-    texts = [
-        (text[i] if i in text else format(v, ".17g")).encode("utf-8", "surrogatepass")
-        for i, v in zip((odd + start).tolist(), x[odd].tolist())
-    ]
-    W = max([_GRID.size + 1] + [len(t) + 1 for t in texts])
-    grid = np.empty((c, W), np.uint8)
-    grid[:, : _GRID.size] = _GRID
-    grid[:, _DIGITS] = digits
-    e = np.abs(X)
-    grid[:, 40] = np.where(X < 0, ord("-"), ord("+"))
-    grid[:, 41], grid[:, 42], grid[:, 43] = e // 100 + 48, e // 10 % 10 + 48, e % 10 + 48
-    grid[:, -1] = seps[(start + np.arange(c)) % len(seps)]
-    sci = (X < -4) | (X > 16)
-    flags = (np.signbit(x), sci, e >= 100)
-    show = _shown(W)[(*(f.view(np.int8) for f in flags), np.where(sci, 0, X + 4), m - 1)]
-    if texts:
-        grid[odd, :-1] = np.frombuffer(b"".join(t.ljust(W - 1, b"\0") for t in texts), np.uint8).reshape(-1, W - 1)
-        show[odd, :-1] = np.arange(W - 1) < np.array([len(t) for t in texts])[:, None]
-    # a block ends at a cell's end, so its bytes decode on their own
-    return np.compress(show.ravel(), grid.ravel()).tobytes().decode("utf-8", "surrogatepass")
-
-
-@cache
-def _block_pool():
-    """The CSV block writers: one thread per CPU this process may run on,
-    made by the first table of more than one block; None on one CPU."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(cpus, thread_name_prefix="bmlandau-csv")
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads: it makes its own
-    os.register_at_fork(after_in_child=_block_pool.cache_clear)
 
 
 def _write(text: str, config: RunConfig):

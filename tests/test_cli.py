@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmlandau import spectrum as sp
@@ -848,12 +848,61 @@ class TestArrayTables:
         assert _emit_table(columns, rows, metadata, config) == want
 
 
+def _neighbours(x):
+    """x and the floats just below and above it."""
+    return st.sampled_from([np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]).map(float)
+
+
+def _exact_tie(j, digits):
+    """Odd multiples of 2**-j whose decimal text has exactly digits
+    significant digits, the last a 5: a tie for the rounding to one digit fewer."""
+    lo, hi = -(-(10 ** (digits - 1)) // 5**j), min(10**digits // 5**j, 2**53)
+    return st.integers(lo // 2, (hi - 1) // 2).map(lambda m: (2 * m + 1) * 2.0**-j)
+
+
+_JSON_DIGIT_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.integers(-1074, 1023).flatmap(lambda k: _neighbours(math.ldexp(1.0, k))),  # the gap below is half the gap above
+    st.integers(-323, 308).flatmap(lambda k: _neighbours(float(f"1e{k}"))),
+    st.sampled_from([1e-4, 1e-5, 1e15, 1e16, 1e17, 9999999999999998.0]).flatmap(_neighbours),  # format switches
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.tuples(st.integers(2, 22), st.sampled_from([16, 17])).flatmap(lambda jd: _exact_tie(*jd)),
+)
+
+
+class TestJsonDigits:
+    """Each JSON float cell is float.__repr__ of it (json's text for a float)."""
+
+    # every power of two in 1e-240..1e240 that no 15-digit rounding
+    # settles and whose nearest 16-digit rounding lies below it, outside
+    # the interval that reads back (the gap below is half the gap above),
+    # while the rounding above lies inside it: repr takes that one
+    @example([2.0**k for k in (-791, -788, -778, -705, -695, -662, -652, -549, -509, -496, -489, -383, -366, -296,
+                               -140, -97, -77, -44, 89, 122, 132, 172, 182, 275, 305, 345, 378, 398, 405, 481, 534,
+                               544, 554, 574, 594, 710)], 3)
+    @example([-(2.0**-44), 2.0**89, -(2.0**405)], 1)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_JSON_DIGIT_FLOATS, min_size=1, max_size=240), st.integers(1, 4))
+    def test_cells_equal_repr(self, values, width):
+        from bmlandau.cli import RunConfig, _emit_table
+
+        rows = np.array(values[: max(1, len(values) // width) * width]).reshape(-1, min(width, len(values)))
+        columns = [f"c{i}" for i in range(rows.shape[1])]
+        config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
+        text = _emit_table(columns, rows, {}, config)
+        assert text == json.dumps({"columns": columns, "rows": rows.tolist(), "metadata": {}}, indent=2) + "\n"
+        cells = [line.strip().rstrip(",") for line in text.splitlines() if line.startswith(" " * 6)]
+        assert cells == [repr(v) if math.isfinite(v) else json.dumps(v) for v in rows.ravel().tolist()]
+
+
 class TestCsvDigits:
     """The CSV digit grid writes format(x, ".17g") for every float."""
 
     @staticmethod
     def _check(values, width=1):
-        from bmlandau.cli import _csv_text
+        from bmlandau.tables import _csv_text
 
         values = np.asarray(values, dtype=float)
         columns = [f"c{i}" for i in range(width)]
@@ -866,7 +915,7 @@ class TestCsvDigits:
         self._check(np.array(bits, dtype=np.uint64).view(np.float64), width)
 
     def test_many_cells_across_blocks(self):
-        from bmlandau.cli import _BLOCK
+        from bmlandau.tables import _BLOCK
 
         # rows of 3 straddle the blocks, and the last block is a part block
         n = 15 * _BLOCK // 2 + 1
@@ -875,7 +924,7 @@ class TestCsvDigits:
         self._check(rng.standard_normal(n) * 10.0 ** rng.integers(-250, 250, n), 3)
 
     def test_text_and_gap_cells_at_block_edges(self):
-        from bmlandau.cli import _BLOCK, _csv_text
+        from bmlandau.tables import _BLOCK, _csv_text
 
         # str cells (multi-byte and a lone surrogate among them) and gaps on
         # both sides of four block edges, so every block decodes on its own
@@ -897,7 +946,7 @@ class TestCsvDigits:
         self._check(np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens]))
 
     def test_ties_go_to_format(self):
-        from bmlandau.cli import _round17
+        from bmlandau.tables import _round17
 
         # (4e15 + 1) / 4 = 1000000000000000.25: 18 digits, so its 17-digit rounding is a tie
         ties = np.array([4000000000000001, 4000000000000003, 4000000000000005]) / 4
@@ -909,15 +958,16 @@ class TestCsvDigits:
                      1.01e240, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
 
     def test_long_and_non_ascii_labels(self):
-        from bmlandau.cli import _csv_text
+        from bmlandau.tables import _csv_text
 
         rows = [["x" * 60, 0.1, None], ["λ = l²", -2.5e-7, "\U0001f600"]]
         assert _csv_text(["a", "b", "c"], rows) == _cell_by_cell_csv(["a", "b", "c"], rows)
 
 
 class TestCsvBlockThreads:
-    """The blocks of a CSV table are written on one thread per CPU and joined
-    in order; one block, or a process on one CPU, writes them inline."""
+    """The blocks of a CSV or JSON table are written on one thread per CPU
+    and joined in order; one block, or a process on one CPU, writes them
+    inline."""
 
     @staticmethod
     def _python(code):
@@ -927,13 +977,22 @@ class TestCsvBlockThreads:
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
+    @staticmethod
+    def _json(rows):
+        """The JSON table of rows with columns c0.. and no metadata."""
+        from bmlandau.cli import RunConfig, _emit_table
+
+        config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
+        return _emit_table([f"c{i}" for i in range(len(rows[0]))], rows, {}, config)
+
     def test_multi_block_flow_with_gap_rows(self, capsys, monkeypatch, tmp_path):
         from bmlandau import cli
+        from bmlandau.tables import _BLOCK
 
         # hbar = 1e9 makes the momentum denominator touch zero at 3 pi / 4; a
         # 1e-8 step puts ~140 gap rows there, centred on the first block edge
-        n, step = cli._BLOCK + 1, 1e-8
-        lo = 3 * math.pi / 4 - step * (cli._BLOCK // 3)
+        n, step = _BLOCK + 1, 1e-8
+        lo = 3 * math.pi / 4 - step * (_BLOCK // 3)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"hbar": 1e9}))
         tables, emit = [], cli._emit_table
@@ -943,39 +1002,26 @@ class TestCsvBlockThreads:
         assert code == 0
         [(columns, rows)] = tables
         flat = rows.ravel()
-        assert flat.size > 3 * cli._BLOCK
-        assert flat[cli._BLOCK - 1] is None and flat[cli._BLOCK] is None
+        assert flat.size > 3 * _BLOCK
+        assert flat[_BLOCK - 1] is None and flat[_BLOCK] is None
         assert out == _cell_by_cell_csv(columns, rows)
 
     def test_shared_tables_are_read_only(self):
-        from bmlandau.cli import _GRID, _QUADS, _shown
+        from bmlandau.tables import _GRID, _QUADS, _shown
 
         for table in (_GRID, _QUADS, _shown(45)):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
-    def test_concurrent_tables_share_the_pool_and_masks(self):
+    @staticmethod
+    def _race(write, count):
+        """Run write(0..count - 1) on as many threads at once, switching often."""
         import threading
 
-        from bmlandau import cli
-
-        # six callers, more than the pool's threads, race to build the _shown
-        # masks and powers of ten from empty caches while they share the pool
-        rng = np.random.default_rng(8)
-        tables = [rng.standard_normal((cli._BLOCK, width)) * 10.0 ** rng.integers(-30, 30, (cli._BLOCK, width))
-                  for width in (1, 2, 3, 4, 5, 6)]
-        want = [_cell_by_cell_csv([f"c{i}" for i in range(t.shape[1])], t.tolist()) for t in tables]
-        got = [None] * len(tables)
-
-        def write(k):
-            got[k] = cli._csv_text([f"c{i}" for i in range(tables[k].shape[1])], tables[k])
-
-        cli._shown.cache_clear()
-        cli._power_of_ten.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=write, args=(k,)) for k in range(len(tables))]
+            threads = [threading.Thread(target=write, args=(k,)) for k in range(count)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -983,23 +1029,83 @@ class TestCsvBlockThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+
+    def test_concurrent_tables_share_the_pool_and_masks(self):
+        from bmlandau import tables as tb
+
+        # six callers, more than the pool's threads, race to build the _shown
+        # masks and powers of ten from empty caches while they share the pool
+        rng = np.random.default_rng(8)
+        tables = [rng.standard_normal((tb._BLOCK, width)) * 10.0 ** rng.integers(-30, 30, (tb._BLOCK, width))
+                  for width in (1, 2, 3, 4, 5, 6)]
+        want = [_cell_by_cell_csv([f"c{i}" for i in range(t.shape[1])], t.tolist()) for t in tables]
+        got = [None] * len(tables)
+
+        def write(k):
+            got[k] = tb._csv_text([f"c{i}" for i in range(tables[k].shape[1])], tables[k])
+
+        tb._shown.cache_clear()
+        tb._powers_of_ten.cache_clear()
+        self._race(write, len(tables))
+        assert got == want
+
+    def test_concurrent_json_tables_share_the_pool(self):
+        from bmlandau import tables as tb
+
+        # two JSON tables of three blocks each, from empty caches, beside a CSV table
+        rng = np.random.default_rng(9)
+        tables = [rng.standard_normal((tb._BLOCK, 3)) * 10.0 ** rng.integers(-30, 30, (tb._BLOCK, 3)) for _ in range(3)]
+        want = [json.dumps({"columns": ["c0", "c1", "c2"], "rows": t.tolist(), "metadata": {}}, indent=2) + "\n"
+                for t in tables[:2]]
+        want.append(_cell_by_cell_csv(["c0", "c1", "c2"], tables[2].tolist()))
+        got = [None] * len(tables)
+
+        def write(k):
+            got[k] = self._json(tables[k]) if k < 2 else tb._csv_text(["c0", "c1", "c2"], tables[k])
+
+        tb._shown.cache_clear()
+        tb._powers_of_ten.cache_clear()
+        self._race(write, len(tables))
         assert got == want
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_one_cpu_process_writes_the_same_bytes(self):
-        from bmlandau.cli import _BLOCK, _csv_text
+        from bmlandau.tables import _BLOCK, _csv_text
 
         rows = np.random.default_rng(5).standard_normal((_BLOCK + 7, 3))
         code = (
             "import os, sys, hashlib, numpy as np\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from bmlandau import cli\n"
+            "from bmlandau import tables\n"
             f"rows = np.random.default_rng(5).standard_normal(({_BLOCK + 7}, 3))\n"
-            "text = cli._csv_text(['a', 'b', 'c'], rows)\n"
-            "print(cli._block_pool(), 'concurrent.futures' in sys.modules, hashlib.sha1(text.encode()).hexdigest())\n"
+            "text = tables._csv_text(['a', 'b', 'c'], rows)\n"
+            "print(tables._block_pool(), 'concurrent.futures' in sys.modules, hashlib.sha1(text.encode()).hexdigest())\n"
         )
         want = hashlib.sha1(_csv_text(["a", "b", "c"], rows).encode()).hexdigest()
         assert self._python(code).split() == ["None", "False", want]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_process_writes_the_same_json(self):
+        from bmlandau.tables import _BLOCK
+
+        # gap rows and wide magnitudes across the first block edge
+        rows = np.random.default_rng(10).standard_normal((_BLOCK + 7, 3)) * 10.0 ** np.arange(-20, 19, 13)
+        rows = rows.astype(object)
+        rows[_BLOCK // 3 - 1 : _BLOCK // 3 + 2, 1:] = None
+        code = (
+            "import os, sys, hashlib, numpy as np\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from bmlandau import tables\n"
+            "from bmlandau.cli import RunConfig\n"
+            f"rows = np.random.default_rng(10).standard_normal(({_BLOCK + 7}, 3)) * 10.0 ** np.arange(-20, 19, 13)\n"
+            "rows = rows.astype(object)\n"
+            f"rows[{_BLOCK // 3 - 1} : {_BLOCK // 3 + 2}, 1:] = None\n"
+            "text = tables._emit_table(['c0', 'c1', 'c2'], rows, {}, RunConfig(None, 'json', None, None))\n"
+            "print(tables._block_pool(), 'concurrent.futures' in sys.modules, hashlib.sha1(text.encode()).hexdigest())\n"
+        )
+        text = self._json(rows)
+        assert text == json.dumps({"columns": ["c0", "c1", "c2"], "rows": rows.tolist(), "metadata": {}}, indent=2) + "\n"
+        assert self._python(code).split() == ["None", "False", hashlib.sha1(text.encode()).hexdigest()]
 
     def test_import_and_one_block_table_start_no_threads(self):
         code = (
@@ -1010,13 +1116,22 @@ class TestCsvBlockThreads:
         )
         assert self._python(code).split() == ["False", "False", "1"]
 
+    def test_one_block_json_table_starts_no_thread(self):
+        code = (
+            "import os, sys, threading, bmlandau.cli\n"
+            "bmlandau.cli.main(['flow', '--lambda', '1', '--e-pi', '10', '--grid', '0:6.3:1000', '--format', 'json',"
+            " '--out', os.devnull])\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        assert self._python(code).split() == ["False", "1"]
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_makes_its_own_threads(self):
         # the parent's first table makes its pool; a child forked after it
         # must not wait on threads it does not have (SIGALRM ends a hang)
         code = self._python(
             "import os, signal, numpy as np\n"
-            "from bmlandau.cli import _BLOCK, _csv_text\n"
+            "from bmlandau.tables import _BLOCK, _csv_text\n"
             "rows = np.random.default_rng(6).standard_normal((_BLOCK, 3))\n"
             "want = _csv_text(['a', 'b', 'c'], rows)\n"
             "pid = os.fork()\n"
