@@ -8,7 +8,10 @@ verify     run the named check suites, emit a JSON report, exit 1 on failure
 flow       closed-form azimuthal momentum and action profiles
 
 Each verb evaluates the library functions once on the whole grid array;
-the CLI only parses, masks momentum-pole rows and formats.
+the CLI only parses, masks momentum-pole rows and formats.  Each verb
+imports the modules it calls when it runs: at import this module loads
+only core, spectrum and tables, so an amplitude request never compiles
+the verify checks or the oracle.
 
 Global flags: --config (JSON file; flags override file, file overrides
 defaults), --format {csv,json}, --out PATH (default stdout), --tol FLOAT.
@@ -47,16 +50,13 @@ from functools import cache, partial
 
 import numpy as np
 
-from . import regular as rg
-from . import sectors as sec
 from . import spectrum as sp
-from . import verify as vf
 from .core import PhysParams, QuantumNumbers
-from .ermakov import ep_coefficients, pinney_amplitude
-from .flux import _momentum_denominator, flux_context_from_lambda, pi_theta_closed, s_theta_closed
 from .tables import _emit_table
 
 _MODELS = tuple(m.value for m in sp.SpectrumModel)
+_SUITES = ("ep", "flux", "regular", "spectrum")  # verify.SUITES, written out so the parser needs no verify
+_GRID_HELP = "START:STOP:COUNT; write a negative START as --grid=-1:1:50"
 _VALID_PAIRS = {
     "r": ("ep", "regularised", "damped"),
     "theta": ("ep", "local", "whittaker"),
@@ -216,8 +216,12 @@ def cmd_amplitude(args, config: RunConfig) -> int:
         )
     grid = _parse_grid(args.grid)
     params = config.params
+    from . import regular as rg
 
     if branch == "ep":
+        from . import sectors as sec
+        from .ermakov import ep_coefficients, pinney_amplitude
+
         if sector == "r":
             pair = sec.radial_basis(args.a, params)
             coef = ep_coefficients(args.A, args.B, args.D, pair.wronskian)
@@ -267,6 +271,8 @@ def cmd_amplitude(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, config: RunConfig) -> int:
+    from . import verify as vf
+
     report = vf.run_suite(args.suite, tol_override=config.tol)
     text = json.dumps(report, indent=2, sort_keys=False) + "\n"
     _write(text, config)
@@ -278,6 +284,8 @@ def cmd_verify(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_flow(args, config: RunConfig) -> int:
+    from .flux import _momentum_denominator, flux_context_from_lambda, pi_theta_closed, s_theta_closed
+
     # ValueError (Lambda < l^2, Delta_pi <= 0) maps to exit 2 in main
     ctx = flux_context_from_lambda(args.lam, args.l_index, args.e_pi, args.theta0, config.params)
     grid = _parse_grid(args.grid)
@@ -343,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_amp.add_argument(
         "--branch", choices=("ep", "regularised", "local", "whittaker", "damped"), required=True
     )
-    p_amp.add_argument("--grid", required=True, help="START:STOP:COUNT")
+    p_amp.add_argument("--grid", required=True, help=_GRID_HELP)
     p_amp.add_argument("--A", type=_finite, default=1.0, help="ep quadratic-form weight")
     p_amp.add_argument("--B", type=_finite, default=1.0, help="ep quadratic-form weight")
     p_amp.add_argument("--D", type=_finite, default=0.0, help="ep cross weight")
@@ -361,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_amp.add_argument("--c2", type=_finite_complex, default=0j, help="Whittaker W coefficient")
 
     p_ver = sub.add_parser("verify", help="run verification suites", parents=[common])
-    p_ver.add_argument("--suite", choices=tuple(vf.SUITES) + ("all",), default="all")
+    p_ver.add_argument("--suite", choices=_SUITES + ("all",), default="all")
 
     p_flow = sub.add_parser("flow", help="closed-form azimuthal momentum and action", parents=[common])
     p_flow.add_argument("--lambda", dest="lam", type=_finite, required=True, help="Lambda = l^2 + phi^2")
     p_flow.add_argument("--e-pi", dest="e_pi", type=_finite, required=True, help="integration constant")
     p_flow.add_argument("--theta0", type=_finite, default=0.0)
     p_flow.add_argument("--l", dest="l_index", type=int, default=0)
-    p_flow.add_argument("--grid", required=True, help="START:STOP:COUNT")
+    p_flow.add_argument("--grid", required=True, help=_GRID_HELP)
 
     return parser
 

@@ -61,6 +61,21 @@ class QuantumNumbers:
             raise ValueError("axial wavenumber k_z must be finite")
 
 
+@dataclass(frozen=True)
+class CurrentBranch:
+    """Sectorial current constants with the conservation constraint."""
+
+    C_r: float
+    C_theta: float
+    C_z: float
+
+    def __post_init__(self):
+        total = self.C_r + self.C_theta + self.C_z
+        scale = max(1.0, abs(self.C_r), abs(self.C_theta), abs(self.C_z))
+        if abs(total) > 1e-14 * scale:
+            raise ValueError("sectorial currents must satisfy C_r + C_theta + C_z = 0")
+
+
 @dataclass
 class SampledProfile:
     """A strictly increasing coordinate grid plus the values sampled on it.

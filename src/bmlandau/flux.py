@@ -48,23 +48,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysParams, SampledProfile, uniform_step
+from .core import CurrentBranch, PhysParams, SampledProfile, uniform_step  # noqa: F401  (flux.CurrentBranch)
 from .oracle import _five_point, _five_point_at, quad_singular
-
-
-@dataclass(frozen=True)
-class CurrentBranch:
-    """Sectorial current constants with the conservation constraint."""
-
-    C_r: float
-    C_theta: float
-    C_z: float
-
-    def __post_init__(self):
-        total = self.C_r + self.C_theta + self.C_z
-        scale = max(1.0, abs(self.C_r), abs(self.C_theta), abs(self.C_z))
-        if abs(total) > 1e-14 * scale:
-            raise ValueError("sectorial currents must satisfy C_r + C_theta + C_z = 0")
 
 
 @dataclass(frozen=True)

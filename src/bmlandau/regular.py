@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysParams, QuantumNumbers
-from .flux import CurrentBranch
+from .core import CurrentBranch, PhysParams, QuantumNumbers
 from .specfun import bessel_j, hyp1f1, whittaker_m, whittaker_mw
 
 AXIAL_ORDER = 1.0 / math.sqrt(2.0)

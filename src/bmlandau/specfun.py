@@ -4,60 +4,18 @@ Provides the confluent hypergeometric function 1F1, a Lanczos
 principal-branch log-gamma, the Whittaker functions M and W, and the
 Bessel function J of real order.  ``whittaker_mw`` returns M and W
 together from the two Kummer functions M_{kappa,+-mu} that W needs, so a
-caller of both evaluates no third one.
+caller of both evaluates no third one.  J goes through the complex 1F1
+on the imaginary axis (DLMF 10.16.5), so every exported function goes
+through ``hyp1f1``.
 
-``hyp1f1(a, b, x)`` broadcasts its three arguments, as ``scipy.special``
-does.  The points that share one distinct (a, b) form a group, and a
-group's values are those of a call with that scalar (a, b) on the
-group's points alone, bit for bit: a point depends only on the points of
-its own group and region.  Each region is one sweep over all its groups,
-so many small parameter sets cost about as much as one; a group of a few
-thousand points is faster in a call of its own.
-
-1F1 is computed in float64 for real arguments and in complex128 for
-complex ones, by region (Gil, Segura & Temme, *Numerical Methods for
-Special Functions*, 2007, chapters 4 and 9); each region of an array is
-its own sweep, so a point's accuracy does not depend on points of
-another region:
-
-- integer-typed a = -n: the forward recurrence in a (DLMF 13.3.1) for
-  real b and x, the terminating series otherwise.
-- real x, and complex x with |x| <= 2: the Kummer series.
-- complex x with |x| > 2: a Taylor continuation of Kummer's equation
-  x y'' + (b - x) y' - a y = 0 (DLMF 13.2.1) along the ray from 0
-  through x (Gil, Segura & Temme, ch. 9), started at x = 0 from y = 1,
-  y' = a/b.  The points of one (a, b) and ray share its node chain; one
-  Horner pass per node index sums the points of every chain.
-- Re x < 0 (complex x only where |x| > 2): one Kummer transformation
-  e^x 1F1(b - a, b; -x) (DLMF 13.2.39) for both dtypes, with the series
-  or continuation above at -x; for real x its series does not cancel
-  when b - a > 0.
-
-Bessel J_nu(x) is (x/2)^nu e^{-ix} 1F1(nu + 1/2, 2 nu + 1; 2ix) /
-Gamma(nu + 1) (DLMF 10.16.5), the complex 1F1 on the imaginary axis, so
-every exported function goes through ``hyp1f1``.
-
-No long double is used anywhere, so results do not depend on the
-platform's long double (float64, x87 extended or software quad).  The
-measured accuracy of each region is in the docstrings of ``hyp1f1`` and
-``bessel_j``.
-
-No asymptotic or large-argument expansions.  Arguments are validated by
-region: complex x on the imaginary axis (Re x = 0) for |x| <= 2000, so
-J_nu for 0 <= x <= 1000; real x, and complex x off the axis, for
-|x| <= 30; any finite x for a polynomial 1F1.  A larger argument is
-rejected with a message naming its region, as are non-finite arguments.
-
-The series share one term loop, ``_sum_series``, with fixed limits: a
-term counts as small below 1e-15 of the partial sum while the terms
-shrink, an overflowed term never does, and a series that has not
-converged in 500 terms raises RuntimeError.  Each (a, b) group of a
-sweep stops on its own test and then leaves the loop.  Every term of one
-group is c_k x^k with c_k independent of the grid point, so the largest
-term over the group and a bound on every partial sum follow from two
-scalars; the array convergence test runs only on terms where these
-scalars leave it a chance to pass.  The truncation rule and every result
-bit are those of a loop that tests every term.
+Everything is computed in float64 and complex128, never in long double,
+so results do not depend on the platform.  There are no asymptotic
+expansions: each region of 1F1 has a validated argument range, and an
+argument outside it is rejected with a message naming the region.  The
+``hyp1f1`` docstring holds the region table (Gil, Segura & Temme 2007,
+chapters 4 and 9), the ranges, the measured errors and the broadcasting
+of a, b and x; ``bessel_j``'s holds J's range and error, and
+``_sum_series``'s the one series term loop and its limits.
 """
 
 from __future__ import annotations

@@ -1141,3 +1141,88 @@ class TestCsvBlockThreads:
             "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
         )
         assert code.strip() == "0"
+
+
+class TestLazyImports:
+    """Each verb loads the modules it calls, and the package exports its
+    names lazily (PEP 562) without caching them."""
+
+    CLI = {"cli", "core", "spectrum", "tables"}
+    CASES = {
+        "import": ([], CLI),
+        "amplitude": (["amplitude", "--sector", "r", "--branch", "regularised", "--nr", "3", "--l", "2",
+                       "--grid", "0:3:10"], CLI | {"regular", "specfun"}),
+        "flow": (["flow", "--lambda", "1", "--e-pi", "10", "--grid", "0:6.3:10"], CLI | {"flux", "oracle"}),
+        "verify": (["verify", "--suite", "all"],
+                   CLI | {"ermakov", "flux", "oracle", "regular", "sectors", "specfun", "verify"}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_modules_loaded(self, case):
+        argv, expected = self.CASES[case]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import bmlandau, bmlandau.cli\n"
+            f"argv = {argv!r}\n"
+            "if argv:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert bmlandau.cli.main(argv) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bmlandau.'))))\n"
+        )
+        from bmlandau import cli
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert set(json.loads(out)) == {f"bmlandau.{m}" for m in expected}
+
+    def test_exports_are_their_modules_attributes(self):
+        import importlib
+
+        import bmlandau
+
+        assert len(bmlandau.__all__) == 58
+        for name in bmlandau.__all__:
+            module = importlib.import_module(f"bmlandau.{bmlandau._EXPORTS[name]}")
+            assert getattr(bmlandau, name) is getattr(module, name), name
+
+    def test_star_import_and_dir(self):
+        import bmlandau
+
+        namespace = {}
+        exec("from bmlandau import *", namespace)
+        assert set(bmlandau.__all__) <= set(namespace)
+        assert all(namespace[name] is getattr(bmlandau, name) for name in bmlandau.__all__)
+        assert set(bmlandau.__all__) <= set(dir(bmlandau))
+
+    def test_unknown_name(self):
+        import bmlandau
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bmlandau.no_such_name
+        assert not hasattr(bmlandau, "no_such_name")
+
+    def test_exports_not_cached_in_package(self, monkeypatch):
+        import bmlandau
+        from bmlandau import specfun
+
+        assert bmlandau.hyp1f1 is specfun.hyp1f1
+        stub = object()
+        monkeypatch.setattr(specfun, "hyp1f1", stub)
+        assert bmlandau.hyp1f1 is stub
+        assert "hyp1f1" not in vars(bmlandau)
+
+    def test_suite_choices_match_registry(self):
+        from bmlandau import cli, verify
+
+        assert cli._SUITES == tuple(verify.SUITES)
+
+    def test_current_branch_lives_in_core(self):
+        from bmlandau import core, flux
+
+        assert flux.CurrentBranch is core.CurrentBranch
+
+    def test_negative_grid_start_after_equals(self, capsys):
+        code, out, _ = run_cli(["amplitude", "--sector", "z", "--branch", "damped", "--grid=-1:1:3"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].startswith("-1,")
