@@ -26,13 +26,11 @@ Output is deterministic: CSV uses a header row, comma delimiter, LF line
 ends and 17 significant digits (each cell as format(x, ".17g")), and a
 JSON table is byte-identical to json.dumps({"columns", "rows",
 "metadata"}, indent=2), each float as float.__repr__ writes it: the
-shortest digits that read back as that float.  Both are written by
-bmlandau.tables with one numpy digit engine and one mask per format of
-the characters a cell shows; a cell the engine does not settle (a near
-tie, nan, inf, a magnitude outside 1e-240..1e240) goes to format() or
-repr(), and a cell that is not a float keeps its CSV text or its
-json.dumps text.  The verify report is small and nested and goes
-through json.dumps whole.
+shortest digits that read back as that float.  Each verb hands
+bmlandau.tables whole columns of two kinds: float arrays, whose masked
+cells (np.ma) are gaps, empty in CSV and null in JSON, and label columns
+of str, written as they are in CSV and as JSON strings.  The verify
+report is small and nested and goes through json.dumps whole.
 
 The argument parser is built on the first call of main and reused by
 every later call in the process.
@@ -42,8 +40,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
@@ -91,15 +89,13 @@ def _finite(text, kind=float):
 _finite_complex = partial(_finite, kind=complex)
 
 
-def _parse_int_range(text: str) -> list[int]:
-    """'0:4' -> [0, 1, 2, 3, 4]; '3' -> [3]."""
+def _parse_int_range(text: str) -> range:
+    """'0:4' -> range(0, 5); '3' -> range(3, 4)."""
     try:
-        if ":" in text:
-            lo, hi = (int(p) for p in text.split(":"))
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, hi = map(int, text.split(":") if ":" in text else [text, text])
+        if hi < lo:
+            raise ValueError
+        return range(lo, hi + 1)
     except ValueError:
         raise UsageError(f"bad range syntax {text!r}; expected START:STOP or a single integer")
 
@@ -172,16 +168,20 @@ def _write(text: str, config: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args, config: RunConfig) -> int:
-    nr_values = _parse_int_range(args.nr)
-    l_values = _parse_int_range(args.l)
-    kz_values = _parse_float_list(args.kz)
-    if any(n < 0 for n in nr_values):
+    ranges = _parse_int_range(args.nr), _parse_int_range(args.l), _parse_float_list(args.kz)
+    if ranges[0][0] < 0:
         raise UsageError("n_r must be nonnegative")
     models = _MODELS if args.model == "all" else (args.model,)
 
-    # states in row order (k_z fastest); the labels print the parsed values
-    states = list(itertools.product(nr_values, l_values, kz_values))
-    n, l, kz = (np.array(v, dtype=float) for v in zip(*states))
+    # a row per state (k_z fastest) and model (fastest); the labels print the parsed values
+    shape = (*map(len, ranges), len(models))
+    try:
+        index = np.indices(shape).reshape(4, -1)
+        n, l, kz = (np.array(values, dtype=float)[i[:: len(models)]] for values, i in zip(ranges, index))
+        labels = map(str, ranges[0]), map(str, ranges[1]), (format(c, ".17g") for c in ranges[2]), models
+        columns = [np.array(list(t), dtype=object)[i] for t, i in zip(labels, index)]
+    except MemoryError:
+        raise UsageError(f"spectrum of {math.prod(shape[:3])} states is too large to allocate") from None
     energies, errors = [], []
     for m in models:
         try:
@@ -190,16 +190,13 @@ def cmd_spectrum(args, config: RunConfig) -> int:
             errors.append(exc)
     if errors:  # name the first state in row order, and on it the first model
         raise min(errors, key=lambda exc: exc.state)
-    columns = ["n_r", "l", "k_z", "model", "energy"]
-    flags = [()] * len(states)
+    names = ["n_r", "l", "k_z", "model", "energy"]
+    columns.append(np.column_stack(energies).ravel())
     if args.model == "all":
-        columns.append("ordering")
-        flags = [(flag,) for flag in sp.ordering_flags(l, *energies).tolist()]
-    rows = []
-    for (a, b, c), flag, state_energies in zip(states, flags, zip(*(e.tolist() for e in energies))):
-        rows += [[str(a), str(b), format(c, ".17g"), m, e, *flag] for m, e in zip(models, state_energies)]
+        names.append("ordering")
+        columns.append(np.repeat(np.array(sp.ordering_flags(l, *energies), dtype=object), len(models)))
     meta = {"command": "spectrum", "model": args.model}
-    _write(_emit_table(columns, rows, meta, config), config)
+    _write(_emit_table(names, columns, meta, config.fmt), config)
     return 0
 
 
@@ -256,13 +253,11 @@ def cmd_amplitude(args, config: RunConfig) -> int:
 
     values = np.asarray(values)
     if np.iscomplexobj(values):
-        columns = [sector, "value", "value_im"]
-        rows = np.column_stack((grid, values.real, values.imag))
+        names, columns = [sector, "value", "value_im"], [grid, values.real, values.imag]
     else:
-        columns = [sector, "value"]
-        rows = np.column_stack((grid, values))
+        names, columns = [sector, "value"], [grid, values]
     meta = {"command": "amplitude", "sector": sector, "branch": branch}
-    _write(_emit_table(columns, rows, meta, config), config)
+    _write(_emit_table(names, columns, meta, config.fmt), config)
     return 0
 
 
@@ -291,14 +286,12 @@ def cmd_flow(args, config: RunConfig) -> int:
     grid = _parse_grid(args.grid)
 
     _, pole = _momentum_denominator(grid, ctx)
-    ok = ~pole
-    pi_vals = np.empty_like(grid)
-    pi_vals[ok] = pi_theta_closed(grid[ok], ctx)
-    rows = np.column_stack((grid, pi_vals, s_theta_closed(grid, ctx)))
-    if pole.any():  # momentum pole: gap row
-        rows = rows.astype(object)
-        rows[pole, 1:] = None
-    columns = ["theta", "pi_theta", "s_theta"]
+    pi_vals = np.zeros_like(grid)
+    pi_vals[~pole] = pi_theta_closed(grid[~pole], ctx)
+    columns = [grid, pi_vals, s_theta_closed(grid, ctx)]
+    if pole.any():  # momentum pole: a gap row; numpy.ma loads only then (about 20 ms, 1.3 MB)
+        columns[1:] = [np.ma.array(column, mask=pole) for column in columns[1:]]
+    names = ["theta", "pi_theta", "s_theta"]
     meta = {
         "command": "flow",
         "Lambda": ctx.Lambda,
@@ -306,7 +299,7 @@ def cmd_flow(args, config: RunConfig) -> int:
         "theta0": ctx.theta0,
         "phi": ctx.phi,
     }
-    _write(_emit_table(columns, rows, meta, config), config)
+    _write(_emit_table(names, columns, meta, config.fmt), config)
     return 0
 
 

@@ -9,7 +9,6 @@ shows.  The blocks of a table run on one thread per CPU.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -38,27 +37,26 @@ _JSON_SEPS = (
 )
 
 
-def _emit_table(columns, rows, metadata, config) -> str:
-    """The table (a 2-D array or equal-length rows) as text in config.fmt:
-    CSV by _csv_text, or JSON byte-identical to json.dumps({"columns",
-    "rows", "metadata"}, indent=2) + "\\n"."""
-    if config.fmt == "csv":
-        return _csv_text(columns, rows)
-    # the first '"rows": []' is the key itself: only the columns come
+def _emit_table(names, columns, metadata, fmt) -> str:
+    """The table as text in fmt: CSV, a header of the names and each float
+    cell as format(v, ".17g"), or JSON byte-identical to
+    json.dumps({"columns", "rows", "metadata"}, indent=2) + "\\n".
+
+    columns are equal-length 1-D columns, one per name, each of one kind:
+    a float ndarray, whose masked cells (np.ma) are gaps, written empty in
+    CSV and null in JSON; or a label column, a list or object array of
+    str, each label written as it is in CSV and as its JSON string."""
+    if fmt == "csv":
+        return "".join([",".join(names) + "\n", *_blocks(columns, False, *_CSV_SEPS)])
+    # the first '"rows": []' is the key itself: only the names come
     # before it, and a JSON string holds no unescaped quote
-    text = json.dumps({"columns": list(columns), "rows": [], "metadata": metadata}, indent=2)
+    text = json.dumps({"columns": list(names), "rows": [], "metadata": metadata}, indent=2)
     head, _, tail = text.partition('"rows": []')
-    blocks = _blocks(rows, len(columns), _json_cell, True, *_JSON_SEPS)
+    blocks = _blocks(columns, True, *_JSON_SEPS)
     if not blocks:
         return text + "\n"
     blocks[-1] = blocks[-1][: -len(",\n" + _ROW_LEAD)]  # the last row ends at its "]"
     return "".join([head, '"rows": [\n', _ROW_LEAD, *blocks, "\n  ]", tail, "\n"])
-
-
-def _json_cell(v):
-    """The JSON text of a cell that is not a float, None for a float
-    (encode_basestring_ascii is the text json.dumps gives a str)."""
-    return None if isinstance(v, float) else encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
 
 
 def _json_float(v):
@@ -66,35 +64,38 @@ def _json_float(v):
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
-def _csv_cell(v):
-    """The CSV text of a str or gap (None) cell, None for a number."""
-    return "" if v is None else v if isinstance(v, str) else None
+def _blocks(columns, shortest, seps, shown) -> list[str]:
+    """The text of the cells of columns (see _emit_table) in row order,
+    each followed by a separator (row 0 of seps, or row 1 after a row's
+    last cell; its bytes shown where shown is set), as one str per block
+    of _BLOCK cells.  The blocks are written by _block, on the _block_pool
+    threads for a table of more than one block.
 
-
-def _csv_text(columns, rows) -> str:
-    """The CSV text: the header, then each cell as format(float(v), ".17g"),
-    a str cell as it is and a gap (None) cell empty."""
-    return "".join([",".join(columns) + "\n", *_blocks(rows, len(columns), _csv_cell, False, *_CSV_SEPS)])
-
-
-def _blocks(rows, width, as_text, shortest, seps, shown) -> list[str]:
-    """The text of the cells of rows (width to a row) in row order, each
-    followed by a separator (row 0 of seps, or row 1 after a row's last
-    cell; its bytes shown where shown is set), as one str per block of
-    _BLOCK cells.  as_text gives the text of a cell that is not written as
-    a float, None for one that is.  The blocks are written by _block, on
-    the _block_pool threads for a table of more than one block."""
-    if isinstance(rows, np.ndarray) and rows.dtype == float:
-        values, text = rows.ravel(), {}
-    else:
-        cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else list(itertools.chain.from_iterable(rows))
-        text = {i: t for i, v in enumerate(cells) if (t := as_text(v)) is not None}
-        values = np.array([0.0 if i in text else float(v) for i, v in enumerate(cells)], dtype=float)
-    is_text = np.zeros(len(values), bool)
-    is_text[list(text)] = True
-    starts = range(0, len(values), _BLOCK)
+    The label table holds the text of a gap, then that of each distinct
+    label of each label column, one byte row each; a table with a label or
+    gap cell has a code per cell, its row in that table (-1 for a float)."""
+    width, rows = len(columns), len(columns[0])
+    floats = [getattr(column, "dtype", None) == float for column in columns]
+    gaps = [getattr(column, "mask", False) for column in columns]  # np.ma's, read without importing np.ma
+    values, code = np.zeros(rows * width), None  # column j of a flat table is [j::width]
+    if not all(floats) or any(map(np.any, gaps)):
+        code = np.full(rows * width, -1, np.int32)
+    texts = [b"null" if shortest else b""]  # code 0: a gap
+    for j, column in enumerate(columns):
+        if floats[j]:
+            values[j::width] = column  # a masked array's data
+            if np.any(gaps[j]):
+                values[j::width][gaps[j]] = code[j::width][gaps[j]] = 0
+        else:  # each distinct label, in one hash pass (np.unique sorts str by Python compares)
+            cells = list(column)
+            index = {t: k for k, t in enumerate(dict.fromkeys(cells), len(texts))}
+            code[j::width] = np.fromiter(map(index.__getitem__, cells), np.int32, rows)
+            texts += [(encode_basestring_ascii(t) if shortest else t).encode("utf-8", "surrogatepass") for t in index]
+    sizes = np.array([len(t) for t in texts])
+    table = np.frombuffer(b"".join([t.ljust(sizes.max(), b"\0") for t in texts]), np.uint8).reshape(len(texts), -1)
+    starts = range(0, values.size, _BLOCK)
     pool = _block_pool() if len(starts) > 1 else None
-    write = partial(_block, values, is_text, text, width, shortest, seps, shown)
+    write = partial(_block, values, code, table, sizes, width, shortest, seps, shown)
     return list((pool.map if pool else map)(write, starts))
 
 
@@ -214,10 +215,12 @@ def _shown(width: int, shortest: bool = False):
     return show
 
 
-def _block(values, is_text, text, width, shortest, seps, shown, start) -> str:
+def _block(values, code, table, sizes, width, shortest, seps, shown, start) -> str:
     """The text of the _BLOCK cells of values from start on, each followed
     by its separator.  A float cell _digits does not settle takes
-    _json_float (JSON, the shortest digits) or format(v, ".17g") (CSV).
+    _json_float (JSON, the shortest digits) or format(v, ".17g") (CSV); a
+    label or gap cell takes its row of the label table (see _blocks) by
+    its code, as a float cell takes its mask row by its shape.
     It may run on a pool thread, so it calls only numpy, json and this
     module's private helpers: a tracer that wraps the package's public
     functions need not be thread-safe."""
@@ -233,14 +236,11 @@ def _block(values, is_text, text, width, shortest, seps, shown, start) -> str:
     digits[:, 0] = head + 48
     digits[:, 1:] = _QUADS[quads].view(np.uint8).reshape(c, 16)
     m = np.where(N == 0, 1, 17 - np.argmax(digits[:, ::-1] != 48, axis=1))  # through the last nonzero digit
-    odd = np.flatnonzero(~(sure | (x == 0)) | is_text[start : start + c])
-    texts = [
-        (text[i] if i in text else _json_float(v) if shortest else format(v, ".17g")).encode("utf-8", "surrogatepass")
-        for i, v in zip((odd + start).tolist(), x[odd].tolist())
-    ]
+    odd = np.flatnonzero(~(sure | (x == 0)))  # a label or gap cell holds 0.0
+    texts = [(_json_float(v) if shortest else format(v, ".17g")).encode() for v in x[odd].tolist()]
     lengths = [len(t) for t in texts]
     S = seps.shape[1]
-    W = max([_GRID.size, *lengths]) + S
+    W = max([_GRID.size, table.shape[1], *lengths]) + S
     grid = np.empty((c, W), np.uint8)
     grid[:, : _GRID.size] = _GRID
     grid[:, _DIGITS] = digits
@@ -256,6 +256,11 @@ def _block(values, is_text, text, width, shortest, seps, shown, start) -> str:
     if texts:
         grid[odd, :-S] = np.frombuffer(b"".join([t.ljust(W - S, b"\0") for t in texts]), np.uint8).reshape(-1, W - S)
         show[odd, :-S] = np.arange(W - S) < np.array(lengths)[:, None]
+    if code is not None:
+        at = np.flatnonzero(code[start : start + c] >= 0)
+        k = code[start + at]
+        grid[at, : table.shape[1]] = table[k]
+        show[at, :-S] = np.arange(W - S) < sizes[k][:, None]
     # a block ends at a cell's end, so its bytes decode on their own
     return np.compress(show.ravel(), grid.ravel()).tobytes().decode("utf-8", "surrogatepass")
 

@@ -517,6 +517,26 @@ class TestErrorExitCodes:
         assert out == ""
         assert err == f"error: grid COUNT {10**18} is too large to allocate\n"
 
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+    @pytest.mark.parametrize(
+        "ranges, states",
+        [(["--nr", "0:100000000000", "--l", "0"], 100000000001), (["--nr", "0:100000", "--l", "0:100000"], 100001**2)],
+    )
+    def test_spectrum_range_past_memory(self, ranges, states):
+        # in a child whose address space is capped at 1.5 GB, so that a request
+        # that tries to hold every state cannot exhaust the machine; one
+        # OpenBLAS thread keeps numpy's own buffers inside the cap
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from bmlandau.cli import main\n"
+            f"sys.exit(main({['spectrum', *ranges, '--kz', '0']!r}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sp.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: spectrum of {states} states is too large to allocate\n"
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         path = tmp_path / "no_such_dir" / "out.csv"
         code, _, err = run_cli(
@@ -614,33 +634,46 @@ class TestByteIdentity:
         assert out == expected
 
     def test_emitter_special_values(self):
-        from bmlandau.cli import RunConfig, _emit_table
-        from bmlandau.core import PhysParams
+        from bmlandau.tables import _emit_table
 
         values = [-0.0, 0.0, 1e-320, 1e300, 0.1, -1.5e-7, float("inf"), float("nan"), 7]
         rows = [tuple(values), (np.float64(0.1), 2, np.float64(-0.0), 1e300, 0.1, 0.0, 1.0, -1.0, 3)]
-        config = RunConfig(params=PhysParams(), fmt="csv", out=None, tol=None)
-        columns = [f"c{i}" for i in range(len(values))]
-        assert _emit_table(columns, rows, {}, config) == _csv_expected(columns, rows)
-        assert _emit_table(columns, rows, {}, config).split("\n")[1] == (
+        names = [f"c{i}" for i in range(len(values))]
+        columns = list(np.array(rows, dtype=float).T)
+        assert _emit_table(names, columns, {}, "csv") == _csv_expected(names, rows)
+        assert _emit_table(names, columns, {}, "csv").split("\n")[1] == (
             "-0,0,9.9998886718268301e-321,1.0000000000000001e+300,0.10000000000000001,"
             "-1.4999999999999999e-07,inf,nan,7"
         )
 
-    def test_emitter_mixed_rows_take_per_cell_path(self):
-        from bmlandau.cli import RunConfig, _emit_table
-        from bmlandau.core import PhysParams
+    def test_emitter_label_and_gap_columns(self):
+        from bmlandau.tables import _emit_table
 
-        config = RunConfig(params=PhysParams(), fmt="csv", out=None, tol=None)
-        rows = [(0.1, None, None, None, None), ["0", "1", 0.1, "qm", 0.5]]
-        text = _emit_table(["a", "b", "c", "d", "e"], rows, {}, config)
-        assert text == "a,b,c,d,e\n0.10000000000000001,,,,\n0,1,0.10000000000000001,qm,0.5\n"
+        # label columns as a list and as an object array, float columns with and without gaps
+        columns = [
+            np.ma.array([0.1, 0.1], mask=[False, True]),
+            ["0", "1"],
+            np.ma.array([0.1, 0.1], mask=[True, False]),
+            np.array(["qm", "qm"], dtype=object),
+            np.array([0.5, -0.0]),
+        ]
+        text = _emit_table(["a", "b", "c", "d", "e"], columns, {}, "csv")
+        assert text == "a,b,c,d,e\n0.10000000000000001,0,,qm,0.5\n,1,0.10000000000000001,qm,-0\n"
+        text = _emit_table(["a", "b", "c", "d", "e"], columns, {}, "json")
+        want = [[0.1, "0", None, "qm", 0.5], [None, "1", 0.1, "qm", -0.0]]
+        assert text == json.dumps({"columns": ["a", "b", "c", "d", "e"], "rows": want, "metadata": {}}, indent=2) + "\n"
 
 
 def _cell_by_cell_csv(columns, rows):
     """CSV by the per-cell rule: "" for a gap, a str as it is, else format(float(v), ".17g")."""
     cell = lambda v: "" if v is None else v if isinstance(v, str) else format(float(v), ".17g")
     return "\n".join([",".join(columns)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+
+
+def _rows(columns):
+    """The rows of a table given as columns, as the per-cell references take
+    them: each cell a float, a str, or None for a gap (a masked float)."""
+    return [list(row) for row in zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])]
 
 
 class TestCsvRowTemplate:
@@ -666,17 +699,18 @@ class TestCsvRowTemplate:
         cfg.write_text(json.dumps(config))
         tables, emit = [], cli._emit_table
 
-        def recording(columns, rows, metadata, config):
-            tables.append((columns, rows))
-            return emit(columns, rows, metadata, config)
+        def recording(names, columns, metadata, fmt):
+            tables.append((names, columns))
+            return emit(names, columns, metadata, fmt)
 
         monkeypatch.setattr(cli, "_emit_table", recording)
         code, out, _ = run_cli(["--config", str(cfg)] + argv, capsys)
         assert code == 0
-        [(columns, rows)] = tables
+        [(names, columns)] = tables
+        rows = _rows(columns)
         if kind == "flow with gaps":
             assert sum(row[1] is None for row in rows) == 2
-        assert out == _cell_by_cell_csv(columns, rows)
+        assert out == _cell_by_cell_csv(names, rows)
 
 
 class TestPoleGapRows:
@@ -771,13 +805,7 @@ _FLOAT_CELLS = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1.7976931348623157e308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-_CELLS = st.one_of(
-    _FLOAT_CELLS,
-    _FLOAT_CELLS.map(np.float64),
-    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False]),
-    st.integers(-(10**20), 10**20),
-    st.text(max_size=4),
-)
+_COLUMN_FLOATS = st.one_of(_FLOAT_CELLS, st.sampled_from([math.nan, math.inf, -math.inf]))
 _STRINGS = st.one_of(
     st.sampled_from(['"rows": []', "rows", "λ = l²", 'a"b\\c\n\t', "\x00\u2028", "\U0001f600"]),
     st.text(max_size=8),
@@ -789,27 +817,33 @@ _METADATA = st.dictionaries(
 
 @st.composite
 def _tables(draw):
+    """A table of the two column kinds: floats, some with gaps (masked
+    cells), and labels, as a list or an object array of str."""
     width = draw(st.integers(1, 4))
-    columns = draw(st.lists(_STRINGS, min_size=width, max_size=width))
-    row = st.one_of(
-        st.tuples(*[_FLOAT_CELLS] * width),  # the template path, made common
-        st.lists(_CELLS, min_size=width, max_size=width),
-        st.tuples(_FLOAT_CELLS, *[st.none()] * (width - 1)),  # flow gap rows
-    )
-    return columns, draw(st.lists(row, max_size=50)), draw(_METADATA)
+    n = len(draw(st.lists(st.none(), max_size=50)))  # rows as many as st.lists(row, max_size=50) draws
+    names = draw(st.lists(_STRINGS, min_size=width, max_size=width))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["floats", "gaps", "labels", "label array"]), min_size=width, max_size=width)):
+        if kind.startswith("label"):
+            labels = draw(st.lists(_STRINGS, min_size=n, max_size=n))
+            columns.append(labels if kind == "labels" else np.array(labels, dtype=object))
+        else:
+            values = np.array(draw(st.lists(_COLUMN_FLOATS, min_size=n, max_size=n)), dtype=float)
+            if kind == "gaps":
+                values = np.ma.array(values, mask=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            columns.append(values)
+    return names, columns, draw(_METADATA)
 
 
 class TestJsonEmitter:
     @settings(max_examples=300, deadline=None)
     @given(_tables())
     def test_equals_json_dumps(self, table):
-        from bmlandau.cli import RunConfig, _emit_table
-        from bmlandau.core import PhysParams
+        from bmlandau.tables import _emit_table
 
-        columns, rows, metadata = table
-        config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
-        want = json.dumps({"columns": columns, "rows": rows, "metadata": metadata}, indent=2) + "\n"
-        assert _emit_table(columns, rows, metadata, config) == want
+        names, columns, metadata = table
+        want = json.dumps({"columns": names, "rows": _rows(columns), "metadata": metadata}, indent=2) + "\n"
+        assert _emit_table(names, columns, metadata, "json") == want
 
 
 _EDGE_FLOATS = st.one_of(
@@ -821,31 +855,31 @@ _EDGE_FLOATS = st.one_of(
 
 @st.composite
 def _array_tables(draw):
-    """A float array as the CLI passes it, gap rows as flow writes them."""
+    """Float columns as the CLI passes them (views of one array), gap rows
+    as flow writes them."""
     width, n = draw(st.integers(1, 4)), draw(st.integers(1, 50))
     rows = np.array(draw(st.lists(_EDGE_FLOATS, min_size=width * n, max_size=width * n))).reshape(n, width)
-    # half the tables have no gap rows and stay float arrays
+    columns = list(rows.T)
+    # half the tables have no gap rows and stay plain float columns
     gaps = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if draw(st.booleans()) else [False]
     if any(gaps):
-        rows = rows.astype(object)
-        rows[np.array(gaps), 1:] = None
-    return [f"c{i}" for i in range(width)], rows, draw(_METADATA)
+        columns[1:] = [np.ma.array(column, mask=gaps) for column in columns[1:]]
+    return [f"c{i}" for i in range(width)], columns, draw(_METADATA)
 
 
 class TestArrayTables:
-    """A whole-array table gives the bytes of the per-cell rules."""
+    """A table of whole float columns gives the bytes of the per-cell rules."""
 
     @settings(max_examples=300, deadline=None)
     @given(_array_tables())
     def test_equals_per_cell_rules(self, table):
-        from bmlandau.cli import RunConfig, _emit_table
+        from bmlandau.tables import _emit_table
 
-        columns, rows, metadata = table
-        csv = RunConfig(params=PhysParams(), fmt="csv", out=None, tol=None)
-        assert _emit_table(columns, rows, metadata, csv) == _cell_by_cell_csv(columns, rows)
-        config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
-        want = json.dumps({"columns": columns, "rows": rows.tolist(), "metadata": metadata}, indent=2) + "\n"
-        assert _emit_table(columns, rows, metadata, config) == want
+        names, columns, metadata = table
+        rows = _rows(columns)
+        assert _emit_table(names, columns, metadata, "csv") == _cell_by_cell_csv(names, rows)
+        want = json.dumps({"columns": names, "rows": rows, "metadata": metadata}, indent=2) + "\n"
+        assert _emit_table(names, columns, metadata, "json") == want
 
 
 def _neighbours(x):
@@ -886,13 +920,12 @@ class TestJsonDigits:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_JSON_DIGIT_FLOATS, min_size=1, max_size=240), st.integers(1, 4))
     def test_cells_equal_repr(self, values, width):
-        from bmlandau.cli import RunConfig, _emit_table
+        from bmlandau.tables import _emit_table
 
         rows = np.array(values[: max(1, len(values) // width) * width]).reshape(-1, min(width, len(values)))
-        columns = [f"c{i}" for i in range(rows.shape[1])]
-        config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
-        text = _emit_table(columns, rows, {}, config)
-        assert text == json.dumps({"columns": columns, "rows": rows.tolist(), "metadata": {}}, indent=2) + "\n"
+        names = [f"c{i}" for i in range(rows.shape[1])]
+        text = _emit_table(names, list(rows.T), {}, "json")
+        assert text == json.dumps({"columns": names, "rows": rows.tolist(), "metadata": {}}, indent=2) + "\n"
         cells = [line.strip().rstrip(",") for line in text.splitlines() if line.startswith(" " * 6)]
         assert cells == [repr(v) if math.isfinite(v) else json.dumps(v) for v in rows.ravel().tolist()]
 
@@ -902,12 +935,12 @@ class TestCsvDigits:
 
     @staticmethod
     def _check(values, width=1):
-        from bmlandau.tables import _csv_text
+        from bmlandau.tables import _emit_table
 
         values = np.asarray(values, dtype=float)
-        columns = [f"c{i}" for i in range(width)]
+        names = [f"c{i}" for i in range(width)]
         rows = values[: values.size // width * width].reshape(-1, width)
-        assert _csv_text(columns, rows) == _cell_by_cell_csv(columns, rows.tolist())
+        assert _emit_table(names, list(rows.T), {}, "csv") == _cell_by_cell_csv(names, rows.tolist())
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60), st.integers(1, 4))
@@ -924,21 +957,20 @@ class TestCsvDigits:
         self._check(rng.standard_normal(n) * 10.0 ** rng.integers(-250, 250, n), 3)
 
     def test_text_and_gap_cells_at_block_edges(self):
-        from bmlandau.tables import _BLOCK, _csv_text
+        from bmlandau.tables import _BLOCK, _emit_table
 
-        # str cells (multi-byte and a lone surrogate among them) and gaps on
-        # both sides of four block edges, so every block decodes on its own
-        cells = np.random.default_rng(3).standard_normal((4 * _BLOCK + 5) // 3 * 3).tolist()
-        edges = {
-            1: ["label", None, "λ = l²", None],
-            2: [None, "\U0001f600", None, "\ud800"],
-            3: ["x" * 60, None, None, "λ"],
-            4: [None, "\ud800", "\U0001f600", None],
-        }
-        for k, marks in edges.items():  # the last two cells of block k, then the first two of block k + 1
-            cells[k * _BLOCK - 2 : k * _BLOCK + 2] = marks
-        rows = [cells[i : i + 3] for i in range(0, len(cells), 3)]
-        assert _csv_text(["a", "b", "c"], rows) == _cell_by_cell_csv(["a", "b", "c"], rows)
+        # label cells (multi-byte, empty and a lone surrogate among them) and
+        # gaps on both sides of four block edges, so every block decodes on
+        # its own; _BLOCK % 3 == 2, so the edges fall at each column
+        labels = ["label", "λ = l²", "\U0001f600", "\ud800", "x" * 60, "λ", ""]
+        n = (4 * _BLOCK + 5) // 3
+        values = np.random.default_rng(3).standard_normal((n, 3))
+        gaps = np.zeros((n, 3), bool)
+        for k in range(1, 5):  # among the last two cells of block k and the first two of block k + 1
+            gaps.flat[k * _BLOCK - 2 : k * _BLOCK + 2 : 1 + k % 2] = True
+        columns = [[labels[i % len(labels)] for i in range(n)]]
+        columns += [np.ma.array(values[:, j], mask=gaps[:, j]) for j in (1, 2)]
+        assert _emit_table(["a", "b", "c"], columns, {}, "csv") == _cell_by_cell_csv(["a", "b", "c"], _rows(columns))
 
     def test_powers_of_ten_and_neighbours(self):
         # log10 of a float just below a power of ten rounds up to it
@@ -958,10 +990,12 @@ class TestCsvDigits:
                      1.01e240, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
 
     def test_long_and_non_ascii_labels(self):
-        from bmlandau.tables import _csv_text
+        from bmlandau.tables import _emit_table
 
-        rows = [["x" * 60, 0.1, None], ["λ = l²", -2.5e-7, "\U0001f600"]]
-        assert _csv_text(["a", "b", "c"], rows) == _cell_by_cell_csv(["a", "b", "c"], rows)
+        columns = [["x" * 60, "λ = l²"], np.array([0.1, -2.5e-7]), np.ma.array([0.0, 1.0], mask=[True, False]),
+                   np.array(["\U0001f600", "\ud800"], dtype=object)]
+        names = ["a", "b", "c", "d"]
+        assert _emit_table(names, columns, {}, "csv") == _cell_by_cell_csv(names, _rows(columns))
 
 
 class TestCsvBlockThreads:
@@ -978,12 +1012,11 @@ class TestCsvBlockThreads:
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
     @staticmethod
-    def _json(rows):
-        """The JSON table of rows with columns c0.. and no metadata."""
-        from bmlandau.cli import RunConfig, _emit_table
+    def _json(columns):
+        """The JSON table of columns named c0.. with no metadata."""
+        from bmlandau.tables import _emit_table
 
-        config = RunConfig(params=PhysParams(), fmt="json", out=None, tol=None)
-        return _emit_table([f"c{i}" for i in range(len(rows[0]))], rows, {}, config)
+        return _emit_table([f"c{i}" for i in range(len(columns))], columns, {}, "json")
 
     def test_multi_block_flow_with_gap_rows(self, capsys, monkeypatch, tmp_path):
         from bmlandau import cli
@@ -1000,11 +1033,32 @@ class TestCsvBlockThreads:
         argv = ["flow", "--lambda", "1", "--e-pi", "1", "--grid", f"{lo!r}:{lo + step * (n - 1)!r}:{n}"]
         code, out, _ = run_cli(["--config", str(cfg)] + argv, capsys)
         assert code == 0
-        [(columns, rows)] = tables
-        flat = rows.ravel()
-        assert flat.size > 3 * _BLOCK
+        [(names, columns)] = tables
+        rows = _rows(columns)
+        flat = [cell for row in rows for cell in row]
+        assert len(flat) > 3 * _BLOCK
         assert flat[_BLOCK - 1] is None and flat[_BLOCK] is None
-        assert out == _cell_by_cell_csv(columns, rows)
+        assert out == _cell_by_cell_csv(names, rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_multi_block_spectrum_table(self, capsys, monkeypatch, fmt):
+        from bmlandau import cli
+        from bmlandau.tables import _BLOCK
+
+        # 5,166 rows of 6 cells, 5 of them labels: four blocks, with label
+        # columns on both sides of each block edge
+        tables, emit = [], cli._emit_table
+        monkeypatch.setattr(cli, "_emit_table", lambda *args: tables.append(args[:3]) or emit(*args))
+        argv = ["spectrum", "--nr", "0:40", "--l", "0:20", "--kz", "0,1", "--model", "all", "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        [(names, columns, metadata)] = tables
+        rows = _rows(columns)
+        assert len(rows) == 5166 and 3 * _BLOCK < 6 * len(rows) <= 4 * _BLOCK
+        if fmt == "csv":
+            assert out == _cell_by_cell_csv(names, rows)
+        else:
+            assert out == json.dumps({"columns": names, "rows": rows, "metadata": metadata}, indent=2) + "\n"
 
     def test_shared_tables_are_read_only(self):
         from bmlandau.tables import _GRID, _QUADS, _shown
@@ -1042,7 +1096,7 @@ class TestCsvBlockThreads:
         got = [None] * len(tables)
 
         def write(k):
-            got[k] = tb._csv_text([f"c{i}" for i in range(tables[k].shape[1])], tables[k])
+            got[k] = tb._emit_table([f"c{i}" for i in range(tables[k].shape[1])], list(tables[k].T), {}, "csv")
 
         tb._shown.cache_clear()
         tb._powers_of_ten.cache_clear()
@@ -1061,7 +1115,8 @@ class TestCsvBlockThreads:
         got = [None] * len(tables)
 
         def write(k):
-            got[k] = self._json(tables[k]) if k < 2 else tb._csv_text(["c0", "c1", "c2"], tables[k])
+            columns = list(tables[k].T)
+            got[k] = self._json(columns) if k < 2 else tb._emit_table(["c0", "c1", "c2"], columns, {}, "csv")
 
         tb._shown.cache_clear()
         tb._powers_of_ten.cache_clear()
@@ -1070,7 +1125,7 @@ class TestCsvBlockThreads:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_one_cpu_process_writes_the_same_bytes(self):
-        from bmlandau.tables import _BLOCK, _csv_text
+        from bmlandau.tables import _BLOCK, _emit_table
 
         rows = np.random.default_rng(5).standard_normal((_BLOCK + 7, 3))
         code = (
@@ -1078,10 +1133,10 @@ class TestCsvBlockThreads:
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "from bmlandau import tables\n"
             f"rows = np.random.default_rng(5).standard_normal(({_BLOCK + 7}, 3))\n"
-            "text = tables._csv_text(['a', 'b', 'c'], rows)\n"
+            "text = tables._emit_table(['a', 'b', 'c'], list(rows.T), {}, 'csv')\n"
             "print(tables._block_pool(), 'concurrent.futures' in sys.modules, hashlib.sha1(text.encode()).hexdigest())\n"
         )
-        want = hashlib.sha1(_csv_text(["a", "b", "c"], rows).encode()).hexdigest()
+        want = hashlib.sha1(_emit_table(["a", "b", "c"], list(rows.T), {}, "csv").encode()).hexdigest()
         assert self._python(code).split() == ["None", "False", want]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -1089,22 +1144,23 @@ class TestCsvBlockThreads:
         from bmlandau.tables import _BLOCK
 
         # gap rows and wide magnitudes across the first block edge
-        rows = np.random.default_rng(10).standard_normal((_BLOCK + 7, 3)) * 10.0 ** np.arange(-20, 19, 13)
-        rows = rows.astype(object)
-        rows[_BLOCK // 3 - 1 : _BLOCK // 3 + 2, 1:] = None
+        values = np.random.default_rng(10).standard_normal((_BLOCK + 7, 3)) * 10.0 ** np.arange(-20, 19, 13)
+        gaps = np.zeros(_BLOCK + 7, bool)
+        gaps[_BLOCK // 3 - 1 : _BLOCK // 3 + 2] = True
+        columns = [values[:, 0], *(np.ma.array(values[:, j], mask=gaps) for j in (1, 2))]
         code = (
             "import os, sys, hashlib, numpy as np\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "from bmlandau import tables\n"
-            "from bmlandau.cli import RunConfig\n"
-            f"rows = np.random.default_rng(10).standard_normal(({_BLOCK + 7}, 3)) * 10.0 ** np.arange(-20, 19, 13)\n"
-            "rows = rows.astype(object)\n"
-            f"rows[{_BLOCK // 3 - 1} : {_BLOCK // 3 + 2}, 1:] = None\n"
-            "text = tables._emit_table(['c0', 'c1', 'c2'], rows, {}, RunConfig(None, 'json', None, None))\n"
+            f"values = np.random.default_rng(10).standard_normal(({_BLOCK + 7}, 3)) * 10.0 ** np.arange(-20, 19, 13)\n"
+            f"gaps = np.zeros({_BLOCK + 7}, bool)\n"
+            f"gaps[{_BLOCK // 3 - 1} : {_BLOCK // 3 + 2}] = True\n"
+            "columns = [values[:, 0], *(np.ma.array(values[:, j], mask=gaps) for j in (1, 2))]\n"
+            "text = tables._emit_table(['c0', 'c1', 'c2'], columns, {}, 'json')\n"
             "print(tables._block_pool(), 'concurrent.futures' in sys.modules, hashlib.sha1(text.encode()).hexdigest())\n"
         )
-        text = self._json(rows)
-        assert text == json.dumps({"columns": ["c0", "c1", "c2"], "rows": rows.tolist(), "metadata": {}}, indent=2) + "\n"
+        text = self._json(columns)
+        assert text == json.dumps({"columns": ["c0", "c1", "c2"], "rows": _rows(columns), "metadata": {}}, indent=2) + "\n"
         assert self._python(code).split() == ["None", "False", hashlib.sha1(text.encode()).hexdigest()]
 
     def test_import_and_one_block_table_start_no_threads(self):
@@ -1131,13 +1187,13 @@ class TestCsvBlockThreads:
         # must not wait on threads it does not have (SIGALRM ends a hang)
         code = self._python(
             "import os, signal, numpy as np\n"
-            "from bmlandau.tables import _BLOCK, _csv_text\n"
+            "from bmlandau.tables import _BLOCK, _emit_table\n"
             "rows = np.random.default_rng(6).standard_normal((_BLOCK, 3))\n"
-            "want = _csv_text(['a', 'b', 'c'], rows)\n"
+            "want = _emit_table(['a', 'b', 'c'], list(rows.T), {}, 'csv')\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(60)\n"
-            "    os._exit(0 if _csv_text(['a', 'b', 'c'], rows) == want else 3)\n"
+            "    os._exit(0 if _emit_table(['a', 'b', 'c'], list(rows.T), {}, 'csv') == want else 3)\n"
             "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
         )
         assert code.strip() == "0"
