@@ -95,9 +95,11 @@ def _parse_int_range(text: str) -> range:
         lo, hi = map(int, text.split(":") if ":" in text else [text, text])
         if hi < lo:
             raise ValueError
-        return range(lo, hi + 1)
     except ValueError:
         raise UsageError(f"bad range syntax {text!r}; expected START:STOP or a single integer")
+    if hi - lo >= sys.maxsize:  # len() of the range would overflow
+        raise UsageError(f"range {text!r} holds more than {sys.maxsize} values")
+    return range(lo, hi + 1)
 
 
 def _parse_float_list(text: str) -> list[float]:

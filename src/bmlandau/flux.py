@@ -311,22 +311,23 @@ def theta_first_integral_quadrature(
 
 # The turning-point scans cover [1e-150, 1e150], where T^2 and 1/T^2 of
 # the radicand stay normal floats; inside [1e-12, 1e12] they step by a
-# fixed ratio.
+# fixed ratio, _SCAN_STEP.
 _SCAN_RANGE = (1e-150, 1e150)
 _STEP_WINDOW = (1e-12, 1e12)
+_SCAN_STEP = 1.6
 
 
-def _nearest_turning_points(g, target, expand: float = 1.6):
+def _nearest_turning_points(g, target):
     """Zero of g nearest each target among the brackets found on each side; nan where none.
 
-    The downward scan (targets / expand^k) and the upward scan (targets *
-    expand^k) step all targets in lock-step, each stopping at the first
+    The downward scan (targets / _SCAN_STEP^k) and the upward scan (targets *
+    _SCAN_STEP^k) step all targets in lock-step, each stopping at the first
     step where g <= 0 (a bracket).  A scan whose position lies outside
     _STEP_WINDOW takes one last step, to the end of _SCAN_RANGE in its
     direction, and stops there.  That step decides exactly, because g
     has at most one local maximum on (0, inf), so {g > 0} is one
     interval: for the radicand, T^3 g'(T) is a quadratic in T^2 with at
-    most one positive root.  Brackets wider than a factor expand^2 (the
+    most one positive root.  Brackets wider than a factor _SCAN_STEP^2 (the
     last steps) are halved in log T until they are not, then at their
     arithmetic midpoints, all in one loop (_bisect).  Between a downward
     and an upward root the nearer wins, the downward one on a tie.
@@ -342,14 +343,14 @@ def _nearest_turning_points(g, target, expand: float = 1.6):
     while active.size:
         here, falls = pos[active], down[active]
         last = (here < _STEP_WINDOW[0]) | (here > _STEP_WINDOW[1])
-        nxt = np.where(last, end[active], np.where(falls, here / expand, here * expand))
+        nxt = np.where(last, end[active], np.where(falls, here / _SCAN_STEP, here * _SCAN_STEP))
         hit = g(nxt) <= 0.0
         outside[active[hit]] = nxt[hit]
         pos[active[~hit]] = nxt[~hit]
         active = active[~(hit | last)]
     bracketed = ~np.isnan(outside)  # outside is set on a bracket only
     roots = np.full(2 * n, np.nan)
-    roots[bracketed] = _bisect(g, pos[bracketed], outside[bracketed], expand * expand)
+    roots[bracketed] = _bisect(g, pos[bracketed], outside[bracketed], _SCAN_STEP * _SCAN_STEP)
     lower, upper = roots[:n], roots[n:]
     # min() over [lower, upper] keyed on the distance keeps lower on a tie
     take_upper = np.isnan(lower) | (np.abs(upper - target) < np.abs(lower - target))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from functools import cache, partial
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -47,12 +47,12 @@ def _emit_table(names, columns, metadata, fmt) -> str:
     CSV and null in JSON; or a label column, a list or object array of
     str, each label written as it is in CSV and as its JSON string."""
     if fmt == "csv":
-        return "".join([",".join(names) + "\n", *_blocks(columns, False, *_CSV_SEPS)])
+        return "".join([",".join(names) + "\n", *_blocks(columns, False)])
     # the first '"rows": []' is the key itself: only the names come
     # before it, and a JSON string holds no unescaped quote
     text = json.dumps({"columns": list(names), "rows": [], "metadata": metadata}, indent=2)
     head, _, tail = text.partition('"rows": []')
-    blocks = _blocks(columns, True, *_JSON_SEPS)
+    blocks = _blocks(columns, True)
     if not blocks:
         return text + "\n"
     blocks[-1] = blocks[-1][: -len(",\n" + _ROW_LEAD)]  # the last row ends at its "]"
@@ -64,16 +64,16 @@ def _json_float(v):
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
-def _blocks(columns, shortest, seps, shown) -> list[str]:
+def _blocks(columns, shortest) -> list[str]:
     """The text of the cells of columns (see _emit_table) in row order,
-    each followed by a separator (row 0 of seps, or row 1 after a row's
-    last cell; its bytes shown where shown is set), as one str per block
-    of _BLOCK cells.  The blocks are written by _block, on the _block_pool
-    threads for a table of more than one block.
+    each followed by its separator (row 0 of _JSON_SEPS or _CSV_SEPS, or
+    row 1 after a row's last cell), as one str per block of _BLOCK cells,
+    written on the _block_pool threads for a table of more than one block.
 
     The label table holds the text of a gap, then that of each distinct
     label of each label column, one byte row each; a table with a label or
     gap cell has a code per cell, its row in that table (-1 for a float)."""
+    seps, shown = _JSON_SEPS if shortest else _CSV_SEPS
     width, rows = len(columns), len(columns[0])
     floats = [getattr(column, "dtype", None) == float for column in columns]
     gaps = [getattr(column, "mask", False) for column in columns]  # np.ma's, read without importing np.ma
@@ -93,11 +93,57 @@ def _blocks(columns, shortest, seps, shown) -> list[str]:
             texts += [(encode_basestring_ascii(t) if shortest else t).encode("utf-8", "surrogatepass") for t in index]
     sizes = np.array([len(t) for t in texts])
     table = np.frombuffer(b"".join([t.ljust(sizes.max(), b"\0") for t in texts]), np.uint8).reshape(len(texts), -1)
+    S = seps.shape[1]
+
+    def block(start) -> str:
+        """The text of the _BLOCK cells of values from start on.  A float
+        cell _digits does not settle takes _json_float (JSON, the shortest
+        digits) or format(v, ".17g") (CSV); a label or gap cell takes its
+        row of the label table by its code, as a float cell takes its mask
+        row by its shape.  It may run on a pool thread, so it calls only
+        numpy, json and this module's private helpers: a tracer that wraps
+        the package's public functions need not be thread-safe."""
+        x = values[start : start + _BLOCK]
+        c = len(x)
+        N, X, sure = _digits(x, shortest)
+        # N as 5 words, the head one "000d": its first 1, 5, 9, 13 and 17 digits, each
+        # less 10**4 times the one before, a row each (numpy divides by one scalar a row
+        # fast); gathered by words.T, the words come out column-major, so they are copied
+        words = N // 10 ** np.arange(16, -4, -4)[:, None]
+        words[1:] -= 10000 * words[:-1]
+        digits = np.ascontiguousarray(_QUADS[words.T]).view(np.uint8).reshape(c, 20)[:, 3:]
+        m = np.where(N == 0, 1, 17 - np.argmax(digits[:, ::-1] != 48, axis=1))  # through the last nonzero digit
+        odd = np.flatnonzero(~(sure | (x == 0)))  # a label or gap cell holds 0.0
+        fallback = [(_json_float(v) if shortest else format(v, ".17g")).encode() for v in x[odd].tolist()]
+        lengths = [len(t) for t in fallback]
+        W = max([_GRID.size, table.shape[1], *lengths]) + S
+        grid = np.empty((c, W), np.uint8)
+        grid[:, : _GRID.size] = _GRID
+        grid[:, _DIGITS] = digits
+        e = np.abs(X)
+        grid[:, 40:44] = _QUADS[e].view(np.uint8).reshape(c, 4)  # "0eee", its first byte the sign
+        grid[:, 40] = np.where(X < 0, ord("-"), ord("+"))
+        last = slice((width - 1 - start) % width, None, width)  # the cells that end a row
+        grid[:, -S:], grid[last, -S:] = seps
+        sci = (X < -4) | (X > 16 - shortest)  # from 1e16 in JSON, 1e17 in CSV
+        shape = (((np.signbit(x) * 2 + sci) * 2 + (e >= 100)) * 21 + np.where(sci, 0, X + 4)) * 17 + m - 1
+        show = np.take(_shown(W, shortest).reshape(-1, W), shape, axis=0)
+        show[:, -S:], show[last, -S:] = shown
+        if fallback:
+            padded = b"".join([t.ljust(W - S, b"\0") for t in fallback])
+            grid[odd, :-S] = np.frombuffer(padded, np.uint8).reshape(-1, W - S)
+            show[odd, :-S] = np.arange(W - S) < np.array(lengths)[:, None]
+        if code is not None:
+            at = np.flatnonzero(code[start : start + c] >= 0)
+            k = code[start + at]
+            grid[at, : table.shape[1]] = table[k]
+            show[at, :-S] = np.arange(W - S) < sizes[k][:, None]
+        # a block ends at a cell's end, so its bytes decode on their own
+        return np.compress(show.ravel(), grid.ravel()).tobytes().decode("utf-8", "surrogatepass")
+
     starts = range(0, values.size, _BLOCK)
     pool = _block_pool() if len(starts) > 1 else None
-    write = partial(_block, values, code, table, sizes, width, shortest, seps, shown)
-    return list((pool.map if pool else map)(write, starts))
-
+    return list((pool.map if pool else map)(block, starts))
 
 def _split(a):
     t = a * _SPLIT
@@ -194,8 +240,8 @@ def _shown(width: int, shortest: bool = False):
     """The mask row of every cell shape, a width-byte row whose columns
     past the cell's are left clear for the separator, indexed by sign,
     scientific form, 3-digit exponent, exponent + 4 of a fixed-form cell
-    and count of significant digits - 1, in that order (_block takes the
-    rows by their flat index).  A fixed-form cell shows its
+    and count of significant digits - 1, in that order (the block writer
+    takes the rows by their flat index).  A fixed-form cell shows its
     integer digits, and with the shortest digits (JSON) one more, the
     ".0" of an integral value."""
     no_yes = [False, True]
@@ -213,56 +259,6 @@ def _shown(width: int, shortest: bool = False):
     show[..., 41] = sci & big
     show.flags.writeable = False
     return show
-
-
-def _block(values, code, table, sizes, width, shortest, seps, shown, start) -> str:
-    """The text of the _BLOCK cells of values from start on, each followed
-    by its separator.  A float cell _digits does not settle takes
-    _json_float (JSON, the shortest digits) or format(v, ".17g") (CSV); a
-    label or gap cell takes its row of the label table (see _blocks) by
-    its code, as a float cell takes its mask row by its shape.
-    It may run on a pool thread, so it calls only numpy, json and this
-    module's private helpers: a tracer that wraps the package's public
-    functions need not be thread-safe."""
-    x = values[start : start + _BLOCK]
-    c = len(x)
-    N, X, sure = _digits(x, shortest)
-    quads = np.empty((c, 4), np.int64)
-    head, rest = np.divmod(N, 10**16)
-    quads[:, 0], rest = np.divmod(rest, 10**12)
-    quads[:, 1], rest = np.divmod(rest, 10**8)
-    quads[:, 2], quads[:, 3] = np.divmod(rest, 10**4)
-    digits = np.empty((c, 17), np.uint8)
-    digits[:, 0] = head + 48
-    digits[:, 1:] = _QUADS[quads].view(np.uint8).reshape(c, 16)
-    m = np.where(N == 0, 1, 17 - np.argmax(digits[:, ::-1] != 48, axis=1))  # through the last nonzero digit
-    odd = np.flatnonzero(~(sure | (x == 0)))  # a label or gap cell holds 0.0
-    texts = [(_json_float(v) if shortest else format(v, ".17g")).encode() for v in x[odd].tolist()]
-    lengths = [len(t) for t in texts]
-    S = seps.shape[1]
-    W = max([_GRID.size, table.shape[1], *lengths]) + S
-    grid = np.empty((c, W), np.uint8)
-    grid[:, : _GRID.size] = _GRID
-    grid[:, _DIGITS] = digits
-    e = np.abs(X)
-    grid[:, 40] = np.where(X < 0, ord("-"), ord("+"))
-    grid[:, 41], grid[:, 42], grid[:, 43] = e // 100 + 48, e // 10 % 10 + 48, e % 10 + 48
-    last = slice((width - 1 - start) % width, None, width)  # the cells that end a row
-    grid[:, -S:], grid[last, -S:] = seps
-    sci = (X < -4) | (X > 16 - shortest)  # from 1e16 in JSON, 1e17 in CSV
-    shape = (((np.signbit(x) * 2 + sci) * 2 + (e >= 100)) * 21 + np.where(sci, 0, X + 4)) * 17 + m - 1
-    show = np.take(_shown(W, shortest).reshape(-1, W), shape, axis=0)
-    show[:, -S:], show[last, -S:] = shown
-    if texts:
-        grid[odd, :-S] = np.frombuffer(b"".join([t.ljust(W - S, b"\0") for t in texts]), np.uint8).reshape(-1, W - S)
-        show[odd, :-S] = np.arange(W - S) < np.array(lengths)[:, None]
-    if code is not None:
-        at = np.flatnonzero(code[start : start + c] >= 0)
-        k = code[start + at]
-        grid[at, : table.shape[1]] = table[k]
-        show[at, :-S] = np.arange(W - S) < sizes[k][:, None]
-    # a block ends at a cell's end, so its bytes decode on their own
-    return np.compress(show.ravel(), grid.ravel()).tobytes().decode("utf-8", "surrogatepass")
 
 
 @cache

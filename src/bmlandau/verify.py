@@ -328,8 +328,9 @@ def check_theta_reconstruction():
     return fd_residual(theta_prof, form).max_abs
 
 
-def _zero_current_fields(n_pts=50):
+def _zero_current_fields():
     """Separable fields with constant sectorial fluxes (all C_i = 0)."""
+    n_pts = 50
     r_ax = np.linspace(0.5, 2.0, n_pts)
     th_ax = np.linspace(0.1, 1.2, n_pts)
     z_ax = np.linspace(-0.8, 0.8, n_pts)
@@ -345,7 +346,7 @@ def _zero_current_fields(n_pts=50):
 
 @_register("flux", "flux.divergence_zero_current", 1e-5)
 def check_divergence_zero_current():
-    return fx.divergence_residual(*_zero_current_fields(50), NATURAL)
+    return fx.divergence_residual(*_zero_current_fields(), NATURAL)
 
 
 @_register("flux", "flux.divergence_nonzero_current", 1e-5)

@@ -517,6 +517,14 @@ class TestErrorExitCodes:
         assert out == ""
         assert err == f"error: grid COUNT {10**18} is too large to allocate\n"
 
+    @pytest.mark.parametrize("flag", ["--nr", "--l"])
+    def test_int_range_past_maxsize(self, capsys, flag):
+        # a range of more than sys.maxsize values has no len(): the parser names it
+        ranges = {"--nr": "0", "--l": "0", flag: f"0:{10**20}"}
+        code, out, err = run_cli(["spectrum", *[t for f, r in ranges.items() for t in (f, r)], "--kz", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: range '0:{10**20}' holds more than {sys.maxsize} values\n"
+
     @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
     @pytest.mark.parametrize(
         "ranges, states",

@@ -325,6 +325,12 @@ class TestBesselJ:
         with pytest.raises(ValueError, match="validated range"):
             sf.bessel_j(0.5, 1000.5)
 
+    @pytest.mark.parametrize("nu, x", [(60.0, 100.0), (40.0, 30.0), (6.000001, 1.0)])
+    def test_order_past_six_refused(self, nu, x):
+        # J_60(100) came out as 8.8e35 (mpmath: 1.06e-3) and J_40(30) off by 3.1e-2
+        with pytest.raises(ValueError, match=r"^bessel_j: order nu = .* out of validated range 0 <= nu <= 6$"):
+            sf.bessel_j(nu, x)
+
     def test_one_series_and_one_continuation_sweep(self, sweeps):
         # J needs 1F1 at 2ix: the series for x <= 1, one ray of the continuation beyond
         x = np.linspace(0.01, 5.0, 500)
