@@ -113,3 +113,14 @@ def uniform_step(grid) -> float:
     if not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
         raise ValueError("grid is not uniformly spaced")
     return float(h[0])
+
+
+def _radial_argument(r, beta: float):
+    """(r, x = beta r^2) of the radial amplitudes, r as a float array; ValueError where x overflows."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(over="ignore"):
+        x = beta * r * r
+    overflow = np.isinf(x)
+    if np.any(overflow):
+        raise ValueError(f"radial argument x = beta r^2 overflows the float range at r = {r[overflow][0]:g}")
+    return r, x

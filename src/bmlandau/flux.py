@@ -418,7 +418,11 @@ def divergence_residual(
     Five-point differences of (each axis needs at least 5 points)
     (1/r) d_r(r rho p_r) + (1/r) d_theta[rho (p_theta - eBr/2)] + d_z(rho p_z).
     The fields broadcast to the grid shape, so a field that does not
-    vary along an axis may have length 1 there.
+    vary along an axis may have length 1 there.  Each flux is differenced
+    on its own shape: along a length-1 axis the stencil takes 5 copies of
+    the field, as on the broadcast grid, and only the three derivatives
+    are broadcast, to be summed; so the result equals that of the fields
+    materialised at the grid shape, bit for bit.
     """
     r = np.asarray(r_axis, dtype=float)
     th = np.asarray(theta_axis, dtype=float)
@@ -428,20 +432,25 @@ def divergence_residual(
     hr, hth, hz = uniform_step(r), uniform_step(th), uniform_step(z)
 
     shape = (r.size, th.size, z.size)
+    if min(shape) < 5:
+        raise ValueError("five-point stencil needs at least 5 grid points along the axis")
     rho = np.asarray(rho, dtype=float)
     R3 = r[:, None, None]
-    flux_r = np.broadcast_to(R3 * rho * np.asarray(p_r, dtype=float), shape)
-    gauge = np.asarray(p_theta, dtype=float) - params.eB * R3 / 2.0
-    flux_th = np.broadcast_to(rho * gauge, shape)
-    flux_z = np.broadcast_to(rho * np.asarray(p_z, dtype=float), shape)
+    flux_r = R3 * rho * np.asarray(p_r, dtype=float)
+    flux_th = rho * (np.asarray(p_theta, dtype=float) - params.eB * R3 / 2.0)
+    flux_z = rho * np.asarray(p_z, dtype=float)
 
-    # each derivative runs along the first axis of the array it is given
-    d_r = _five_point(flux_r[:, 2:-2, 2:-2], hr)[1]
-    d_th = _five_point(flux_th[2:-2, :, 2:-2].swapaxes(0, 1), hth)[1].swapaxes(0, 1)
-    d_z = _five_point(flux_z[2:-2, 2:-2].T, hz)[1].T
+    def derivative(flux, axis, h):
+        """Five-point derivative of flux along axis over the interior, on the flux's own shape."""
+        if np.broadcast_shapes(flux.shape, shape) != shape:
+            raise ValueError(f"field of shape {flux.shape} does not broadcast to the grid shape {shape}")
+        f = np.moveaxis(flux.reshape((1,) * (3 - flux.ndim) + flux.shape), axis, 0)
+        f = np.broadcast_to(f, (max(len(f), 5),) + f.shape[1:])  # 5 copies of a constant along axis
+        interior = tuple(slice(2, -2) if n > 1 else slice(None) for n in f.shape[1:])
+        return np.moveaxis(_five_point(f[(slice(None),) + interior], h)[1], 0, axis)
 
     r_in = r[2:-2][:, None, None]
-    total = d_r / r_in + d_th / r_in + d_z
+    total = derivative(flux_r, 0, hr) / r_in + derivative(flux_th, 1, hth) / r_in + derivative(flux_z, 2, hz)
     return float(np.max(np.abs(total)))
 
 

@@ -10,8 +10,10 @@ configurability.
 The integrator steps in Python floats: the flux checks integrate
 2-component states, where numpy's fixed cost per call outweighs the
 arithmetic, so the seven stages are written out one by one (the form of
-Hairer, Norsett & Wanner's dopri5) and only the rhs sees an ndarray.
-The accepted steps are stacked into arrays for the dense output.
+Hairer, Norsett & Wanner's dopri5) and the rhs receives each stage as a
+list of floats.  Only its output passes through numpy, once, to be
+checked for shape; the accepted steps are stacked into arrays for the
+dense output.
 
 The quadrature nodes and weights of each level depend only on the
 interval-free variable t, so they are computed once per level, cached,
@@ -39,8 +41,8 @@ from .core import SampledProfile
 class IVPProblem:
     """An initial-value problem y'(q) = rhs(y, q) on a coordinate span.
 
-    rhs receives the state as a fresh 1-D float ndarray and the
-    coordinate as a float, and returns a sequence of dim floats (a list,
+    rhs receives the state as a fresh list of dim Python floats and the
+    coordinate as a float, and returns a sequence of dim reals (a list,
     a tuple or an ndarray of shape (dim,)).
     """
 
@@ -169,15 +171,15 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
     rel_tol * max(|y|, |y_new|) + abs_tol componentwise, with the step
     controller 0.9 err^(-1/5) clamped to [0.2, 5] and steps no longer
     than max_step.  State, stages and controller are Python floats; p.rhs
-    is read once per call and receives each stage as a fresh 1-D float
-    ndarray.  An rhs output whose shape is not (dim,) raises ValueError
-    on whichever call returns it.  A step whose new state or error
-    estimate has a non-finite component (a nan from the rhs, or an
-    overflow) is rejected, so a rhs that turns nan or a state that leaves
-    the float range ends in the stall below rather than in a nan or inf
-    state.  RuntimeError is raised once the step falls below 1e-14 of
-    the span's scale ("integration stalled").  The solution's stats
-    count rhs calls and steps.
+    is read once per call and receives each stage as a fresh list of
+    floats.  Its output goes through one np.asarray, and an output whose
+    shape is not (dim,) raises ValueError on whichever call returns it.
+    A step whose new state or error estimate has a non-finite component
+    (a nan from the rhs, or an overflow) is rejected, so a rhs that turns
+    nan or a state that leaves the float range ends in the stall below
+    rather than in a nan or inf state.  RuntimeError is raised once the
+    step falls below 1e-14 of the span's scale ("integration stalled").
+    The solution's stats count rhs calls and steps.
     """
     t0, t1 = float(p.span[0]), float(p.span[1])
     direction = 1.0 if t1 > t0 else -1.0
@@ -191,7 +193,7 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
     def rhs(y, t):
         nonlocal nfev
         nfev += 1
-        f = np.asarray(user_rhs(np.array(y), t), dtype=float)
+        f = np.asarray(user_rhs(y[:], t), dtype=float)
         if f.shape != shape:
             raise ValueError("rhs output size does not match state dimension")
         return f.tolist()

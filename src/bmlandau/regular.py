@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CurrentBranch, PhysParams, QuantumNumbers
+from .core import CurrentBranch, PhysParams, QuantumNumbers, _radial_argument
 from .specfun import bessel_j, hyp1f1, whittaker_m, whittaker_mw
 
 AXIAL_ORDER = 1.0 / math.sqrt(2.0)
@@ -85,8 +85,7 @@ def radial_regularised(qn: QuantumNumbers, params: PhysParams) -> Callable:
     n_r = qn.n_r
 
     def R(r):
-        r = np.asarray(r, dtype=float)
-        x = beta * r * r
+        r, x = _radial_argument(r, beta)
         return r**nu * np.exp(-x / 2.0) * hyp1f1(-n_r, nu + 1.0, x)
 
     return R

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysParams, QuantumNumbers
+from .core import PhysParams, QuantumNumbers, _radial_argument
 from .ermakov import EPCoefficients, LinearPair, pinney_amplitude
 from .specfun import hyp1f1, hyp1f1_deriv
 
@@ -51,18 +51,15 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
     beta = params.beta
 
     def u1(r):
-        r = np.asarray(r, dtype=float)
-        x = beta * r * r
+        r, x = _radial_argument(r, beta)
         return np.exp(-x / 2.0) * hyp1f1(a, 0.5, x)
 
     def u2(r):
-        r = np.asarray(r, dtype=float)
-        x = beta * r * r
+        r, x = _radial_argument(r, beta)
         return r * np.exp(-x / 2.0) * hyp1f1(a + 0.5, 1.5, x)
 
     def values(r):
-        r = np.asarray(r, dtype=float)
-        x = beta * r * r
+        r, x = _radial_argument(r, beta)
         gauss = np.exp(-x / 2.0)
         f1, df1 = hyp1f1(a, 0.5, x), hyp1f1_deriv(a, 0.5, x)
         f2, df2 = hyp1f1(a + 0.5, 1.5, x), hyp1f1_deriv(a + 0.5, 1.5, x)

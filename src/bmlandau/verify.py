@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +207,7 @@ def _closed_form_initial_state(ctx: fx.FluxContext):
 def _uw_solution(ctx: fx.FluxContext, C_theta, y0, end, rtol, atol, max_step):
     """Dense Dormand-Prince solution of the coupled (pi, w) flow on [0, end]."""
 
-    rhs = lambda y, t: fx.uw_flow(y.tolist(), ctx, C_theta)
+    rhs = lambda y, t: fx.uw_flow(y, ctx, C_theta)
     return integrate_ivp(IVPProblem(rhs, y0, (0.0, end), rtol, atol, max_step=max_step))
 
 
@@ -391,7 +392,8 @@ def check_bohm_residual_el():
 
     coef_z = ek.ep_coefficients(1.1, 0.9, -0.2, k_z)
     Z = sec.trig_amplitude(coef_z, k_z)
-    r, th, z = np.random.default_rng(7).uniform((0.5, -2.0, -1.5), (2.2, 2.0, 1.5), size=(20, 3)).T
+    rng = random.Random(7)
+    r, th, z = np.array([[rng.uniform(0.5, 2.2), rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5)] for _ in range(20)]).T
     p_z = NATURAL.hbar * coef_z.c / Z(z) ** 2
     return _worst(np.abs(fx.bohm_energy_residual(R, lambda t: 1.0, Z, 0.0, 0.0, p_z, E, NATURAL, (r, th, z))))
 
@@ -421,7 +423,9 @@ def check_bohm_residual_cbr():
 
 def _branch_draws(seed: int, n: int, span: float):
     """n seeded draws (c_r, c_z) uniform on [-span, span), each with its branch closure."""
-    for c_r, c_z in np.random.default_rng(seed).uniform(-span, span, size=(n, 2)).tolist():
+    rng = random.Random(seed)
+    for _ in range(n):
+        c_r, c_z = rng.uniform(-span, span), rng.uniform(-span, span)
         yield c_r, c_z, *rg.branch_assignment(c_r, c_z)
 
 

@@ -217,6 +217,21 @@ class TestAmplitudeCommand:
             code, out, err = run_cli(["amplitude", *argv], capsys)
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize("argv", [
+        ["--sector", "r", "--branch", "regularised", "--nr", "0", "--l", "0", "--grid", "0:1e300:3"],
+        ["--sector", "r", "--branch", "ep", "--a", "0.25", "--grid", "0:1e300:3"],
+    ])
+    def test_overflowing_radial_argument_refused(self, argv):
+        # beta r^2 overflowed with a numpy RuntimeWarning (a traceback under
+        # -W error), and the refusal that followed named 1F1's argument, not r
+        env = dict(os.environ, PYTHONPATH=str(Path(sp.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bmlandau", "amplitude", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: radial argument x = beta r^2 overflows the float range at r = 5e+299\n"
+
     def test_whittaker_flux_past_its_validated_range_refused(self, capsys):
         # phi = beta r^2 = 12.5 > 6|l|: |Im a| > 3 for the 1F1 behind M and W
         with warnings.catch_warnings():

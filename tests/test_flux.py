@@ -17,7 +17,7 @@ from bmlandau import ermakov as ek
 from bmlandau import specfun as sf
 from bmlandau import spectrum as sp
 from bmlandau.core import PhysParams, SampledProfile
-from bmlandau.oracle import IVPProblem, integrate_ivp, quad_singular
+from bmlandau.oracle import IVPProblem, _five_point, integrate_ivp, quad_singular
 
 NATURAL = PhysParams()
 BETA_ONE = PhysParams(B=2.0)  # beta = 1
@@ -738,6 +738,20 @@ def zero_current_fields(n=30):
     return r_ax, th_ax, z_ax, rho, p_r, p_th, p_z
 
 
+def divergence_on_the_grid(r, th, z, rho, p_r, p_theta, p_z, params):
+    """Reference: every flux broadcast to the full grid, then differenced along each axis."""
+    shape = (r.size, th.size, z.size)
+    R3 = r[:, None, None]
+    flux_r = np.broadcast_to(R3 * rho * p_r, shape)
+    flux_th = np.broadcast_to(rho * (p_theta - params.eB * R3 / 2.0), shape)
+    flux_z = np.broadcast_to(rho * p_z, shape)
+    d_r = _five_point(flux_r[:, 2:-2, 2:-2], r[1] - r[0])[1]
+    d_th = _five_point(flux_th[2:-2, :, 2:-2].swapaxes(0, 1), th[1] - th[0])[1].swapaxes(0, 1)
+    d_z = _five_point(flux_z[2:-2, 2:-2].T, z[1] - z[0])[1].T
+    r_in = r[2:-2][:, None, None]
+    return float(np.max(np.abs(d_r / r_in + d_th / r_in + d_z)))
+
+
 class TestDivergenceResidual:
     def test_uniform_density_zero_momenta(self):
         ax = np.linspace(0.5, 1.5, 12)
@@ -764,6 +778,49 @@ class TestDivergenceResidual:
         p_z = 0.2 + C_z * Z3
         res = fx.divergence_residual(r_ax, th_ax, z_ax, Rsq, p_r, p_th, p_z, NATURAL)
         assert res < 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(5, 9)] * 3),
+        ones=st.lists(st.tuples(*[st.booleans()] * 3), min_size=4, max_size=4),
+        lead=st.lists(st.booleans(), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_length_one_axes_equal_the_materialised_fields(self, sizes, ones, lead, seed):
+        # each field (rho, p_r, p_theta, p_z) has length 1 along the drawn
+        # axes, and its leading length-1 axes may be dropped; the residual
+        # must equal, bit for bit, that of the fields copied out to the
+        # grid, and that of the reference differencing on the full grid
+        rng = np.random.default_rng(seed)
+        axes = np.linspace(0.5, 1.5, sizes[0]), np.linspace(-1.0, 1.0, sizes[1]), np.linspace(-0.7, 0.7, sizes[2])
+        fields = []
+        for flat, drop in zip(ones, lead):
+            f = rng.uniform(0.5, 2.0, tuple(1 if one else n for one, n in zip(flat, sizes)))
+            while drop and f.ndim and f.shape[0] == 1:
+                f = f[0]
+            fields.append(f)
+        full = [np.broadcast_to(f, sizes).copy() for f in fields]
+        res = fx.divergence_residual(*axes, *fields, NATURAL)
+        assert res == fx.divergence_residual(*axes, *full, NATURAL)
+        assert res == divergence_on_the_grid(*axes, *fields, NATURAL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(field=st.integers(0, 3), axis=st.integers(0, 2), length=st.sampled_from([2, 4, 6, 7]))
+    def test_fields_that_do_not_broadcast_raise(self, field, axis, length):
+        # a field of 2 to 7 points along an axis of 5 broadcasts to no grid
+        # of shape (5, 5, 5), also when the other fields are constants
+        ax = np.linspace(0.5, 1.5, 5)
+        fields = [np.ones((1, 1, 1))] * 4
+        fields[field] = np.ones(tuple(length if a == axis else 1 for a in range(3)))
+        with pytest.raises(ValueError):
+            fx.divergence_residual(ax, ax, ax, *fields, NATURAL)
+
+    def test_each_axis_needs_five_points_whatever_the_fields(self):
+        ax, short = np.linspace(0.5, 1.5, 8), np.linspace(0.5, 1.5, 4)
+        fields = [np.ones((8, 1, 1))] * 4
+        for axes in ((short, ax, ax), (ax, short, ax), (ax, ax, short)):
+            with pytest.raises(ValueError, match="at least 5 grid points"):
+                fx.divergence_residual(*axes, *fields, NATURAL)
 
     def test_axis_excluded(self):
         ax = np.linspace(0.0, 1.0, 8)

@@ -54,7 +54,7 @@ class TestIntegrator:
     def test_stall_near_singularity(self):
         # y' = y^2, y(0)=1 blows up at t=1
         with pytest.raises(RuntimeError, match="integration stalled"):
-            integrate_ivp(IVPProblem(lambda y, t: y * y, [1.0], (0.0, 2.0), 1e-10, 1e-12))
+            integrate_ivp(IVPProblem(lambda y, t: [v * v for v in y], [1.0], (0.0, 2.0), 1e-10, 1e-12))
 
     def test_dense_output_of_any_shape(self):
         rhs = lambda y, t: np.array([y[1], -y[0]])
@@ -81,6 +81,47 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="rhs output size does not match state dimension"):
             integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, 1.0), 1e-10, 1e-12))
         assert len(calls) == 2
+
+    def test_rhs_receives_a_list_and_may_return_any_sequence(self):
+        # a list, a tuple and a 1-D ndarray of the same floats give the same solution, bit for bit
+        seen = []
+
+        def rhs(y, t):
+            seen.append(type(y))
+            return [y[1], -y[0] * math.cos(t)]
+
+        solutions = [
+            integrate_ivp(IVPProblem(lambda y, t: out(rhs(y, t)), [0.0, 1.0], (0.0, 2.0), 1e-10, 1e-12))
+            for out in (list, tuple, np.array)
+        ]
+        assert set(seen) == {list}
+        for sol in solutions[1:]:
+            for name in ("ts", "ys", "fs"):
+                assert np.array_equal(getattr(sol, name), getattr(solutions[0], name))
+            assert sol.stats == solutions[0].stats
+
+        def clobbering(y, t):
+            # each call gets its own list, so writing into it leaves the integrator's state alone
+            f = rhs(y, t)
+            y[:] = [math.nan, math.nan]
+            return f
+
+        clobbered = integrate_ivp(IVPProblem(clobbering, [0.0, 1.0], (0.0, 2.0), 1e-10, 1e-12))
+        assert np.array_equal(clobbered.ys, solutions[0].ys)
+
+    @pytest.mark.parametrize("bad", [lambda y: y[:1], lambda y: np.array(y)[:, None]])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rhs_output_of_wrong_shape_raises_on_the_call_that_returns_it(self, bad, first):
+        # one component short, or a (dim, 1) column, on the first call or the third
+        calls = []
+
+        def rhs(y, t):
+            calls.append(t)
+            return bad(y) if len(calls) == (1 if first else 3) else [y[1], -y[0]]
+
+        with pytest.raises(ValueError, match="rhs output size does not match state dimension"):
+            integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, 1.0), 1e-10, 1e-12))
+        assert len(calls) == (1 if first else 3)
 
     def test_nan_rhs_stalls(self):
         # the nan sits in the second component, where Python's max would drop it
