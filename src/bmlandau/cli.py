@@ -7,8 +7,10 @@ amplitude  sampled sector amplitudes (ep, regularised, local, whittaker, damped)
 verify     run the named check suites, emit a JSON report, exit 1 on failure
 flow       closed-form azimuthal momentum and action profiles
 
-Each verb evaluates the library functions once on the whole grid array;
-the CLI only parses, masks momentum-pole rows and formats.  Each verb
+spectrum and flow evaluate the library functions once on whole arrays;
+amplitude evaluates its grid in fixed blocks of 16,384 points on the
+table writer's threads (_by_blocks).  The CLI only parses, masks
+momentum-pole rows and formats.  Each verb
 imports the modules it calls when it runs: at import this module loads
 only core, spectrum and tables, so an amplitude request never compiles
 the verify checks or the oracle.
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import spectrum as sp
 from .core import PhysParams, QuantumNumbers
-from .tables import _emit_table
+from .tables import _block_pool, _emit_table
 
 _MODELS = tuple(m.value for m in sp.SpectrumModel)
 _SUITES = ("ep", "flux", "regular", "spectrum")  # verify.SUITES, written out so the parser needs no verify
@@ -60,6 +62,7 @@ _VALID_PAIRS = {
     "theta": ("ep", "local", "whittaker"),
     "z": ("ep", "regularised", "damped"),
 }
+_EVAL_BLOCK = 1 << 14  # grid points per amplitude evaluation block
 
 
 @dataclass
@@ -206,6 +209,28 @@ def cmd_spectrum(args, config: RunConfig) -> int:
 # amplitude
 # ---------------------------------------------------------------------------
 
+def _by_blocks(evaluate, grid):
+    """evaluate(grid) as the concatenation of evaluate on fixed blocks of
+    _EVAL_BLOCK grid points, mapped over the table writer's threads
+    (_block_pool), or in order where it has none.
+
+    The blocks are cut by grid index, never by CPU count: a series stops on
+    the maxima over its own points, so a block's bits depend on where it
+    is cut, and fixed cuts give the same bytes on every machine.  A grid of
+    one block is evaluated inline and starts no thread.  If any block
+    raises, the whole grid is evaluated again inline, so a refusal names
+    the point that the whole call names."""
+    starts = range(0, grid.size, _EVAL_BLOCK)
+    if len(starts) == 1:
+        return evaluate(grid)
+    pool = _block_pool()
+    try:
+        blocks = (pool.map if pool else map)(lambda s: evaluate(grid[s : s + _EVAL_BLOCK]), starts)
+        return np.concatenate(list(blocks))
+    except Exception:  # the whole call's refusal
+        return evaluate(grid)
+
+
 def cmd_amplitude(args, config: RunConfig) -> int:
     sector, branch = args.sector, args.branch
     if branch not in _VALID_PAIRS[sector]:
@@ -224,36 +249,35 @@ def cmd_amplitude(args, config: RunConfig) -> int:
         if sector == "r":
             pair = sec.radial_basis(args.a, params)
             coef = ep_coefficients(args.A, args.B, args.D, pair.wronskian)
-            values = pinney_amplitude(pair, coef)(grid)
+            evaluate = pinney_amplitude(pair, coef)
         else:
             omega = args.omega if sector == "theta" else args.kz
             if omega is None:
                 raise UsageError(f"sector {sector!r} ep branch needs --omega/--kz")
             coef = ep_coefficients(args.A, args.B, args.D, omega)
-            values = sec.trig_amplitude(coef, omega)(grid)
+            evaluate = sec.trig_amplitude(coef, omega)
     elif branch == "regularised":
         if sector == "r":
-            values = rg.radial_regularised(QuantumNumbers(args.nr, args.l_index, 0.0), params)(grid)
+            evaluate = rg.radial_regularised(QuantumNumbers(args.nr, args.l_index, 0.0), params)
         else:
             if args.kz is None or args.kz <= 0:
                 raise UsageError("axial regularised branch needs --kz > 0")
-            values = rg.axial_regularised(args.kz)(grid)
+            evaluate = rg.axial_regularised(args.kz)
     elif branch == "local":
         p = rg.local_branch_params(args.atheta, args.radius, args.ctheta, params)
-        values = rg.theta_local_branch(grid, p)
+        evaluate = partial(rg.theta_local_branch, p=p)
     elif branch == "whittaker":
         try:
             phi = params.beta * args.radius**2
         except OverflowError:
             raise ValueError(f"flux ratio phi = beta r^2 overflows the float range at r = {args.radius:g}") from None
-        values = rg.azimuthal_whittaker(grid, args.l_index, phi, args.c1, args.c2)
-    else:  # damped
-        if sector == "r":
-            values = rg.damped_radial_profile(grid, args.cr, params)
-        else:
-            values = rg.damped_axial_profile(grid, args.cz, params)
+        evaluate = partial(rg.azimuthal_whittaker, l=args.l_index, phi=phi, c1=args.c1, c2=args.c2)
+    elif sector == "r":  # damped
+        evaluate = partial(rg.damped_radial_profile, C_r=args.cr, params=params)
+    else:
+        evaluate = partial(rg.damped_axial_profile, C_z=args.cz, params=params)
 
-    values = np.asarray(values)
+    values = np.asarray(_by_blocks(evaluate, grid))
     if np.iscomplexobj(values):
         names, columns = [sector, "value", "value_im"], [grid, values.real, values.imag]
     else:

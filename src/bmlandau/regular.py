@@ -77,7 +77,8 @@ def radial_regularised(qn: QuantumNumbers, params: PhysParams) -> Callable:
 
     Normalisation C = 1, so R(r)/r^nu -> 1 as r -> 0+.  The scaled
     chi = sqrt(r) R solves chi'' + [kappa^2 - beta^2 r^2 - (nu^2 - 1/4)/r^2] chi = 0
-    with kappa^2 fixed by the quantisation identity.
+    with kappa^2 fixed by the quantisation identity.  Raises ValueError
+    where beta r^2 or r^nu overflows the float range.
     """
     labels = RegularisedLabels.from_quantum_numbers(qn)
     beta = params.beta
@@ -86,7 +87,12 @@ def radial_regularised(qn: QuantumNumbers, params: PhysParams) -> Callable:
 
     def R(r):
         r, x = _radial_argument(r, beta)
-        return r**nu * np.exp(-x / 2.0) * hyp1f1(-n_r, nu + 1.0, x)
+        with np.errstate(over="ignore"):  # an infinite power is refused below
+            power = r**nu
+        overflow = np.isinf(power)
+        if np.any(overflow):
+            raise ValueError(f"radial power r^nu overflows the float range at r = {r[overflow][0]:g} (nu = {nu:g})")
+        return power * np.exp(-x / 2.0) * hyp1f1(-n_r, nu + 1.0, x)
 
     return R
 
@@ -137,8 +143,9 @@ def azimuthal_whittaker(theta, l: int, phi: float, c1: complex, c2: complex):
         m = np.asarray(whittaker_m(kappa, WHITTAKER_MU, x))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite amplitude is refused below
         if c1 != 0:
-            # m named: numpy multiplies a fresh array of 16,384 or more points in
-            # place, which rounds differently, so a point would depend on the grid length
+            # m named, so numpy never multiplies it in place with the operands
+            # swapped (a complex product rounds differently then): a point's bits
+            # depend neither on the grid length nor on the blocks it is cut into
             out = out + c1 * m
         if c2 != 0:
             out = out + c2 * w

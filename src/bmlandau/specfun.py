@@ -65,10 +65,6 @@ _BOUND_SLACK = 1e-14
 # no underflow or overflow and the array sums stay finite.
 _BOUND_TINY = 1e-280
 _BOUND_HUGE = 1e280
-# numpy computes a product with a fresh complex128 array of this many
-# points or more (256 KiB) in place, operands swapped, which rounds the
-# imaginary part differently
-_ELIDE_FROM = 16384
 
 
 def _moderate(*values) -> bool:
@@ -160,13 +156,10 @@ def _sum_series(x, ratio, growth, n_terms=None, counts=None):
         if k >= _MAX_TERMS:
             raise RuntimeError(f"series budget exceeded: 1F1 did not converge in {_MAX_TERMS} terms")
         p, q = ratio(k)
-        if counts is None:
-            term = term * (p * x / q)
-        else:
-            # f named, so numpy never multiplies it in place: the operand
-            # order, and with it every bit, does not depend on the array size
-            f = p[at] * x / q[at]
-            term = term * f
+        # f named, so numpy never multiplies it in place: the operand
+        # order, and with it every bit, does not depend on the array size
+        f = p * x / q if counts is None else p[at] * x / q[at]
+        term = term * f
         total = total + term
         k += 1
         if k != due:
@@ -243,12 +236,6 @@ def _kummer_series(a, b, x, work, n_terms=None, a_lo=0.0, counts=None):
     if counts is None:
         params = [(a, a_lo, b)]
         x_max = [float(np.max(np.abs(x))) if n_terms is None else 0.0]
-    elif work is np.complex128 and max(counts) >= _ELIDE_FROM:
-        # such a group's own sweep has numpy's in-place products (_ELIDE_FROM),
-        # so each group is summed alone, as its own call sums it
-        ends = np.cumsum(counts).tolist()
-        return np.concatenate([_kummer_series(a_i, b_i, x[end - n:end], work, n_terms, a_lo_i)
-                               for (a_i, a_lo_i, b_i), n, end in zip(_Groups(a, a_lo, b, counts).params(), counts, ends)])
     else:
         params = _Groups(a, a_lo, b, counts).params()
         x_max = [0.0] * len(params) if n_terms is not None else \
@@ -847,8 +834,9 @@ def whittaker_mw(kappa, mu, x):
         raise ValueError("connection formula degenerate: 2*mu is an integer")
     c_plus = cmath.exp(ln_gamma(-two_mu)) * rgamma(0.5 - mu - kappa)
     c_minus = cmath.exp(ln_gamma(two_mu)) * rgamma(0.5 + mu - kappa)
-    # both M named: numpy multiplies a fresh array of 16,384 or more points
-    # in place, which rounds differently, so W would depend on the grid length
+    # both M named, so numpy never multiplies one in place with the operands
+    # swapped (a complex product rounds differently then): W's bits depend
+    # neither on the grid length nor on the blocks it is cut into
     m = whittaker_m(kappa, mu, x)
     m_minus = whittaker_m(kappa, -mu, x)
     w = c_plus * m + c_minus * m_minus
@@ -898,7 +886,8 @@ def bessel_j(nu: float, x):
     if float(np.max(x_arr)) > _AXIS_RANGE / 2.0:
         raise ValueError(f"bessel_j: x out of validated range x <= {_AXIS_RANGE / 2.0:g}")
 
-    # both factors named, as in whittaker_mw: no product is done in place
+    # both factors named, as in whittaker_mw: no product runs in place with
+    # its operands swapped, so J's bits do not depend on the grid length
     kummer = hyp1f1(nu + 0.5, 2.0 * nu + 1.0, 2j * x_arr)
     phase = np.exp(-1j * x_arr)
     reduced = (kummer * phase).real

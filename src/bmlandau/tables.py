@@ -100,9 +100,11 @@ def _blocks(columns, shortest) -> list[str]:
         cell _digits does not settle takes _json_float (JSON, the shortest
         digits) or format(v, ".17g") (CSV); a label or gap cell takes its
         row of the label table by its code, as a float cell takes its mask
-        row by its shape.  It may run on a pool thread, so it calls only
-        numpy, json and this module's private helpers: a tracer that wraps
-        the package's public functions need not be thread-safe."""
+        row by its shape.  It may run on a pool thread and calls only
+        numpy, json and this module's private helpers; the amplitude
+        evaluation blocks (cli._by_blocks) call the package's public
+        functions on the same threads, so a tracer that wraps those sees
+        calls from several threads at once."""
         x = values[start : start + _BLOCK]
         c = len(x)
         N, X, sure = _digits(x, shortest)
@@ -263,8 +265,10 @@ def _shown(width: int, shortest: bool = False):
 
 @cache
 def _block_pool():
-    """The table block writers: one thread per CPU this process may run
-    on, made by the first table of more than one block; None on one CPU."""
+    """The threads of the table block writers and of the amplitude
+    evaluation blocks (cli._by_blocks): one thread per CPU this process may
+    run on, made by the first table or amplitude grid of more than one
+    block; None on one CPU, where the blocks run inline in order."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if cpus < 2:
         return None

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bmlandau import regular as rg
 from bmlandau import spectrum as sp
 from bmlandau.cli import _parse_int_range, main
-from bmlandau.core import PhysParams
+from bmlandau.core import PhysParams, QuantumNumbers
 
 
 def run_cli(argv, capsys):
@@ -740,7 +741,7 @@ class TestPoleGapRows:
     ARGV = ["flow", "--lambda", "1", "--e-pi", "1", "--grid", "2.3561:2.3563:201"]
 
     def _pole_mask(self):
-        from bmlandau.core import PhysParams
+        from bmlandau.core import PhysParams, QuantumNumbers
         from bmlandau.flux import _momentum_denominator, flux_context_from_lambda
 
         # hbar = 1e9 rounds Delta to E_pi^2, so the denominator touches zero at 3 pi / 4
@@ -1220,6 +1221,83 @@ class TestCsvBlockThreads:
             "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
         )
         assert code.strip() == "0"
+
+
+class TestAmplitudeBlocks:
+    """amplitude evaluates its grid in fixed blocks of 16,384 points on the
+    table writer's threads; the blocks are cut by grid index, so the bytes
+    do not depend on how many threads run them."""
+
+    @staticmethod
+    def _pools(monkeypatch):
+        """Patch the pool to none (the blocks run inline), then to 2 and to 4
+        threads; yields whether the amplitude blocks went through pool.map
+        so far in each setting."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from bmlandau import cli, tables
+
+        for threads in (None, 2, 4):
+            mapped = []
+            pool = ThreadPoolExecutor(threads) if threads else None
+            if pool:
+                pool_map = pool.map
+                pool.map = lambda fn, *starts: mapped.append("_by_blocks" in fn.__qualname__) or pool_map(fn, *starts)
+            for module in (cli, tables):
+                monkeypatch.setattr(module, "_block_pool", lambda: pool)
+            try:
+                yield lambda: any(mapped) == bool(threads)
+            finally:
+                if pool:
+                    pool.shutdown()
+
+    @pytest.mark.parametrize("argv", [
+        ["--sector", "r", "--branch", "regularised", "--nr", "3", "--l", "2", "--grid", "0:3:40000"],
+        ["--sector", "r", "--branch", "ep", "--a", "-0.4", "--A", "1.3", "--D", "0.2", "--grid", "0:3:40000"],
+        ["--sector", "z", "--branch", "regularised", "--kz", "1.3", "--grid", "0.07:3.8:40000"],
+        ["--sector", "theta", "--branch", "whittaker", "--l", "2", "--r", "1.2", "--grid", "0.1:1:40000"],
+        ["--sector", "theta", "--branch", "whittaker", "--l", "1", "--r", "0.9", "--c1", "0.7", "--c2", "0.4j",
+         "--grid", "0.2:2:40000"],
+    ], ids=["r_regularised", "r_ep", "z_regularised", "theta_m", "theta_m_and_w"])
+    def test_three_blocks_same_bytes_inline_and_on_2_or_4_threads(self, capsys, monkeypatch, argv):
+        outs = []
+        for on_the_pool in self._pools(monkeypatch):
+            code, out, err = run_cli(["amplitude", *argv], capsys)
+            assert (code, err) == (0, "") and on_the_pool()
+            outs.append(hashlib.sha1(out.encode()).hexdigest())
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("argv, evaluate", [
+        # x > 1000 only in the last block
+        (["--sector", "z", "--branch", "regularised", "--kz", "1", "--grid", "0.1:1001:40000"],
+         rg.axial_regularised(1.0)),
+        # r^nu (nu = 10.01) overflows from r = 6.1e30, in the second and third blocks
+        (["--sector", "r", "--branch", "regularised", "--nr", "0", "--l", "10", "--grid", "0:1e31:40000"],
+         rg.radial_regularised(QuantumNumbers(0, 10, 0.0), PhysParams())),
+        # every block overflows, each reaching its own max of C_r r^2 / hbar:
+        # only the whole grid's, in its last block, is the whole call's line
+        (["--sector", "r", "--branch", "damped", "--cr", "1000", "--grid", "0:30:40000"],
+         lambda grid: rg.damped_radial_profile(grid, 1000.0, PhysParams())),
+    ], ids=["axial_range", "radial_power", "damped_max"])
+    def test_refusal_in_a_block_is_the_whole_call_refusal(self, capsys, monkeypatch, argv, evaluate):
+        from bmlandau.cli import _parse_grid
+
+        with pytest.raises(ValueError) as whole:
+            evaluate(_parse_grid(argv[-1]))
+        for on_the_pool in self._pools(monkeypatch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli(["amplitude", *argv], capsys) == (2, "", f"error: {whole.value}\n")
+            assert on_the_pool()
+
+    def test_one_block_amplitude_starts_no_thread(self):
+        code = (
+            "import os, sys, threading, bmlandau.cli\n"
+            "bmlandau.cli.main(['amplitude', '--sector', 'theta', '--branch', 'whittaker', '--c2', '0.5j',"
+            " '--grid', '0.2:2:1000', '--out', os.devnull])\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        assert TestCsvBlockThreads._python(code).split() == ["False", "1"]
 
 
 class TestLazyImports:

@@ -156,10 +156,10 @@ class TestAzimuthalWhittaker:
 def _seed_azimuthal_whittaker(theta, l, phi, c1, c2):
     """The amplitude as it was with separate M and W calls, kept as the reference.
 
-    Verbatim except that M and W are named before their products: a
-    product with a fresh array of 16,384 or more points would be done in
-    place and round differently, so the reference would depend on the
-    grid's length.
+    Verbatim except that M and W are named before their products, as the
+    library names them: numpy may multiply a temporary of 16,384 or more
+    complex points in place with the operands swapped, which rounds
+    differently, so unnamed the reference would depend on the grid's length.
     """
     if l == 0:
         raise ValueError("Whittaker map degenerate (x = 0 for l = 0)")
@@ -217,11 +217,102 @@ class TestWhittakerSweeps:
         ids=["whittaker_w", "theta_m", "theta_m_and_w"],
     )
     def test_point_does_not_depend_on_the_grid_length(self, evaluate, grid):
-        # from 16,384 complex points numpy may multiply a fresh array in
-        # place, which rounds differently: a 20,000-point grid and its first
-        # 16,383 points must agree bit for bit
+        # from 16,384 complex points numpy may multiply a temporary in place
+        # with the operands swapped, which rounds differently; every product
+        # is named, so a 20,000-point grid and its first 16,383 points agree
+        # bit for bit
         head = grid[:16_383]
         assert evaluate(grid)[: head.size].tobytes() == evaluate(head).tobytes()
+
+
+def _outcome(f, x):
+    """f(x) as bytes (each of a tuple's arrays), or the type of what it raised."""
+    try:
+        value = f(x)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc)
+    return [np.asarray(v).tobytes() for v in (value if isinstance(value, tuple) else (value,))]
+
+
+def _tiled_outcome(f, x):
+    """f on x tiled k times, with k the least that takes the tiled length
+    past 16,384 points, and f(x) itself tiled k times, as _outcome gives them."""
+    k = 16_384 // x.size + 1
+    whole = _outcome(f, np.tile(x, k))
+    alone = _outcome(f, x)
+    if not isinstance(alone, type):
+        alone = [np.tile(np.frombuffer(v, np.uint8), k).tobytes() for v in alone]
+    return whole, alone
+
+
+def _spaced(lo, hi):
+    """50 to 300 evenly spaced points between two draws from [lo, hi]: many
+    distinct points, so a product that rounds differently shows."""
+    return st.builds(lambda a, b, n: np.linspace(a, b, n), st.floats(lo, hi), st.floats(lo, hi), st.integers(50, 300))
+
+
+# points on a ray through 0 (+-i axis, real axis, oblique) with |x| <= 29.9,
+# on the +i axis up to 200, or both
+_direction = st.one_of(
+    st.sampled_from([1j, -1j, 1.0, -1.0]), st.floats(-3.1, 3.1).map(lambda p: complex(np.exp(1j * p)))
+)
+_ray_points = st.builds(lambda t, d: t * d, _spaced(0.01, 29.9), _direction)
+_axis_points = _spaced(0.01, 200.0).map(lambda t: 1j * t)
+_kummer_x = st.one_of(
+    _ray_points, _axis_points, st.builds(lambda u, v: np.concatenate([u, v]), _ray_points, _axis_points)
+)
+_sector_kappa = st.builds(lambda phi, l: -1j * phi / (2.0 * l), st.floats(0.0, 2.0), st.integers(1, 6))
+_coefficient = st.one_of(st.just(0j), st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+
+
+class TestLengthIndependence:
+    """k copies of a few points keep every group's max|x|, its largest terms
+    and its ray chains, so the series and the continuation run as they do
+    on the points alone; only a product numpy does in place with its
+    operands swapped (from 16,384 complex points, where it reuses a
+    temporary) could make the tiled call round differently."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.builds(complex, st.floats(-4.0, 4.0), st.floats(-3.0, 3.0)), b=st.floats(0.3, 4.0), x=_kummer_x)
+    # every point in the series region |x| <= 2, and every point continued
+    @example(a=0.5 + 0.2j, b=1.5, x=2j * np.linspace(0.05, 0.95, 300))
+    @example(a=1.2 - 0.3j, b=2.4,
+             x=np.concatenate([np.linspace(3.0, 29.0, 200) * (0.6 + 0.8j), 1j * np.linspace(3.0, 150.0, 100)]))
+    def test_hyp1f1(self, a, b, x):
+        whole, alone = _tiled_outcome(lambda x: sf.hyp1f1(a, b, x), x)
+        assert whole == alone
+
+    @settings(max_examples=15, deadline=None)
+    @given(kappa=_sector_kappa, mu=st.sampled_from([rg.WHITTAKER_MU, -rg.WHITTAKER_MU]), x=_kummer_x)
+    @example(kappa=-0.25j, mu=rg.WHITTAKER_MU, x=2j * np.linspace(0.2, 1.0, 300))
+    def test_whittaker_m(self, kappa, mu, x):
+        whole, alone = _tiled_outcome(lambda x: sf.whittaker_m(kappa, mu, x), x)
+        assert whole == alone
+
+    @settings(max_examples=15, deadline=None)
+    @given(kappa=_sector_kappa, x=_kummer_x)
+    @example(kappa=-0.25j, x=2j * np.linspace(0.2, 1.0, 300))
+    def test_whittaker_mw(self, kappa, x):
+        whole, alone = _tiled_outcome(lambda x: sf.whittaker_mw(kappa, rg.WHITTAKER_MU, x), x)
+        assert whole == alone
+
+    @settings(max_examples=15, deadline=None)
+    @given(nu=st.floats(0.0, 6.0), x=_spaced(0.0, 1000.0))
+    @example(nu=rg.AXIAL_ORDER, x=np.linspace(0.1, 0.9, 300))
+    def test_bessel_j(self, nu, x):
+        whole, alone = _tiled_outcome(lambda x: sf.bessel_j(nu, x), x)
+        assert whole == alone
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        theta=_spaced(0.01, 6.28),
+        l=st.integers(1, 3), phi=st.floats(-2.0, 2.0), c1=_coefficient, c2=_coefficient,
+    )
+    @example(theta=np.linspace(0.2, 0.9, 300), l=1, phi=0.5, c1=1 + 0j, c2=0j)
+    @example(theta=np.linspace(0.2, 2.0, 300), l=2, phi=1.125, c1=0.8 + 0.1j, c2=0.5j)
+    def test_azimuthal_whittaker(self, theta, l, phi, c1, c2):
+        whole, alone = _tiled_outcome(lambda t: rg.azimuthal_whittaker(t, l, phi, c1, c2), theta)
+        assert whole == alone
 
 
 class TestThetaLocalBranch:

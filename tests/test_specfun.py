@@ -394,7 +394,10 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
         denom = (bw + k) * (k + 1)
         if denom == 0:
             raise ValueError("pole of Kummer function: b is a non-positive integer")
-        term = term * ((aw + k) * xw / denom)
+        # the factor named, as the library names it: numpy never multiplies
+        # it in place with the operands swapped, so no bit depends on the size
+        factor = (aw + k) * xw / denom
+        term = term * factor
         total = total + term
         growth = abs(complex(a) + k) / abs(complex(b) + k) * (x_max / (k + 1))
         k += 1
@@ -887,9 +890,10 @@ class TestBroadcast:
 
     @pytest.mark.parametrize("n", [1000, 20_000])
     def test_groups_shared_or_alone_keep_their_own_rounding(self, n):
-        # small groups share one sweep (series and continuation); a complex
-        # series group of 16,384 points or more is summed alone, so it gets
-        # numpy's in-place products, as its own call does
+        # every group shares one sweep (series and continuation), a complex
+        # series group of 16,384 points or more too: with each series factor
+        # named, no product runs in place, so each group keeps its own
+        # call's bits
         x = np.concatenate([2j * np.linspace(0.01, 1.0, n), 3.0 * np.exp(1j * np.linspace(-3.0, 3.0, 7))])
         a, b = np.array([[0.5 + 0.2j], [1.5 - 0.1j], [0.7]]), np.array([[1.2], [2.4], [0.9]])
         got = sf.hyp1f1(a, b, x)
