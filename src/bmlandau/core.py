@@ -115,9 +115,18 @@ def uniform_step(grid) -> float:
     return float(h[0])
 
 
-def _radial_argument(r, beta: float):
-    """(r, x = beta r^2) of the radial amplitudes, r as a float array; ValueError where x overflows."""
+def _radius(r):
+    """r as a float array; ValueError naming the first r < 0, where no radial amplitude is defined."""
     r = np.asarray(r, dtype=float)
+    negative = r < 0
+    if np.any(negative):
+        raise ValueError(f"radial coordinate r must be >= 0 (got r = {r[negative][0]:g})")
+    return r
+
+
+def _radial_argument(r, beta: float):
+    """(r, x = beta r^2) of the radial amplitudes, r as a float array; ValueError where r < 0 or x overflows."""
+    r = _radius(r)
     with np.errstate(over="ignore"):
         x = beta * r * r
     overflow = np.isinf(x)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CurrentBranch, PhysParams, QuantumNumbers, _radial_argument
+from .core import CurrentBranch, PhysParams, QuantumNumbers, _radial_argument, _radius
 from .specfun import bessel_j, hyp1f1, whittaker_m, whittaker_mw
 
 AXIAL_ORDER = 1.0 / math.sqrt(2.0)
@@ -78,7 +78,7 @@ def radial_regularised(qn: QuantumNumbers, params: PhysParams) -> Callable:
     Normalisation C = 1, so R(r)/r^nu -> 1 as r -> 0+.  The scaled
     chi = sqrt(r) R solves chi'' + [kappa^2 - beta^2 r^2 - (nu^2 - 1/4)/r^2] chi = 0
     with kappa^2 fixed by the quantisation identity.  Raises ValueError
-    where beta r^2 or r^nu overflows the float range.
+    where r < 0 and where beta r^2 or r^nu overflows the float range.
     """
     labels = RegularisedLabels.from_quantum_numbers(qn)
     beta = params.beta
@@ -228,11 +228,11 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 def damped_radial_profile(r, C_r: float, params: PhysParams):
     """Radial density under the canonical closure: R^2(r) = exp(C_r r^2 / hbar).
 
-    Normalisable over r dr only for C_r < 0.  Raises ValueError where the
-    exponent C_r r^2 / hbar exceeds log(float max), so that the density
-    would overflow.
+    Normalisable over r dr only for C_r < 0.  Raises ValueError where
+    r < 0 and where the exponent C_r r^2 / hbar exceeds log(float max), so
+    that the density would overflow.
     """
-    r = np.asarray(r, dtype=float)
+    r = _radius(r)
     with np.errstate(over="ignore"):  # an exponent of +-inf is tested or gives 0
         exponent = C_r * r * r / params.hbar
     if np.any(exponent > _LOG_FLOAT_MAX):

@@ -46,7 +46,8 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
     Wronskian is exactly 1 (value at r = 0).  Derivatives use the
     contiguous relation for d/dx 1F1, never finite differences, so
     ``values`` makes four Kummer sweeps: 1F1(a, 1/2), 1F1(a+1, 3/2),
-    1F1(a+1/2, 3/2) and 1F1(a+3/2, 5/2).
+    1F1(a+1/2, 3/2) and 1F1(a+3/2, 5/2).  Raises ValueError where r < 0
+    and where beta r^2 overflows the float range.
     """
     beta = params.beta
 
@@ -74,16 +75,29 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
 
 
 def trig_pair(omega: float) -> LinearPair:
-    """cos/sin solutions of y'' + omega^2 y = 0; Wronskian = omega."""
+    """cos/sin solutions of y'' + omega^2 y = 0; Wronskian = omega.
+
+    Raises ValueError, naming q, where the phase omega q overflows the
+    float range.
+    """
+
+    def phase(q):
+        q = np.asarray(q, dtype=float)
+        with np.errstate(over="ignore"):  # an infinite phase is refused below
+            t = omega * q
+        overflow = ~np.isfinite(t)
+        if np.any(overflow):
+            raise ValueError(f"phase omega q overflows the float range at q = {q[overflow][0]:g} (omega = {omega:g})")
+        return t
 
     def values(q):
-        t = omega * np.asarray(q, dtype=float)
+        t = phase(q)
         cos, sin = np.cos(t), np.sin(t)
         return cos, sin, -omega * sin, omega * cos
 
     return LinearPair(
-        u1=lambda q: np.cos(omega * np.asarray(q, dtype=float)),
-        u2=lambda q: np.sin(omega * np.asarray(q, dtype=float)),
+        u1=lambda q: np.cos(phase(q)),
+        u2=lambda q: np.sin(phase(q)),
         values=values,
         wronskian=omega,
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,8 @@ import numpy as np
 # imaginary axis up to SERIES_RANGE, complex x with Re x = 0 up to _AXIS_RANGE
 SERIES_RANGE = 30.0
 _AXIS_RANGE = 2000.0
+# validated degree n = -a of a polynomial 1F1 (integer-typed a <= 0)
+_MAX_DEGREE = 60
 
 # series limits (small-term ratio, term budget), read by _sum_series at call time
 _REL_TOL = 1e-15
@@ -51,8 +54,13 @@ def _hits_gamma_pole(z):
     return zc.imag == 0.0 and zc.real <= 0.0 and zc.real == round(zc.real)
 
 
+def _all_finite(*arrays) -> bool:
+    """Every entry of every array is finite (np.count_nonzero is one C call; ndarray.all() runs through Python)."""
+    return all(np.count_nonzero(np.isfinite(v)) == v.size for v in arrays)
+
+
 def _check_finite(value, what: str):
-    if not np.all(np.isfinite(value)):
+    if not _all_finite(value):
         raise ArithmeticError(f"{what} produced a non-finite value")
     return value
 
@@ -73,17 +81,13 @@ def _moderate(*values) -> bool:
     return all(p == 0 or 1e-100 <= abs(p) <= 1e100 for p in parts)
 
 
-def _array_test(term, total, starts=None):
-    """The array convergence test max|term| <= _REL_TOL * max|partial sum|.
+def _array_test(term, total, starts):
+    """The array convergence test max|term| <= _REL_TOL * max|partial sum| over each group of points.
 
-    A non-finite term (an overflow) never counts as small.  Returns the
-    verdict and that maximum over all points, or with ``starts`` lists of
-    them over each group of points, group i starting at starts[i].
+    Group i starts at starts[i].  A non-finite term (an overflow) never
+    counts as small.  Returns lists of the verdicts and of those maxima of
+    |partial sum|, one entry per group.
     """
-    if starts is None:
-        total_max = np.max(np.abs(total))
-        term_max = np.max(np.abs(term))
-        return np.isfinite(term_max) and term_max <= _REL_TOL * total_max, float(total_max)
     total_max = np.maximum.reduceat(np.abs(total), starts)
     term_max = np.maximum.reduceat(np.abs(term), starts)
     return (np.isfinite(term_max) & (term_max <= _REL_TOL * total_max)).tolist(), total_max.tolist()
@@ -112,13 +116,12 @@ def _next_test(growth, i, k, s, m):
 # an overflowed term is never small (_array_test), so a series that
 # overflows ends at the term budget instead of warning
 @np.errstate(over="ignore", invalid="ignore")
-def _sum_series(x, ratio, growth, n_terms=None, counts=None):
-    """Sum term_0 = 1, term_{k+1} = term_k p_k x / q_k over ``x``, with (p_k, q_k) = ratio(k).
+def _sum_series(x, ratio, growth, counts, n_terms=None):
+    """Sum term_0 = 1, term_{k+1} = term_k p_k x / q_k over the 1-D ``x``, group by group.
 
-    The points form groups, and each group is summed as if it were alone.
-    With ``counts`` None all of ``x`` is one group and ratio(k) gives
-    scalars; otherwise ``x`` is 1-D, group i is the next counts[i] points
-    and ratio(k) gives an array with one entry per group.
+    Group i is the next counts[i] points of ``x``, and each group is
+    summed as if it were alone.  ratio(k, i) gives (p_k, q_k) of group i
+    as scalars, and ratio(k, slice(None)) arrays with one entry per group.
 
     With ``n_terms`` exactly that many terms after term_0 are added (a
     terminating polynomial).  Otherwise a group stops after two
@@ -141,12 +144,12 @@ def _sum_series(x, ratio, growth, n_terms=None, counts=None):
     """
     term = np.ones_like(x)
     total = term.copy()
-    if counts is not None:
-        sizes = list(counts)
-        out, home = np.empty_like(x), np.arange(x.size)  # home: each working point's place in out
-        # at: the live group of each working point, an index into ratio(k)
-        starts, at = np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
-    live = list(range(1 if counts is None else len(sizes)))  # the groups still summing
+    sizes = list(counts)
+    live = list(range(len(sizes)))  # the groups still summing
+    out = home = None  # once a group has left: the results, and each working point's place in them
+    # the first point of each live group and, while several are live, the
+    # live group of each working point (an index into ratio's arrays)
+    starts, at = [0, *accumulate(sizes[:-1])], np.repeat(live, sizes) if len(live) > 1 else None
     # each live group's next array test (_next_test) and its run of small terms
     plan = [] if n_terms is not None else [_next_test(growth, i, 0, 1.0, 1.0) for i in live]
     streak = [0] * len(live)
@@ -155,20 +158,19 @@ def _sum_series(x, ratio, growth, n_terms=None, counts=None):
     while k != n_terms:
         if k >= _MAX_TERMS:
             raise RuntimeError(f"series budget exceeded: 1F1 did not converge in {_MAX_TERMS} terms")
-        p, q = ratio(k)
+        if len(live) == 1:  # one group: its scalar ratio, with no per-point gather
+            p, q = ratio(k, live[0])
+        else:
+            p, q = (v[at] for v in ratio(k, slice(None)))
         # f named, so numpy never multiplies it in place: the operand
         # order, and with it every bit, does not depend on the array size
-        f = p * x / q if counts is None else p[at] * x / q[at]
+        f = p * x / q
         term = term * f
         total = total + term
         k += 1
         if k != due:
             continue
-        if counts is None:
-            small, total_max = _array_test(term, total)
-            small, total_max = [small], [total_max]
-        else:
-            small, total_max = _array_test(term, total, starts)
+        small, total_max = _array_test(term, total, starts)
         done = [False] * len(live)
         for j, (t, s, m, g) in enumerate(plan):
             if t != k:
@@ -180,66 +182,59 @@ def _sum_series(x, ratio, growth, n_terms=None, counts=None):
             plan[j] = _next_test(growth, live[j], k, s, min(m, total_max[j]))
             if plan[j][0] > k + 1:
                 streak[j] = 0  # the terms it skips are not small
+        if all(done):
+            break
         if any(done):
-            if counts is None:
-                break
+            if out is None:
+                out, home = np.empty_like(x), np.arange(x.size)
             leaving = np.repeat(done, sizes)
             out[home[leaving]] = total[leaving]
-            if all(done):
-                return out
             x, term, total, home = (v[~leaving] for v in (x, term, total, home))
             live, sizes, plan, streak = ([v for v, d in zip(seq, done) if not d] for seq in (live, sizes, plan, streak))
-            starts, at = np.cumsum([0] + sizes[:-1]), np.repeat(live, sizes)
+            starts, at = [0, *accumulate(sizes[:-1])], np.repeat(live, sizes) if len(live) > 1 else None
         due = min(plan)[0]
-    return total
+    if out is None:
+        return total
+    out[home] = total
+    return out
 
 
 class _Groups(NamedTuple):
     """Kummer parameters (a + a_lo, b) of the points of a sweep, group by group.
 
-    With ``counts`` None there is one group and a, a_lo and b are Python
-    floats (or complex).  Otherwise a and b are arrays with one entry per
-    group, a_lo is such an array or the shared 0.0, and group i holds the
-    next counts[i] points.
+    a, a_lo and b are arrays with one entry per group, and group i holds
+    the next counts[i] points.  A scalar x is a group of one point.
     """
 
-    a: object
-    a_lo: object
-    b: object
-    counts: object = None
+    a: np.ndarray
+    a_lo: np.ndarray
+    b: np.ndarray
+    counts: list
 
     def params(self):
         """(a, a_lo, b) of each group, in Python floats (or complex)."""
-        if self.counts is None:
-            return [(self.a, self.a_lo, self.b)]
-        a_lo = self.a_lo.tolist() if isinstance(self.a_lo, np.ndarray) else [self.a_lo] * len(self.counts)
-        return list(zip(self.a.tolist(), a_lo, self.b.tolist()))
+        return list(zip(self.a.tolist(), self.a_lo.tolist(), self.b.tolist()))
+
+    def starts(self):
+        """The index of each group's first point."""
+        return [0, *accumulate(self.counts[:-1])]
 
     def where(self, mask):
-        """The groups of the points where ``mask`` holds, in their order; one is a scalar group."""
-        counts = np.add.reduceat(mask, np.cumsum(self.counts) - self.counts, dtype=np.intp)
+        """The groups of the points where ``mask`` holds, in their order."""
+        counts = np.add.reduceat(mask, self.starts(), dtype=np.intp)
         keep = np.flatnonzero(counts)
-        a_lo = self.a_lo[keep] if isinstance(self.a_lo, np.ndarray) else self.a_lo
-        if keep.size == 1:
-            return _Groups(*_Groups(self.a[keep], a_lo, self.b[keep], counts[keep]).params()[0])
-        return _Groups(self.a[keep], a_lo, self.b[keep], counts[keep])
+        return _Groups(self.a[keep], self.a_lo[keep], self.b[keep], counts[keep].tolist())
 
 
-def _kummer_series(a, b, x, work, n_terms=None, a_lo=0.0, counts=None):
-    """The Kummer series of 1F1(a + a_lo, b; x) as one _sum_series sweep over ``x`` in dtype ``work``.
+def _kummer_series(g, x, n_terms=None):
+    """The Kummer series of 1F1(a + a_lo, b; x) of the groups ``g`` as one _sum_series sweep over ``x``.
 
-    ``a``, ``b`` and ``a_lo`` are Python floats for a float64 sweep and
-    complex for a complex128 one; with ``counts`` they are the arrays of a
-    ``_Groups`` (a_lo may stay one scalar).  No b is a pole the series
-    reaches: hyp1f1 refuses those before summing.
+    a, b and x share one dtype, float64 or complex128, the sweep's.  No b
+    is a pole the series reaches: hyp1f1 refuses those before summing.
     """
-    if counts is None:
-        params = [(a, a_lo, b)]
-        x_max = [float(np.max(np.abs(x))) if n_terms is None else 0.0]
-    else:
-        params = _Groups(a, a_lo, b, counts).params()
-        x_max = [0.0] * len(params) if n_terms is not None else \
-            np.maximum.reduceat(np.abs(x), np.cumsum(counts) - counts).tolist()
+    params = g.params()
+    x_max = [0.0] * len(params) if n_terms is not None else \
+        np.maximum.reduceat(np.abs(x), g.starts()).tolist()
     # no trusted bound: test every term
     x_max = [x_i if _moderate(a_i, b_i, x_i) else math.nan for (a_i, _, b_i), x_i in zip(params, x_max)]
 
@@ -247,15 +242,15 @@ def _kummer_series(a, b, x, work, n_terms=None, a_lo=0.0, counts=None):
         a_i, a_lo_i, b_i = params[i]
         return abs(a_i + k + a_lo_i) / abs(b_i + k) * (x_max[i] / (k + 1))
 
-    # one entry of a and b per group, in dtype work; a_lo is 0.0 or the
-    # rounding error of a (see _kummer_general's Re x < 0 region), and adding
-    # 0.0 to a + k, which is never -0.0, changes no bit
-    aw, bw = (work(a), work(b)) if counts is None else (a.astype(work), b.astype(work))
+    # a_lo is 0.0 or the rounding error of a (see _kummer_general's Re x < 0
+    # region), and adding 0.0 to a + k, which is never -0.0, changes no bit;
+    # one group's ratio is formed in Python scalars, whose + and * round
+    # as numpy's do
+    def ratio(k, i):
+        a, a_lo, b = params[i] if isinstance(i, int) else (g.a, g.a_lo, g.b)
+        return a + k + a_lo, (b + k) * (k + 1)
 
-    def ratio(k):
-        return aw + k + a_lo, (bw + k) * (k + 1)
-
-    return _sum_series(x.astype(work), ratio, growth, n_terms, counts)
+    return _sum_series(x, ratio, growth, g.counts, n_terms)
 
 
 def _kummer_polynomial(n, b, x):
@@ -380,38 +375,35 @@ def _ray_sweep(g, u):
     points.
     """
     params = g.params()
-    rays = np.round(u / np.abs(u) * _RAY_GRID) + 0.0  # + 0.0 turns -0.0 into 0.0
-    # the chain of each point (None: all one chain) and the first point of each chain
-    group = None if g.counts is None else np.repeat(np.arange(len(params)), g.counts)
-    firsts = [0] if group is None else np.cumsum(g.counts) - g.counts
-    if np.all(rays == (rays[0] if group is None else rays[firsts][group])):
+    size = np.abs(u)
+    rays = np.round(u / size * _RAY_GRID) + 0.0  # + 0.0 turns -0.0 into 0.0
+    # the group of each point, and the first point of each chain
+    group = np.repeat(np.arange(len(params)), g.counts)
+    firsts = g.starts()
+    if (rays == rays[firsts][group]).all():
         chain = group  # one ray per group
     else:
         width = 2 * _RAY_GRID + 1
-        key = ((0 if group is None else group) * width + (rays.real + _RAY_GRID)) * width + (rays.imag + _RAY_GRID)
+        key = (group * width + (rays.real + _RAY_GRID)) * width + (rays.imag + _RAY_GRID)
         _, firsts, chain = np.unique(key, return_index=True, return_inverse=True)
         chain = chain.reshape(-1)
     d = [complex(rays[i]) / _RAY_GRID for i in firsts]
-    t = np.abs(u) / (abs(d[0]) if chain is None else np.array([abs(d_c) for d_c in d])[chain])
-    t_last = float(np.max(t))
+    t = size / np.array([abs(d_c) for d_c in d])[chain]
+    t_last = float(t.max())
     nodes = [_CONTINUE_FROM]
     while nodes[-1] + min(nodes[-1] / 2.0, _NODE_STEP) <= t_last:
         nodes.append(nodes[-1] + min(nodes[-1] / 2.0, _NODE_STEP))
     at = np.maximum(np.searchsorted(nodes, t, side="right") - 1, 0)
     # the points of node j on chain c are order[bounds[j n + c]:bounds[j n + c + 1]]
     n = len(d)
-    segment = at if chain is None else at * n + chain
+    segment = at * n + chain
     order = np.argsort(segment, kind="stable")
-    bounds = [0] + np.cumsum(np.bincount(segment, minlength=len(nodes) * n)).tolist()
+    sizes = np.bincount(segment, minlength=len(nodes) * n)
+    bounds = [0] + np.cumsum(sizes).tolist()
     # each chain's last node with points (the point farthest out is at the last node)
-    if chain is None:
-        last = [len(nodes) - 1]
-    else:
-        last = np.zeros(n, dtype=np.intp)
-        np.maximum.at(last, chain, at)
-        last = last.tolist()
+    last = (len(nodes) - 1 - np.argmax(sizes.reshape(len(nodes), n)[::-1] > 0, axis=0)).tolist()
     # each chain's parameters, and (y, y') at its current node
-    chain_params = [params[0 if group is None else group[first]] for first in firsts]
+    chain_params = [params[group[first]] for first in firsts]
     y = []
     for (a, a_lo, b), d_c in zip(chain_params, d):
         x_0 = nodes[0] * d_c
@@ -444,14 +436,13 @@ def _ray_sweep(g, u):
 
 
 def _kummer_general(g, x):
-    """1F1(a, b; x) of the groups ``g`` (see _Groups), all float or all complex, outside the polynomial case.
+    """1F1(a, b; x) of the groups ``g`` (see _Groups) at their 1-D points ``x``, all float or all complex, outside the polynomial case.
 
-    One group may have ``x`` of any shape; groups have 1-D ``x``.  Points
-    with Re x < 0 (complex ones only where |x| > _CONTINUE_FROM) take the
-    Kummer transformation e^x 1F1(b - a, b; -x) (DLMF 13.2.39), b - a an
-    exact two-float sum, so every argument u of the right half has
-    Re u >= 0.  Real u, and complex u with |u| <= _CONTINUE_FROM, sum the
-    Kummer series.  Other complex u continue Kummer's equation along
+    Points with Re x < 0 (complex ones only where |x| > _CONTINUE_FROM)
+    take the Kummer transformation e^x 1F1(b - a, b; -x) (DLMF 13.2.39),
+    b - a an exact two-float sum, so every argument u of the right half
+    has Re u >= 0.  Real u, and complex u with |u| <= _CONTINUE_FROM, sum
+    the Kummer series.  Other complex u continue Kummer's equation along
     their ray (_ray_sweep; Gil, Segura & Temme 2007, ch. 9).  Within
     _RECESSIVE_NEAR of a = 0, -1, -2, ... 1F1 is nearly a polynomial,
     recessive against e^u along a ray into Re u > 0, so the continuation's
@@ -461,20 +452,19 @@ def _kummer_general(g, x):
     Each region is one sweep over all its groups, and every choice above
     is made per group.
     """
-    complex_x = np.iscomplexobj(x)
-    work = np.complex128 if complex_x else np.float64
+    complex_x = x.dtype.kind == "c"
 
     def split(g, x, upper, lower_fn, upper_fn):
-        if g.counts is None:
-            return _by_region(x, upper, lambda x: lower_fn(g, x), lambda x: upper_fn(g, x))
+        # a split that sends every point one way keeps the groups as they are
+        if not upper.any():
+            return lower_fn(g, x)
+        if upper.all():
+            return upper_fn(g, x)
         return _by_region(x, upper, lambda x: lower_fn(g.where(~upper), x), lambda x: upper_fn(g.where(upper), x))
-
-    def series(g, u):
-        return _kummer_series(g.a, g.b, u, work, a_lo=g.a_lo, counts=g.counts)
 
     def right_half(g, u):
         if not complex_x:
-            return series(g, u)
+            return _kummer_series(g, u)
         # per group: 0 continues every point, 1 sums the series at every
         # point (a terminates), 2 sums it where it loses at most e^_SERIES_LOSS
         modes = []
@@ -483,9 +473,9 @@ def _kummer_general(g, x):
             modes.append(0 if abs(a + a_lo - n) >= _RECESSIVE_NEAR else 1 if a_lo == 0 and a == n else 2)
         if not any(modes):
             return _ray_sweep(g, u)
-        mode = modes[0] if g.counts is None else np.repeat(modes, g.counts)
+        mode = np.repeat(modes, g.counts)
         along = (mode == 0) | ((mode == 2) & (np.abs(u) - u.real > _SERIES_LOSS))
-        return split(g, u, along, series, _ray_sweep)
+        return split(g, u, along, _kummer_series, _ray_sweep)
 
     def left_half(g, x):
         c, c_lo = _two_diff(g.b, g.a)
@@ -500,9 +490,7 @@ def _kummer_general(g, x):
 
     if not complex_x:
         return halves(g, x)
-    # the rays index 1-D arrays, but the series keeps the caller's shape:
-    # a 0-d complex sweep rounds differently from a 1-element one
-    return split(g, x, np.abs(x) > _CONTINUE_FROM, series, lambda g, x: halves(g, x.reshape(-1)).reshape(x.shape))
+    return split(g, x, np.abs(x) > _CONTINUE_FROM, _kummer_series, halves)
 
 
 def _by_region(x, upper, lower_fn, upper_fn):
@@ -525,7 +513,7 @@ def _by_region(x, upper, lower_fn, upper_fn):
 def _check_range(x):
     """Raise ValueError, naming the region, where a point of ``x`` leaves its validated range."""
     size = np.abs(x)
-    if float(np.max(size)) <= SERIES_RANGE:
+    if size.max() <= SERIES_RANGE:
         return
     if not np.iscomplexobj(x):
         raise ValueError(f"hyp1f1: real x out of validated range |x| <= {SERIES_RANGE:g}")
@@ -551,7 +539,8 @@ def hyp1f1(a, b, x):
     ==========================  ==========================================
     integer-typed a = -n <= 0   real b and x: forward recurrence in a
                                 (DLMF 13.3.1), n steps; complex: the
-                                terminating series, degree n; any x
+                                terminating series, degree n; any x;
+                                n <= 60
     real, x >= 0                Kummer series sum_k (a)_k x^k/((b)_k k!)
     real, x < 0                 transformed Kummer series
     complex, |x| <= 2           Kummer series
@@ -627,78 +616,76 @@ def hyp1f1(a, b, x):
     Each region is one sweep over all its groups, one series loop and one
     Horner pass per node index over the node chains of every group and
     ray.  That pays for many small groups; a group of a few thousand
-    points is faster in a call of its own.  Scalar a and b give the shape
-    of ``x``; with an array a or b the result has the broadcast shape.
-    Real inputs give a float result, complex inputs (any of a, b or x) a
-    complex one, and scalar arguments a Python scalar.  A non-finite a, b
-    or x raises ValueError, as does, outside the polynomial case,
-    |x| > 2000 for complex x on the imaginary axis (Re x = 0) and
-    |x| > 30 for real x and complex x off it; the message names the
-    region.  A b at a pole raises in any group, outside the polynomial
-    case of lower degree.
+    points is faster in a call of its own.  A scalar (or 0-d) x is a group
+    of one point, summed as that point in a 1-element array: its bits
+    equal those of ``hyp1f1(a, b, np.array([x]))[0]``.  Scalar a and b
+    give the shape of ``x``; with an array a or b the result has the
+    broadcast shape.  Real inputs give a float result, complex inputs (any
+    of a, b or x) a complex one, and scalar arguments a Python scalar.  A
+    polynomial degree n > 60, past the range validated above, raises
+    ValueError naming that range.  So does a non-finite a, b or x, and,
+    outside the polynomial case, |x| > 2000 for complex x on the
+    imaginary axis (Re x = 0) and |x| > 30 for real x and complex x off
+    it; the message names the region.  A b at a pole raises in any group,
+    outside the polynomial case of lower degree.
     """
     a_arr, b_arr, x_arr = np.asarray(a), np.asarray(b), np.asarray(x)
     if a_arr.dtype.kind in "iub" and not isinstance(a, numbers.Integral):
         raise ValueError("hyp1f1: the polynomial case takes a scalar integer a, not an integer array")
-    broadcast = a_arr.ndim or b_arr.ndim
-    if broadcast:
-        finite = np.isfinite(a_arr).all() and np.isfinite(b_arr).all()
-    else:
-        finite = cmath.isfinite(a) and cmath.isfinite(b)
-    if not (finite and np.isfinite(x_arr).all()):
-        raise ValueError("hyp1f1: non-finite argument")
     polynomial = _is_nonpositive_integer(a)
+    if polynomial and -a > _MAX_DEGREE:
+        raise ValueError(f"hyp1f1: polynomial degree -a = {-a} out of validated range -a <= {_MAX_DEGREE}")
+    kind = complex if "c" in (a_arr.dtype.kind, b_arr.dtype.kind, x_arr.dtype.kind) else float
+    a_arr, b_arr, x_arr = (v.astype(kind, copy=False) for v in (a_arr, b_arr, x_arr))
+    if not _all_finite(a_arr, b_arr, x_arr):
+        raise ValueError("hyp1f1: non-finite argument")
     pole = _hits_gamma_pole(b_arr)
     # b at a pole -m is tolerated only in the polynomial case of degree
     # n <= m, whose terms divide by b + k for k < n only
     if np.count_nonzero(pole) and not (polynomial and (-int(a) <= -b_arr.real[pole]).all()):
         raise ValueError("pole of Kummer function: b is a non-positive integer")
-    kind = complex if "c" in (a_arr.dtype.kind, b_arr.dtype.kind, x_arr.dtype.kind) else float
-    shape = np.broadcast_shapes(a_arr.shape, b_arr.shape, x_arr.shape) if broadcast else x_arr.shape
+    shape = np.broadcast(a_arr, b_arr, x_arr).shape
     if not math.prod(shape):
         return np.empty(shape, dtype=kind)
 
-    if broadcast:
-        g, x_pts, perm = _parameter_groups(a_arr, b_arr, x_arr, shape, kind)
-    else:
-        g, x_pts, perm = _Groups(kind(a), 0.0, kind(b)), x_arr.astype(kind), None
+    g, x_pts, perm = _parameter_groups(a_arr, b_arr, x_arr, shape)
     if not polynomial:
         _check_range(x_pts)
         out = _kummer_general(g, x_pts)
     elif kind is complex:
-        out = _kummer_series(g.a, g.b, x_pts, np.complex128, -int(a), counts=g.counts)
+        out = _kummer_series(g, x_pts, -int(a))
     else:
-        out = _kummer_polynomial(-int(a), g.b if g.counts is None else np.repeat(g.b, g.counts), x_pts)
+        out = _kummer_polynomial(-int(a), np.repeat(g.b, g.counts), x_pts)
     _check_finite(out, "hyp1f1")
     if perm is not None:
         out, sorted_out = np.empty_like(out), out
         out[perm] = sorted_out
-    if broadcast:
-        return out.reshape(shape)
-    return out if out.ndim else out.item()
+    return out.reshape(shape) if shape else out.item()
 
 
-def _parameter_groups(a, b, x, shape, kind):
-    """(groups, points, perm) of a call whose a or b is an array.
+def _parameter_groups(a, b, x, shape):
+    """(groups, points, perm) of a call, a, b and x arrays of one dtype.
 
-    The points are x broadcast to ``shape``, flattened and ordered by
-    group (``perm`` the ordering, None when they already are).  A group
-    is one distinct (a, b), told apart by its bits, so -0.0 and 0.0 fall
-    in two groups as they would in two calls; groups are numbered in the
-    order of their first point.
+    The points are x broadcast to ``shape`` and flattened, a scalar x a
+    single point, and ordered by group (``perm`` the ordering, None when
+    they already are).  A group is one distinct (a, b), told apart by its
+    bits, so -0.0 and 0.0 fall in two groups as they would in two calls;
+    groups are numbered in the order of their first point.
     """
-    a, b = np.broadcast_arrays(a.astype(kind), b.astype(kind))
+    points = x.reshape(-1) if x.shape == shape else np.broadcast_to(x, shape).ravel()
+    if a.size == b.size == 1:  # one (a, b): every point in one group
+        return _Groups(a.reshape(1), np.zeros(1), b.reshape(1), [points.size]), points, None
+    pairs = np.empty(np.broadcast(a, b).shape + (2,), x.dtype)
+    pairs[..., 0], pairs[..., 1] = a, b
     number, first, pair_group = {}, [], []  # group of each distinct bit pattern; its first entry
-    for i, key in enumerate(map(tuple, np.stack([a.ravel(), b.ravel()], axis=1).view(np.int64).tolist())):
+    for i, key in enumerate(map(tuple, pairs.reshape(-1, 2).view(np.int64).tolist())):
         if key not in number:
             number[key] = len(first)
             first.append(i)
         pair_group.append(number[key])
-    points = np.broadcast_to(x.astype(kind), shape).ravel()
-    if len(first) == 1:
-        return _Groups(a.flat[0].item(), 0.0, b.flat[0].item()), points, None
-    group = np.broadcast_to(np.reshape(pair_group, a.shape), shape).ravel()
-    groups = _Groups(a.ravel()[first], 0.0, b.ravel()[first], np.bincount(group, minlength=len(first)))
+    a, b = pairs.reshape(-1, 2).take(first, axis=0).T
+    group = np.broadcast_to(np.reshape(pair_group, pairs.shape[:-1]), shape).ravel()
+    groups = _Groups(a, np.zeros(len(first)), b, np.bincount(group, minlength=len(first)).tolist())
     if np.all(group[1:] >= group[:-1]):
         return groups, points, None
     perm = np.argsort(group, kind="stable")
@@ -799,7 +786,7 @@ def whittaker_m(kappa, mu, x):
     b = 1.0 + 2.0 * mu
     if _hits_gamma_pole(b):
         raise ValueError("pole of Kummer function: 1 + 2*mu is a non-positive integer")
-    x_arr = np.asarray(x, dtype=complex)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=complex))  # a scalar x is a one-point array
     zero = x_arr == 0
     if np.any(zero) and (mu + 0.5).real <= 0:
         raise ValueError("whittaker_m singular at x = 0 for Re(mu + 1/2) <= 0")
@@ -812,7 +799,7 @@ def whittaker_m(kappa, mu, x):
     # M is 0 at x = 0; the other points are one sweep of their own
     value = _by_region(x_arr, zero, nonzero, np.zeros_like)
     _check_finite(value, "whittaker_m")
-    return value if np.asarray(x).ndim else complex(value)
+    return value if np.ndim(x) else value.item()
 
 
 def whittaker_mw(kappa, mu, x):
@@ -836,12 +823,14 @@ def whittaker_mw(kappa, mu, x):
     c_minus = cmath.exp(ln_gamma(two_mu)) * rgamma(0.5 + mu - kappa)
     # both M named, so numpy never multiplies one in place with the operands
     # swapped (a complex product rounds differently then): W's bits depend
-    # neither on the grid length nor on the blocks it is cut into
-    m = whittaker_m(kappa, mu, x)
-    m_minus = whittaker_m(kappa, -mu, x)
+    # neither on the grid length nor on the blocks it is cut into; a scalar
+    # x is a one-point array, so its W is summed as an array entry too
+    x_arr = np.atleast_1d(x)
+    m = whittaker_m(kappa, mu, x_arr)
+    m_minus = whittaker_m(kappa, -mu, x_arr)
     w = c_plus * m + c_minus * m_minus
     _check_finite(w, "whittaker_w")
-    return m, w
+    return (m, w) if np.ndim(x) else (m.item(), w.item())
 
 
 def whittaker_w(kappa, mu, x):
@@ -876,7 +865,7 @@ def bessel_j(nu: float, x):
     """
     if not 0 <= nu <= 6:  # past 6 the continuation loses J: 8.8e35 for J_60(100) = 1.06e-3
         raise ValueError(f"bessel_j: order nu = {nu:g} out of validated range 0 <= nu <= 6")
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))  # a scalar x is a one-point array
     if not np.all(np.isfinite(x_arr)):
         raise ValueError("bessel_j: non-finite argument")
     if np.any(x_arr < 0):
@@ -897,4 +886,4 @@ def bessel_j(nu: float, x):
     pref = np.exp(log_pref - ln_gamma(nu + 1.0).real)
     result = np.where(x_arr > 0, pref * reduced, 1.0 if nu == 0 else 0.0)
     _check_finite(result, "bessel_j")
-    return result if result.ndim else result.item()
+    return result if np.ndim(x) else result.item()

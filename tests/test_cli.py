@@ -209,10 +209,16 @@ class TestAmplitudeCommand:
           "--grid", "0:1:3"], "error: EP coefficients leave the float range (A*B - D^2 = inf, c = inf)\n"),
         (["--sector", "theta", "--branch", "whittaker", "--r", "1e200", "--grid", "0.2:1:3"],
          "error: flux ratio phi = beta r^2 overflows the float range at r = 1e+200\n"),
+        (["--sector", "theta", "--branch", "ep", "--omega", "1e200", "--grid", "0:1e200:3"],
+         "error: phase omega q overflows the float range at q = 5e+199 (omega = 1e+200)\n"),
+        (["--sector", "z", "--branch", "ep", "--kz", "1e200", "--grid", "0:1e200:3"],
+         "error: phase omega q overflows the float range at q = 5e+199 (omega = 1e+200)\n"),
     ])
     def test_overflowing_inputs_refused(self, capsys, argv, message):
         # the first three printed -inf rows or accepted c = inf with exit 0
-        # (a traceback under -W error); the last named no quantity
+        # (a traceback under -W error); the fourth named no quantity; the
+        # phase omega q of the last two overflowed inside cos and sin, which
+        # printed nan rows with exit 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(["amplitude", *argv], capsys)
@@ -232,6 +238,23 @@ class TestAmplitudeCommand:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: radial argument x = beta r^2 overflows the float range at r = 5e+299\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--sector", "r", "--branch", "regularised", "--grid=-1:1:3"], "error: radial coordinate r must be >= 0 (got r = -1)\n"),
+        (["--sector", "r", "--branch", "ep", "--a", "0.25", "--grid=-2:1:4"],
+         "error: radial coordinate r must be >= 0 (got r = -2)\n"),
+        (["--sector", "r", "--branch", "damped", "--grid=-0.5:1:4"], "error: radial coordinate r must be >= 0 (got r = -0.5)\n"),
+        (["--sector", "r", "--branch", "regularised", "--nr", "10000000", "--grid", "0:1:3"],
+         "error: hyp1f1: polynomial degree -a = 10000000 out of validated range -a <= 60\n"),
+    ])
+    def test_radial_request_outside_its_domain_refused(self, capsys, argv, message):
+        # r regularised printed nan for r < 0 (r**nu of a negative r) with
+        # exit 0, and r ep and r damped printed even extensions; the degree
+        # 10**7 recurrence ran on for seconds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["amplitude", *argv], capsys)
+        assert (code, out, err) == (2, "", message)
 
     def test_whittaker_flux_past_its_validated_range_refused(self, capsys):
         # phi = beta r^2 = 12.5 > 6|l|: |Im a| > 3 for the 1F1 behind M and W

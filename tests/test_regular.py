@@ -7,7 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bmlandau import regular as rg
@@ -313,6 +313,30 @@ class TestLengthIndependence:
     def test_azimuthal_whittaker(self, theta, l, phi, c1, c2):
         whole, alone = _tiled_outcome(lambda t: rg.azimuthal_whittaker(t, l, phi, c1, c2), theta)
         assert whole == alone
+
+    # each case maps a draw (a, b, z) to the function and its scalar point
+    SCALAR_CASES = {
+        "hyp1f1_real": lambda a, b, z: (lambda x: sf.hyp1f1(a.real, b, x), z.real),
+        "hyp1f1": lambda a, b, z: (lambda x: sf.hyp1f1(a, b, x), z),
+        # M_{kappa,mu} sums 1F1(a, b) with mu = (b - 1)/2, kappa = mu - a + 1/2
+        "whittaker_m": lambda a, b, z: (lambda x: sf.whittaker_m((b - 1.0) / 2.0 - a + 0.5, (b - 1.0) / 2.0, x), z),
+        "whittaker_mw": lambda a, b, z: (lambda x: sf.whittaker_mw((b - 1.0) / 2.0 - a + 0.5, (b - 1.0) / 2.0, x), z),
+        "bessel_j": lambda a, b, z: (lambda x: sf.bessel_j(b, x), abs(z)),
+        "azimuthal_whittaker": lambda a, b, z: (lambda t: rg.azimuthal_whittaker(t, 1, a.real, 1.0, a), abs(z) + 0.01),
+    }
+
+    @pytest.mark.parametrize("case", list(SCALAR_CASES))
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.builds(complex, st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)), b=st.floats(0.2, 4.0),
+           z=st.builds(complex, st.floats(-1.4, 1.4), st.floats(-1.4, 1.4)))
+    def test_scalar_is_a_one_point_array(self, case, a, b, z):
+        # a scalar or 0-d x is summed as a one-point array: f(x0) and
+        # f(np.array(x0)) have the bits of f(np.array([x0]))[0]
+        assume(b != round(b))  # W's connection formula needs 2 mu = b - 1 off the integers
+        f, x0 = self.SCALAR_CASES[case](a, b, z)
+        one_point = _outcome(lambda x: f(np.array([x])), x0)
+        assert _outcome(f, x0) == one_point
+        assert _outcome(f, np.array(x0)) == one_point
 
 
 class TestThetaLocalBranch:

@@ -95,6 +95,15 @@ class TestHyp1f1:
         with pytest.raises(ValueError, match=f"^hyp1f1: {region} out of validated range"):
             sf.hyp1f1(0.5, 1.5, np.array([0 * x, x]))
 
+    @pytest.mark.parametrize("x", [0.5, 0.5j, np.array([0.5, 2.0])])
+    def test_polynomial_degree_past_its_validated_range(self, x):
+        # the recurrence ran n steps with no bound: a = -10**7 took seconds, a
+        # Python int past int64 forever; degree 60 is the largest the docstring claims
+        assert np.all(np.isfinite(sf.hyp1f1(-60, 1.5, x)))
+        for a in (-61, -10**7, -10**30):
+            with pytest.raises(ValueError, match=rf"^hyp1f1: polynomial degree -a = {-a} out of validated range -a <= 60$"):
+                sf.hyp1f1(a, 1.5, x)
+
     def test_series_budget_exceeded(self):
         with pytest.raises(RuntimeError, match="series budget exceeded"), _series_limits(1e-15, 5):
             sf.hyp1f1(0.5, 1.5, 25.0)
@@ -272,7 +281,10 @@ class TestWhittakerW:
         two_mu = 2.0 * mu
         c_plus = cmath.exp(sf.ln_gamma(-two_mu)) * sf.rgamma(0.5 - mu - kappa)
         c_minus = cmath.exp(sf.ln_gamma(two_mu)) * sf.rgamma(0.5 + mu - kappa)
-        want = c_plus * sf.whittaker_m(kappa, mu, x) + c_minus * sf.whittaker_m(kappa, -mu, x)
+        # a scalar x is summed as a one-point array, as whittaker_mw sums it
+        points = np.atleast_1d(x)
+        want = c_plus * sf.whittaker_m(kappa, mu, points) + c_minus * sf.whittaker_m(kappa, -mu, points)
+        want = want if np.ndim(x) else want.item()
         assert type(w) is type(want)
         assert np.asarray(w).tobytes() == np.asarray(want).tobytes()
         assert np.asarray(sf.whittaker_w(kappa, mu, x)).tobytes() == np.asarray(w).tobytes()
@@ -374,7 +386,7 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
 
     aw = work(complex(a)) if is_complex else work(float(a))
     bw = work(complex(b)) if is_complex else work(float(b))
-    xw = x_arr.astype(work)
+    xw = x_arr.astype(work).reshape(-1)  # a scalar x is summed as one point, as in the library
     x_max = float(np.max(np.abs(x_arr))) if x_arr.size else 0.0
     if not sf._moderate(a, b, x_max):
         x_max = math.nan
@@ -410,7 +422,7 @@ def _seed_hyp1f1(a, b, x, rel_tol=1e-15, max_terms=500):
             else:
                 small_streak = 0
 
-    out = total.astype(complex if is_complex else float)
+    out = total.astype(complex if is_complex else float).reshape(x_arr.shape)
     sf._check_finite(out, "hyp1f1")
     return out if out.ndim else out.item()
 
@@ -425,12 +437,16 @@ def _real_transformed_reference(a, b, x):
     a, b = float(a), float(b)
     c, c_lo = sf._two_diff(b, a)
     x_arr = np.asarray(x).astype(float)
+
+    def series(a, a_lo, x):  # one group of 1-D points
+        return sf._kummer_series(sf._Groups(np.array([a]), np.array([a_lo]), np.array([b]), [x.size]), x)
+
     out = sf._by_region(
-        x_arr,
-        x_arr < 0,
-        lambda x: sf._kummer_series(a, b, x, np.float64),
-        lambda x: np.exp(x) * sf._kummer_series(c, b, -x, np.float64, a_lo=c_lo),
-    )
+        x_arr.reshape(-1),
+        x_arr.reshape(-1) < 0,
+        lambda x: series(a, 0.0, x),
+        lambda x: np.exp(x) * series(c, c_lo, -x),
+    ).reshape(x_arr.shape)
     sf._check_finite(out, "hyp1f1")
     return out if out.ndim else out.item()
 
@@ -747,8 +763,8 @@ class TestSeriesKernel:
             assert sf.hyp1f1(a, b, complex(x[i])) == got[i]
 
     def test_overflowed_term_is_never_small(self):
-        small, _ = sf._array_test(np.array([math.inf, 1.0]), np.array([math.inf, 2.0]))
-        assert not small
+        small, _ = sf._array_test(np.array([math.inf, 1.0]), np.array([math.inf, 2.0]), [0])
+        assert small == [False]
 
     def test_budget_fires_at_the_same_term(self):
         # the reference converges after some K terms: K - 1 must fail in
