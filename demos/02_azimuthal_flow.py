@@ -23,7 +23,6 @@ from bmlandau import (
     FluxContext,
     IVPProblem,
     PhysParams,
-    SampledProfile,
     f_branch_flow,
     first_integral_radicand,
     flux_context_from_lambda,
@@ -73,8 +72,7 @@ sol0 = integrate_ivp(
 hg = 5e-4
 grid = np.arange(0.0, math.pi, hg)
 kappa_theta = 1.0
-prof = theta_from_w(SampledProfile("theta", grid, sol0(grid)[:, 1]), math.sqrt(kappa_theta / pi0))
-T = prof.values
+T = theta_from_w(grid, sol0(grid)[:, 1], math.sqrt(kappa_theta / pi0))
 dT = (T[2:] - T[:-2]) / (2 * hg)
 rad = first_integral_radicand(T[1:-1], kappa_theta * ctx0.E_pi / 8, ctx0.l, kappa_theta, 0.0)
 print(f"3. reconstructed Theta: first-integral defect {np.max(np.abs(dT**2 - rad)):.2e}")

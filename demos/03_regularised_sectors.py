@@ -47,14 +47,14 @@ grid_r = np.arange(0.2, 3.0, 2e-4)
 chi = np.sqrt(grid_r) * R(grid_r)
 nu, k2 = labels.nu, labels.kappa_r_sq(params)
 rep_r = fd_residual(
-    SampledProfile("r", grid_r, chi),
+    SampledProfile(grid_r, chi),
     lambda y, dy, d2y, q: d2y + (k2 - (params.beta * q) ** 2 - (nu * nu - 0.25) / q**2) * y,
 )
 
 Z = axial_regularised(qn.k_z)
 grid_z = np.arange(0.2, 5.0, 2e-4)
 rep_z = fd_residual(
-    SampledProfile("z", grid_z, Z(grid_z)),
+    SampledProfile(grid_z, Z(grid_z)),
     lambda y, dy, d2y, q: -d2y + y / (4 * q * q) - qn.k_z**2 * y,
 )
 
@@ -62,7 +62,7 @@ phi = params.beta * 1.0**2  # flux ratio at r = 1
 grid_t = np.arange(0.2, 2.0, 1e-4)
 Theta = azimuthal_whittaker(grid_t, qn.l, phi, 1.0, 0.0)
 rep_t = fd_residual(
-    SampledProfile("theta", grid_t, Theta),
+    SampledProfile(grid_t, Theta),
     lambda y, dy, d2y, q: d2y + (qn.l**2 + phi / q - 1 / (4 * q * q)) * y,
 )
 

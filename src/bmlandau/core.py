@@ -1,5 +1,7 @@
-"""Shared parameter and profile containers used across the package.
+"""Shared parameter containers and the checks of sampled grids and values.
 
+``uniform_step`` is the one check of a sampled grid; ``_require_finite``
+the one refusal of a value past the float range, naming where it occurs.
 Natural units hbar = m = e = B = 1 are the defaults everywhere, so the
 formulas in the separated-sector modules are directly recognisable in any
 emitted output.  All derived scales (beta, omega_c) are recomputed from the
@@ -9,7 +11,7 @@ primary constants on access and never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,41 +80,50 @@ class CurrentBranch:
 
 @dataclass
 class SampledProfile:
-    """A strictly increasing coordinate grid plus the values sampled on it.
+    """Values sampled on a grid, as ``oracle.fd_residual`` takes them.
 
-    The values keep their dtype, so a complex amplitude stays complex;
-    ``step`` gives the spacing of a uniform grid.  Carrier of the sampled
-    profiles that ``oracle.fd_residual`` and ``flux.theta_from_w`` take.
+    The values keep their dtype, so a complex amplitude stays complex.
+    The grid is checked by ``step``, which is ``uniform_step``.
     """
 
-    coordinate: str
     grid: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values)
-        if self.grid.ndim != 1:
-            raise ValueError("grid must be one-dimensional")
-        if len(self.values) != len(self.grid):
+        if self.values.shape[:1] != self.grid.shape[:1]:
             raise ValueError("grid and values must have equal length")
-        if len(self.grid) >= 2 and not np.all(np.diff(self.grid) > 0):
-            raise ValueError("grid must be strictly increasing")
 
     def step(self) -> float:
-        """Uniform grid spacing; raises if the grid is not uniform."""
         return uniform_step(self.grid)
 
 
 def uniform_step(grid) -> float:
-    """Spacing of a uniform grid; ValueError if it is too short or not uniform."""
+    """Spacing of a 1-D, increasing, uniform grid of at least 2 points; ValueError naming the first rule it breaks."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("grid must be one-dimensional")
     h = np.diff(grid)
     if h.size == 0:
         raise ValueError("grid too short to have a step")
+    if not h[0] > 0:
+        raise ValueError("grid must be strictly increasing")
     if not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
         raise ValueError("grid is not uniformly spaced")
     return float(h[0])
+
+
+def _require_finite(value, q, what: str, name: str, note: str = ""):
+    """value, an array formed over the points q (an array of its shape) with overflow ignored.
+
+    Raises ValueError "<what> overflows the float range at <name> = <q><note>"
+    with the first q where value is not finite.
+    """
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"{what} overflows the float range at {name} = {q[~finite][0]:g}{note}")
+    return value
 
 
 def _radius(r):
@@ -127,9 +138,6 @@ def _radius(r):
 def _radial_argument(r, beta: float):
     """(r, x = beta r^2) of the radial amplitudes, r as a float array; ValueError where r < 0 or x overflows."""
     r = _radius(r)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an infinite x is refused below
         x = beta * r * r
-    overflow = np.isinf(x)
-    if np.any(overflow):
-        raise ValueError(f"radial argument x = beta r^2 overflows the float range at r = {r[overflow][0]:g}")
-    return r, x
+    return r, _require_finite(x, r, "radial argument x = beta r^2", "r")

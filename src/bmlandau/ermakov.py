@@ -156,10 +156,9 @@ def pinney_residual(sigma: Callable, omega_sq: Callable, c: float, grid) -> floa
     values = np.asarray(sigma(grid), dtype=float)
     if np.any(values == 0):
         raise ValueError("node inside residual window (sigma = 0 on grid)")
-    profile = SampledProfile("q", grid, values)
     c_sq = c * c
 
     def ode_form(y, dy, d2y, q):
         return d2y + omega_sq(q) * y - c_sq / y**3
 
-    return fd_residual(profile, ode_form).max_abs
+    return fd_residual(SampledProfile(grid, values), ode_form).max_abs

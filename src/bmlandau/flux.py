@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CurrentBranch, PhysParams, SampledProfile, uniform_step  # noqa: F401  (flux.CurrentBranch)
+from .core import CurrentBranch, PhysParams, _require_finite, uniform_step  # noqa: F401  (flux.CurrentBranch)
 from .oracle import _five_point, _five_point_at, quad_singular
 
 
@@ -147,10 +147,14 @@ def _momentum_denominator(theta, ctx: FluxContext):
     """Denominator E_pi + sqrt(Delta) sin(2 sqrt(Lambda)(theta - theta0)) of pi_theta and its pole mask.
 
     The mask is True where |denominator| < 1e-12 max(|E_pi|, 1): the one
-    pole test, shared by pi_theta_closed and the CLI's gap rows.
+    pole test, shared by pi_theta_closed and the CLI's gap rows.  Raises
+    ValueError, naming theta, where the phase overflows the float range.
     """
     delta = _require_positive_discriminant(ctx)
-    u = 2.0 * math.sqrt(ctx.Lambda) * (np.asarray(theta, dtype=float) - ctx.theta0)
+    th = np.asarray(theta, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite phase is refused below
+        u = 2.0 * math.sqrt(ctx.Lambda) * (th - ctx.theta0)
+    _require_finite(u, th, "phase 2 sqrt(Lambda)(theta - theta0)", "theta", f" (Lambda = {ctx.Lambda:g})")
     denom = ctx.E_pi + math.sqrt(delta) * np.sin(u)
     return denom, np.abs(denom) < 1e-12 * max(abs(ctx.E_pi), 1.0)
 
@@ -174,18 +178,25 @@ def s_theta_closed(theta, ctx: FluxContext):
     where k(u) counts the tangent poles crossed.  k is recovered from
     round((u - atan(tan u))/pi) so the branch count always agrees with
     the sign the floating tangent actually took, even half an ulp from a
-    pole.
+    pole.  Raises ValueError, naming theta, where the phase u or S
+    overflows the float range.
     """
     delta = _require_positive_discriminant(ctx)
     lam = ctx.Lambda
     hb = ctx.params.hbar
     th = np.asarray(theta, dtype=float)
-    u = math.sqrt(lam) * (th - ctx.theta0)
+    with np.errstate(over="ignore"):  # an infinite phase is refused below
+        u = math.sqrt(lam) * (th - ctx.theta0)
+    _require_finite(u, th, "phase sqrt(Lambda)(theta - theta0)", "theta", f" (Lambda = {lam:g})")
     scale = 8.0 * math.sqrt(lam) / hb
     tan_u = np.tan(u)
-    base = np.arctan((ctx.E_pi * tan_u + math.sqrt(delta)) / scale)
-    wrap = np.round((u - np.arctan(tan_u)) / math.pi)
-    out = hb * ctx.phi * th + hb * (base + math.pi * wrap)
+    # a quotient past the float range (scale tiny or 0) has the arctan of its
+    # limit, +-pi/2; an action past it (inf, or inf - inf) is refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        base = np.arctan((ctx.E_pi * tan_u + math.sqrt(delta)) / scale)
+        wrap = np.round((u - np.arctan(tan_u)) / math.pi)
+        out = hb * ctx.phi * th + hb * (base + math.pi * wrap)
+    _require_finite(out, th, "action S_theta", "theta")
     return out if np.asarray(theta).ndim else float(out)
 
 
@@ -384,16 +395,18 @@ def _bisect(g, inside, outside, ratio: float):
         outside[active[~up]] = mid[~up]
 
 
-def theta_from_w(w_samples: SampledProfile, Theta0: float) -> SampledProfile:
-    """Reconstruct Theta = Theta0 exp(int w dtheta) by the composite cubic rule (fourth order).
+def theta_from_w(grid, w, Theta0: float) -> np.ndarray:
+    """Theta = Theta0 exp(int w dtheta) at the grid points, by the composite cubic rule (fourth order).
 
     Each interval integrates the cubic through its four nearest samples:
     h/24 (-w_{i-1} + 13 w_i + 13 w_{i+1} - w_{i+2}) inside, the one-sided
     h/24 (9 w_0 + 19 w_1 - 5 w_2 + w_3) on the first interval and its
     mirror on the last.  The grid must be uniform with at least 4 samples.
     """
-    h = w_samples.step()
-    w = np.asarray(w_samples.values, dtype=float)
+    h = uniform_step(grid)
+    w = np.asarray(w, dtype=float)
+    if w.shape[:1] != np.shape(grid):
+        raise ValueError("grid and values must have equal length")
     if len(w) < 4:
         raise ValueError("cubic rule needs at least 4 samples")
     edge = (9.0, 19.0, -5.0, 1.0)
@@ -403,11 +416,7 @@ def theta_from_w(w_samples: SampledProfile, Theta0: float) -> SampledProfile:
         [np.dot(edge, w[:-5:-1])],
     ))
     integral = np.concatenate(([0.0], np.cumsum(pieces * (h / 24.0))))
-    values = Theta0 * np.exp(integral)
-    meta = dict(w_samples.metadata)
-    meta["operation"] = "theta_from_w"
-    meta["Theta0"] = Theta0
-    return SampledProfile(w_samples.coordinate, w_samples.grid, values, meta)
+    return Theta0 * np.exp(integral)
 
 
 def divergence_residual(

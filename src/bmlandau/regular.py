@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CurrentBranch, PhysParams, QuantumNumbers, _radial_argument, _radius
+from .core import CurrentBranch, PhysParams, QuantumNumbers, _radial_argument, _radius, _require_finite
 from .specfun import bessel_j, hyp1f1, whittaker_m, whittaker_mw
 
 AXIAL_ORDER = 1.0 / math.sqrt(2.0)
@@ -89,9 +89,7 @@ def radial_regularised(qn: QuantumNumbers, params: PhysParams) -> Callable:
         r, x = _radial_argument(r, beta)
         with np.errstate(over="ignore"):  # an infinite power is refused below
             power = r**nu
-        overflow = np.isinf(power)
-        if np.any(overflow):
-            raise ValueError(f"radial power r^nu overflows the float range at r = {r[overflow][0]:g} (nu = {nu:g})")
+        _require_finite(power, r, "radial power r^nu", "r", f" (nu = {nu:g})")
         return power * np.exp(-x / 2.0) * hyp1f1(-n_r, nu + 1.0, x)
 
     return R
@@ -149,9 +147,7 @@ def azimuthal_whittaker(theta, l: int, phi: float, c1: complex, c2: complex):
             out = out + c1 * m
         if c2 != 0:
             out = out + c2 * w
-    overflow = ~np.isfinite(out)
-    if np.any(overflow):
-        raise ValueError(f"Whittaker amplitude overflows the float range at theta = {th_arr[overflow][0]:g}")
+    _require_finite(out, th_arr, "Whittaker amplitude", "theta")
     return out if np.asarray(theta).ndim else complex(out[0])
 
 
@@ -189,9 +185,7 @@ def theta_local_branch(theta, p: LocalBranchParams):
         # overflow or underflow where the amplitude itself does not
         exponent = 0.5 * math.log(p.A_theta) - (p.kappa * th) * (th * log_remainder(x))
         out = np.sqrt(np.abs(th)) * np.abs(core) ** -0.5 * np.exp(exponent)
-    overflow = ~np.isfinite(out)
-    if np.any(overflow):
-        raise ValueError(f"local branch amplitude overflows the float range at theta = {th[overflow][0]:g}")
+    _require_finite(out, th, "local branch amplitude", "theta")
     return out if np.asarray(theta).ndim else float(out)
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PhysParams, QuantumNumbers, _radial_argument
+from .core import PhysParams, QuantumNumbers, _radial_argument, _require_finite
 from .ermakov import EPCoefficients, LinearPair, pinney_amplitude
 from .specfun import hyp1f1, hyp1f1_deriv
 
@@ -85,10 +85,7 @@ def trig_pair(omega: float) -> LinearPair:
         q = np.asarray(q, dtype=float)
         with np.errstate(over="ignore"):  # an infinite phase is refused below
             t = omega * q
-        overflow = ~np.isfinite(t)
-        if np.any(overflow):
-            raise ValueError(f"phase omega q overflows the float range at q = {q[overflow][0]:g} (omega = {omega:g})")
-        return t
+        return _require_finite(t, q, "phase omega q", "q", f" (omega = {omega:g})")
 
     def values(q):
         t = phase(q)

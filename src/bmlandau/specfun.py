@@ -257,7 +257,8 @@ def _kummer_polynomial(n, b, x):
     """1F1(-n, b; x) by the forward recurrence in a (DLMF 13.3.1).
 
     M(-k-1) = ((2k + b - x) M(-k) - k M(-k+1)) / (b + k) from M(0) = 1;
-    the k = 0 step gives M(-1) = (b - x) / b.
+    the k = 0 step gives M(-1) = (b - x) / b.  b is one number, or one
+    per point of x.
     """
     prev, cur = np.zeros_like(x), np.ones_like(x)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports overflow
@@ -655,7 +656,7 @@ def hyp1f1(a, b, x):
     elif kind is complex:
         out = _kummer_series(g, x_pts, -int(a))
     else:
-        out = _kummer_polynomial(-int(a), np.repeat(g.b, g.counts), x_pts)
+        out = _kummer_polynomial(-int(a), g.b[0] if len(g.counts) == 1 else np.repeat(g.b, g.counts), x_pts)
     _check_finite(out, "hyp1f1")
     if perm is not None:
         out, sorted_out = np.empty_like(out), out

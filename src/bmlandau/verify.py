@@ -323,10 +323,10 @@ def check_theta_reconstruction():
     sol = _uw_solution(ctx, 0.0, [pi0, w0], math.pi, 1e-11, 1e-13, 0.01)
     grid = np.arange(0.0, math.pi, 5e-4)
     kappa_theta = 1.0
-    theta_prof = fx.theta_from_w(SampledProfile("theta", grid, sol(grid)[:, 1]), math.sqrt(kappa_theta / pi0))
+    Theta = fx.theta_from_w(grid, sol(grid)[:, 1], math.sqrt(kappa_theta / pi0))
     E_theta = kappa_theta * ctx.E_pi / 8.0
     form = lambda T, dT, d2T, q: dT**2 - fx.first_integral_radicand(T, E_theta, ctx.l, kappa_theta, 0.0)
-    return fd_residual(theta_prof, form).max_abs
+    return fd_residual(SampledProfile(grid, Theta), form).max_abs
 
 
 def _zero_current_fields():
@@ -440,11 +440,6 @@ def check_current_zero_sum():
 # regular suite (plus the specfun identities it relies on)
 # ---------------------------------------------------------------------------
 
-def _ode_residual(coordinate: str, grid, values, ode_form) -> float:
-    """Worst five-point residual of ode_form(y, y', y'', q) on sampled values."""
-    return fd_residual(SampledProfile(coordinate, grid, values), ode_form).max_abs
-
-
 @_register("regular", "regular.radial_ode", 1e-6)
 def check_radial_ode():
     """chi = sqrt(r) R satisfies the Langer-corrected radial equation."""
@@ -456,10 +451,10 @@ def check_radial_ode():
         nu = labels.nu
         R = rg.radial_regularised(qn, BETA_ONE)
         grid = np.arange(0.2, 3.0, 2e-3)
-        residuals.append(_ode_residual(
-            "r", grid, np.sqrt(grid) * R(grid),
+        residuals.append(fd_residual(
+            SampledProfile(grid, np.sqrt(grid) * R(grid)),
             lambda y, dy, d2y, q: d2y + (k2 - (BETA_ONE.beta * q) ** 2 - (nu * nu - 0.25) / q**2) * y,
-        ))
+        ).max_abs)
     return _worst(residuals)
 
 
@@ -467,10 +462,10 @@ def check_radial_ode():
 def check_axial_ode():
     k_z = 1.0
     grid = np.arange(0.2, 5.0, 2e-3)
-    return _ode_residual(
-        "z", grid, rg.axial_regularised(k_z)(grid),
+    return fd_residual(
+        SampledProfile(grid, rg.axial_regularised(k_z)(grid)),
         lambda y, dy, d2y, q: -d2y + y / (4.0 * q * q) - k_z * k_z * y,
-    )
+    ).max_abs
 
 
 @_register("regular", "regular.whittaker_ode", 1e-6)
@@ -478,10 +473,10 @@ def check_whittaker_azimuthal_ode():
     """Complex Whittaker combination satisfies the regularised angular equation."""
     l, phi = 1, 0.5
     grid = np.arange(0.2, 2.0, 1e-3)
-    return _ode_residual(
-        "theta", grid, rg.azimuthal_whittaker(grid, l, phi, 1.0, 0.3 + 0.2j),
+    return fd_residual(
+        SampledProfile(grid, rg.azimuthal_whittaker(grid, l, phi, 1.0, 0.3 + 0.2j)),
         lambda y, dy, d2y, q: d2y + (l * l + phi / q - 1.0 / (4.0 * q * q)) * y,
-    )
+    ).max_abs
 
 
 @_register("regular", "regular.obstruction", 1e-6, direction=">")
@@ -591,7 +586,7 @@ def check_whittaker_equation_grid():
             return d2y / s**2 + (-0.25 + kappa / x + (0.25 - mu * mu) / x**2) * y
 
         vals = np.asarray(sf.whittaker_m(kappa, mu, s * t))
-        residuals.append(_ode_residual("t", t, vals / np.max(np.abs(vals)), form))
+        residuals.append(fd_residual(SampledProfile(t, vals / np.max(np.abs(vals))), form).max_abs)
     return _worst(residuals)
 
 

@@ -1,6 +1,8 @@
 """Command-line contract: schemas, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -355,6 +357,54 @@ class TestFlowCommand:
         assert err == (
             f"error: hbar = {float(hbar):g} out of range: hbar must be in [2.22276e-162, 1.34078e+154]\n"
         )
+
+
+# 10**e for e uniform in [-300, 300], and the same with either sign
+_MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_SIGNED = st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), _MAGNITUDES)
+
+
+class TestFlowFlagsProperty:
+    """Every flow request exits 0 with finite cells, or 2 with one error line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=_MAGNITUDES,
+        e_pi=_SIGNED,
+        theta0=st.one_of(st.just(0.0), _SIGNED),
+        l_index=st.integers(0, 3),
+        bounds=st.lists(st.one_of(st.just(0.0), _SIGNED), min_size=2, max_size=2).map(sorted),
+        count=st.integers(2, 5),
+        hbar=st.one_of(st.none(), _MAGNITUDES),
+    )
+    # the phase 2 sqrt(Lambda)(theta - theta0) and the action hbar phi theta
+    # overflowed: nan and inf rows at exit 0, a RuntimeWarning traceback
+    # under -W error
+    @example(lam=1e300, e_pi=1e152, theta0=0.0, l_index=0, bounds=[0.0, 1e200], count=3, hbar=None)
+    @example(lam=1.0, e_pi=10.0, theta0=0.0, l_index=0, bounds=[0.0, 1e200], count=3, hbar=1e150)
+    # 8 sqrt(Lambda)/hbar, tiny or 0, made the arctan's quotient overflow or
+    # divide by zero, and hbar phi theta - hbar theta gave inf - inf: a
+    # RuntimeWarning traceback under -W error
+    @example(lam=1e-259, e_pi=-1e90, theta0=0.0, l_index=0, bounds=[-1.0, 0.0], count=2, hbar=1e90)
+    @example(lam=0.0, e_pi=10.0, theta0=0.0, l_index=0, bounds=[0.0, 1.0], count=3, hbar=None)
+    @example(lam=1.0, e_pi=-1.0, theta0=1e155, l_index=0, bounds=[0.0, 1e155], count=3, hbar=1e154)
+    def test_exit_code_and_finite_cells(self, tmp_path_factory, lam, e_pi, theta0, l_index, bounds, count, hbar):
+        argv = [f"--lambda={lam!r}", f"--e-pi={e_pi!r}", f"--theta0={theta0!r}", f"--l={l_index}",
+                f"--grid={bounds[0]!r}:{bounds[1]!r}:{count}"]
+        if hbar is not None:
+            cfg = tmp_path_factory.getbasetemp() / "flow_property.json"
+            cfg.write_text(json.dumps({"hbar": hbar}))
+            argv = ["--config", str(cfg), *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["flow", *argv])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+        else:
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
 
 class TestSpectrumOutOfRange:

@@ -1,4 +1,4 @@
-"""Shared containers: profile validation and parameter derivations."""
+"""Shared containers: the sampled profile, its grid check and parameter derivations."""
 
 import numpy as np
 import pytest
@@ -8,31 +8,30 @@ from bmlandau.core import PhysParams, SampledProfile
 
 class TestSampledProfile:
     def test_basic_construction(self):
-        prof = SampledProfile("r", [0.0, 0.5, 1.0], [1.0, 2.0, 3.0], {"op": "demo"})
-        assert prof.coordinate == "r"
-        assert prof.metadata["op"] == "demo"
+        prof = SampledProfile([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+        assert prof.grid.dtype == float
         assert prof.step() == pytest.approx(0.5)
 
     def test_complex_values(self):
-        prof = SampledProfile("theta", [0.1, 0.2], np.array([1j, 2.0 + 1j]))
+        prof = SampledProfile([0.1, 0.2], np.array([1j, 2.0 + 1j]))
         assert prof.values.dtype == complex  # the values keep their dtype
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            SampledProfile("r", [0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+            SampledProfile([0.0, 0.0, 1.0], [1.0, 2.0, 3.0]).step()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            SampledProfile("r", [0.0, 1.0], [1.0, 2.0, 3.0])
+            SampledProfile([0.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_step_requires_uniform_grid(self):
-        prof = SampledProfile("r", [0.0, 0.1, 0.3], [1.0, 2.0, 3.0])
+        prof = SampledProfile([0.0, 0.1, 0.3], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="uniformly spaced"):
             prof.step()
 
     def test_step_requires_two_points(self):
         with pytest.raises(ValueError, match="too short"):
-            SampledProfile("r", [0.5], [1.0]).step()
+            SampledProfile([0.5], [1.0]).step()
 
 
 class TestPhysParamsDerived:

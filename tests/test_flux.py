@@ -16,8 +16,10 @@ from bmlandau import sectors as sec
 from bmlandau import ermakov as ek
 from bmlandau import specfun as sf
 from bmlandau import spectrum as sp
-from bmlandau.core import PhysParams, SampledProfile
+from bmlandau.core import PhysParams
 from bmlandau.oracle import IVPProblem, _five_point, integrate_ivp, quad_singular
+
+from test_oracle import BAD_GRIDS  # the grids fd_residual and theta_from_w both refuse
 
 NATURAL = PhysParams()
 BETA_ONE = PhysParams(B=2.0)  # beta = 1
@@ -201,6 +203,31 @@ class TestSThetaClosed:
         inc = fx.s_theta_closed(th + 2.0 * math.pi, ctx) - fx.s_theta_closed(th, ctx)
         assert inc.max() - inc.min() < 1e-12
         assert inc[0] != 0.0
+
+
+class TestClosedFormsPastTheFloatRange:
+    # each overflowed to nan or inf with a RuntimeWarning, and the CLI printed it at exit 0
+    HUGE_PHASE = fx.flux_context_from_lambda(1e300, 0, 1e152, 0.0, NATURAL)
+    HUGE_ACTION = fx.flux_context_from_lambda(1.0, 0, 10.0, 0.0, PhysParams(hbar=1e150))
+
+    @pytest.mark.parametrize("closed_form, message", [
+        (fx.pi_theta_closed, "phase 2 sqrt(Lambda)(theta - theta0) overflows the float range at theta = 5e+199 "
+                             "(Lambda = 1e+300)"),
+        (fx.s_theta_closed, "phase sqrt(Lambda)(theta - theta0) overflows the float range at theta = 5e+199 "
+                            "(Lambda = 1e+300)"),
+    ])
+    def test_phase_refused(self, closed_form, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                closed_form(np.array([0.0, 5e199, 1e200]), self.HUGE_PHASE)
+
+    def test_action_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="action S_theta overflows the float range at theta = 5e\\+199$"):
+                fx.s_theta_closed(np.array([0.0, 5e199, 1e200]), self.HUGE_ACTION)
+            assert math.isfinite(fx.s_theta_closed(0.0, self.HUGE_ACTION))
 
 
 class TestFBranchFlow:
@@ -678,35 +705,40 @@ class TestArrayTargets:
 class TestThetaFromW:
     def test_zero_slope(self):
         grid = np.linspace(0.0, 1.0, 101)
-        prof = fx.theta_from_w(SampledProfile("theta", grid, np.zeros_like(grid)), 2.5)
-        assert np.allclose(prof.values, 2.5, atol=1e-15)
+        Theta = fx.theta_from_w(grid, np.zeros_like(grid), 2.5)
+        assert np.allclose(Theta, 2.5, atol=1e-15)
 
     def test_constant_slope(self):
         grid = np.linspace(0.0, 1.0, 101)
-        prof = fx.theta_from_w(SampledProfile("theta", grid, 0.7 * np.ones_like(grid)), 1.0)
-        assert np.max(np.abs(prof.values - np.exp(0.7 * grid))) < 1e-8
+        Theta = fx.theta_from_w(grid, 0.7 * np.ones_like(grid), 1.0)
+        assert np.max(np.abs(Theta - np.exp(0.7 * grid))) < 1e-8
 
     def test_cubic_slope_is_integrated_exactly(self):
         # the composite cubic rule is exact on cubics, end intervals included
         grid = np.linspace(-0.5, 1.5, 41)
         w = 0.3 - 1.2 * grid + 0.9 * grid**2 - 0.4 * grid**3
         want = 0.3 * (grid + 0.5) - 0.6 * (grid**2 - 0.25) + 0.3 * (grid**3 + 0.125) - 0.1 * (grid**4 - 0.0625)
-        prof = fx.theta_from_w(SampledProfile("theta", grid, w), 1.0)
-        assert np.max(np.abs(np.log(prof.values) - want)) < 1e-14
+        Theta = fx.theta_from_w(grid, w, 1.0)
+        assert np.max(np.abs(np.log(Theta) - want)) < 1e-14
 
     def test_error_falls_sixteenfold_per_halving(self):
         # fourth order: halving the step divides the error at the shared points by about 16
         errors = []
         for n in (161, 321):
             grid = np.linspace(0.0, 2.0, n)
-            prof = fx.theta_from_w(SampledProfile("theta", grid, np.cos(grid)), 1.0)
-            errors.append(np.max(np.abs(np.log(prof.values) - np.sin(grid))))
+            Theta = fx.theta_from_w(grid, np.cos(grid), 1.0)
+            errors.append(np.max(np.abs(np.log(Theta) - np.sin(grid))))
         assert 15.0 <= errors[0] / errors[1] <= 17.0
 
     def test_needs_four_samples(self):
         grid = np.linspace(0.0, 1.0, 3)
         with pytest.raises(ValueError, match="at least 4 samples"):
-            fx.theta_from_w(SampledProfile("theta", grid, np.ones(3)), 1.0)
+            fx.theta_from_w(grid, np.ones(3), 1.0)
+
+    @pytest.mark.parametrize("grid, w, message", BAD_GRIDS)
+    def test_refuses_a_bad_grid(self, grid, w, message):
+        with pytest.raises(ValueError, match=message):
+            fx.theta_from_w(grid, w, 1.0)
 
     def test_reconstruction_satisfies_first_integral(self):
         ctx = fx.FluxContext(r=0.0, l=1, E_pi=10.0, theta0=0.0, params=NATURAL)
@@ -718,8 +750,7 @@ class TestThetaFromW:
         h = 5e-4
         grid = np.arange(0.0, math.pi, h)
         kappa_theta = 1.0
-        prof = fx.theta_from_w(SampledProfile("theta", grid, sol(grid)[:, 1]), math.sqrt(kappa_theta / pi0))
-        T = prof.values
+        T = fx.theta_from_w(grid, sol(grid)[:, 1], math.sqrt(kappa_theta / pi0))
         dT = (T[2:] - T[:-2]) / (2 * h)
         rad = fx.first_integral_radicand(T[1:-1], kappa_theta * ctx.E_pi / 8.0, ctx.l, kappa_theta, 0.0)
         assert np.max(np.abs(dT**2 - rad)) < 1e-5

@@ -212,13 +212,24 @@ class TestDormandPrinceTableau:
             assert abs(err) > 1e-6
 
 
+# (grid, values, message): each grid fd_residual and theta_from_w refuse, and the refusal
+BAD_GRIDS = [
+    (np.zeros((5, 2)), np.zeros(5), "one-dimensional"),
+    (np.linspace(0.0, 1.0, 5), np.zeros(6), "equal length"),
+    (np.array([0.0, 0.0, 0.5, 1.0, 1.5]), np.zeros(5), "strictly increasing"),
+    (np.linspace(1.0, 0.0, 5), np.zeros(5), "strictly increasing"),
+    (np.array([0.0, 0.1, 0.25, 0.4, 0.6]), np.zeros(5), "uniformly spaced"),
+    (np.array([0.5]), np.zeros(1), "too short"),
+]
+
+
 class TestFdResidual:
     def test_sine_residual_fourth_order(self):
         ode = lambda y, dy, d2y, q: d2y + y
         reports = []
         for h in (4e-2, 2e-2):
             grid = np.arange(0.0, 2.0, h)
-            reports.append(fd_residual(SampledProfile("q", grid, np.sin(grid)), ode))
+            reports.append(fd_residual(SampledProfile(grid, np.sin(grid)), ode))
         assert reports[0].max_abs < 1e-6
         ratio = reports[0].max_abs / reports[1].max_abs
         assert 15.0 <= ratio <= 17.0
@@ -226,21 +237,26 @@ class TestFdResidual:
     def test_corruption_sensitivity(self):
         ode = lambda y, dy, d2y, q: d2y + y
         grid = np.arange(0.0, 2.0, 1e-3)
-        clean = fd_residual(SampledProfile("q", grid, np.sin(grid)), ode).max_abs
+        clean = fd_residual(SampledProfile(grid, np.sin(grid)), ode).max_abs
         bad = np.sin(grid)
         bad[len(bad) // 2] *= 1.01
-        corrupted = fd_residual(SampledProfile("q", grid, bad), ode).max_abs
+        corrupted = fd_residual(SampledProfile(grid, bad), ode).max_abs
         assert corrupted > 100.0 * clean
 
     def test_needs_uniform_grid(self):
         grid = np.array([0.0, 0.1, 0.25, 0.4, 0.6])
         with pytest.raises(ValueError, match="uniform"):
-            fd_residual(SampledProfile("q", grid, np.sin(grid)), lambda y, dy, d2y, q: d2y)
+            fd_residual(SampledProfile(grid, np.sin(grid)), lambda y, dy, d2y, q: d2y)
 
     def test_needs_five_points(self):
         grid = np.linspace(0, 1, 4)
         with pytest.raises(ValueError, match="5 grid points"):
-            fd_residual(SampledProfile("q", grid, np.sin(grid)), lambda y, dy, d2y, q: d2y)
+            fd_residual(SampledProfile(grid, np.sin(grid)), lambda y, dy, d2y, q: d2y)
+
+    @pytest.mark.parametrize("grid, values, message", BAD_GRIDS)
+    def test_refuses_a_bad_grid(self, grid, values, message):
+        with pytest.raises(ValueError, match=message):
+            fd_residual(SampledProfile(grid, values), lambda y, dy, d2y, q: d2y)
 
 
 def _five_calls(f, x, h):

@@ -55,7 +55,7 @@ class TestRadialRegularised:
         grid = np.arange(0.2, 3.0, 2e-4)
         chi = np.sqrt(grid) * R(grid)
         rep = fd_residual(
-            SampledProfile("r", grid, chi),
+            SampledProfile(grid, chi),
             lambda y, dy, d2y, q: d2y + (k2 - (BETA_ONE.beta * q) ** 2 - (nu * nu - 0.25) / q**2) * y,
         )
         assert rep.max_abs < 1e-6
@@ -83,7 +83,7 @@ class TestAxialRegularised:
         Z = rg.axial_regularised(1.0)
         grid = np.arange(0.2, 5.0, 2e-4)
         rep = fd_residual(
-            SampledProfile("z", grid, Z(grid)),
+            SampledProfile(grid, Z(grid)),
             lambda y, dy, d2y, q: -d2y + y / (4.0 * q * q) - y,
         )
         assert rep.max_abs < 1e-6
@@ -118,7 +118,7 @@ class TestAzimuthalWhittaker:
         grid = np.arange(0.2, 2.0, 1e-4)
         Theta = rg.azimuthal_whittaker(grid, l, phi, 1.0, 0.0)
         rep = fd_residual(
-            SampledProfile("theta", grid, Theta),
+            SampledProfile(grid, Theta),
             lambda y, dy, d2y, q: d2y + (l * l + phi / q - 1.0 / (4.0 * q * q)) * y,
         )
         assert rep.max_abs < 1e-6
@@ -130,7 +130,7 @@ class TestAzimuthalWhittaker:
         Theta = rg.azimuthal_whittaker(grid, l, 0.0, 1.0, 0.0)
         Theta = Theta / np.max(np.abs(Theta))
         rep = fd_residual(
-            SampledProfile("theta", grid, Theta),
+            SampledProfile(grid, Theta),
             lambda y, dy, d2y, q: d2y + (l * l - 1.0 / (4.0 * q * q)) * y,
         )
         assert rep.max_abs < 1e-7

@@ -59,7 +59,7 @@ class TestRadialBasis:
         ode = lambda y, dy, d2y, q: d2y + (k2 - (BETA_ONE.beta * q) ** 2) * y
         for u in (pair.u1, pair.u2):
             values = np.asarray(u(grid))
-            rep = fd_residual(SampledProfile("r", grid, values), ode)
+            rep = fd_residual(SampledProfile(grid, values), ode)
             # relative to the solution scale: the a > 0 members grow
             assert rep.max_abs < 1e-6 * max(1.0, float(np.max(np.abs(values))))
 
