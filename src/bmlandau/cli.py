@@ -305,15 +305,13 @@ def cmd_verify(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_flow(args, config: RunConfig) -> int:
-    from .flux import _momentum_denominator, flux_context_from_lambda, pi_theta_closed, s_theta_closed
+    from .flux import _momentum_and_pole, flux_context_from_lambda, s_theta_closed
 
     # ValueError (Lambda < l^2, Delta_pi <= 0) maps to exit 2 in main
     ctx = flux_context_from_lambda(args.lam, args.l_index, args.e_pi, args.theta0, config.params)
     grid = _parse_grid(args.grid)
 
-    _, pole = _momentum_denominator(grid, ctx)
-    pi_vals = np.zeros_like(grid)
-    pi_vals[~pole] = pi_theta_closed(grid[~pole], ctx)
+    pi_vals, pole = _momentum_and_pole(grid, ctx)
     columns = [grid, pi_vals, s_theta_closed(grid, ctx)]
     if pole.any():  # momentum pole: a gap row; numpy.ma loads only then (about 20 ms, 1.3 MB)
         columns[1:] = [np.ma.array(column, mask=pole) for column in columns[1:]]

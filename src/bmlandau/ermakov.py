@@ -17,12 +17,13 @@ conserved Ermakov-Lewis quantity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import SampledProfile
+from .core import SampledProfile, _require_finite
 from .oracle import fd_residual
 
 
@@ -84,7 +85,7 @@ def ep_coefficients(A: float, B: float, D: float, wronskian: float) -> EPCoeffic
     det = A * B - D * D
     if det < 0:
         raise ValueError("A*B - D^2 must be nonnegative for a real flux constant")
-    return EPCoefficients(A, B, D, abs(wronskian) * np.sqrt(det), wronskian)
+    return EPCoefficients(A, B, D, abs(wronskian) * math.sqrt(det), wronskian)
 
 
 def pinney_sigma(coef: EPCoefficients, v1, v2):
@@ -110,10 +111,18 @@ def pinney_amplitude(pair: LinearPair, coef: EPCoefficients) -> Callable:
 
     Evaluates only u1 and u2.  A negative radicand anywhere on the
     requested points signals an inadmissible coefficient choice and
-    raises; it is never clamped.
+    raises; it is never clamped.  A sigma past the float range raises
+    ValueError naming the first such q.
     """
     _check_pair_coef(pair, coef)
-    return lambda q: pinney_sigma(coef, pair.u1(q), pair.u2(q))
+
+    def sigma(q):
+        v1, v2 = pair.u1(q), pair.u2(q)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite radicand is refused below
+            value = pinney_sigma(coef, v1, v2)
+        return _require_finite(value, np.asarray(q, dtype=float), "Pinney amplitude sigma", "q")
+
+    return sigma
 
 
 def pinney_derivative(pair: LinearPair, coef: EPCoefficients) -> Callable:

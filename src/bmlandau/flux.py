@@ -159,12 +159,19 @@ def _momentum_denominator(theta, ctx: FluxContext):
     return denom, np.abs(denom) < 1e-12 * max(abs(ctx.E_pi), 1.0)
 
 
+def _momentum_and_pole(theta, ctx: FluxContext):
+    """8 Lambda / denominator, 0 at the poles, and the pole mask of _momentum_denominator."""
+    denom, pole = _momentum_denominator(theta, ctx)
+    out = np.zeros_like(denom)
+    np.divide(8.0 * ctx.Lambda, denom, out=out, where=~pole)
+    return out, pole
+
+
 def pi_theta_closed(theta, ctx: FluxContext):
     """Closed-form shifted momentum on the zero-azimuthal-current branch."""
-    denom, pole = _momentum_denominator(theta, ctx)
+    out, pole = _momentum_and_pole(theta, ctx)
     if np.any(pole):
         raise ZeroDivisionError("momentum pole: closed-form denominator vanished")
-    out = 8.0 * ctx.Lambda / denom
     return out if np.asarray(theta).ndim else float(out)
 
 

@@ -11,9 +11,10 @@ The integrator steps in Python floats: the flux checks integrate
 2-component states, where numpy's fixed cost per call outweighs the
 arithmetic, so the seven stages are written out one by one (the form of
 Hairer, Norsett & Wanner's dopri5) and the rhs receives each stage as a
-list of floats.  Only its output passes through numpy, once, to be
-checked for shape; the accepted steps are stacked into arrays for the
-dense output.
+list of floats.  A list or tuple of reals that the rhs returns is taken
+component by component as float() takes it, with no numpy call; numpy
+judges any other output, once per call, for its shape.  The accepted
+steps are stacked into arrays for the dense output.
 
 The quadrature nodes and weights of each level depend only on the
 interval-free variable t, so they are computed once per level, cached,
@@ -29,6 +30,7 @@ equals the single-interval call bit for bit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -172,14 +174,17 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
     controller 0.9 err^(-1/5) clamped to [0.2, 5] and steps no longer
     than max_step.  State, stages and controller are Python floats; p.rhs
     is read once per call and receives each stage as a fresh list of
-    floats.  Its output goes through one np.asarray, and an output whose
-    shape is not (dim,) raises ValueError on whichever call returns it.
-    A step whose new state or error estimate has a non-finite component
-    (a nan from the rhs, or an overflow) is rejected, so a rhs that turns
-    nan or a state that leaves the float range ends in the stall below
-    rather than in a nan or inf state.  RuntimeError is raised once the
-    step falls below 1e-14 of the span's scale ("integration stalled").
-    The solution's stats count rhs calls and steps.
+    floats.  A list or tuple of dim real numbers that it returns is
+    converted as float() converts each number, with no numpy call.
+    Anything else (another type, text, a wrong length) goes through one
+    np.asarray(..., dtype=float), and a shape other than (dim,) raises
+    ValueError on whichever call returns it.  A step whose new state or
+    error estimate has a non-finite component (a nan from the rhs, or an
+    overflow) is rejected, so a rhs that turns nan or a state that leaves
+    the float range ends in the stall below rather than in a nan or inf
+    state.  RuntimeError is raised once the step falls below 1e-14 of the
+    span's scale ("integration stalled").  The solution's stats count rhs
+    calls and steps.
     """
     t0, t1 = float(p.span[0]), float(p.span[1])
     direction = 1.0 if t1 > t0 else -1.0
@@ -187,14 +192,19 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
     rtol, atol = p.rel_tol, p.abs_tol
     user_rhs = p.rhs
     y = np.asarray(p.y0, dtype=float).tolist()
-    shape = (len(y),)
-    nfev = 0
+    dim = len(y)
 
     def rhs(y, t):
-        nonlocal nfev
-        nfev += 1
-        f = np.asarray(user_rhs(y[:], t), dtype=float)
-        if f.shape != shape:
+        out = user_rhs(y[:], t)
+        if isinstance(out, (list, tuple)) and len(out) == dim:
+            # array("d") converts each number as float() does and refuses
+            # text, which numpy parses, so both paths agree on every output
+            try:
+                return array("d", out).tolist()
+            except TypeError:
+                pass
+        f = np.asarray(out, dtype=float)
+        if f.shape != (dim,):
             raise ValueError("rhs output size does not match state dimension")
         return f.tolist()
 
@@ -220,11 +230,18 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
         hd = h * direction
 
         y_new, f_new, err_vec = _dp_step(rhs, t, y, f, hd)
-        errs = [abs(e) / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err_vec, y, y_new)]
-        # Python's max drops a nan that is not first, and float arithmetic
-        # overflows to inf without a warning: a nan or an inf in the new
-        # state or its error rejects the step and shrinks the next one
-        err = max(errs) if all(map(math.isfinite, y_new + errs)) else math.nan
+        # the largest scaled error, or nan where a component of the new
+        # state or of its scaled error is not finite: float arithmetic
+        # overflows to inf without a warning, and a nan or an inf rejects
+        # the step and shrinks the next one
+        err = 0.0
+        for e, a, b in zip(err_vec, y, y_new):
+            r = abs(e) / (atol + rtol * max(abs(a), abs(b)))
+            if not (math.isfinite(b) and math.isfinite(r)):
+                err = math.nan
+                break
+            if r > err:
+                err = r
 
         if err <= 1.0 or (h <= min_step and err == err):
             t = t + hd
@@ -238,7 +255,9 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
         factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
 
-    stats = IVPStats(nfev, len(ts) - 1, rejected, h_min, h_max)
+    accepted = len(ts) - 1
+    # FSAL: one call for the first stage, six per step tried
+    stats = IVPStats(1 + 6 * (accepted + rejected), accepted, rejected, h_min, h_max)
     return IVPSolution(np.array(ts), np.array(ys), np.array(fs), stats)
 
 

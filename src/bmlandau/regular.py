@@ -104,7 +104,9 @@ def axial_regularised(k_z: float) -> Callable:
         z_arr = np.asarray(z, dtype=float)
         if np.any(z_arr <= 0):
             raise ValueError("axial branch defined on half-line; mirror by |z| at caller")
-        return np.sqrt(z_arr) * bessel_j(AXIAL_ORDER, k_z * z_arr)
+        with np.errstate(over="ignore"):  # bessel_j refuses an infinite argument
+            k_z_z = k_z * z_arr
+        return np.sqrt(z_arr) * bessel_j(AXIAL_ORDER, k_z_z)
 
     return Z
 

@@ -794,8 +794,9 @@ def whittaker_m(kappa, mu, x):
     a = mu - kappa + 0.5
 
     def nonzero(x):
+        kummer = hyp1f1(a, b, x)  # first: it refuses an x whose power would overflow
         power = np.exp((mu + 0.5) * np.log(x))
-        return np.exp(-0.5 * x) * power * hyp1f1(a, b, x)
+        return np.exp(-0.5 * x) * power * kummer
 
     # M is 0 at x = 0; the other points are one sweep of their own
     value = _by_region(x_arr, zero, nonzero, np.zeros_like)

@@ -407,6 +407,66 @@ class TestFlowFlagsProperty:
             assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
 
+_AMPLITUDE_PAIRS = [
+    ("r", "ep"), ("r", "regularised"), ("r", "damped"),
+    ("theta", "ep"), ("theta", "local"), ("theta", "whittaker"),
+    ("z", "ep"), ("z", "regularised"), ("z", "damped"),
+]
+_OR_ZERO = st.one_of(st.just(0.0), _SIGNED)
+
+
+class TestAmplitudeFlagsProperty:
+    """Every amplitude request exits 0 with finite cells, or 2 with one error line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pair=st.sampled_from(_AMPLITUDE_PAIRS),
+        weights=st.tuples(_MAGNITUDES, _MAGNITUDES, _OR_ZERO),
+        a=_OR_ZERO,
+        omega=_SIGNED,
+        nr=st.integers(0, 70),
+        l_index=st.integers(-3, 12),
+        radius=st.one_of(st.just(0.0), _MAGNITUDES),
+        currents=st.tuples(_OR_ZERO, _SIGNED, _SIGNED, _SIGNED),
+        c1=st.builds(complex, _OR_ZERO, _OR_ZERO),
+        c2=st.builds(complex, _OR_ZERO, _OR_ZERO),
+        bounds=st.lists(_OR_ZERO, min_size=2, max_size=2).map(sorted),
+        count=st.integers(2, 5),
+        hbar=st.one_of(st.none(), _MAGNITUDES),
+    )
+    # k_z z, abs(W) sqrt(AB - D^2) and the Whittaker power x^(mu + 1/2)
+    # overflowed before the refusal that follows them: a RuntimeWarning on
+    # stderr, and a traceback under -W error
+    @example(pair=("z", "regularised"), weights=(1.0, 1.0, 0.0), a=0.0, omega=1e200, nr=0, l_index=0, radius=1.0,
+             currents=(0.0, -1.0, -1.0, 1.0), c1=1 + 0j, c2=0j, bounds=[1.0, 1e200], count=3, hbar=None)
+    @example(pair=("theta", "ep"), weights=(1.38, 7e205, 0.0), a=0.0, omega=4e280, nr=0, l_index=0, radius=1.0,
+             currents=(0.0, -1.0, -1.0, 1.0), c1=1 + 0j, c2=0j, bounds=[0.0, 1.0], count=3, hbar=None)
+    @example(pair=("theta", "whittaker"), weights=(1.0, 1.0, 0.0), a=0.0, omega=1.0, nr=0, l_index=3, radius=1.0,
+             currents=(0.0, -1.0, -1.0, 1.0), c1=1 + 0j, c2=0j, bounds=[1.0, 1e290], count=3, hbar=None)
+    def test_exit_code_and_finite_cells(self, tmp_path_factory, pair, weights, a, omega, nr, l_index, radius,
+                                        currents, c1, c2, bounds, count, hbar):
+        sector, branch = pair
+        ctheta, cr, cz, atheta = currents
+        argv = [f"--sector={sector}", f"--branch={branch}", f"--A={weights[0]!r}", f"--B={weights[1]!r}",
+                f"--D={weights[2]!r}", f"--a={a!r}", f"--omega={omega!r}", f"--kz={omega!r}", f"--nr={nr}",
+                f"--l={l_index}", f"--r={radius!r}", f"--ctheta={ctheta!r}", f"--cr={cr!r}", f"--cz={cz!r}",
+                f"--atheta={atheta!r}", f"--c1={c1!r}", f"--c2={c2!r}", f"--grid={bounds[0]!r}:{bounds[1]!r}:{count}"]
+        if hbar is not None:
+            cfg = tmp_path_factory.getbasetemp() / "amplitude_property.json"
+            cfg.write_text(json.dumps({"hbar": hbar}))
+            argv = ["--config", str(cfg), *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["amplitude", *argv])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+        else:
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
 class TestSpectrumOutOfRange:
     def test_huge_hbar_is_clean_error(self, capsys, tmp_path):
         # hbar^2 overflows: the k_z = 0 row used to print nan and the k_z = 1 row inf, exit 0

@@ -123,6 +123,75 @@ class TestIntegrator:
             integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, 1.0), 1e-10, 1e-12))
         assert len(calls) == (1 if first else 3)
 
+    # how a rhs may return the pair f = [f0, f1]: each output must have the
+    # outcome of numpy judging it (np.asarray(..., dtype=float), then its
+    # shape): the same solution bits, or the same exception type
+    RHS_OUTPUTS = {
+        "list": list,
+        "tuple": tuple,
+        "float32 array": lambda f: np.array(f, dtype=np.float32),
+        "list of np.float64": lambda f: [np.float64(v) for v in f],
+        "list of str": lambda f: [repr(v) for v in f],
+        "list of bool": lambda f: [v > 0 for v in f],
+        "list of bytearray": lambda f: [bytearray(b"1"), bytearray(b"2")],
+        "short list": lambda f: f[:1],
+        "(dim, 1) column": lambda f: np.array(f)[:, None],
+        "nested list": lambda f: [[v] for v in f],
+        "list of 1-element arrays": lambda f: [np.array([v]) for v in f],
+        "0-d array": lambda f: np.array(f[0]),
+        "scalar": lambda f: f[0],
+        "None": lambda f: None,
+        "list with None": lambda f: [None, f[1]],
+        "complex entries": lambda f: [complex(v, 0.0) for v in f],
+        "generator": lambda f: (v for v in f),
+        "dict": lambda f: dict(enumerate(f)),
+        "int past the float range": lambda f: [10**400, f[1]],
+    }
+
+    @pytest.mark.parametrize("kind", RHS_OUTPUTS)
+    def test_rhs_output_judged_as_numpy_judges_it(self, kind):
+        output = self.RHS_OUTPUTS[kind]
+        base = lambda y, t: [y[1], -y[0] * math.cos(t)]
+
+        def numpy_judged(y, t):
+            f = np.asarray(output(base(y, t)), dtype=float)
+            if f.shape != (2,):
+                raise ValueError("not a pair")
+            return f
+
+        def outcome(rhs):
+            try:
+                sol = integrate_ivp(IVPProblem(rhs, [0.0, 1.0], (0.0, 2.0), 1e-10, 1e-12))
+            except Exception as exc:  # the exception type is the outcome
+                return type(exc)
+            return sol
+
+        got, want = outcome(lambda y, t: output(base(y, t))), outcome(numpy_judged)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            for name in ("ts", "ys", "fs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.stats == want.stats
+
+    def test_tuple_rhs_makes_no_numpy_call_per_step(self, monkeypatch):
+        # np.asarray is called a fixed number of times per integration, not per rhs call
+        calls = []
+        asarray = oracle.np.asarray
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return asarray(*args, **kwargs)
+
+        monkeypatch.setattr(oracle.np, "asarray", counted)
+        counts = []
+        for max_step in (math.inf, 0.005):
+            calls.clear()
+            sol = integrate_ivp(IVPProblem(lambda y, t: (y[1], -y[0]), [0.0, 1.0], (0.0, 2.0), max_step=max_step))
+            counts.append((len(calls), sol.stats.accepted))
+        assert counts[0][0] == counts[1][0] <= 5
+        assert counts[1][1] > 2 * counts[0][1]
+
     def test_nan_rhs_stalls(self):
         # the nan sits in the second component, where Python's max would drop it
         rhs = lambda y, t: [1.0, math.nan if t > 0.5 else 1.0]
