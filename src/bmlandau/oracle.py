@@ -11,10 +11,11 @@ The integrator steps in Python floats: the flux checks integrate
 2-component states, where numpy's fixed cost per call outweighs the
 arithmetic, so the seven stages are written out one by one (the form of
 Hairer, Norsett & Wanner's dopri5) and the rhs receives each stage as a
-list of floats.  A list or tuple of reals that the rhs returns is taken
-component by component as float() takes it, with no numpy call; numpy
-judges any other output, once per call, for its shape.  The accepted
-steps are stacked into arrays for the dense output.
+list of floats.  A list or tuple of Python floats, ints or numpy
+float64s that the rhs returns is converted with float() per component,
+with no numpy call; numpy judges any other output, once per call, for
+its shape.  The accepted steps are stacked into arrays for the dense
+output.
 
 The quadrature nodes and weights of each level depend only on the
 interval-free variable t, so they are computed once per level, cached,
@@ -30,7 +31,6 @@ equals the single-interval call bit for bit.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -166,6 +166,14 @@ def _dp_step(rhs: Callable, t: float, y: list, f: list, hd: float):
     return y_new, k7, err
 
 
+# the exact types of rhs output, and of its components, that
+# integrate_ivp converts without numpy: float() of each is the value
+# numpy stores, whatever the numpy version; subclasses (bool, a float
+# with its own __float__) and every other type go to numpy
+_SEQUENCES = (list, tuple)
+_REALS = (float, int, np.float64)
+
+
 def integrate_ivp(p: IVPProblem) -> IVPSolution:
     """Adaptive Dormand-Prince 5(4) integration with dense output.
 
@@ -174,15 +182,16 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
     controller 0.9 err^(-1/5) clamped to [0.2, 5] and steps no longer
     than max_step.  State, stages and controller are Python floats; p.rhs
     is read once per call and receives each stage as a fresh list of
-    floats.  A list or tuple of dim real numbers that it returns is
-    converted as float() converts each number, with no numpy call.
-    Anything else (another type, text, a wrong length) goes through one
-    np.asarray(..., dtype=float), and a shape other than (dim,) raises
-    ValueError on whichever call returns it.  A step whose new state or
-    error estimate has a non-finite component (a nan from the rhs, or an
-    overflow) is rejected, so a rhs that turns nan or a state that leaves
-    the float range ends in the stall below rather than in a nan or inf
-    state.  RuntimeError is raised once the step falls below 1e-14 of the
+    floats.  A list or tuple of dim components, each a Python float or
+    int or a numpy float64, is converted with float() per component, with
+    no numpy call (an int past the float range raises OverflowError, as
+    numpy does).  Anything else (another type, another component type, a
+    wrong length) goes through one np.asarray(..., dtype=float), and a
+    shape other than (dim,) raises ValueError on whichever call returns
+    it.  A step whose new state or error estimate has a non-finite
+    component (a nan from the rhs, or an overflow) is rejected, so a rhs
+    that turns nan or a state that leaves the float range ends in the
+    stall below rather than in a nan or inf state.  RuntimeError is raised once the step falls below 1e-14 of the
     span's scale ("integration stalled").  The solution's stats count rhs
     calls and steps.
     """
@@ -196,13 +205,10 @@ def integrate_ivp(p: IVPProblem) -> IVPSolution:
 
     def rhs(y, t):
         out = user_rhs(y[:], t)
-        if isinstance(out, (list, tuple)) and len(out) == dim:
-            # array("d") converts each number as float() does and refuses
-            # text, which numpy parses, so both paths agree on every output
-            try:
-                return array("d", out).tolist()
-            except TypeError:
-                pass
+        if type(out) in _SEQUENCES and len(out) == dim:
+            f = [float(v) for v in out if type(v) in _REALS]
+            if len(f) == dim:
+                return f
         f = np.asarray(out, dtype=float)
         if f.shape != (dim,):
             raise ValueError("rhs output size does not match state dimension")

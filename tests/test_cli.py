@@ -443,6 +443,9 @@ class TestAmplitudeFlagsProperty:
              currents=(0.0, -1.0, -1.0, 1.0), c1=1 + 0j, c2=0j, bounds=[0.0, 1.0], count=3, hbar=None)
     @example(pair=("theta", "whittaker"), weights=(1.0, 1.0, 0.0), a=0.0, omega=1.0, nr=0, l_index=3, radius=1.0,
              currents=(0.0, -1.0, -1.0, 1.0), c1=1 + 0j, c2=0j, bounds=[1.0, 1e290], count=3, hbar=None)
+    # the Pinney amplitude sigma overflowed to inf and was printed at exit 0
+    @example(pair=("r", "ep"), weights=(1.0, 1e250, 0.0), a=0.0, omega=1.0, nr=0, l_index=0, radius=1.0,
+             currents=(0.0, -1.0, -1.0, 1.0), c1=1 + 0j, c2=0j, bounds=[0.0, 1e29], count=2, hbar=1e57)
     def test_exit_code_and_finite_cells(self, tmp_path_factory, pair, weights, a, omega, nr, l_index, radius,
                                         currents, c1, c2, bounds, count, hbar):
         sector, branch = pair

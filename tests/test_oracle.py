@@ -16,6 +16,20 @@ from bmlandau.core import PhysParams, SampledProfile
 from bmlandau.oracle import IVPProblem, fd_residual, integrate_ivp, quad_singular
 
 
+class _OneElementList(list):
+    """A 1-element sequence that float() also takes, as an ndarray of shape (1,) was before numpy 2.4."""
+
+    def __float__(self):
+        return float(self[0])
+
+
+class _ShiftedFloat(float):
+    """A float whose float() is not its stored value (numpy calls __float__)."""
+
+    def __float__(self):
+        return float.__float__(self) + 1.0
+
+
 class TestIntegrator:
     def test_exponential(self):
         sol = integrate_ivp(IVPProblem(lambda y, t: y, [1.0], (0.0, 1.0), 1e-10, 1e-12))
@@ -138,6 +152,8 @@ class TestIntegrator:
         "(dim, 1) column": lambda f: np.array(f)[:, None],
         "nested list": lambda f: [[v] for v in f],
         "list of 1-element arrays": lambda f: [np.array([v]) for v in f],
+        "list of 1-element lists with __float__": lambda f: [_OneElementList([v]) for v in f],
+        "list of float subclass with __float__": lambda f: [_ShiftedFloat(v) for v in f],
         "0-d array": lambda f: np.array(f[0]),
         "scalar": lambda f: f[0],
         "None": lambda f: None,
