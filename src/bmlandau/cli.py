@@ -22,7 +22,9 @@ unreadable config, an unwritable output path, or an input outside the
 working range of a series or integrator).
 
 Every float and complex input (flags, the --kz list, grid bounds, the
-config constants) must be finite; nan and inf are usage errors.
+config constants) must be finite; nan and inf are usage errors.  So must
+every value cell of an amplitude or flow table that is not a gap: one
+that is nan or inf exits 2, naming its column and grid value.
 
 Output is deterministic: CSV uses a header row, comma delimiter, LF line
 ends and 17 significant digits (each cell as format(x, ".17g")), and a
@@ -168,6 +170,17 @@ def _write(text: str, config: RunConfig):
         sys.stdout.write(text)
 
 
+def _refuse_non_finite_cells(names, columns):
+    """ValueError naming the column and the grid value (columns[0]) of the
+    first row with a nan or inf value cell that is not a gap (masked): a
+    profile table holds finite values only."""
+    finite = [np.isfinite(np.asarray(column)) | getattr(column, "mask", False) for column in columns[1:]]
+    if not all(map(np.all, finite)):
+        i = min(int(np.argmin(f)) for f in finite if not f.all())
+        j = next(j for j, f in enumerate(finite, 1) if not f[i])
+        raise ValueError(f"table cell {names[j]} = {columns[j][i]} at {names[0]} = {columns[0][i]:g} is not finite")
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -283,6 +296,7 @@ def cmd_amplitude(args, config: RunConfig) -> int:
     else:
         names, columns = [sector, "value"], [grid, values]
     meta = {"command": "amplitude", "sector": sector, "branch": branch}
+    _refuse_non_finite_cells(names, columns)
     _write(_emit_table(names, columns, meta, config.fmt), config)
     return 0
 
@@ -323,6 +337,7 @@ def cmd_flow(args, config: RunConfig) -> int:
         "theta0": ctx.theta0,
         "phi": ctx.phi,
     }
+    _refuse_non_finite_cells(names, columns)
     _write(_emit_table(names, columns, meta, config.fmt), config)
     return 0
 

@@ -117,10 +117,7 @@ def pinney_amplitude(pair: LinearPair, coef: EPCoefficients) -> Callable:
     _check_pair_coef(pair, coef)
 
     def sigma(q):
-        v1, v2 = pair.u1(q), pair.u2(q)
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite radicand is refused below
-            value = pinney_sigma(coef, v1, v2)
-        return _require_finite(value, np.asarray(q, dtype=float), "Pinney amplitude sigma", "q")
+        return _finite_sigma(coef, pair.u1(q), pair.u2(q), q)
 
     return sigma
 
@@ -129,16 +126,24 @@ def pinney_derivative(pair: LinearPair, coef: EPCoefficients) -> Callable:
     """Analytic sigma'(q) of the Pinney amplitude (no finite differences).
 
     One ``pair.values(q)`` call gives u1, u2 and their derivatives, and
-    sigma is built from the same u1, u2; a negative radicand raises as in
-    ``pinney_amplitude``.
+    sigma is built from the same u1, u2; a negative radicand or a sigma
+    past the float range raises as in ``pinney_amplitude``.
     """
     _check_pair_coef(pair, coef)
 
     def dsigma(q):
         v1, v2, d1, d2 = pair.values(q)
-        return pinney_sigma_prime(coef, v1, v2, d1, d2, pinney_sigma(coef, v1, v2))
+        return pinney_sigma_prime(coef, v1, v2, d1, d2, _finite_sigma(coef, v1, v2, q))
 
     return dsigma
+
+
+def _finite_sigma(coef: EPCoefficients, v1, v2, q):
+    """pinney_sigma of the values v1, v2 at the points q; ValueError naming
+    the first q where sigma is past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite radicand is refused below
+        value = pinney_sigma(coef, v1, v2)
+    return _require_finite(value, np.asarray(q, dtype=float), "Pinney amplitude sigma", "q")
 
 
 def _check_pair_coef(pair: LinearPair, coef: EPCoefficients):

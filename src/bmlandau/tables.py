@@ -1,10 +1,17 @@
 """Tables as text: CSV and JSON cells from one numpy digit grid.
 
 _digits gives each float cell its digits and decimal exponent: the 17
-nearest for CSV, the shortest that read back for JSON.  Each cell is a
-row of a byte grid holding every character its text can have, then its
-column's separator; a mask row for the format (_shown) picks the bytes it
-shows.  The blocks of a table run on one thread per CPU.
+nearest for CSV, the shortest that read back for JSON; _round17 takes each
+power of ten with its low part and the Dekker halves of its float from one
+four-row table in one take.  Each cell is a row of a byte grid holding
+every character its text can have, then the cell separator: a block's
+grid starts from a template row (_template), and a block writes the
+digits, the separator of each row's last cell and, only where it holds a
+cell in scientific form, the exponents.  A mask row for the format
+(_shown), which shows the cell separator too, picks the bytes a cell
+shows by its shape; the count of digits it shows comes from the 4-digit
+words of its digits (_digit_counts).  The blocks of a table run on one
+thread per CPU.
 """
 
 from __future__ import annotations
@@ -17,7 +24,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-_BLOCK = 1 << 13  # cells per block: bounds each thread's scratch arrays
+# cells per block: bounds each thread's scratch arrays.  1 << 14 measured 9%
+# less profile_1e5 pass_s on 2 CPUs, but 6 MB more peak RSS (57.5 -> 63.6 MB,
+# past the benchmark's 5% bound), so the blocks stay at 1 << 13
+_BLOCK = 1 << 13
 _GRID = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000", np.uint8)  # sign, "0.000", digits and points, exponent
 _DIGITS = slice(6, 39, 2)  # digit j of 17 at column 6 + 2j; column 7 + 2j is a point after it
 # "0000".."9999" as 4-byte words, indexed by value
@@ -100,7 +110,10 @@ def _blocks(columns, shortest) -> list[str]:
         cell _digits does not settle takes _json_float (JSON, the shortest
         digits) or format(v, ".17g") (CSV); a label or gap cell takes its
         row of the label table by its code, as a float cell takes its mask
-        row by its shape.  It may run on a pool thread and calls only
+        row by its shape.  The grid and mask rows end in the cell
+        separator (_template, _shown), so only a row's last cell writes its
+        own, and only a block with a cell in scientific form writes exponent
+        bytes.  It may run on a pool thread and calls only
         numpy, json and this module's private helpers; the amplitude
         evaluation blocks (cli._by_blocks) call the package's public
         functions on the same threads, so a tracer that wraps those sees
@@ -114,23 +127,27 @@ def _blocks(columns, shortest) -> list[str]:
         words = N // 10 ** np.arange(16, -4, -4)[:, None]
         words[1:] -= 10000 * words[:-1]
         digits = np.ascontiguousarray(_QUADS[words.T]).view(np.uint8).reshape(c, 20)[:, 3:]
-        m = np.where(N == 0, 1, 17 - np.argmax(digits[:, ::-1] != 48, axis=1))  # through the last nonzero digit
+        # N's digits through the last nonzero one (the head digit is shown even in a zero)
+        m = _digit_counts()[words[1:] + np.arange(0, 40000, 10000)[:, None]].max(axis=0, initial=1)
         odd = np.flatnonzero(~(sure | (x == 0)))  # a label or gap cell holds 0.0
         fallback = [(_json_float(v) if shortest else format(v, ".17g")).encode() for v in x[odd].tolist()]
         lengths = [len(t) for t in fallback]
         W = max([_GRID.size, table.shape[1], *lengths]) + S
         grid = np.empty((c, W), np.uint8)
-        grid[:, : _GRID.size] = _GRID
+        grid[:] = _template(W, shortest)
         grid[:, _DIGITS] = digits
-        e = np.abs(X)
-        grid[:, 40:44] = _QUADS[e].view(np.uint8).reshape(c, 4)  # "0eee", its first byte the sign
-        grid[:, 40] = np.where(X < 0, ord("-"), ord("+"))
         last = slice((width - 1 - start) % width, None, width)  # the cells that end a row
-        grid[:, -S:], grid[last, -S:] = seps
+        grid[last, -S:] = seps[1]
         sci = (X < -4) | (X > 16 - shortest)  # from 1e16 in JSON, 1e17 in CSV
-        shape = (((np.signbit(x) * 2 + sci) * 2 + (e >= 100)) * 21 + np.where(sci, 0, X + 4)) * 17 + m - 1
+        big, fixed = False, X + 4
+        if sci.any():  # only a scientific cell shows its exponent
+            e = np.abs(X)
+            grid[:, 40:44] = _QUADS[e].view(np.uint8).reshape(c, 4)  # "0eee", its first byte the sign
+            grid[:, 40] = np.where(X < 0, ord("-"), ord("+"))
+            big, fixed = e >= 100, np.where(sci, 0, fixed)
+        shape = (((np.signbit(x) * 2 + sci) * 2 + big) * 21 + fixed) * 17 + m - 1
         show = np.take(_shown(W, shortest).reshape(-1, W), shape, axis=0)
-        show[:, -S:], show[last, -S:] = shown
+        show[last, -S:] = shown[1]
         if fallback:
             padded = b"".join([t.ljust(W - S, b"\0") for t in fallback])
             grid[odd, :-S] = np.frombuffer(padded, np.uint8).reshape(-1, W - S)
@@ -147,6 +164,7 @@ def _blocks(columns, shortest) -> list[str]:
     pool = _block_pool() if len(starts) > 1 else None
     return list((pool.map if pool else map)(block, starts))
 
+
 def _split(a):
     t = a * _SPLIT
     hi = t - (t - a)
@@ -155,16 +173,18 @@ def _split(a):
 
 @cache
 def _powers_of_ten(j: int):
-    """(hi, lo) for 10**k, k = 16 j .. 16 j + 15, as two rows: hi the float
-    nearest 10**k and lo the float nearest 10**k - hi, so hi + lo holds
-    10**k to about 2**-106."""
+    """(hi, lo, hh, hl) for 10**k, k = 16 j .. 16 j + 15, as four rows: hi
+    the float nearest 10**k, lo the float nearest 10**k - hi, so hi + lo
+    holds 10**k to about 2**-106, and hh, hl Dekker's split of hi (hh +
+    hl = hi, each half of 26 bits)."""
     pairs = []
     for k in range(16 * j, 16 * j + 16):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
         hi = num / den  # int division rounds correctly
         p, q = hi.as_integer_ratio()
         pairs.append((hi, (num * q - p * den) / (den * q)))
-    table = np.array(pairs).T
+    hi, lo = np.array(pairs).T
+    table = np.array([hi, lo, *_split(hi)])
     table.flags.writeable = False  # shared by the block threads
     return table
 
@@ -176,15 +196,17 @@ def _round17(a, X):
     floor.
 
     The product is a * hi as a float and its exact rounding error (Dekker's
-    two-product), plus a * lo: about 2**-100 relative, far inside 1e-9 of
-    a product below 2**60.  For a in 1e-240..1e240 every term is a
-    normal float.
+    two-product; hi, lo and hi's halves come from _powers_of_ten in one
+    take), plus a * lo: about 2**-100 relative, far inside 1e-9 of a
+    product below 2**60.  For a in 1e-240..1e240 every term is a normal
+    float.
     """
     k = 16 - X
     j0 = int(k.min()) // 16
-    hi, lo = np.hstack([_powers_of_ten(j) for j in range(j0, int(k.max()) // 16 + 1)])[:, k - 16 * j0]
+    table = np.hstack([_powers_of_ten(j) for j in range(j0, int(k.max()) // 16 + 1)])
+    hi, lo, hh, hl = np.take(table, k - 16 * j0, axis=1)
     p = a * hi
-    (ah, al), (hh, hl) = _split(a), _split(hi)
+    ah, al = _split(a)
     f = np.floor(p)
     r = (p - f) + ((((ah * hh - p) + ah * hl) + al * hh) + al * hl + a * lo)
     n = np.floor(r)
@@ -234,18 +256,22 @@ def _digits(x, shortest):
         N = np.where(ok[0], G[0], np.where(ok[1], G[1], N))
         X = X + (N == 10**17)  # rounded up to the next power of ten
         N = np.where(N == 10**17, 10**16, N)
+    if sure.all():
+        return N, X, sure
     return np.where(sure, N, 0), np.where(sure, X, 0), sure
 
 
 @cache
 def _shown(width: int, shortest: bool = False):
-    """The mask row of every cell shape, a width-byte row whose columns
-    past the cell's are left clear for the separator, indexed by sign,
+    """The mask row of every cell shape, a width-byte row that shows the
+    cell's bytes, nothing after them, and in its last columns the cell
+    separator's shown bytes (row 0 of the format's seps), indexed by sign,
     scientific form, 3-digit exponent, exponent + 4 of a fixed-form cell
     and count of significant digits - 1, in that order (the block writer
     takes the rows by their flat index).  A fixed-form cell shows its
     integer digits, and with the shortest digits (JSON) one more, the
     ".0" of an integral value."""
+    seps, shown = _JSON_SEPS if shortest else _CSV_SEPS
     no_yes = [False, True]
     neg, sci, big, X, m = np.meshgrid(no_yes, no_yes, no_yes, range(-4, 17), range(1, 18), indexing="ij", sparse=True)
     q = np.where(sci, 1, np.maximum(X + 1, 0))  # digits before the point
@@ -259,8 +285,34 @@ def _shown(width: int, shortest: bool = False):
     show[..., 7:38:2] = (np.arange(1, 17) == q[..., None]) & (q < m)[..., None]
     show[..., 39:41] = show[..., 42:44] = sci[..., None]
     show[..., 41] = sci & big
+    show[..., -seps.shape[1] :] = shown[0]
     show.flags.writeable = False
     return show
+
+
+@cache
+def _template(width: int, shortest: bool):
+    """The byte row a block's grid starts from: _GRID, then zeros, then
+    the cell separator (row 0 of the format's seps) in the last columns."""
+    seps = (_JSON_SEPS if shortest else _CSV_SEPS)[0]
+    row = np.zeros(width, np.uint8)
+    row[: _GRID.size] = _GRID
+    row[-seps.shape[1] :] = seps[0]
+    row.flags.writeable = False
+    return row
+
+
+@cache
+def _digit_counts():
+    """For word j = 1..4 of a block's N, at 10**4 (j - 1) + its value, the
+    count of N's digits through that word's last nonzero one (word j holds
+    digits 4 j - 2 .. 4 j + 1), or 0 for the word 0."""
+    # of a word's remainders by 10, 100, 1000 and 10**4, as many are nonzero
+    # as it has digits through its last nonzero one
+    lengths = np.count_nonzero(np.arange(10000) % 10 ** np.arange(1, 5)[:, None], axis=0)
+    counts = np.where(lengths > 0, lengths + np.arange(1, 17, 4)[:, None], 0).astype(np.uint8).ravel()
+    counts.flags.writeable = False
+    return counts
 
 
 @cache

@@ -913,6 +913,62 @@ class TestPoleGapRows:
         assert all(row[1] is not None for i, row in enumerate(rows) if i not in gaps)
 
 
+class TestNonFiniteCellsRefused:
+    """A nan or inf value cell, unless it is a gap, exits 2 with one line
+    naming its column and grid value instead of reaching the table."""
+
+    @staticmethod
+    def _spoiled(monkeypatch, module, name, at, value):
+        evaluate = getattr(module, name)
+
+        def spoiled(*args, **kwargs):
+            values = np.array(evaluate(*args, **kwargs))
+            values[at] = value
+            return values
+
+        monkeypatch.setattr(module, name, spoiled)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "name, argv, at, value, message",
+        [
+            ("damped_axial_profile", ["--sector", "z", "--branch", "damped", "--grid", "0:1:5"], [3, 4], math.nan,
+             "table cell value = nan at z = 0.75 is not finite"),
+            ("damped_radial_profile", ["--sector", "r", "--branch", "damped", "--grid", "0:1:5"], [2], -math.inf,
+             "table cell value = -inf at r = 0.5 is not finite"),
+            ("azimuthal_whittaker", ["--sector", "theta", "--branch", "whittaker", "--l", "1", "--grid", "0.2:2:5"], [1],
+             complex(1.0, math.inf), "table cell value_im = inf at theta = 0.65 is not finite"),
+        ],
+    )
+    def test_amplitude(self, capsys, monkeypatch, name, argv, at, value, message, fmt):
+        self._spoiled(monkeypatch, rg, name, at, value)
+        code, out, err = run_cli(["amplitude", *argv, "--format", fmt], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_flow_names_the_first_row(self, capsys, monkeypatch):
+        from bmlandau import flux
+
+        self._spoiled(monkeypatch, flux, "s_theta_closed", [2, 4], math.inf)
+        code, out, err = run_cli(["flow", "--lambda", "1", "--e-pi", "10", "--grid", "0:4:5"], capsys)
+        assert (code, out, err) == (2, "", "error: table cell s_theta = inf at theta = 2 is not finite\n")
+
+    def test_gap_cells_are_not_refused(self, capsys, monkeypatch, tmp_path):
+        from bmlandau import flux
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hbar": 1e9}))
+        argv = ["--config", str(cfg)] + TestPoleGapRows.ARGV
+        code, want, _ = run_cli(argv, capsys)
+        momentum_and_pole = flux._momentum_and_pole
+
+        def nan_at_poles(grid, ctx):
+            pi_vals, pole = momentum_and_pole(grid, ctx)
+            return np.where(pole, math.nan, pi_vals), pole
+
+        monkeypatch.setattr(flux, "_momentum_and_pole", nan_at_poles)
+        assert run_cli(argv, capsys) == (code, want, "") and code == 0 and ",,\n" in want
+
+
 class TestNonFiniteInputRejected:
     GRID = ["--grid", "0.1:1:5"]
 
@@ -1040,6 +1096,28 @@ class TestArrayTables:
         assert _emit_table(names, columns, metadata, "csv") == _cell_by_cell_csv(names, rows)
         want = json.dumps({"columns": names, "rows": rows, "metadata": metadata}, indent=2) + "\n"
         assert _emit_table(names, columns, metadata, "json") == want
+
+
+class TestBlockSize:
+    """A table's bytes do not depend on where its cells are cut into blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_array_tables(), _tables()), st.data())
+    def test_bytes_do_not_depend_on_block_size(self, table, data):
+        from unittest import mock
+
+        from bmlandau import tables as tb
+
+        # blocks of 1..64 cells, at least two to a table of two or more cells, so
+        # that some blocks hold a scientific, fallback, label or gap cell and others not
+        names, columns, metadata = table
+        cells = len(columns) * len(columns[0])
+        block = data.draw(st.integers(1, min(64, max(1, cells // 2))), label="block")
+        with mock.patch.object(tb, "_BLOCK", block):
+            csv, text = [tb._emit_table(names, columns, metadata, fmt) for fmt in ("csv", "json")]
+        rows = _rows(columns)
+        assert csv == _cell_by_cell_csv(names, rows)
+        assert text == json.dumps({"columns": names, "rows": rows, "metadata": metadata}, indent=2) + "\n"
 
 
 def _neighbours(x):
@@ -1221,9 +1299,9 @@ class TestCsvBlockThreads:
             assert out == json.dumps({"columns": names, "rows": rows, "metadata": metadata}, indent=2) + "\n"
 
     def test_shared_tables_are_read_only(self):
-        from bmlandau.tables import _GRID, _QUADS, _shown
+        from bmlandau.tables import _GRID, _QUADS, _digit_counts, _powers_of_ten, _shown, _template
 
-        for table in (_GRID, _QUADS, _shown(45)):
+        for table in (_GRID, _QUADS, _shown(45), _template(45, False), _digit_counts(), _powers_of_ten(1)):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
@@ -1248,7 +1326,8 @@ class TestCsvBlockThreads:
         from bmlandau import tables as tb
 
         # six callers, more than the pool's threads, race to build the _shown
-        # masks and powers of ten from empty caches while they share the pool
+        # masks, template rows, digit counts and powers of ten from empty
+        # caches while they share the pool
         rng = np.random.default_rng(8)
         tables = [rng.standard_normal((tb._BLOCK, width)) * 10.0 ** rng.integers(-30, 30, (tb._BLOCK, width))
                   for width in (1, 2, 3, 4, 5, 6)]
@@ -1258,8 +1337,8 @@ class TestCsvBlockThreads:
         def write(k):
             got[k] = tb._emit_table([f"c{i}" for i in range(tables[k].shape[1])], list(tables[k].T), {}, "csv")
 
-        tb._shown.cache_clear()
-        tb._powers_of_ten.cache_clear()
+        for cached in (tb._shown, tb._template, tb._digit_counts, tb._powers_of_ten):
+            cached.cache_clear()
         self._race(write, len(tables))
         assert got == want
 
@@ -1278,8 +1357,8 @@ class TestCsvBlockThreads:
             columns = list(tables[k].T)
             got[k] = self._json(columns) if k < 2 else tb._emit_table(["c0", "c1", "c2"], columns, {}, "csv")
 
-        tb._shown.cache_clear()
-        tb._powers_of_ten.cache_clear()
+        for cached in (tb._shown, tb._template, tb._digit_counts, tb._powers_of_ten):
+            cached.cache_clear()
         self._race(write, len(tables))
         assert got == want
 

@@ -1,6 +1,7 @@
 """Ermakov-Pinney construction, invariant constancy, residual sensitivity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,20 @@ class TestPinneyAmplitude:
         coef = constant_coef(c=1.0, omega=2.0)
         with pytest.raises(ValueError, match="different Wronskian"):
             ek.pinney_amplitude(trig_pair(3.0), coef)
+
+    @pytest.mark.parametrize("q", [1e29, np.array([1.0, 1e29])])
+    @pytest.mark.parametrize("build", [ek.pinney_amplitude, ek.pinney_derivative])
+    def test_sigma_past_float_range_refused_without_warning(self, build, q):
+        from bmlandau.core import PhysParams
+        from bmlandau.sectors import radial_basis
+
+        # B u2^2 overflows at q = 1e29 with hbar = 1e57; sigma' was 0.0 there, a wrong finite value
+        pair = radial_basis(0.0, PhysParams(hbar=1e57))
+        evaluate = build(pair, ek.ep_coefficients(1.0, 1e250, 0.0, pair.wronskian))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"Pinney amplitude sigma overflows the float range at q = 1e\+29"):
+                evaluate(q)
 
 
 class TestErmakovInvariant:
