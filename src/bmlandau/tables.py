@@ -10,8 +10,11 @@ digits, the separator of each row's last cell and, only where it holds a
 cell in scientific form, the exponents.  A mask row for the format
 (_shown), which shows the cell separator too, picks the bytes a cell
 shows by its shape; the count of digits it shows comes from the 4-digit
-words of its digits (_digit_counts).  The blocks of a table run on one
-thread per CPU.
+words of its digits (_digit_counts).  Only the grid and the mask rows
+outlive a block's digit stage: np.compress gathers the bytes they show a
+chunk of rows at a time (_gather), each chunk decoded in place and joined
+once with the rest of the table.  The blocks of a table run on one thread
+per CPU.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-# cells per block: bounds each thread's scratch arrays.  1 << 14 measured 9%
-# less profile_1e5 pass_s on 2 CPUs, but 6 MB more peak RSS (57.5 -> 63.6 MB,
-# past the benchmark's 5% bound), so the blocks stay at 1 << 13
-_BLOCK = 1 << 13
+# cells per block: bounds each thread's scratch arrays.  Gathered whole, a
+# 16,384-cell block took 6 MB more peak RSS than an 8,192-cell one; gathered
+# _CHUNK cells at a time, with its digit-stage arrays gone, it takes less
+# scratch memory than the smaller block did, for half the numpy calls a cell
+_BLOCK = 1 << 14
+_CHUNK = 1 << 11  # cells per np.compress of a block: bounds its int64 index
 _GRID = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000", np.uint8)  # sign, "0.000", digits and points, exponent
 _DIGITS = slice(6, 39, 2)  # digit j of 17 at column 6 + 2j; column 7 + 2j is a point after it
 # "0000".."9999" as 4-byte words, indexed by value
@@ -62,11 +67,11 @@ def _emit_table(names, columns, metadata, fmt) -> str:
     # before it, and a JSON string holds no unescaped quote
     text = json.dumps({"columns": list(names), "rows": [], "metadata": metadata}, indent=2)
     head, _, tail = text.partition('"rows": []')
-    blocks = _blocks(columns, True)
-    if not blocks:
+    chunks = _blocks(columns, True)
+    if not chunks:
         return text + "\n"
-    blocks[-1] = blocks[-1][: -len(",\n" + _ROW_LEAD)]  # the last row ends at its "]"
-    return "".join([head, '"rows": [\n', _ROW_LEAD, *blocks, "\n  ]", tail, "\n"])
+    chunks[-1] = chunks[-1][: -len(",\n" + _ROW_LEAD)]  # the last row ends at its "]"
+    return "".join([head, '"rows": [\n', _ROW_LEAD, *chunks, "\n  ]", tail, "\n"])
 
 
 def _json_float(v):
@@ -77,8 +82,9 @@ def _json_float(v):
 def _blocks(columns, shortest) -> list[str]:
     """The text of the cells of columns (see _emit_table) in row order,
     each followed by its separator (row 0 of _JSON_SEPS or _CSV_SEPS, or
-    row 1 after a row's last cell), as one str per block of _BLOCK cells,
-    written on the _block_pool threads for a table of more than one block.
+    row 1 after a row's last cell), as one str per _CHUNK cells of each
+    block of _BLOCK cells, the blocks written on the _block_pool threads
+    for a table of more than one block.
 
     The label table holds the text of a gap, then that of each distinct
     label of each label column, one byte row each; a table with a label or
@@ -105,37 +111,26 @@ def _blocks(columns, shortest) -> list[str]:
     table = np.frombuffer(b"".join([t.ljust(sizes.max(), b"\0") for t in texts]), np.uint8).reshape(len(texts), -1)
     S = seps.shape[1]
 
-    def block(start) -> str:
-        """The text of the _BLOCK cells of values from start on.  A float
-        cell _digits does not settle takes _json_float (JSON, the shortest
-        digits) or format(v, ".17g") (CSV); a label or gap cell takes its
-        row of the label table by its code, as a float cell takes its mask
-        row by its shape.  The grid and mask rows end in the cell
-        separator (_template, _shown), so only a row's last cell writes its
-        own, and only a block with a cell in scientific form writes exponent
-        bytes.  It may run on a pool thread and calls only
-        numpy, json and this module's private helpers; the amplitude
-        evaluation blocks (cli._by_blocks) call the package's public
-        functions on the same threads, so a tracer that wraps those sees
-        calls from several threads at once."""
+    def block_rows(start):
+        """The byte grid and mask rows of the _BLOCK cells of values from
+        start on.  A float cell _digits does not settle takes _json_float
+        (JSON, the shortest digits) or format(v, ".17g") (CSV); a label or
+        gap cell takes its row of the label table by its code, as a float
+        cell takes its mask row by its shape.  The grid and mask rows end in
+        the cell separator (_template, _shown), so only a row's last cell
+        writes its own, and only a block with a cell in scientific form
+        writes exponent bytes.  Every other scratch array is gone when it
+        returns."""
         x = values[start : start + _BLOCK]
         c = len(x)
         N, X, sure = _digits(x, shortest)
-        # N as 5 words, the head one "000d": its first 1, 5, 9, 13 and 17 digits, each
-        # less 10**4 times the one before, a row each (numpy divides by one scalar a row
-        # fast); gathered by words.T, the words come out column-major, so they are copied
-        words = N // 10 ** np.arange(16, -4, -4)[:, None]
-        words[1:] -= 10000 * words[:-1]
-        digits = np.ascontiguousarray(_QUADS[words.T]).view(np.uint8).reshape(c, 20)[:, 3:]
-        # N's digits through the last nonzero one (the head digit is shown even in a zero)
-        m = _digit_counts()[words[1:] + np.arange(0, 40000, 10000)[:, None]].max(axis=0, initial=1)
         odd = np.flatnonzero(~(sure | (x == 0)))  # a label or gap cell holds 0.0
         fallback = [(_json_float(v) if shortest else format(v, ".17g")).encode() for v in x[odd].tolist()]
         lengths = [len(t) for t in fallback]
         W = max([_GRID.size, table.shape[1], *lengths]) + S
         grid = np.empty((c, W), np.uint8)
         grid[:] = _template(W, shortest)
-        grid[:, _DIGITS] = digits
+        m = _write_digits(grid, N)
         last = slice((width - 1 - start) % width, None, width)  # the cells that end a row
         grid[last, -S:] = seps[1]
         sci = (X < -4) | (X > 16 - shortest)  # from 1e16 in JSON, 1e17 in CSV
@@ -157,12 +152,45 @@ def _blocks(columns, shortest) -> list[str]:
             k = code[start + at]
             grid[at, : table.shape[1]] = table[k]
             show[at, :-S] = np.arange(W - S) < sizes[k][:, None]
-        # a block ends at a cell's end, so its bytes decode on their own
-        return np.compress(show.ravel(), grid.ravel()).tobytes().decode("utf-8", "surrogatepass")
+        return grid, show
+
+    def block(start) -> list[str]:
+        """The text of the _BLOCK cells of values from start on, gathered
+        from their rows a chunk at a time (_gather).  It may run on a pool
+        thread and calls only numpy, json and this module's private helpers;
+        the amplitude evaluation blocks (cli._by_blocks) call the package's
+        public functions on the same threads, so a tracer that wraps those
+        sees calls from several threads at once."""
+        return _gather(*block_rows(start))
 
     starts = range(0, values.size, _BLOCK)
     pool = _block_pool() if len(starts) > 1 else None
-    return list((pool.map if pool else map)(block, starts))
+    return [text for texts in (pool.map if pool else map)(block, starts) for text in texts]
+
+
+def _write_digits(grid, N):
+    """Write the 17 digits of each N into its grid row (columns _DIGITS),
+    and give the count of N's digits through its last nonzero one (the
+    head digit is shown even in a zero)."""
+    # N as 5 words, the head one "000d": its first 1, 5, 9, 13 and 17 digits, each
+    # less 10**4 times the one before, a row each (numpy divides by one scalar a row
+    # fast); gathered by words.T, the words come out column-major, so they are copied
+    words = N // 10 ** np.arange(16, -4, -4)[:, None]
+    words[1:] -= 10000 * words[:-1]
+    grid[:, _DIGITS] = np.ascontiguousarray(_QUADS[words.T]).view(np.uint8).reshape(len(N), 20)[:, 3:]
+    words[1:] += np.arange(0, 40000, 10000)[:, None]  # word j's entries of _digit_counts
+    return _digit_counts()[words[1:]].max(axis=0, initial=1)
+
+
+def _gather(grid, show) -> list[str]:
+    """The bytes of grid that show shows, row by row, as text: one str per
+    _CHUNK rows, which bounds the index np.compress builds (8 bytes per
+    byte kept).  The rows end at a cell's end, so each chunk's bytes decode
+    on their own, in place."""
+    return [
+        str(np.compress(show[s : s + _CHUNK].ravel(), grid[s : s + _CHUNK].ravel()), "utf-8", "surrogatepass")
+        for s in range(0, len(grid), _CHUNK)
+    ]
 
 
 def _split(a):

@@ -1099,7 +1099,8 @@ class TestArrayTables:
 
 
 class TestBlockSize:
-    """A table's bytes do not depend on where its cells are cut into blocks."""
+    """A table's bytes do not depend on where its cells are cut into blocks,
+    nor on where a block's gather is cut into chunks."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_array_tables(), _tables()), st.data())
@@ -1109,15 +1110,42 @@ class TestBlockSize:
         from bmlandau import tables as tb
 
         # blocks of 1..64 cells, at least two to a table of two or more cells, so
-        # that some blocks hold a scientific, fallback, label or gap cell and others not
+        # that some blocks hold a scientific, fallback, label or gap cell and others
+        # not, each gathered in chunks of 1 cell up to the whole block
         names, columns, metadata = table
         cells = len(columns) * len(columns[0])
         block = data.draw(st.integers(1, min(64, max(1, cells // 2))), label="block")
-        with mock.patch.object(tb, "_BLOCK", block):
+        chunk = data.draw(st.integers(1, block), label="chunk")
+        with mock.patch.object(tb, "_BLOCK", block), mock.patch.object(tb, "_CHUNK", chunk):
             csv, text = [tb._emit_table(names, columns, metadata, fmt) for fmt in ("csv", "json")]
         rows = _rows(columns)
         assert csv == _cell_by_cell_csv(names, rows)
         assert text == json.dumps({"columns": names, "rows": rows, "metadata": metadata}, indent=2) + "\n"
+
+
+class TestBlockMemory:
+    """One table block's scratch memory stays within a fixed bound."""
+
+    @pytest.mark.parametrize("fmt, bound", [("csv", 3.2), ("json", 4.23)])
+    def test_one_block_peak(self, fmt, bound):
+        import tracemalloc
+
+        from bmlandau.tables import _BLOCK, _emit_table
+
+        # a profile-like table of one block: a grid and an amplitude.  The
+        # bounds (MiB) are the peaks of an 8,192-cell block gathered whole
+        # (3.03 and 4.19 MiB), CSV's with 5% headroom: a block of more cells
+        # must not take more scratch memory than that
+        grid = np.linspace(0.0, 9.0, _BLOCK // 2)
+        columns = [grid, np.exp(-grid) * np.cos(7 * grid)]
+        _emit_table(["r", "R"], columns, {}, fmt)  # the cached masks and tables are made once
+        tracemalloc.start()
+        try:
+            _emit_table(["r", "R"], columns, {}, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
 
 
 def _neighbours(x):
@@ -1199,9 +1227,10 @@ class TestCsvDigits:
 
         # label cells (multi-byte, empty and a lone surrogate among them) and
         # gaps on both sides of four block edges, so every block decodes on
-        # its own; _BLOCK % 3 == 2, so the edges fall at each column
+        # its own, with the edges at each of the three columns
         labels = ["label", "λ = l²", "\U0001f600", "\ud800", "x" * 60, "λ", ""]
         n = (4 * _BLOCK + 5) // 3
+        assert {k * _BLOCK % 3 for k in range(1, 5)} == {0, 1, 2}
         values = np.random.default_rng(3).standard_normal((n, 3))
         gaps = np.zeros((n, 3), bool)
         for k in range(1, 5):  # among the last two cells of block k and the first two of block k + 1
@@ -1275,7 +1304,7 @@ class TestCsvBlockThreads:
         rows = _rows(columns)
         flat = [cell for row in rows for cell in row]
         assert len(flat) > 3 * _BLOCK
-        assert flat[_BLOCK - 1] is None and flat[_BLOCK] is None
+        assert None in flat[_BLOCK - 3 : _BLOCK] and None in flat[_BLOCK : _BLOCK + 3]  # gaps on both sides of the edge
         assert out == _cell_by_cell_csv(names, rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1283,16 +1312,16 @@ class TestCsvBlockThreads:
         from bmlandau import cli
         from bmlandau.tables import _BLOCK
 
-        # 5,166 rows of 6 cells, 5 of them labels: four blocks, with label
+        # 9,486 rows of 6 cells, 5 of them labels: four blocks, with label
         # columns on both sides of each block edge
         tables, emit = [], cli._emit_table
         monkeypatch.setattr(cli, "_emit_table", lambda *args: tables.append(args[:3]) or emit(*args))
-        argv = ["spectrum", "--nr", "0:40", "--l", "0:20", "--kz", "0,1", "--model", "all", "--format", fmt]
+        argv = ["spectrum", "--nr", "0:50", "--l", "0:30", "--kz", "0,1", "--model", "all", "--format", fmt]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         [(names, columns, metadata)] = tables
         rows = _rows(columns)
-        assert len(rows) == 5166 and 3 * _BLOCK < 6 * len(rows) <= 4 * _BLOCK
+        assert len(rows) == 9486 and 3 * _BLOCK < 6 * len(rows) <= 4 * _BLOCK
         if fmt == "csv":
             assert out == _cell_by_cell_csv(names, rows)
         else:
