@@ -48,7 +48,8 @@ for A, B, D in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (1.5, 1.5, -1.0)):
     sigma = pinney_amplitude(pair, coef)
     dsigma = pinney_derivative(pair, coef)
 
-    inv = ermakov_invariant(pair.u1(r), pair.du1(r), sigma(r), dsigma(r), coef.c**2)
+    u1, _, du1, _ = pair.values(r)  # y = u1 and y' from one evaluation
+    inv = ermakov_invariant(u1, du1, sigma(r), dsigma(r), coef.c**2)
     spread = (inv.max() - inv.min()) / abs(inv.mean())
     res = pinney_residual(sigma, omega_sq, coef.c, np.arange(0.2, 1.5, 1e-3))
     print(

@@ -8,9 +8,10 @@ verify     run the named check suites, emit a JSON report, exit 1 on failure
 flow       closed-form azimuthal momentum and action profiles
 
 spectrum and flow evaluate the library functions once on whole arrays;
-amplitude evaluates its grid in fixed blocks of 16,384 points on the
-table writer's threads (_by_blocks).  The CLI only parses, masks
-momentum-pole rows and formats.  Each verb
+amplitude builds the evaluator of its (sector, branch) pair from one table
+(_AMPLITUDES) and evaluates its grid in fixed blocks of 16,384 points,
+mapped like the table writer's blocks (_by_blocks, tables._map_blocks).
+The CLI only parses, masks momentum-pole rows and formats.  Each verb
 imports the modules it calls when it runs: at import this module loads
 only core, spectrum and tables, so an amplitude request never compiles
 the verify checks or the oracle.
@@ -54,16 +55,11 @@ import numpy as np
 
 from . import spectrum as sp
 from .core import PhysParams, QuantumNumbers
-from .tables import _block_pool, _emit_table
+from .tables import _emit_table, _map_blocks
 
 _MODELS = tuple(m.value for m in sp.SpectrumModel)
 _SUITES = ("ep", "flux", "regular", "spectrum")  # verify.SUITES, written out so the parser needs no verify
 _GRID_HELP = "START:STOP:COUNT; write a negative START as --grid=-1:1:50"
-_VALID_PAIRS = {
-    "r": ("ep", "regularised", "damped"),
-    "theta": ("ep", "local", "whittaker"),
-    "z": ("ep", "regularised", "damped"),
-}
 _EVAL_BLOCK = 1 << 14  # grid points per amplitude evaluation block
 
 
@@ -224,73 +220,84 @@ def cmd_spectrum(args, config: RunConfig) -> int:
 
 def _by_blocks(evaluate, grid):
     """evaluate(grid) as the concatenation of evaluate on fixed blocks of
-    _EVAL_BLOCK grid points, mapped over the table writer's threads
-    (_block_pool), or in order where it has none.
+    _EVAL_BLOCK grid points, mapped by tables._map_blocks.
 
     The blocks are cut by grid index, never by CPU count: a series stops on
     the maxima over its own points, so a block's bits depend on where it
     is cut, and fixed cuts give the same bytes on every machine.  A grid of
-    one block is evaluated inline and starts no thread.  If any block
+    one block is evaluated inline, once.  If any block of a larger grid
     raises, the whole grid is evaluated again inline, so a refusal names
     the point that the whole call names."""
-    starts = range(0, grid.size, _EVAL_BLOCK)
-    if len(starts) == 1:
+    if grid.size <= _EVAL_BLOCK:
         return evaluate(grid)
-    pool = _block_pool()
     try:
-        blocks = (pool.map if pool else map)(lambda s: evaluate(grid[s : s + _EVAL_BLOCK]), starts)
-        return np.concatenate(list(blocks))
+        return np.concatenate(_map_blocks(lambda s: evaluate(grid[s : s + _EVAL_BLOCK]), grid.size, _EVAL_BLOCK))
     except Exception:  # the whole call's refusal
         return evaluate(grid)
 
 
+def _pinney(args, params, omega=None):
+    """The ep evaluator: the Pinney amplitude of the radial basis pair at
+    --a, or with omega that of the fixed-frequency trigonometric pair."""
+    from . import sectors as sec
+    from .ermakov import ep_coefficients, pinney_amplitude
+
+    if omega is None:
+        pair = sec.radial_basis(args.a, params)
+        return pinney_amplitude(pair, ep_coefficients(args.A, args.B, args.D, pair.wronskian))
+    return sec.trig_amplitude(ep_coefficients(args.A, args.B, args.D, omega), omega)
+
+
+def _whittaker(args, params, rg):
+    """The theta whittaker evaluator at the flux ratio phi = beta r^2."""
+    try:
+        phi = params.beta * args.radius**2
+    except OverflowError:
+        raise ValueError(f"flux ratio phi = beta r^2 overflows the float range at r = {args.radius:g}") from None
+    return partial(rg.azimuthal_whittaker, l=args.l_index, phi=phi, c1=args.c1, c2=args.c2)
+
+
+# (sector, branch) -> (the flag the pair cannot do without, or None;
+# builder (args, params, regular) -> evaluate(grid)).  In branch order, so
+# that the parser's choices and each sector's branches in the invalid-pair
+# message keep the order they have always had.
+_AMPLITUDES = {
+    ("r", "ep"): (None, lambda args, params, rg: _pinney(args, params)),
+    ("theta", "ep"): ("--omega", lambda args, params, rg: _pinney(args, params, args.omega)),
+    ("z", "ep"): ("--kz", lambda args, params, rg: _pinney(args, params, args.kz)),
+    ("r", "regularised"): (
+        None, lambda args, params, rg: rg.radial_regularised(QuantumNumbers(args.nr, args.l_index, 0.0), params)
+    ),
+    ("z", "regularised"): ("--kz", lambda args, params, rg: rg.axial_regularised(args.kz)),
+    ("theta", "local"): (
+        None,
+        lambda args, params, rg: partial(
+            rg.theta_local_branch, p=rg.local_branch_params(args.atheta, args.radius, args.ctheta, params)
+        ),
+    ),
+    ("theta", "whittaker"): (None, _whittaker),
+    ("r", "damped"): (None, lambda args, params, rg: partial(rg.damped_radial_profile, C_r=args.cr, params=params)),
+    ("z", "damped"): (None, lambda args, params, rg: partial(rg.damped_axial_profile, C_z=args.cz, params=params)),
+}
+
+
+def _amplitude_choices(k):
+    """The sectors (k = 0) or the branches (k = 1) of _AMPLITUDES, in table order."""
+    return tuple(dict.fromkeys(pair[k] for pair in _AMPLITUDES))
+
+
 def cmd_amplitude(args, config: RunConfig) -> int:
     sector, branch = args.sector, args.branch
-    if branch not in _VALID_PAIRS[sector]:
-        raise UsageError(
-            f"branch {branch!r} is not valid for sector {sector!r}; "
-            f"valid pairs: " + "; ".join(f"{s}: {', '.join(bs)}" for s, bs in _VALID_PAIRS.items())
-        )
+    if (sector, branch) not in _AMPLITUDES:
+        valid = (f"{s}: " + ", ".join(b for t, b in _AMPLITUDES if t == s) for s in _amplitude_choices(0))
+        raise UsageError(f"branch {branch!r} is not valid for sector {sector!r}; valid pairs: " + "; ".join(valid))
+    flag, build = _AMPLITUDES[sector, branch]
     grid = _parse_grid(args.grid)
-    params = config.params
-    from . import regular as rg
+    if flag and getattr(args, flag[2:]) is None:
+        raise UsageError(f"sector {sector!r} {branch} branch needs {flag}")
+    from . import regular
 
-    if branch == "ep":
-        from . import sectors as sec
-        from .ermakov import ep_coefficients, pinney_amplitude
-
-        if sector == "r":
-            pair = sec.radial_basis(args.a, params)
-            coef = ep_coefficients(args.A, args.B, args.D, pair.wronskian)
-            evaluate = pinney_amplitude(pair, coef)
-        else:
-            omega = args.omega if sector == "theta" else args.kz
-            if omega is None:
-                raise UsageError(f"sector {sector!r} ep branch needs --omega/--kz")
-            coef = ep_coefficients(args.A, args.B, args.D, omega)
-            evaluate = sec.trig_amplitude(coef, omega)
-    elif branch == "regularised":
-        if sector == "r":
-            evaluate = rg.radial_regularised(QuantumNumbers(args.nr, args.l_index, 0.0), params)
-        else:
-            if args.kz is None or args.kz <= 0:
-                raise UsageError("axial regularised branch needs --kz > 0")
-            evaluate = rg.axial_regularised(args.kz)
-    elif branch == "local":
-        p = rg.local_branch_params(args.atheta, args.radius, args.ctheta, params)
-        evaluate = partial(rg.theta_local_branch, p=p)
-    elif branch == "whittaker":
-        try:
-            phi = params.beta * args.radius**2
-        except OverflowError:
-            raise ValueError(f"flux ratio phi = beta r^2 overflows the float range at r = {args.radius:g}") from None
-        evaluate = partial(rg.azimuthal_whittaker, l=args.l_index, phi=phi, c1=args.c1, c2=args.c2)
-    elif sector == "r":  # damped
-        evaluate = partial(rg.damped_radial_profile, C_r=args.cr, params=params)
-    else:
-        evaluate = partial(rg.damped_axial_profile, C_z=args.cz, params=params)
-
-    values = np.asarray(_by_blocks(evaluate, grid))
+    values = np.asarray(_by_blocks(build(args, config.params, regular), grid))
     if np.iscomplexobj(values):
         names, columns = [sector, "value", "value_im"], [grid, values.real, values.imag]
     else:
@@ -379,10 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--model", choices=_MODELS + ("all",), default="all")
 
     p_amp = sub.add_parser("amplitude", help="sampled sector amplitudes", parents=[common])
-    p_amp.add_argument("--sector", choices=("r", "theta", "z"), required=True)
-    p_amp.add_argument(
-        "--branch", choices=("ep", "regularised", "local", "whittaker", "damped"), required=True
-    )
+    p_amp.add_argument("--sector", choices=_amplitude_choices(0), required=True)
+    p_amp.add_argument("--branch", choices=_amplitude_choices(1), required=True)
     p_amp.add_argument("--grid", required=True, help=_GRID_HELP)
     p_amp.add_argument("--A", type=_finite, default=1.0, help="ep quadratic-form weight")
     p_amp.add_argument("--B", type=_finite, default=1.0, help="ep quadratic-form weight")

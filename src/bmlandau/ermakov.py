@@ -31,22 +31,15 @@ from .oracle import fd_residual
 class LinearPair:
     """Two independent solutions of one linear equation, with derivatives.
 
-    ``values(q)`` returns (u1, u2, u1', u2') from one evaluation, so work
-    the four share (a Kummer sweep, a cosine) is done once; ``du1`` and
-    ``du2`` are its last two entries.  ``u1`` and ``u2`` stay separate
-    callables: the amplitude sigma needs only them.
+    ``u(q)`` returns (u1, u2) and ``values(q)`` returns (u1, u2, u1', u2'),
+    each from one evaluation, so work the solutions share (a Gaussian, a
+    Kummer sweep, a phase) is done once.  The amplitude sigma needs only
+    ``u``; its derivative and the invariant need ``values``.
     """
 
-    u1: Callable
-    u2: Callable
+    u: Callable
     values: Callable
     wronskian: float
-
-    def du1(self, q):
-        return self.values(q)[2]
-
-    def du2(self, q):
-        return self.values(q)[3]
 
     def wronskian_at(self, q):
         v1, v2, d1, d2 = self.values(q)
@@ -109,15 +102,15 @@ def pinney_sigma_prime(coef: EPCoefficients, v1, v2, d1, d2, sigma):
 def pinney_amplitude(pair: LinearPair, coef: EPCoefficients) -> Callable:
     """Return sigma(q) = sqrt(A u1^2 + B u2^2 + 2 D u1 u2).
 
-    Evaluates only u1 and u2.  A negative radicand anywhere on the
-    requested points signals an inadmissible coefficient choice and
-    raises; it is never clamped.  A sigma past the float range raises
-    ValueError naming the first such q.
+    Evaluates only u1 and u2, in one ``pair.u(q)`` call.  A negative
+    radicand anywhere on the requested points signals an inadmissible
+    coefficient choice and raises; it is never clamped.  A sigma past the
+    float range raises ValueError naming the first such q.
     """
     _check_pair_coef(pair, coef)
 
     def sigma(q):
-        return _finite_sigma(coef, pair.u1(q), pair.u2(q), q)
+        return _finite_sigma(coef, *pair.u(q), q)
 
     return sigma
 

@@ -46,18 +46,16 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
     Wronskian is exactly 1 (value at r = 0).  Derivatives use the
     contiguous relation for d/dx 1F1, never finite differences, so
     ``values`` makes four Kummer sweeps: 1F1(a, 1/2), 1F1(a+1, 3/2),
-    1F1(a+1/2, 3/2) and 1F1(a+3/2, 5/2).  Raises ValueError where r < 0
-    and where beta r^2 overflows the float range.
+    1F1(a+1/2, 3/2) and 1F1(a+3/2, 5/2); ``u`` makes the first and third.
+    Raises ValueError where r < 0 and where beta r^2 overflows the float
+    range.
     """
     beta = params.beta
 
-    def u1(r):
+    def u(r):
         r, x = _radial_argument(r, beta)
-        return np.exp(-x / 2.0) * hyp1f1(a, 0.5, x)
-
-    def u2(r):
-        r, x = _radial_argument(r, beta)
-        return r * np.exp(-x / 2.0) * hyp1f1(a + 0.5, 1.5, x)
+        gauss = np.exp(-x / 2.0)
+        return gauss * hyp1f1(a, 0.5, x), r * gauss * hyp1f1(a + 0.5, 1.5, x)
 
     def values(r):
         r, x = _radial_argument(r, beta)
@@ -71,7 +69,7 @@ def radial_basis(a, params: PhysParams) -> LinearPair:
             gauss * (f2 * (1.0 - x) + 2.0 * x * df2),
         )
 
-    return LinearPair(u1=u1, u2=u2, values=values, wronskian=1.0)
+    return LinearPair(u=u, values=values, wronskian=1.0)
 
 
 def trig_pair(omega: float) -> LinearPair:
@@ -87,17 +85,15 @@ def trig_pair(omega: float) -> LinearPair:
             t = omega * q
         return _require_finite(t, q, "phase omega q", "q", f" (omega = {omega:g})")
 
-    def values(q):
+    def u(q):
         t = phase(q)
-        cos, sin = np.cos(t), np.sin(t)
+        return np.cos(t), np.sin(t)
+
+    def values(q):
+        cos, sin = u(q)
         return cos, sin, -omega * sin, omega * cos
 
-    return LinearPair(
-        u1=lambda q: np.cos(phase(q)),
-        u2=lambda q: np.sin(phase(q)),
-        values=values,
-        wronskian=omega,
-    )
+    return LinearPair(u=u, values=values, wronskian=omega)
 
 
 def trig_amplitude(coef: EPCoefficients, omega: float) -> Callable:

@@ -83,8 +83,7 @@ def _blocks(columns, shortest) -> list[str]:
     """The text of the cells of columns (see _emit_table) in row order,
     each followed by its separator (row 0 of _JSON_SEPS or _CSV_SEPS, or
     row 1 after a row's last cell), as one str per _CHUNK cells of each
-    block of _BLOCK cells, the blocks written on the _block_pool threads
-    for a table of more than one block.
+    block of _BLOCK cells, the blocks written by _map_blocks.
 
     The label table holds the text of a gap, then that of each distinct
     label of each label column, one byte row each; a table with a label or
@@ -163,9 +162,7 @@ def _blocks(columns, shortest) -> list[str]:
         sees calls from several threads at once."""
         return _gather(*block_rows(start))
 
-    starts = range(0, values.size, _BLOCK)
-    pool = _block_pool() if len(starts) > 1 else None
-    return [text for texts in (pool.map if pool else map)(block, starts) for text in texts]
+    return [text for texts in _map_blocks(block, values.size, _BLOCK) for text in texts]
 
 
 def _write_digits(grid, N):
@@ -343,12 +340,22 @@ def _digit_counts():
     return counts
 
 
+def _map_blocks(fn, size, block) -> list:
+    """[fn(start) for start in range(0, size, block)]: the blocks of a table
+    (_blocks) or of an amplitude grid (cli._by_blocks), cut by index, never
+    by CPU count.  More than one block is mapped over the _block_pool
+    threads, where there are any; a single block runs inline and starts no
+    thread."""
+    starts = range(0, size, block)
+    pool = _block_pool() if len(starts) > 1 else None
+    return list((pool.map if pool else map)(fn, starts))
+
+
 @cache
 def _block_pool():
-    """The threads of the table block writers and of the amplitude
-    evaluation blocks (cli._by_blocks): one thread per CPU this process may
-    run on, made by the first table or amplitude grid of more than one
-    block; None on one CPU, where the blocks run inline in order."""
+    """The threads of _map_blocks: one thread per CPU this process may run
+    on, made by the first table or amplitude grid of more than one block;
+    None on one CPU, where the blocks run inline in order."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if cpus < 2:
         return None

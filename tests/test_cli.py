@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -116,7 +117,24 @@ class TestAmplitudeCommand:
             ["amplitude", "--sector", "theta", "--branch", "damped", "--grid", "0.1:1:10"], capsys
         )
         assert code == 2
-        assert "valid pairs" in err
+        assert err == (
+            "error: branch 'damped' is not valid for sector 'theta'; valid pairs: "
+            "r: ep, regularised, damped; theta: ep, local, whittaker; z: ep, regularised, damped\n"
+        )
+
+    @pytest.mark.parametrize("sector, branch, flag", [("theta", "ep", "--omega"), ("z", "ep", "--kz"),
+                                                      ("z", "regularised", "--kz")])
+    def test_missing_flag_names_that_flag(self, capsys, sector, branch, flag):
+        code, out, err = run_cli(["amplitude", "--sector", sector, "--branch", branch, "--grid", "0.1:1:3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: sector {sector!r} {branch} branch needs {flag}\n"
+
+    @pytest.mark.parametrize("kz", ["0", "-1.5"])
+    def test_non_positive_axial_kz_refused(self, capsys, kz):
+        code, out, err = run_cli(
+            ["amplitude", "--sector", "z", "--branch", "regularised", f"--kz={kz}", "--grid", "0.1:1:3"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: axial branch needs k_z > 0\n")
 
     @pytest.mark.parametrize("cr, grid", [("1000", "0:10:3"), ("1e300", "0:1e10:3")])
     def test_overflowing_damped_radial_is_clean_error(self, capsys, cr, grid):
@@ -408,11 +426,45 @@ class TestFlowFlagsProperty:
 
 
 _AMPLITUDE_PAIRS = [
-    ("r", "ep"), ("r", "regularised"), ("r", "damped"),
-    ("theta", "ep"), ("theta", "local"), ("theta", "whittaker"),
-    ("z", "ep"), ("z", "regularised"), ("z", "damped"),
+    ("r", "ep"), ("theta", "ep"), ("z", "ep"), ("r", "regularised"), ("z", "regularised"),
+    ("theta", "local"), ("theta", "whittaker"), ("r", "damped"), ("z", "damped"),
 ]
 _OR_ZERO = st.one_of(st.just(0.0), _SIGNED)
+
+
+class TestAmplitudePairTable:
+    """The pairs, the parser's choices, the invalid-pair message and the
+    flag each pair needs all come from one table, cli._AMPLITUDES."""
+
+    def test_property_draws_every_pair(self):
+        from bmlandau import cli
+
+        assert _AMPLITUDE_PAIRS == list(cli._AMPLITUDES)
+
+    def test_needed_flags(self):
+        from bmlandau import cli
+
+        needs = {pair: flag for pair, (flag, _) in cli._AMPLITUDES.items() if flag}
+        assert needs == {("theta", "ep"): "--omega", ("z", "ep"): "--kz", ("z", "regularised"): "--kz"}
+
+    @staticmethod
+    def _choices(parser, capsys):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["amplitude", "--help"])
+        text = capsys.readouterr().out
+        return [re.search(rf"--{flag} {{([^}}]*)}}", text).group(1).split(",") for flag in ("sector", "branch")]
+
+    def test_parser_choices_come_from_the_table(self, capsys, monkeypatch):
+        from bmlandau import cli
+
+        # the order --help has always shown
+        assert self._choices(cli.build_parser(), capsys) == [
+            ["r", "theta", "z"], ["ep", "regularised", "local", "whittaker", "damped"]
+        ]
+        monkeypatch.setitem(cli._AMPLITUDES, ("rho", "flat"), (None, None))
+        assert self._choices(cli.build_parser.__wrapped__(), capsys) == [
+            ["r", "theta", "z", "rho"], ["ep", "regularised", "local", "whittaker", "damped", "flat"]
+        ]
 
 
 class TestAmplitudeFlagsProperty:
@@ -1479,7 +1531,7 @@ class TestAmplitudeBlocks:
         so far in each setting."""
         from concurrent.futures import ThreadPoolExecutor
 
-        from bmlandau import cli, tables
+        from bmlandau import tables
 
         for threads in (None, 2, 4):
             mapped = []
@@ -1487,8 +1539,7 @@ class TestAmplitudeBlocks:
             if pool:
                 pool_map = pool.map
                 pool.map = lambda fn, *starts: mapped.append("_by_blocks" in fn.__qualname__) or pool_map(fn, *starts)
-            for module in (cli, tables):
-                monkeypatch.setattr(module, "_block_pool", lambda: pool)
+            monkeypatch.setattr(tables, "_block_pool", lambda: pool)
             try:
                 yield lambda: any(mapped) == bool(threads)
             finally:

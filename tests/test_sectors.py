@@ -42,7 +42,7 @@ class TestRadialBasis:
     def test_ground_even_solution_is_gaussian(self):
         pair = sec.radial_basis(0, BETA_ONE)
         r = np.linspace(0.0, 3.0, 31)
-        assert np.allclose(pair.u1(r), np.exp(-r * r / 2.0), atol=1e-15)
+        assert np.allclose(pair.u(r)[0], np.exp(-r * r / 2.0), atol=1e-15)
         assert sec.radial_kappa_sq(0, BETA_ONE) == pytest.approx(BETA_ONE.beta)
 
     def test_quantised_even_family_eigenvalue(self):
@@ -57,8 +57,8 @@ class TestRadialBasis:
         k2 = sec.radial_kappa_sq(a, BETA_ONE)
         grid = np.arange(0.1, 3.0, 2e-4)
         ode = lambda y, dy, d2y, q: d2y + (k2 - (BETA_ONE.beta * q) ** 2) * y
-        for u in (pair.u1, pair.u2):
-            values = np.asarray(u(grid))
+        for values in pair.u(grid):
+            values = np.asarray(values)
             rep = fd_residual(SampledProfile(grid, values), ode)
             # relative to the solution scale: the a > 0 members grow
             assert rep.max_abs < 1e-6 * max(1.0, float(np.max(np.abs(values))))
@@ -67,9 +67,10 @@ class TestRadialBasis:
         pair = sec.radial_basis(-1, BETA_ONE)
         r = np.linspace(0.1, 2.5, 17)
         h = 1e-6
-        for f, df in ((pair.u1, pair.du1), (pair.u2, pair.du2)):
-            fd = (f(r + h) - f(r - h)) / (2.0 * h)
-            assert np.max(np.abs(fd - df(r))) < 1e-7
+        derivatives = pair.values(r)[2:]
+        for k in (0, 1):
+            fd = (pair.u(r + h)[k] - pair.u(r - h)[k]) / (2.0 * h)
+            assert np.max(np.abs(fd - derivatives[k])) < 1e-7
 
     def test_wronskian_constant_and_unit(self):
         pair = sec.radial_basis(0, BETA_ONE)
@@ -81,8 +82,9 @@ class TestRadialBasis:
 
 
 # ---------------------------------------------------------------------------
-# one evaluation for (u1, u2, u1', u2'): the four separate closures and the
-# Pinney derivative built on them, kept verbatim as the reference
+# one evaluation for (u1, u2) and for (u1, u2, u1', u2'): the four separate
+# closures and the Pinney amplitude and derivative built on them, kept
+# verbatim as the reference
 # ---------------------------------------------------------------------------
 
 def _seed_radial_functions(a, params):
@@ -124,7 +126,7 @@ def _seed_trig_functions(omega):
     )
 
 
-def _seed_pinney_derivative(funcs, coef):
+def _seed_pinney(funcs, coef):
     u1, u2, du1, du2 = funcs
 
     def sigma(q):
@@ -140,7 +142,7 @@ def _seed_pinney_derivative(funcs, coef):
         num = coef.A * v1 * d1 + coef.B * v2 * d2 + coef.D * (d1 * v2 + v1 * d2)
         return num / sigma(q)
 
-    return dsigma
+    return sigma, dsigma
 
 
 _GRIDS = (
@@ -168,16 +170,19 @@ class TestSharedValues:
             assert len(got) == 4
             for value, f in zip(got, seed):
                 assert _same_bytes(value, f(r))
-            assert _same_bytes(got[0], pair.u1(r)) and _same_bytes(got[1], pair.u2(r))
-            assert _same_bytes(pair.du1(r), got[2]) and _same_bytes(pair.du2(r), got[3])
+            u = pair.u(r)
+            assert len(u) == 2 and _same_bytes(u[0], got[0]) and _same_bytes(u[1], got[1])
             assert _same_bytes(pair.wronskian_at(r), seed[0](r) * seed[3](r) - seed[1](r) * seed[2](r))
 
     @pytest.mark.parametrize("omega", [1.0, 2.0, 0.35])
     def test_trig_values_equal_the_four_closures(self, omega):
         pair = sec.trig_pair(omega)
         for q in (np.linspace(-2.0, 7.0, 301), 0.4):
-            for value, f in zip(pair.values(q), _seed_trig_functions(omega)):
+            got = pair.values(q)
+            for value, f in zip(got, _seed_trig_functions(omega)):
                 assert _same_bytes(value, f(q))
+            u = pair.u(q)
+            assert len(u) == 2 and _same_bytes(u[0], got[0]) and _same_bytes(u[1], got[1])
 
     @pytest.mark.parametrize("coefs", [(1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (1.5, 1.5, -1.0), (0.25, 0.25, 0.0)])
     def test_pinney_derivative_equals_reference(self, coefs):
@@ -186,9 +191,11 @@ class TestSharedValues:
         cases += [(sec.trig_pair(om), _seed_trig_functions(om)) for om in (1.0, 2.0)]
         for pair, seed in cases:
             coef = ek.ep_coefficients(*coefs, pair.wronskian)
-            got, want = ek.pinney_derivative(pair, coef), _seed_pinney_derivative(seed, coef)
+            sigma, dsigma = _seed_pinney(seed, coef)
+            got, want = ek.pinney_derivative(pair, coef), dsigma
             for q in _GRIDS:
                 assert _same_bytes(got(q), want(q))
+                assert _same_bytes(ek.pinney_amplitude(pair, coef)(q), sigma(q))
 
     def test_pinney_derivative_raises_on_negative_radicand(self):
         # validation bypassed: admissible coefficients never give a negative radicand
